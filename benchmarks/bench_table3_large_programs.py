@@ -28,7 +28,7 @@ The incremental-compilation fields track the warm path:
 ``splice_declined_early`` (the decline was a cheap precondition check, not
 a paid-for partial replay), and ``impact_fraction``.  The emission-core
 fields say *which encoder* produced the row and where its time went:
-``encode_backend`` (``"c"`` when the ``REPRO_ENCODE`` core ran, else
+``encode_backend`` (``"c"`` when the C emission core ran, else
 ``"python"``) and ``encode_phase_analysis`` / ``encode_phase_gates`` /
 ``encode_phase_materialize`` (interval analysis, the encode walk with gate
 emission, and the final clause/journal materialization, in seconds).

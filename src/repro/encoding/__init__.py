@@ -16,6 +16,11 @@ provides exactly that machinery:
   translation shared by the concolic tracer and the bounded model checker.
 * :class:`TraceFormula` — the extended trace formula with its clause groups,
   convertible to a :class:`repro.maxsat.WCNF` partial MaxSAT instance.
+
+Gate hashing and clause emission run in a compiled core (``encode.c``, see
+:mod:`repro.sat._ccore`) when the process-wide ``REPRO_BACKEND`` switch
+allows it and in pure Python otherwise; both produce bit-identical
+artifacts (:func:`encode_backend` reports which one runs).
 """
 
 from repro.encoding.context import EncodingContext, StatementGroup
@@ -27,8 +32,8 @@ from repro.encoding.trace import TraceFormula, TraceStep
 def encode_backend() -> str:
     """Which CNF-emission backend new compiles use (``"c"`` or ``"python"``).
 
-    Controlled by ``REPRO_ENCODE`` (``auto``/``python``/``c``; unset
-    inherits ``REPRO_PROPAGATION``).  Both backends produce bit-identical
+    Follows the process-wide ``REPRO_BACKEND`` switch (``auto``/``python``/
+    ``c``) like the solver cores.  Both backends produce bit-identical
     artifacts — this probe only reports which implementation will run.
     """
     from repro.sat import _ccore

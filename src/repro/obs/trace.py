@@ -73,9 +73,9 @@ __all__ = [
     "valid_trace_id",
 ]
 
-#: The tracing knob.  Orthogonal to the ``REPRO_PROPAGATION`` /
-#: ``REPRO_SEARCH`` / ``REPRO_ENCODE`` backend knobs: those pick *which
-#: code* runs, this one only decides whether its phases are recorded.
+#: The tracing knob.  Orthogonal to the ``REPRO_BACKEND`` switch: that one
+#: picks *which code* runs, this one only decides whether its phases are
+#: recorded.
 TRACE_ENV = "REPRO_TRACE"
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 DEFAULT_TRACE_DIR = "repro-traces"

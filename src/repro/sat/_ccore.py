@@ -1,49 +1,49 @@
-"""Feature-checked loader for the C-accelerated solver cores.
+"""Feature-checked loader for the compiled solver and encoder cores.
 
-The solver's hot paths exist twice: as pure-Python loops (always available,
-always tested) and as ``search.c`` compiled to a tiny shared library at
-first use.  The library exports two entry points over the same flat
-``array``-backed buffers:
+The solver's and the encoder's hot paths exist twice: as pure-Python loops
+(always available, always tested) and as small C libraries compiled at
+first use:
 
-* ``repro_propagate`` — two-watched-literal unit propagation (one call per
-  search step from the pure-Python search loop);
-* ``repro_search`` — the full CDCL search kernel: propagation, first-UIP
-  conflict analysis with clause learning and local minimization,
+* ``search.c`` exports ``repro_propagate`` — two-watched-literal unit
+  propagation, used for root-level propagation outside the search loop —
+  and ``repro_search`` — the full CDCL search kernel: propagation,
+  first-UIP conflict analysis with clause learning and local minimization,
   backjumping, VSIDS bump/decay/rescale, the activity order heap, phase
   saving, assumption decisions and Luby restarts, returning to Python only
-  for rare control events.
+  for rare control events;
+* ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
+  the bit-vector kernels);
+* ``encode_py.c`` — the CPython-API materialization of the legacy clause
+  lists and journal at the end of a compile.
 
-Both implement the same algorithms step for step as the Python fallbacks,
-so every backend combination produces identical assignments, conflicts,
-cores and statistics.
+Each implements the same algorithms step for step as its Python fallback,
+so both backends produce identical assignments, conflicts, cores,
+statistics and artifacts.
 
-Selection is controlled by two environment variables with the same value
-set (``auto`` / ``python`` / ``c``):
+One environment variable, ``REPRO_BACKEND``, selects the backend for the
+whole process:
 
-* ``REPRO_PROPAGATION`` — the propagation core.  ``auto`` (default) uses
-  the compiled core when it can be built/loaded and falls back to pure
-  Python otherwise; ``python`` forces the fallback; ``c`` requires the
-  compiled core and raises when it cannot be loaded.
-* ``REPRO_SEARCH`` — the search kernel, same semantics.  When it is *not
-  set* it inherits the ``REPRO_PROPAGATION`` mode, so pinning
-  ``REPRO_PROPAGATION=python`` keeps the whole solver interpreted (CI's
-  fallback job stays pure) and the default ``auto`` build accelerates both
-  layers.  Set it explicitly to mix backends — e.g.
-  ``REPRO_PROPAGATION=python REPRO_SEARCH=auto`` runs the compiled search
-  kernel above a Python root-level propagator.
-* ``REPRO_ENCODE`` — the CNF emission core (``encode.c``, a separate tiny
-  library built on demand through the same cache).  Same value set and the
-  same inheritance rule: unset inherits ``REPRO_PROPAGATION``.  Both
-  emission backends produce bit-identical artifacts, so this knob is purely
-  a speed choice.
+* ``auto`` (default) uses each library that builds and loads, and falls
+  back to pure Python per library (no compiler, no ``Python.h``, a
+  sandboxed temp dir);
+* ``python`` compiles nothing;
+* ``c`` requires the compiled cores and raises when one fails to build.
+  The materialization companion is the exception: without ``Python.h`` it
+  cannot be built at all, and the pure-Python walk produces the identical
+  object graph.
 
-The compiled artifact is cached under ``_build/`` next to this module
+The per-layer variables it replaced (:data:`_RETIRED_ENV`) are rejected
+with a :class:`ValueError` rather than ignored, so a stale setting cannot
+silently run the other backend.
+
+The compiled artifacts are cached under ``_build/`` next to this module
 (override the location with ``REPRO_SAT_BUILD_DIR``; CI's compiler-less job
 points it at an empty directory so a stale artifact cannot mask a missing
 compiler), keyed by a hash of the C source, so rebuilding only happens when
-the source changes.  When the package directory is not writable, the core is compiled
-into a fresh private per-process temporary directory instead — cached
-artifacts are never loaded from shared locations other users could write.
+the source changes.  When the package directory is not writable, the cores
+are compiled into a fresh private per-process temporary directory instead —
+cached artifacts are never loaded from shared locations other users could
+write.
 """
 
 from __future__ import annotations
@@ -53,68 +53,45 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 _SOURCE = Path(__file__).resolve().parent / "search.c"
 _ENCODE_SOURCE = Path(__file__).resolve().parent / "encode.c"
 _ENCODE_PY_SOURCE = Path(__file__).resolve().parent / "encode_py.c"
 
-#: Why the C cores are unavailable (diagnostic; None when the library loaded).
-unavailable_reason: Optional[str] = None
-
-#: Why the C encode core is unavailable (diagnostic; None when it loaded).
-encode_unavailable_reason: Optional[str] = None
-
-_loaded: Optional[ctypes.CDLL] = None
-_attempted = False
-
-_encode_loaded: Optional[ctypes.CDLL] = None
-_encode_attempted = False
-
-_materialize_loaded: Optional[ctypes.CDLL] = None
-_materialize_attempted = False
-
+BACKEND_ENV = "REPRO_BACKEND"
 _MODES = ("auto", "python", "c")
+_RETIRED_ENV = ("REPRO_PROPAGATION", "REPRO_SEARCH", "REPRO_ENCODE")
+
+#: Per library name: the loaded library (``None`` when unavailable) and why
+#: it is unavailable (``None`` when it loaded).  A name is present once its
+#: load was attempted.
+_libraries: dict[str, Optional[ctypes.CDLL]] = {}
+_reasons: dict[str, Optional[str]] = {}
 
 
-def _env_mode(name: str) -> Optional[str]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    mode = raw.strip().lower()
+def _backend_mode() -> str:
+    """The requested backend: ``REPRO_BACKEND``, ``auto`` when unset or empty.
+
+    Raises :class:`ValueError` for an unknown value and for any of the
+    retired per-layer variables, naming ``REPRO_BACKEND`` in both cases.
+    """
+    for name in _RETIRED_ENV:
+        if name in os.environ:
+            raise ValueError(
+                f"{name} is no longer supported; set {BACKEND_ENV}=auto|python|c "
+                "to choose the backend of every compiled core"
+            )
+    raw = os.environ.get(BACKEND_ENV, "")
+    mode = raw.strip().lower() or "auto"
     if mode not in _MODES:
-        raise ValueError(f"{name}={mode!r}: expected 'auto', 'python' or 'c'")
+        raise ValueError(
+            f"{BACKEND_ENV}={raw!r}: expected 'auto', 'python' or 'c'"
+        )
     return mode
-
-
-def propagation_mode() -> str:
-    """The requested propagation mode (``REPRO_PROPAGATION``, default auto)."""
-    return _env_mode("REPRO_PROPAGATION") or "auto"
-
-
-def search_mode() -> str:
-    """The requested search-kernel mode.
-
-    ``REPRO_SEARCH`` when set; otherwise inherited from
-    ``REPRO_PROPAGATION`` so a pinned pure-Python propagation run stays
-    pure end to end.
-    """
-    explicit = _env_mode("REPRO_SEARCH")
-    return explicit if explicit is not None else propagation_mode()
-
-
-def encode_mode() -> str:
-    """The requested CNF-emission mode.
-
-    ``REPRO_ENCODE`` when set; otherwise inherited from
-    ``REPRO_PROPAGATION`` (like ``REPRO_SEARCH``) so a pinned pure-Python
-    run stays interpreted across encoding, propagation and search without
-    setting three variables.
-    """
-    explicit = _env_mode("REPRO_ENCODE")
-    return explicit if explicit is not None else propagation_mode()
 
 
 def _find_compiler() -> Optional[str]:
@@ -224,174 +201,97 @@ def _compile_source(
     return out
 
 
-def _compile() -> Path:
-    return _compile_source(_SOURCE, "search")
+def _load(
+    name: str, build: Callable[[], Optional[ctypes.CDLL]]
+) -> Optional[ctypes.CDLL]:
+    """Load library ``name`` once per process, honouring ``REPRO_BACKEND``.
+
+    ``build`` compiles and binds the library; it returns ``None`` when the
+    library cannot exist on this interpreter at all (no ``Python.h``).
+    Under ``auto`` any build failure falls back to pure Python; under ``c``
+    it raises (again on every call, so a required core never degrades).
+    """
+    if name in _libraries:
+        return _libraries[name]
+    mode = _backend_mode()
+    library = None
+    if mode == "python":
+        _reasons[name] = f"disabled by {BACKEND_ENV}=python"
+    else:
+        try:
+            library = build()
+            _reasons[name] = None if library is not None else "Python.h not found"
+        except Exception as error:  # compiler missing, sandboxed tmpdir, ...
+            reason = f"{type(error).__name__}: {error}"
+            if mode == "c":
+                raise RuntimeError(
+                    f"{BACKEND_ENV}=c but the C {name} core failed to load: {reason}"
+                ) from error
+            _reasons[name] = reason
+    _libraries[name] = library
+    return library
+
+
+def _bind(function, restype, argtypes) -> None:
+    function.restype = restype
+    function.argtypes = argtypes
+
+
+def _build_solver() -> ctypes.CDLL:
+    library = ctypes.CDLL(str(_compile_source(_SOURCE, "search")))
+    _bind(library.repro_propagate, ctypes.c_long, [ctypes.c_void_p] * 7)
+    _bind(library.repro_search, ctypes.c_long, [ctypes.c_void_p] * 18)
+    return library
+
+
+def _build_encode() -> ctypes.CDLL:
+    library = ctypes.CDLL(str(_compile_source(_ENCODE_SOURCE, "encode")))
+    ptr, num = ctypes.c_void_p, ctypes.c_longlong
+    _bind(library.repro_enc_gate, num, [ptr] * 6 + [num] * 4)
+    _bind(library.repro_enc_add, None, [ptr] * 9 + [num] * 2)
+    _bind(library.repro_enc_mul, None, [ptr] * 9 + [num])
+    _bind(library.repro_enc_equals, num, [ptr] * 9 + [num])
+    _bind(library.repro_enc_uless, num, [ptr] * 8 + [num])
+    _bind(library.repro_enc_mux, None, [ptr] * 6 + [num] + [ptr] * 3 + [num])
+    _bind(library.repro_enc_rehash, None, [ptr, num, ptr, num])
+    return library
+
+
+def _build_materialize() -> Optional[ctypes.CDLL]:
+    # Built against the interpreter's own headers and loaded with PyDLL:
+    # the entry point manipulates Python objects under the GIL.
+    include = sysconfig.get_paths()["include"]
+    if not (Path(include) / "Python.h").exists():
+        return None
+    library = ctypes.PyDLL(
+        str(_compile_source(_ENCODE_PY_SOURCE, "encodepy", (f"-I{include}",)))
+    )
+    ptr, num = ctypes.c_void_p, ctypes.c_longlong
+    _bind(
+        library.repro_materialize,
+        ctypes.py_object,
+        [ptr, ptr, ptr, num, ptr, num, ctypes.py_object, num, num],
+    )
+    return library
 
 
 def load_core() -> Optional[ctypes.CDLL]:
-    """Load (building if needed) the C library, or ``None`` when unavailable.
-
-    The library is only built when at least one of the two knobs wants a
-    compiled core; pinning both to ``python`` never invokes a compiler.
-    """
-    global _loaded, _attempted, unavailable_reason
-    if _attempted:
-        return _loaded
-    _attempted = True
-    pmode = propagation_mode()
-    smode = search_mode()
-    if pmode == "python" and smode == "python":
-        unavailable_reason = "disabled by REPRO_PROPAGATION/REPRO_SEARCH=python"
-        return None
-    try:
-        library = ctypes.CDLL(str(_compile()))
-        propagate = library.repro_propagate
-        propagate.restype = ctypes.c_long
-        propagate.argtypes = [ctypes.c_void_p] * 7
-        search = library.repro_search
-        search.restype = ctypes.c_long
-        search.argtypes = [ctypes.c_void_p] * 18
-        _loaded = library
-    except Exception as error:  # compiler missing, sandboxed tmpdir, ...
-        unavailable_reason = f"{type(error).__name__}: {error}"
-        required = []
-        if pmode == "c":
-            required.append("REPRO_PROPAGATION=c")
-        if smode == "c":
-            required.append("REPRO_SEARCH=c")
-        if required:
-            raise RuntimeError(
-                f"{' and '.join(required)} but the C core failed to load: "
-                f"{unavailable_reason}"
-            ) from error
-        _loaded = None
-    return _loaded
-
-
-def load_encode_core() -> Optional[ctypes.CDLL]:
-    """Load (building if needed) the C emission core, or ``None``.
-
-    Separate library from the solver cores so ``REPRO_ENCODE=python`` never
-    compiles ``encode.c`` and a missing compiler degrades each layer
-    independently.  Raises only when ``REPRO_ENCODE`` (or the inherited
-    ``REPRO_PROPAGATION``) is pinned to ``c`` and the build fails.
-    """
-    global _encode_loaded, _encode_attempted, encode_unavailable_reason
-    if _encode_attempted:
-        return _encode_loaded
-    _encode_attempted = True
-    mode = encode_mode()
-    if mode == "python":
-        encode_unavailable_reason = "disabled by REPRO_ENCODE/REPRO_PROPAGATION=python"
-        return None
-    try:
-        library = ctypes.CDLL(str(_compile_source(_ENCODE_SOURCE, "encode")))
-        gate = library.repro_enc_gate
-        gate.restype = ctypes.c_longlong
-        gate.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_longlong] * 4
-        add = library.repro_enc_add
-        add.restype = None
-        add.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong] * 2
-        mul = library.repro_enc_mul
-        mul.restype = None
-        mul.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong]
-        equals = library.repro_enc_equals
-        equals.restype = ctypes.c_longlong
-        equals.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_longlong]
-        uless = library.repro_enc_uless
-        uless.restype = ctypes.c_longlong
-        uless.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_longlong]
-        mux = library.repro_enc_mux
-        mux.restype = None
-        mux.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_longlong] + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]
-        rehash = library.repro_enc_rehash
-        rehash.restype = None
-        rehash.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-        ]
-        _encode_loaded = library
-    except Exception as error:  # compiler missing, sandboxed tmpdir, ...
-        encode_unavailable_reason = f"{type(error).__name__}: {error}"
-        if mode == "c":
-            knob = (
-                "REPRO_ENCODE=c"
-                if _env_mode("REPRO_ENCODE") == "c"
-                else "REPRO_PROPAGATION=c (inherited by REPRO_ENCODE)"
-            )
-            raise RuntimeError(
-                f"{knob} but the C encode core failed to load: "
-                f"{encode_unavailable_reason}"
-            ) from error
-        _encode_loaded = None
-    return _encode_loaded
+    """The solver library (``search.c``), or ``None`` when unavailable."""
+    return _load("solver", _build_solver)
 
 
 def encode_library() -> Optional[ctypes.CDLL]:
-    """The loaded C emission library, or ``None`` when unavailable/pinned."""
-    if encode_mode() == "python":
-        return None
-    return load_encode_core()
-
-
-def encode_unavailable() -> Optional[str]:
-    """Why the C emission core cannot be used (``None`` when it can)."""
-    if encode_mode() == "python":
-        if _env_mode("REPRO_ENCODE") == "python":
-            return "disabled by REPRO_ENCODE=python"
-        return "disabled by REPRO_PROPAGATION=python (inherited by REPRO_ENCODE)"
-    load_encode_core()
-    return encode_unavailable_reason
-
-
-def encode_backend() -> str:
-    """Which emission backend new compiles will use (``"c"`` or ``"python"``)."""
-    return "c" if encode_library() is not None else "python"
+    """The CNF emission library (``encode.c``), or ``None``."""
+    return _load("encode", _build_encode)
 
 
 def load_materialize_core() -> Optional[ctypes.CDLL]:
-    """Load the CPython-API materialization core, or ``None``.
+    """The CPython-API materialization library (``encode_py.c``), or ``None``.
 
-    Built from ``encode_py.c`` against the interpreter's own headers and
-    loaded with :class:`ctypes.PyDLL` (the entry point manipulates Python
-    objects under the GIL).  Follows the ``REPRO_ENCODE`` mode but never
-    raises: a missing Python.h only costs speed — the pure-Python
+    A missing ``Python.h`` only costs speed: the pure-Python
     :meth:`GateArena.materialize` walk produces the identical object graph.
     """
-    global _materialize_loaded, _materialize_attempted
-    if _materialize_attempted:
-        return _materialize_loaded
-    _materialize_attempted = True
-    if encode_mode() == "python":
-        return None
-    try:
-        import sysconfig
-
-        include = sysconfig.get_paths()["include"]
-        if not (Path(include) / "Python.h").exists():
-            return None
-        library = ctypes.PyDLL(
-            str(_compile_source(_ENCODE_PY_SOURCE, "encodepy", (f"-I{include}",)))
-        )
-        materialize = library.repro_materialize
-        materialize.restype = ctypes.py_object
-        materialize.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.py_object,
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-        ]
-        _materialize_loaded = library
-    except Exception:  # compiler or headers missing — fall back silently
-        _materialize_loaded = None
-    return _materialize_loaded
+    return _load("materialize", _build_materialize)
 
 
 def materialize_function():
@@ -400,59 +300,23 @@ def materialize_function():
     return None if library is None else library.repro_materialize
 
 
-def propagate_function():
-    """The raw ``repro_propagate`` C function, or ``None``."""
-    if propagation_mode() == "python":
-        return None
-    library = load_core()
-    return None if library is None else library.repro_propagate
-
-
-def search_function():
-    """The raw ``repro_search`` C function, or ``None``."""
-    if search_mode() == "python":
-        return None
-    library = load_core()
-    return None if library is None else library.repro_search
-
-
-def propagate_unavailable_reason() -> Optional[str]:
-    """Why ``repro_propagate`` cannot be used (``None`` when it can).
-
-    Distinguishes an environment pin from a genuine build/load failure so
-    error messages name the actual cause.
-    """
-    if propagation_mode() == "python":
-        return "disabled by REPRO_PROPAGATION=python"
+def unavailable_reason() -> Optional[str]:
+    """Why the solver library is unavailable (``None`` when it loaded)."""
     load_core()
-    return unavailable_reason
+    return _reasons["solver"]
 
 
-def search_unavailable_reason() -> Optional[str]:
-    """Why ``repro_search`` cannot be used (``None`` when it can)."""
-    if search_mode() == "python":
-        if _env_mode("REPRO_SEARCH") == "python":
-            return "disabled by REPRO_SEARCH=python"
-        return "disabled by REPRO_PROPAGATION=python (inherited by REPRO_SEARCH)"
-    load_core()
-    return unavailable_reason
+def encode_unavailable() -> Optional[str]:
+    """Why the C emission core cannot be used (``None`` when it can)."""
+    encode_library()
+    return _reasons["encode"]
 
 
 def backend() -> str:
-    """Which propagation backend new :class:`Solver` instances will use."""
-    return "c" if propagate_function() is not None else "python"
+    """Which backend new :class:`Solver` instances use (``"c"``/``"python"``)."""
+    return "c" if load_core() is not None else "python"
 
 
-def search_backend(follow: Optional[str] = None) -> str:
-    """Which search backend new :class:`Solver` instances will use.
-
-    ``follow`` is the propagation backend a specific solver resolved to:
-    when ``REPRO_SEARCH`` is not set explicitly, the solver's search
-    backend follows its propagation backend, so ``Solver(backend="python")``
-    is fully interpreted and ``Solver(backend="c")`` is fully compiled.
-    """
-    if _env_mode("REPRO_SEARCH") is None and follow is not None:
-        if follow == "c" and search_function() is None:  # pragma: no cover
-            return "python"
-        return follow
-    return "c" if search_function() is not None else "python"
+def encode_backend() -> str:
+    """Which emission backend new compiles use (``"c"`` or ``"python"``)."""
+    return "c" if encode_library() is not None else "python"

@@ -49,25 +49,27 @@ threaded through the arena.  The arena's *logical* length
 length so the compiled kernel can append learnt clauses into preallocated
 slack without returning to Python.
 
-The whole search state — arena, watch heads, assignments, levels, reasons,
-trail, saved phases, VSIDS activities, the analysis ``seen`` buffer and the
-order heap — is held in flat ``array``-backed buffers whenever either
-compiled backend is active (see :mod:`repro.sat._ccore`).  Two compiled
-entry points operate over that memory:
+A solver runs on one of two backends (see :mod:`repro.sat._ccore`).  With
+the ``"c"`` backend the whole search state — arena, watch heads,
+assignments, levels, reasons, trail, saved phases, VSIDS activities, the
+analysis ``seen`` buffer and the order heap — is held in flat
+``array``-backed buffers, and two compiled entry points operate over that
+memory:
 
-* ``repro_propagate`` — the unit-propagation core (``REPRO_PROPAGATION``),
-  called once per search step by the pure-Python loop;
-* ``repro_search`` — the full CDCL *search kernel* (``REPRO_SEARCH``):
-  propagation, first-UIP conflict analysis with clause learning and local
-  minimization, backjumping, VSIDS bump/decay/rescale, the activity order
-  heap, phase saving, assumption decisions and Luby restarts all run inside
-  C, returning to Python only for the rare control events (SAT/UNSAT
-  answers, assumption-core extraction, learnt-database reduction, budget
+* ``repro_propagate`` — the unit-propagation core, used for root-level
+  propagation outside the search loop (:meth:`Solver.add_clause`);
+* ``repro_search`` — the full CDCL *search kernel*: propagation, first-UIP
+  conflict analysis with clause learning and local minimization,
+  backjumping, VSIDS bump/decay/rescale, the activity order heap, phase
+  saving, assumption decisions and Luby restarts all run inside C,
+  returning to Python only for the rare control events (SAT/UNSAT answers,
+  assumption-core extraction, learnt-database reduction, budget
   exhaustion, and buffer-capacity growth).
 
-The pure-Python loop implements the identical algorithm over plain lists
-and remains the always-tested fallback; every backend combination produces
-bit-identical models, conflicts, cores and statistics.
+With the ``"python"`` backend the same state lives in plain lists and the
+pure-Python loops implement the identical algorithm; they remain the
+always-tested fallback, and both backends produce bit-identical models,
+conflicts, cores and statistics.
 
 Literals use the DIMACS convention (non-zero signed integers) at the API
 boundary and a packed even/odd encoding internally.
@@ -229,49 +231,25 @@ class Solver:
         assert solver.solve()
         assert solver.model_value(y) is True
 
-    ``backend`` selects the propagation core: ``"c"`` (the compiled core;
-    raises when unavailable), ``"python"`` (the pure-Python loop), or
-    ``None`` for the process-wide default reported by
-    :func:`repro.sat.propagation_backend`.
-
-    ``search`` selects the search kernel the same way (``"c"``,
-    ``"python"``, or ``None`` for the default reported by
-    :func:`repro.sat.search_backend`).  When ``REPRO_SEARCH`` is not set
-    explicitly the search backend follows the propagation backend, so
-    ``Solver(backend="python")`` is the fully interpreted solver and
-    ``Solver(backend="c")`` runs the whole inner loop compiled.  Note that
-    with ``search="c"`` the kernel performs its own propagation inline;
-    the ``backend`` knob then only governs propagation triggered outside
-    the search loop (root-level :meth:`add_clause` simplification).
+    ``backend`` selects the implementation of the inner loops: ``"c"`` (the
+    compiled propagation core and search kernel; raises when unavailable),
+    ``"python"`` (the pure-Python loops), or ``None`` for the process-wide
+    default reported by :func:`repro.sat.propagation_backend`.
     """
 
-    def __init__(
-        self, backend: Optional[str] = None, search: Optional[str] = None
-    ) -> None:
+    def __init__(self, backend: Optional[str] = None) -> None:
         if backend is None:
             backend = _ccore.backend()
         if backend not in ("c", "python"):
-            raise ValueError(f"unknown propagation backend {backend!r}")
-        if backend == "c" and _ccore.propagate_function() is None:
+            raise ValueError(f"unknown solver backend {backend!r}")
+        library = _ccore.load_core() if backend == "c" else None
+        if backend == "c" and library is None:
             raise RuntimeError(
-                "C propagation core unavailable: "
-                f"{_ccore.propagate_unavailable_reason()}"
-            )
-        if search is None:
-            search = _ccore.search_backend(follow=backend)
-        if search not in ("c", "python"):
-            raise ValueError(f"unknown search backend {search!r}")
-        if search == "c" and _ccore.search_function() is None:
-            raise RuntimeError(
-                f"C search kernel unavailable: {_ccore.search_unavailable_reason()}"
+                f"C solver core unavailable: {_ccore.unavailable_reason()}"
             )
         self.backend = backend
-        self.search_backend = search
-        self._use_c = backend == "c"
-        self._use_c_search = search == "c"
-        flat = self._use_c or self._use_c_search
-        self._flat = flat
-        if flat:
+        self._use_c = library is not None
+        if self._use_c:
             # Flat C-addressable buffers: the compiled cores walk these via
             # raw pointers, the Python control plane via normal indexing.
             self._arena = array("l", [0])
@@ -283,6 +261,11 @@ class Solver:
             self._polarity = array("b", [0])
             self._activity = array("d", [0.0])
             self._seen = array("b", [0])
+            self._state = array("l", [0, 0, 0, 0])
+            self._cfn = library.repro_propagate
+            self._sstate = array("l", [0] * _S_WORDS)
+            self._sfloat = array("d", [0.0, 0.0])
+            self._csearch = library.repro_search
         else:
             self._arena = [0]
             self._heads = [0, 0]
@@ -293,16 +276,6 @@ class Solver:
             self._polarity = [False]
             self._activity = [0.0]
             self._seen = [0]
-        self._state = array("l", [0, 0, 0, 0]) if self._use_c else None
-        self._cfn = _ccore.propagate_function() if self._use_c else None
-        if self._use_c_search:
-            self._sstate = array("l", [0] * _S_WORDS)
-            self._sfloat = array("d", [0.0, 0.0])
-            self._csearch = _ccore.search_function()
-        else:
-            self._sstate = None
-            self._sfloat = None
-            self._csearch = None
         # Scratch buffers marshalled in/out around each kernel call; grown
         # lazily and reused across solves.
         self._assump_buf: Optional[array] = None
@@ -319,7 +292,7 @@ class Solver:
         self._trail_len = 0
         self._trail_lim: list[int] = []
         self._qhead = 0
-        self._order = ActivityHeap(self._activity, flat=flat)
+        self._order = ActivityHeap(self._activity, flat=self._use_c)
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._cla_inc = 1.0
@@ -818,7 +791,7 @@ class Solver:
         ref = self._arena_len
         end = ref + _HDR + len(lits)
         if len(arena) < end:
-            if self._flat:
+            if self._use_c:
                 arena.frombytes(bytes((end - len(arena)) * arena.itemsize))
             else:
                 arena.extend([0] * (end - len(arena)))
@@ -897,7 +870,7 @@ class Solver:
         lists are rebuilt.
         """
         old = self._arena
-        fresh = array("l", [0]) if self._flat else [0]
+        fresh = array("l", [0]) if self._use_c else [0]
         remap: dict[int, int] = {}
         position = 1
         end = self._arena_len
@@ -1090,8 +1063,10 @@ class Solver:
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause ref or ``None``.
 
-        Dispatches to the C core when this solver uses the ``"c"`` backend;
-        the pure-Python loop below implements the identical algorithm.
+        Dispatches to the C core when this solver uses the ``"c"`` backend
+        (root-level propagation only: the C search kernel propagates
+        inline); the pure-Python loop below implements the identical
+        algorithm.
         """
         if self._use_c:
             state = self._state
@@ -1412,7 +1387,7 @@ class Solver:
         return 1 << sequence
 
     def _search(self, assumptions: list[int]) -> bool:
-        if self._use_c_search:
+        if self._use_c:
             return self._search_c(assumptions)
         return self._search_python(assumptions)
 

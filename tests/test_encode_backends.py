@@ -10,10 +10,10 @@ matrix over the five scalar gates, and seeded bit-vector kernel chains
 
 The Python arm of each pair is produced in-process by pinning
 ``_ccore.encode_library`` / ``_ccore.materialize_function`` to ``None`` —
-exactly the state a ``REPRO_ENCODE=python`` process runs in — so a single
+exactly the state a ``REPRO_BACKEND=python`` process runs in — so a single
 process compares the two emitters over the same interned objects.  Separate
-subprocess tests cover the environment knob itself (explicit pin, inheritance
-from ``REPRO_PROPAGATION``, and cross-process artifact identity under
+subprocess tests cover the ``REPRO_BACKEND`` switch itself (``python`` and
+``c`` pins, and cross-process artifact identity under
 ``PYTHONHASHSEED=0``).
 
 When the C core cannot be built (no compiler), the differential pairs are
@@ -68,7 +68,7 @@ TABLE3_CASES = [
 
 @contextlib.contextmanager
 def python_pinned():
-    """Run the body exactly as a ``REPRO_ENCODE=python`` process would."""
+    """Encode in the body exactly as a ``REPRO_BACKEND=python`` process would."""
     saved = (_ccore.encode_library, _ccore.materialize_function)
     _ccore.encode_library = lambda: None
     _ccore.materialize_function = lambda: None
@@ -86,8 +86,7 @@ def _subprocess_env(**overrides: str) -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_ENCODE", None)
-    env.pop("REPRO_PROPAGATION", None)
+    env.pop("REPRO_BACKEND", None)
     env.update(overrides)
     return env
 
@@ -255,7 +254,7 @@ def test_vector_kernels_identical(seed):
 
 class TestFeatureCheck:
     def test_env_forces_python_fallback(self):
-        """REPRO_ENCODE=python pins the arena fallback in a fresh process."""
+        """REPRO_BACKEND=python pins the arena fallback in a fresh process."""
         script = (
             "from repro.encoding import encode_backend\n"
             "from repro.bmc import BoundedModelChecker\n"
@@ -269,25 +268,7 @@ class TestFeatureCheck:
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_ENCODE="python"),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "ok" in result.stdout
-
-    def test_inherits_propagation_pin(self):
-        """Unset REPRO_ENCODE inherits a REPRO_PROPAGATION=python pin."""
-        script = (
-            "from repro.encoding import encode_backend\n"
-            "from repro.sat import propagation_backend\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert encode_backend() == 'python'\n"
-            "print('ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_PROPAGATION="python"),
+            env=_subprocess_env(REPRO_BACKEND="python"),
             capture_output=True,
             text=True,
         )
@@ -303,25 +284,7 @@ class TestFeatureCheck:
         )
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_ENCODE="c"),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-
-    @needs_c
-    def test_explicit_pin_overrides_inheritance(self):
-        """REPRO_ENCODE=c keeps the emission core under a python solver pin."""
-        script = (
-            "from repro.encoding import encode_backend\n"
-            "from repro.sat import propagation_backend\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert encode_backend() == 'c'\n"
-            "print('ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_subprocess_env(REPRO_PROPAGATION="python", REPRO_ENCODE="c"),
+            env=_subprocess_env(REPRO_BACKEND="c"),
             capture_output=True,
             text=True,
         )
@@ -343,7 +306,7 @@ class TestFeatureCheck:
         for backend in ("c", "python"):
             result = subprocess.run(
                 [sys.executable, "-c", script],
-                env=_subprocess_env(REPRO_ENCODE=backend, PYTHONHASHSEED="0"),
+                env=_subprocess_env(REPRO_BACKEND=backend, PYTHONHASHSEED="0"),
                 capture_output=True,
                 text=True,
             )

@@ -1,12 +1,12 @@
-"""Differential tests: the C propagation core versus the pure-Python loop.
+"""Differential tests: root-level propagation, python versus c solvers.
 
-Both backends implement the identical algorithm over the same flat
-clause-arena layout, so a full solver run must be bit-identical between
-them: same SAT/UNSAT answers, same models, same assumption cores, same
-conflict/decision/propagation counters.  These tests drive matched solver
-pairs through the solver test matrix — random formulas, assumption
-sequences, incremental clause addition, push/pop layers, budgeted probes,
-and a complete MaxSAT localization — and require exact equality.
+The root-level propagation cases of the python-vs-c solver comparison
+(random formulas, assumption sequences, incremental clause addition,
+push/pop layers, budgeted probes, pigeonhole, a complete MaxSAT
+localization) plus the flat-arena housekeeping checks.  The helpers, the
+search-kernel cases and the ``REPRO_BACKEND`` feature checks live in
+``test_search_backends.py``; every pair must agree exactly on answers,
+models, assumption cores and statistics.
 
 When the C core cannot be built (no compiler), the differential pairs are
 skipped but the remainder of the suite — including everything else in
@@ -16,60 +16,27 @@ check's guarantee.
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import Solver, propagation_backend
-from repro.sat.solver import SolverStats
-
-C_AVAILABLE = propagation_backend() == "c"
-
-needs_c = pytest.mark.skipif(
-    not C_AVAILABLE, reason="C propagation core unavailable on this machine"
+from repro.sat import Solver
+from test_search_backends import (
+    C_AVAILABLE,
+    _assert_all_same,
+    _assert_localizations_identical,
+    _pair,
+    _pigeonhole,
+    _random_instance,
+    _run_in_subprocess,
+    _stats_tuple,
+    needs_c,
 )
 
 
-def _stats_tuple(stats: SolverStats) -> tuple:
-    return (
-        stats.conflicts,
-        stats.decisions,
-        stats.propagations,
-        stats.restarts,
-        stats.learnt_clauses,
-        stats.deleted_clauses,
-    )
-
-
-def _pair() -> tuple[Solver, Solver]:
-    return Solver(backend="python"), Solver(backend="c")
-
-
 def _assert_same_outcome(py: Solver, cc: Solver, result_py, result_cc) -> None:
-    assert result_py == result_cc
-    assert _stats_tuple(py.stats) == _stats_tuple(cc.stats)
-    if result_py:
-        assert py.get_model() == cc.get_model()
-    else:
-        assert sorted(py.unsat_core()) == sorted(cc.unsat_core())
-
-
-def _random_instance(seed: int, num_vars: int, num_clauses: int) -> list[list[int]]:
-    rng = random.Random(seed)
-    clauses = []
-    for _ in range(num_clauses):
-        width = rng.randint(1, 4)
-        clause = []
-        for _ in range(width):
-            var = rng.randint(1, num_vars)
-            clause.append(var if rng.random() < 0.5 else -var)
-        clauses.append(clause)
-    return clauses
+    _assert_all_same([py, cc], [result_py, result_cc])
 
 
 @needs_c
@@ -149,53 +116,23 @@ class TestDifferential:
         assert _stats_tuple(py.stats) == _stats_tuple(cc.stats)
 
     def test_pigeonhole_unsat_identical(self):
-        def pigeonhole(solver: Solver) -> None:
-            # 4 pigeons, 3 holes: variable p*3+h+1 means pigeon p in hole h.
-            for pigeon in range(4):
-                solver.add_clause([pigeon * 3 + hole + 1 for hole in range(3)])
-            for hole in range(3):
-                for first in range(4):
-                    for second in range(first + 1, 4):
-                        solver.add_clause(
-                            [-(first * 3 + hole + 1), -(second * 3 + hole + 1)]
-                        )
-
         py, cc = _pair()
-        pigeonhole(py)
-        pigeonhole(cc)
+        _pigeonhole(py, 4, 3)
+        _pigeonhole(cc, 4, 3)
         _assert_same_outcome(py, cc, py.solve(), cc.solve())
 
     def test_localization_reports_identical(self, monkeypatch):
-        """A full MaxSAT localization is bit-identical across backends."""
-        from repro.core.localizer import BugAssistLocalizer
-        from repro.lang import parse_program
-        from repro.sat import _ccore
-        from repro.spec import Specification
-
+        """A branching program localizes bit-identically across backends."""
         source = (
-            "int main(int x) {\n"
-            "    int a = x + 1;\n"
-            "    int b = a * 2;\n"
-            "    int c = b - 3;\n"
-            "    return c;\n"
+            "int main(int x, int y) {\n"
+            "    int m = x;\n"
+            "    if (y > x) {\n"
+            "        m = x;\n"
+            "    }\n"
+            "    return m;\n"
             "}\n"
         )
-        program = parse_program(source, name="diff-check")
-        reports = {}
-        for backend in ("python", "c"):
-            # Pin the default backend every internal Solver() picks up.
-            monkeypatch.setattr(_ccore, "backend", lambda choice=backend: choice)
-            localizer = BugAssistLocalizer(program, mode="trace")
-            reports[backend] = localizer.localize_test(
-                [5], Specification.return_value(0)
-            )
-        py_report, c_report = reports["python"], reports["c"]
-        assert py_report.lines == c_report.lines
-        assert py_report.sat_calls == c_report.sat_calls
-        assert py_report.propagations == c_report.propagations
-        assert [c.lines for c in py_report.candidates] == [
-            c.lines for c in c_report.candidates
-        ]
+        _assert_localizations_identical(monkeypatch, source, [2, 7], 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +169,7 @@ class TestFeatureCheck:
             Solver(backend="fortran")
 
     def test_env_forces_python_fallback(self):
-        """REPRO_PROPAGATION=python pins the fallback in a fresh process."""
+        """REPRO_BACKEND=python pins the fallback in a fresh process."""
         script = (
             "from repro.sat import propagation_backend, Solver\n"
             "assert propagation_backend() == 'python'\n"
@@ -241,13 +178,7 @@ class TestFeatureCheck:
             "s.add_clause([1]); assert s.solve()\n"
             "print('ok')\n"
         )
-        env = dict(os.environ)
-        env["REPRO_PROPAGATION"] = "python"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
+        result = _run_in_subprocess(script, REPRO_BACKEND="python")
         assert result.returncode == 0, result.stderr
         assert "ok" in result.stdout
 
@@ -258,13 +189,7 @@ class TestFeatureCheck:
             "assert propagation_backend() == 'c'\n"
             "print('ok')\n"
         )
-        env = dict(os.environ)
-        env["REPRO_PROPAGATION"] = "c"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
+        result = _run_in_subprocess(script, REPRO_BACKEND="c")
         assert result.returncode == 0, result.stderr
 
 

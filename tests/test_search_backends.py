@@ -1,14 +1,23 @@
-"""Differential tests: the C search kernel versus the pure-Python loop.
+"""Differential tests: the compiled solver backend versus pure Python.
 
-PR 3 proved the propagation backends bit-identical; this suite extends the
-same guarantee to the full search kernel — first-UIP conflict analysis with
-clause learning and seen-buffer minimization, backjumping, VSIDS
-bump/decay/rescale, the activity order heap, assumption handling with
-core extraction, Luby restarts, decision/conflict budgets, learnt-database
-reduction and arena compaction.  Every (propagation, search) backend
-combination must produce identical SAT/UNSAT answers, models, assumption
-cores and statistics — including the analysis counters
-(``analyses`` / ``minimized_literals`` / ``backjumped_levels``).
+A solver runs either on the C library (``repro_propagate`` for root-level
+propagation, ``repro_search`` for the whole CDCL loop) or on the
+pure-Python loops.  Both implement the identical algorithms — first-UIP
+conflict analysis with clause learning and seen-buffer minimization,
+backjumping, VSIDS bump/decay/rescale, the activity order heap, assumption
+handling with core extraction, Luby restarts, decision/conflict budgets,
+learnt-database reduction and arena compaction — so a ``Solver(backend=
+"python")`` / ``Solver(backend="c")`` pair driven in lockstep must produce
+identical SAT/UNSAT answers, models, assumption cores and statistics,
+including the analysis counters (``analyses`` / ``minimized_literals`` /
+``backjumped_levels``).  The root-level propagation cases of the same
+comparison live in ``test_propagation_backends.py`` and share this
+module's helpers.
+
+The feature checks run the ``REPRO_BACKEND`` switch in fresh processes:
+``python`` and ``c`` pins, rejected values and retired variable names, the
+compiler-less ``auto`` fallback, and one TCAS program-mode localization
+whose artifact and report bytes must not depend on the switch.
 
 When the C library cannot be built the differential pairs are skipped but
 the pure-Python analysis tests (minimization regression, decision-budget
@@ -26,31 +35,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import Solver, propagation_backend, search_backend
+from repro.sat import Solver, _ccore, propagation_backend
 from repro.sat.solver import SolverStats
 
-#: Which compiled layers the current environment allows: an explicit
-#: REPRO_PROPAGATION/REPRO_SEARCH pin makes that layer's "c" backend
-#: unconstructible per solver, so CI's pinned matrix cells differentiate
-#: exactly the combinations their pins permit (and a machine without a
-#: compiler differentiates none).
-PROP_C = propagation_backend() == "c"
-SEARCH_C = search_backend() == "c"
-C_AVAILABLE = PROP_C or SEARCH_C
+#: Whether the compiled library loaded in this environment (not under
+#: ``REPRO_BACKEND=python``, nor on a machine without a compiler).
+C_AVAILABLE = propagation_backend() == "c"
 
 needs_c = pytest.mark.skipif(
     not C_AVAILABLE, reason="no compiled solver core available in this environment"
 )
 
-#: Every constructible (propagation, search) backend combination, the pure
-#: reference first.
-COMBOS = [("python", "python")]
-if PROP_C and SEARCH_C:
-    COMBOS += [("c", "c"), ("c", "python"), ("python", "c")]
-elif PROP_C:
-    COMBOS += [("c", "python")]
-elif SEARCH_C:
-    COMBOS += [("python", "c")]
+#: Every constructible solver backend, the pure reference first.
+BACKENDS = ("python", "c") if C_AVAILABLE else ("python",)
 
 
 def _stats_tuple(stats: SolverStats) -> tuple:
@@ -67,20 +64,21 @@ def _stats_tuple(stats: SolverStats) -> tuple:
     )
 
 
-def _quartet() -> list[Solver]:
-    return [Solver(backend=prop, search=search) for prop, search in COMBOS]
+def _pair() -> list[Solver]:
+    """One solver per constructible backend, the pure reference first."""
+    return [Solver(backend=backend) for backend in BACKENDS]
 
 
 def _assert_all_same(solvers: list[Solver], results: list) -> None:
     reference = results[0]
     reference_stats = _stats_tuple(solvers[0].stats)
-    for combo, solver, result in zip(COMBOS[1:], solvers[1:], results[1:]):
-        assert result == reference, combo
-        assert _stats_tuple(solver.stats) == reference_stats, combo
+    for backend, solver, result in zip(BACKENDS[1:], solvers[1:], results[1:]):
+        assert result == reference, backend
+        assert _stats_tuple(solver.stats) == reference_stats, backend
         if reference:
-            assert solver.get_model() == solvers[0].get_model(), combo
+            assert solver.get_model() == solvers[0].get_model(), backend
         else:
-            assert sorted(solver.unsat_core()) == sorted(solvers[0].unsat_core()), combo
+            assert sorted(solver.unsat_core()) == sorted(solvers[0].unsat_core()), backend
 
 
 def _random_instance(seed: int, num_vars: int, num_clauses: int) -> list[list[int]]:
@@ -110,12 +108,12 @@ def _pigeonhole(solver: Solver, pigeons: int, holes: int) -> None:
 
 @needs_c
 class TestDifferentialMatrix:
-    """All four (propagation, search) combinations, driven in lockstep."""
+    """A python/c solver pair, driven in lockstep."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_formulas_identical(self, seed):
         clauses = _random_instance(seed, num_vars=14, num_clauses=56)
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             for clause in clauses:
                 solver.add_clause(list(clause))
@@ -123,10 +121,10 @@ class TestDifferentialMatrix:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_assumption_cores_identical(self, seed):
-        """UNSAT-under-assumptions exercises _analyze_final on every combo."""
+        """UNSAT-under-assumptions exercises _analyze_final on both backends."""
         rng = random.Random(7000 + seed)
         clauses = _random_instance(8000 + seed, num_vars=12, num_clauses=52)
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             for clause in clauses:
                 solver.add_clause(list(clause))
@@ -140,12 +138,12 @@ class TestDifferentialMatrix:
             _assert_all_same(solvers, results)
             saw_unsat = saw_unsat or not results[0]
         # Every seed's sweep hits at least one UNSAT answer, so core
-        # extraction (_analyze_final) really ran on every combo.
+        # extraction (_analyze_final) really ran on both backends.
         assert saw_unsat
 
     def test_restart_boundaries_identical(self):
         """Pigeonhole 6/5 needs hundreds of conflicts: restarts must fire."""
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             _pigeonhole(solver, 6, 5)
         _assert_all_same(solvers, [solver.solve() for solver in solvers])
@@ -155,8 +153,8 @@ class TestDifferentialMatrix:
         assert solvers[0].stats.analyses > 0
 
     def test_restarts_under_assumptions_identical(self):
-        """Assumption-aware restarts keep the assumption prefix on all combos."""
-        solvers = _quartet()
+        """Assumption-aware restarts keep the assumption prefix on both backends."""
+        solvers = _pair()
         for solver in solvers:
             _pigeonhole(solver, 6, 5)
             solver.ensure_vars(35)
@@ -169,7 +167,7 @@ class TestDifferentialMatrix:
 
     def test_clause_activity_rescale_identical(self):
         """A near-threshold _cla_inc forces the 1e20 rescale during replay."""
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             solver._cla_inc = 1e19
             _pigeonhole(solver, 5, 4)
@@ -183,7 +181,7 @@ class TestDifferentialMatrix:
 
     def test_var_activity_rescale_identical(self):
         """A near-threshold var_inc forces the 1e100 rescale + heap rebuild."""
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             solver._var_inc = 1e99
             _pigeonhole(solver, 5, 4)
@@ -198,7 +196,7 @@ class TestDifferentialMatrix:
         """Layer churn creates arena garbage; compaction must not diverge."""
         rng = random.Random(9000 + seed)
         base = _random_instance(9500 + seed, num_vars=10, num_clauses=24)
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             for clause in base:
                 solver.add_clause(list(clause))
@@ -216,14 +214,14 @@ class TestDifferentialMatrix:
                 solver._garbage == 0 for solver in solvers
             )
             _assert_all_same(solvers, [solver.solve() for solver in solvers])
-        # Compaction decisions are made on the logical arena length, so all
-        # four backends compact in the same pop.
+        # Compaction decisions are made on the logical arena length, so both
+        # backends compact in the same pop.
         garbage = {solver._garbage for solver in solvers}
         assert len(garbage) == 1
 
     def test_forced_compaction_then_search_identical(self):
         """The kernel must re-provision slack after a compaction remap."""
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             for _ in range(40):
                 solver.push()
@@ -244,11 +242,10 @@ class TestDifferentialMatrix:
             # leave the arena, watches, trail and order heap consistent.
             solver.check_invariants()
 
-    @pytest.mark.parametrize("combo", COMBOS)
-    def test_invariants_hold_through_search_lifecycle(self, combo):
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda backend: f"combo-{backend}")
+    def test_invariants_hold_through_search_lifecycle(self, backend):
         """check_invariants passes at every quiescent point of a session."""
-        prop, search = combo
-        solver = Solver(backend=prop, search=search)
+        solver = Solver(backend=backend)
         solver.check_invariants()
         for clause in _random_instance(606, num_vars=14, num_clauses=58):
             solver.add_clause(list(clause))
@@ -271,7 +268,7 @@ class TestDifferentialMatrix:
 
     def test_budgeted_probe_identical(self):
         clauses = _random_instance(77, num_vars=16, num_clauses=70)
-        solvers = _quartet()
+        solvers = _pair()
         for solver in solvers:
             for clause in clauses:
                 solver.add_clause(list(clause))
@@ -284,7 +281,7 @@ class TestDifferentialMatrix:
     def test_conflict_budget_identical(self):
         from repro.sat.solver import ConflictBudgetExceeded
 
-        solvers = _quartet()
+        solvers = _pair()
         outcomes = []
         for solver in solvers:
             _pigeonhole(solver, 6, 5)
@@ -302,7 +299,7 @@ class TestDifferentialMatrix:
             assert _stats_tuple(solver.stats) == reference
 
     def test_incremental_blocking_identical(self):
-        solvers = _quartet()
+        solvers = _pair()
         clauses = _random_instance(4242, num_vars=10, num_clauses=30)
         for solver in solvers:
             for clause in clauses:
@@ -320,12 +317,7 @@ class TestDifferentialMatrix:
                 solver.add_clause(list(blocking))
 
     def test_localization_reports_identical(self, monkeypatch):
-        """A full MaxSAT localization is bit-identical across all combos."""
-        from repro.core.localizer import BugAssistLocalizer
-        from repro.lang import parse_program
-        from repro.sat import _ccore
-        from repro.spec import Specification
-
+        """A full MaxSAT localization is bit-identical across backends."""
         source = (
             "int main(int x) {\n"
             "    int a = x + 1;\n"
@@ -334,30 +326,34 @@ class TestDifferentialMatrix:
             "    return c;\n"
             "}\n"
         )
-        program = parse_program(source, name="search-diff-check")
-        reports = {}
-        for prop, search in COMBOS:
-            # Pin the defaults every internal Solver() picks up.
-            monkeypatch.setattr(_ccore, "backend", lambda choice=prop: choice)
-            monkeypatch.setattr(
-                _ccore,
-                "search_backend",
-                lambda follow=None, choice=search: choice,
-            )
-            localizer = BugAssistLocalizer(program, mode="trace")
-            reports[(prop, search)] = localizer.localize_test(
-                [5], Specification.return_value(0)
-            )
-        reference = reports[COMBOS[0]]
-        for combo in COMBOS[1:]:
-            report = reports[combo]
-            assert report.lines == reference.lines, combo
-            assert report.sat_calls == reference.sat_calls, combo
-            assert report.propagations == reference.propagations, combo
-            assert report.conflicts == reference.conflicts, combo
-            assert [c.lines for c in report.candidates] == [
-                c.lines for c in reference.candidates
-            ], combo
+        _assert_localizations_identical(monkeypatch, source, [5], 0)
+
+
+def _assert_localizations_identical(monkeypatch, source, inputs, expected) -> None:
+    """Localize one trace-mode failure per backend and compare the reports."""
+    from repro.core.localizer import BugAssistLocalizer
+    from repro.lang import parse_program
+    from repro.spec import Specification
+
+    program = parse_program(source, name="backend-diff-check")
+    reports = {}
+    for backend in BACKENDS:
+        # Pin the default every internal Solver() picks up.
+        monkeypatch.setattr(_ccore, "backend", lambda choice=backend: choice)
+        localizer = BugAssistLocalizer(program, mode="trace")
+        reports[backend] = localizer.localize_test(
+            inputs, Specification.return_value(expected)
+        )
+    reference = reports[BACKENDS[0]]
+    for backend in BACKENDS[1:]:
+        report = reports[backend]
+        assert report.lines == reference.lines, backend
+        assert report.sat_calls == reference.sat_calls, backend
+        assert report.propagations == reference.propagations, backend
+        assert report.conflicts == reference.conflicts, backend
+        assert [c.lines for c in report.candidates] == [
+            c.lines for c in reference.candidates
+        ], backend
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,7 +375,7 @@ class TestDifferentialMatrix:
 def test_hypothesis_matrix(clauses, assumptions):
     if not C_AVAILABLE:
         pytest.skip("C search kernel unavailable")
-    solvers = _quartet()
+    solvers = _pair()
     for solver in solvers:
         for clause in clauses:
             solver.add_clause(list(clause))
@@ -401,7 +397,7 @@ class TestAnalyzeMinimization:
     """
 
     def _prepared_solver(self) -> tuple[Solver, list[int]]:
-        solver = Solver(backend="python", search="python")
+        solver = Solver(backend="python")
         solver.ensure_vars(6)
         assert solver.add_clause([-1, 2])  # reason for x2 @ level 1
         assert solver.add_clause([-4, 5])  # reason for x5 @ level 2
@@ -449,10 +445,9 @@ class TestDecisionBudgetHeapRegression:
     solves on the same solver could silently leave it unassigned.
     """
 
-    @pytest.mark.parametrize("combo", COMBOS)
-    def test_probe_does_not_lose_branch_variable(self, combo):
-        prop, search = combo
-        solver = Solver(backend=prop, search=search)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_probe_does_not_lose_branch_variable(self, backend):
+        solver = Solver(backend=backend)
         for clause in ([1, 2], [-1, 2], [3, 4], [-3, -4]):
             solver.add_clause(list(clause))
         assert solver.solve_limited(max_decisions=0) is None
@@ -465,68 +460,58 @@ class TestDecisionBudgetHeapRegression:
 
 class TestSearchFeatureCheck:
     def test_python_search_always_constructible(self):
-        solver = Solver(backend="python", search="python")
+        solver = Solver(backend="python")
         solver.add_clause([1, 2])
         assert solver.solve()
-        assert solver.search_backend == "python"
-
-    def test_unknown_search_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Solver(search="prolog")
-
-    @pytest.mark.skipif(
-        "REPRO_SEARCH" in os.environ,
-        reason="an explicit REPRO_SEARCH overrides the follow-the-backend default",
-    )
-    def test_search_follows_propagation_by_default(self):
-        """Without REPRO_SEARCH, per-solver search follows propagation."""
-        solver = Solver(backend="python")
-        assert solver.search_backend == "python"
-        if PROP_C:
-            compiled = Solver(backend="c")
-            assert compiled.search_backend == "c"
+        assert solver.backend == "python"
 
     def test_env_pins_pure_python_end_to_end(self):
-        """REPRO_PROPAGATION=python alone keeps the search interpreted too."""
+        """REPRO_BACKEND=python keeps propagation, search and encode interpreted."""
         script = (
             "from repro.sat import propagation_backend, search_backend, Solver\n"
+            "from repro.encoding import encode_backend\n"
             "assert propagation_backend() == 'python'\n"
             "assert search_backend() == 'python'\n"
+            "assert encode_backend() == 'python'\n"
             "s = Solver()\n"
-            "assert s.backend == 'python' and s.search_backend == 'python'\n"
+            "assert s.backend == 'python'\n"
             "s.add_clause([1]); assert s.solve()\n"
             "print('ok')\n"
         )
-        result = _run_in_subprocess(script, REPRO_PROPAGATION="python")
-        assert result.returncode == 0, result.stderr
-        assert "ok" in result.stdout
-
-    @needs_c
-    def test_env_mixes_python_propagation_with_c_search(self):
-        script = (
-            "from repro.sat import propagation_backend, search_backend, Solver\n"
-            "assert propagation_backend() == 'python'\n"
-            "assert search_backend() == 'c'\n"
-            "s = Solver()\n"
-            "assert s.backend == 'python' and s.search_backend == 'c'\n"
-            "s.add_clause([1, 2]); s.add_clause([-1, 2]); assert s.solve()\n"
-            "print('ok')\n"
-        )
-        result = _run_in_subprocess(
-            script, REPRO_PROPAGATION="python", REPRO_SEARCH="auto"
-        )
+        result = _run_in_subprocess(script, REPRO_BACKEND="python")
         assert result.returncode == 0, result.stderr
         assert "ok" in result.stdout
 
     @needs_c
     def test_env_requires_c_search(self):
         script = (
-            "from repro.sat import search_backend\n"
+            "from repro.sat import propagation_backend, search_backend\n"
+            "from repro.encoding import encode_backend\n"
+            "assert propagation_backend() == 'c'\n"
             "assert search_backend() == 'c'\n"
+            "assert encode_backend() == 'c'\n"
             "print('ok')\n"
         )
-        result = _run_in_subprocess(script, REPRO_SEARCH="c")
+        result = _run_in_subprocess(script, REPRO_BACKEND="c")
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "name", ["REPRO_PROPAGATION", "REPRO_SEARCH", "REPRO_ENCODE"]
+    )
+    def test_retired_variable_rejected(self, name):
+        """A stale per-layer setting fails loudly and names REPRO_BACKEND."""
+        script = "from repro.sat import Solver\nSolver()\n"
+        result = _run_in_subprocess(script, **{name: "python"})
+        assert result.returncode != 0
+        assert "ValueError" in result.stderr
+        assert name in result.stderr and "REPRO_BACKEND" in result.stderr
+
+    def test_unknown_backend_value_rejected(self):
+        script = "from repro.encoding import encode_backend\nencode_backend()\n"
+        result = _run_in_subprocess(script, REPRO_BACKEND="fortran")
+        assert result.returncode != 0
+        assert "ValueError" in result.stderr
+        assert "REPRO_BACKEND='fortran'" in result.stderr
 
     def test_compilerless_environment_falls_back(self, tmp_path):
         """With no compiler on PATH, auto degrades to pure Python cleanly.
@@ -537,10 +522,7 @@ class TestSearchFeatureCheck:
         directory so a previously compiled artifact cannot mask the
         missing compiler.
         """
-        bare_bin = tmp_path / "bare-bin"
-        bare_bin.mkdir()
-        (bare_bin / os.path.basename(sys.executable)).symlink_to(sys.executable)
-        script = (
+        result = _run_in_subprocess(
             "from repro.sat import propagation_backend, search_backend, Solver\n"
             "from repro.sat import propagation_core_unavailable_reason\n"
             "assert propagation_backend() == 'python'\n"
@@ -548,21 +530,79 @@ class TestSearchFeatureCheck:
             "assert 'compiler' in propagation_core_unavailable_reason()\n"
             "s = Solver()\n"
             "s.add_clause([1, 2]); s.add_clause([-1, -2]); assert s.solve()\n"
-            "print('ok')\n"
-        )
-        result = _run_in_subprocess(
-            script,
-            PATH=str(bare_bin),
-            REPRO_SAT_BUILD_DIR=str(tmp_path / "empty-cache"),
+            "print('ok')\n",
+            **_compilerless_env(tmp_path),
         )
         assert result.returncode == 0, result.stderr
         assert "ok" in result.stdout
 
+    def test_compilerless_environment_rejects_c_pin(self, tmp_path):
+        """REPRO_BACKEND=c turns a failed build into an error, not a fallback."""
+        result = _run_in_subprocess(
+            "from repro.sat import Solver\nSolver()\n",
+            REPRO_BACKEND="c",
+            **_compilerless_env(tmp_path),
+        )
+        assert result.returncode != 0
+        assert "REPRO_BACKEND=c" in result.stderr
+        assert "compiler" in result.stderr
+
+
+#: One TCAS program-mode localization; prints the artifact digest, the
+#: canonical report digest and the deterministic effort counters.
+_SESSION_SCRIPT = """\
+import hashlib
+from repro.bmc import dumps_artifact
+from repro.core import LocalizationSession, Specification
+from repro.serve import canonical_report_bytes
+from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+failing, _ = classify_tcas_tests("v1", count=200)
+vector, expected = failing[0]
+with LocalizationSession(tcas_faulty_program("v1")) as session:
+    report = session.localize(vector.as_list(), Specification.return_value(expected))
+    print(hashlib.sha256(dumps_artifact(session.compiled)).hexdigest())
+print(hashlib.sha256(canonical_report_bytes(report)).hexdigest())
+print(report.sat_calls, report.conflicts, report.propagations)
+"""
+
+
+@pytest.mark.skipif(
+    _ccore._find_compiler() is None, reason="no C compiler on this machine"
+)
+def test_backend_switch_end_to_end_identical():
+    """Encode, propagation and search switch together without changing bytes.
+
+    The same TCAS version is compiled and localized through
+    :class:`LocalizationSession` once per ``REPRO_BACKEND`` value, each in a
+    fresh process under ``PYTHONHASHSEED=0``: the pickled artifact, the
+    canonical report and the solver-effort counters must all agree.
+    """
+    outputs = {}
+    for backend in ("python", "c"):
+        result = _run_in_subprocess(
+            _SESSION_SCRIPT, REPRO_BACKEND=backend, PYTHONHASHSEED="0"
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[backend] = result.stdout.splitlines()
+    assert len(outputs["c"]) == 3
+    assert outputs["python"] == outputs["c"]
+
+
+def _compilerless_env(tmp_path) -> dict:
+    """PATH holding only a python symlink, and an empty build cache."""
+    bare_bin = tmp_path / "bare-bin"
+    bare_bin.mkdir()
+    (bare_bin / os.path.basename(sys.executable)).symlink_to(sys.executable)
+    return {
+        "PATH": str(bare_bin),
+        "REPRO_SAT_BUILD_DIR": str(tmp_path / "empty-cache"),
+    }
+
 
 def _run_in_subprocess(script: str, **env_overrides: str):
     env = dict(os.environ)
-    env.pop("REPRO_PROPAGATION", None)
-    env.pop("REPRO_SEARCH", None)
+    env.pop("REPRO_BACKEND", None)
     env.update(env_overrides)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
