@@ -10,8 +10,9 @@ the repository root — ``{"rows": [...], "metrics": {...}}``, one row per
 benchmark with the clause counts, the number of SAT calls and the wall
 time, plus the run's :data:`repro.obs.REGISTRY` metrics snapshot
 (span-fed encode-phase histograms and solver-effort counters) — so the
-performance trajectory can be tracked across PRs.  Each row also carries
-*why*-a-row-moved fields:
+performance trajectory can be tracked across PRs.  ``detected`` records
+whether some reported candidate names the benchmark's seeded fault line.
+Each row also carries *why*-a-row-moved fields:
 ``propagations_per_second`` (propagation throughput, which reflects whether
 the C propagation core or the pure-Python fallback ran),
 ``conflicts_per_second`` (search-kernel throughput: conflict analysis,
@@ -188,6 +189,7 @@ def _write_bench_json() -> None:
             "fault_candidates": row.fault_candidates,
             "maxsat_calls": row.maxsat_calls,
             "sat_calls": row.sat_calls,
+            "detected": row.detected,
             "time_seconds": round(row.time_seconds, 3),
             "propagations_per_second": round(row.propagations_per_second),
             "conflicts_per_second": round(row.conflicts_per_second),

@@ -23,6 +23,7 @@ Three front doors are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
@@ -146,12 +147,13 @@ class BoundedModelChecker:
             return None
         solver = Solver()
         solver.ensure_vars(self._context.num_vars)
-        for clause in self._context.hard:
-            solver.add_clause(clause)
-        for clauses in self._context.groups.values():
-            for clause in clauses:
-                solver.add_clause(clause)
-        solver.add_clause([lit for _, lit in self._violations])
+        solver.add_clauses(
+            chain(
+                self._context.hard,
+                *self._context.groups.values(),
+                [[lit for _, lit in self._violations]],
+            )
+        )
         if not solver.solve():
             return None
         model = solver.get_model()

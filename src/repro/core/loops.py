@@ -131,8 +131,7 @@ class LoopIterationLocalizer:
             beta.extend(wcnf.soft[index].lits)
         successor = WCNF()
         successor._num_vars = wcnf.num_vars
-        for clause in wcnf.hard:
-            successor.add_hard(clause)
+        successor.add_hard_clauses(wcnf.hard)
         successor.add_hard(beta)
         for index, soft in enumerate(wcnf.soft):
             if index not in blocked:

@@ -116,14 +116,12 @@ class TraceFormula:
         wcnf = WCNF()
         wcnf._num_vars = self.num_vars  # reserve the trace-formula variables
         wcnf.signature = self.signature or None
-        for clause in self.hard:
-            wcnf.add_hard(clause)
+        wcnf.add_hard_clauses(self.hard)
         selector_to_group: dict[int, StatementGroup] = {}
         for group in sorted(self.groups):
             clauses = self.groups[group]
             if hard_groups is not None and group.line in hard_groups:
-                for clause in clauses:
-                    wcnf.add_hard(clause)
+                wcnf.add_hard_clauses(clauses)
                 continue
             weight = weight_of(group) if weight_of is not None else 1
             selector = wcnf.add_soft_group(clauses, weight=weight, label=group)

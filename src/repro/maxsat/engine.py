@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.maxsat.result import MaxSatResult
 from repro.maxsat.wcnf import WCNF
 from repro.sat import Solver, SolverStats
@@ -110,32 +111,22 @@ class MaxSatEngine:
 
         Identical soft clauses are deduplicated into a single binding so
         both copies share one assumption literal (and hence one consistent
-        violation indicator).
+        violation indicator).  The solver is built under a ``maxsat.load``
+        span recording the hard-clause count, their literals and units, the
+        root-level propagations and whether the compiled bulk load
+        (``path="kernel"``) or the per-clause loop ran.
         """
-        solver = Solver()
-        solver.ensure_vars(wcnf.num_vars)
-        for clause in wcnf.hard:
-            solver.add_clause(clause)
-        bindings: list[_SoftBinding] = []
-        by_clause: dict[tuple[int, ...], _SoftBinding] = {}
-        for index, soft in enumerate(wcnf.soft):
-            key = tuple(sorted(soft.lits))
-            existing = by_clause.get(key)
-            if existing is not None:
-                existing.indices.append(index)
-                existing.weight += soft.weight
-                continue
-            lits = list(soft.lits)
-            if len(lits) == 1:
-                assumption = lits[0]
-                solver.ensure_vars(abs(assumption))
-            else:
-                selector = solver.new_var()
-                solver.add_clause(lits + [-selector])
-                assumption = selector
-            binding = _SoftBinding(len(bindings), [index], assumption, soft.weight)
-            by_clause[key] = binding
-            bindings.append(binding)
+        with obs.span("maxsat.load") as load_span:
+            solver, bindings = self._build_solver(wcnf)
+            if obs.current_trace_id() is not None:  # only sized when traced
+                lengths = list(map(len, wcnf.hard))
+                load_span.set(
+                    clauses=len(lengths),
+                    literals=sum(lengths),
+                    units=lengths.count(1),
+                    root_propagations=solver.stats.propagations,
+                    path="kernel" if solver.backend == "c" else "python",
+                )
         self._wcnf = wcnf
         self._solver = solver
         self._bindings = bindings
@@ -155,6 +146,41 @@ class MaxSatEngine:
         self._true_slot = solver.new_var()
         solver.add_clause([self._true_slot])
         self._on_load()
+
+    @staticmethod
+    def _build_solver(wcnf: WCNF) -> tuple[Solver, list[_SoftBinding]]:
+        """A solver holding the hard clauses, plus one binding per soft.
+
+        The hard clauses and then the selector clauses of the non-unit
+        softs each go to the solver as one :meth:`Solver.add_clauses` batch,
+        in the order clause-at-a-time loading would add them.
+        """
+        solver = Solver()
+        solver.ensure_vars(wcnf.num_vars)
+        solver.add_clauses(wcnf.hard)
+        bindings: list[_SoftBinding] = []
+        by_clause: dict[tuple[int, ...], _SoftBinding] = {}
+        selector_clauses: list[list[int]] = []
+        for index, soft in enumerate(wcnf.soft):
+            key = tuple(sorted(soft.lits))
+            existing = by_clause.get(key)
+            if existing is not None:
+                existing.indices.append(index)
+                existing.weight += soft.weight
+                continue
+            lits = list(soft.lits)
+            if len(lits) == 1:
+                assumption = lits[0]
+                solver.ensure_vars(abs(assumption))
+            else:
+                selector = solver.new_var()
+                selector_clauses.append(lits + [-selector])
+                assumption = selector
+            binding = _SoftBinding(len(bindings), [index], assumption, soft.weight)
+            by_clause[key] = binding
+            bindings.append(binding)
+        solver.add_clauses(selector_clauses)
+        return solver, bindings
 
     # -- layers --------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterable, Optional
 
 
@@ -50,8 +51,11 @@ class WCNF:
 
     def add_hard(self, lits: Iterable[int]) -> None:
         """Add a hard clause."""
-        clause = self._checked(lits)
-        self.hard.append(clause)
+        self.hard.extend(self._checked([lits]))
+
+    def add_hard_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Add many hard clauses, in order."""
+        self.hard.extend(self._checked(clauses))
 
     def add_soft(
         self,
@@ -62,7 +66,7 @@ class WCNF:
         """Add a soft clause and return its index."""
         if weight <= 0:
             raise ValueError("soft clause weight must be a positive integer")
-        clause = self._checked(lits)
+        (clause,) = self._checked([lits])
         self.soft.append(SoftClause(tuple(clause), weight, label))
         return len(self.soft) - 1
 
@@ -80,18 +84,16 @@ class WCNF:
         and the single soft clause ``[s]`` (weight ``weight``) stands for the
         whole group.  Returns the selector variable.
         """
-        materialized = [list(clause) for clause in clauses]
-        for clause in materialized:
-            for lit in clause:
-                if lit == 0:
-                    raise ValueError("0 is not a valid literal")
-                self._num_vars = max(self._num_vars, abs(lit))
+        # Each literal is checked exactly once, here; the selector-extended
+        # clauses then go to the hard list directly.
+        materialized = self._checked(clauses)
         if selector is None:
             selector = self.new_var()
         else:
-            self._num_vars = max(self._num_vars, selector)
+            self._checked([[selector]])
         for clause in materialized:
-            self.add_hard(clause + [-selector])
+            clause.append(-selector)
+        self.hard.extend(materialized)
         self.add_soft([selector], weight=weight, label=label)
         return selector
 
@@ -117,13 +119,15 @@ class WCNF:
 
     # -------------------------------------------------------------- helpers
 
-    def _checked(self, lits: Iterable[int]) -> list[int]:
-        clause = list(lits)
-        for lit in clause:
-            if lit == 0:
+    def _checked(self, clauses: Iterable[Iterable[int]]) -> list[list[int]]:
+        """Fresh lists of the clauses' literals; rejects 0, notes the top var."""
+        materialized = list(map(list, clauses))
+        lits = list(chain.from_iterable(materialized))
+        if lits:
+            if 0 in lits:
                 raise ValueError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
-        return clause
+            self._num_vars = max(self._num_vars, max(lits), -min(lits))
+        return materialized
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

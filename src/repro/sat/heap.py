@@ -23,6 +23,14 @@ from __future__ import annotations
 from array import array
 
 
+def grow_buffer(buffer, value, count: int) -> None:
+    """Append ``count`` copies of ``value`` to a list or ``array`` buffer."""
+    if isinstance(buffer, array):
+        buffer.extend(array(buffer.typecode, (value,)) * count)
+    else:
+        buffer.extend([value] * count)
+
+
 class ActivityHeap:
     """Binary max-heap over variable indices keyed by an activity array.
 
@@ -71,10 +79,10 @@ class ActivityHeap:
 
     def grow_to(self, num_vars: int) -> None:
         """Make room for variables ``1..num_vars``."""
-        while len(self._positions) <= num_vars:
-            self._positions.append(-1)
-        while len(self._heap) < num_vars:
-            self._heap.append(0)
+        if len(self._positions) <= num_vars:
+            grow_buffer(self._positions, -1, num_vars + 1 - len(self._positions))
+        if len(self._heap) < num_vars:
+            grow_buffer(self._heap, 0, num_vars - len(self._heap))
 
     def insert(self, var: int) -> None:
         """Insert ``var`` if it is not already present."""
@@ -85,6 +93,24 @@ class ActivityHeap:
         self._positions[var] = self._size
         self._sift_up(self._size)
         self._size += 1
+
+    def insert_fresh(self, first: int, last: int) -> None:
+        """Insert the new variables ``first..last`` in one step.
+
+        Equivalent to :meth:`insert` on each in index order when they are
+        absent and have zero activity: such a variable never sifts up
+        (activities are non-negative and :meth:`_sift_up` stops at ``>=``),
+        so each lands in the next free slot.
+        """
+        self.grow_to(last)
+        size = self._size
+        count = last - first + 1
+        flat = isinstance(self._heap, array)
+        entries = range(first, last + 1)
+        slots = range(size, size + count)
+        self._heap[size : size + count] = array("l", entries) if flat else entries
+        self._positions[first : last + 1] = array("l", slots) if flat else slots
+        self._size = size + count
 
     def pop_max(self) -> int:
         """Remove and return the variable with the highest activity."""

@@ -1,22 +1,26 @@
 /* The C-accelerated solver cores of repro.sat.solver.
  *
- * Two entry points are exported, both operating on flat buffers allocated
+ * Three entry points are exported, all operating on flat buffers allocated
  * and owned by the Python side:
  *
- *   repro_propagate   two-watched-literal unit propagation (the PR-3 core,
- *                     called once per search step by the pure-Python loop);
- *   repro_search      the full CDCL search kernel: propagation, first-UIP
- *                     conflict analysis with clause learning and local
- *                     minimization, backjumping, VSIDS bump/decay/rescale,
- *                     the activity order heap, phase saving, assumption
- *                     decisions and Luby restarts.
+ *   repro_propagate     two-watched-literal unit propagation, used for
+ *                       root-level propagation outside the search loop;
+ *   repro_search        the full CDCL search kernel: propagation, first-UIP
+ *                       conflict analysis with clause learning and local
+ *                       minimization, backjumping, VSIDS bump/decay/rescale,
+ *                       the activity order heap, phase saving, assumption
+ *                       decisions and Luby restarts;
+ *   repro_add_clauses   the root-level bulk clause load: one call simplifies,
+ *                       stores and attaches a whole batch of clauses (units
+ *                       are enqueued and propagated on the spot).
  *
  * Each implements exactly the same algorithm, over exactly the same data
- * layout, as its pure-Python mirror (Solver._propagate_python and
- * Solver._search_python).  Any behavioural divergence between the two is a
- * bug; the differential suites (tests/test_propagation_backends.py,
- * tests/test_search_backends.py) compare models, conflicts, cores and
- * statistics of full solver runs across every backend combination.
+ * layout, as its pure-Python mirror (Solver._propagate_python,
+ * Solver._search_python and the per-clause Solver.add_clause loop).  Any
+ * behavioural divergence between the two is a bug; the differential suites
+ * (tests/test_propagation_backends.py, tests/test_search_backends.py)
+ * compare models, conflicts, cores, statistics and the loaded solver state
+ * of python/c solver pairs.
  *
  * Data layout (all "long" words unless noted):
  *
@@ -56,10 +60,13 @@
  *            activity dict.
  *   tmp      analysis scratch: the first num_vars+2 words hold the raw
  *            learnt clause, the second num_vars+2 words the minimized one.
- *   state    the 32-word bookkeeping block (see _S_* in solver.py).
+ *   state    the 32-word bookkeeping block of repro_search (see _S_* in
+ *            solver.py); repro_propagate and repro_add_clauses take the
+ *            short blocks documented at their definitions.
  *   fp       [var_inc, var_decay] (doubles, var_inc written back).
  *
- * repro_search returns (and stores in state) one of the EXIT_* codes.
+ * repro_search returns (and stores in state) one of the EXIT_* codes;
+ * repro_add_clauses returns one of the ADD_* codes.
  */
 
 #define HDR 5
@@ -163,6 +170,9 @@ done:
     return conflict;
 }
 
+/* state: [0] qhead, [1] trail length (both in/out), [2] current decision
+ * level, [3] propagations (accumulated).  Returns a conflicting clause ref,
+ * or 0. */
 long repro_propagate(long *arena, long *heads, signed char *assigns,
                      long *levels, long *reasons, long *trail, long *state)
 {
@@ -609,4 +619,117 @@ out:
     state[28] = scratch_len;
     state[30] = log_len;
     return exit_reason;
+}
+
+/* -------------------------------------------------------------- bulk load */
+
+#define ADD_OK 0
+#define ADD_UNSAT 1
+#define ADD_BAD_LITERAL 2
+#define ADD_GROW 3
+
+/* Root-level bulk clause load: the mirror of Solver.add_clause applied to
+ * every clause of a batch in order, when no decision level and no layer is
+ * open (Solver.add_clauses falls back to the per-clause loop otherwise).
+ *
+ *   lits     the batch's DIMACS literals, clause after clause;
+ *   ends     ends[i] is the offset one past clause i in lits;
+ *   refs     out-buffer receiving the refs of the attached clauses, in
+ *            order (the driver appends them to Solver._clauses);
+ *   seen     per-variable marker while a clause is simplified (1: the
+ *            clause holds the positive literal, 2: the negative one);
+ *            all-zero again on return;
+ *   state    [0] qhead, [1] trail length, [2] arena logical length (all
+ *            in/out), [3] propagations (accumulated), [4] clause count
+ *            (in), [5] refs written (out), [6] allocated variables (in) /
+ *            highest variable of the batch (out, with ADD_GROW).
+ *
+ * A batch naming a variable beyond state[6] returns ADD_GROW before
+ * touching anything; the driver allocates the variables and calls again.
+ * The arena must have room for every clause of the batch at its logical
+ * end.  A literal 0 stops the load with ADD_BAD_LITERAL; an empty clause or
+ * a root conflict stops it with ADD_UNSAT (later clauses would be no-ops on
+ * an unsatisfiable solver).
+ */
+long repro_add_clauses(long *arena, long *heads, signed char *assigns,
+                       long *levels, long *reasons, long *trail,
+                       signed char *seen, const long *lits, const long *ends,
+                       long *refs, long *state)
+{
+    long qhead = state[0];
+    long trail_len = state[1];
+    long arena_len = state[2];
+    long count = state[4];
+    long nrefs = 0;
+    long status = ADD_OK;
+    long start = 0;
+    long max_var = 0;
+
+    for (long k = 0; count > 0 && k < ends[count - 1]; k++) {
+        long var = lits[k] > 0 ? lits[k] : -lits[k];
+        if (var > max_var)
+            max_var = var;
+    }
+    if (max_var > state[6]) {
+        state[6] = max_var;
+        return ADD_GROW;
+    }
+    for (long i = 0; i < count && status == ADD_OK; i++) {
+        long end = ends[i];
+        long base = arena_len + HDR;
+        long size = 0;
+        int skip = 0;
+        /* Simplify into the arena slack: the kept literals land where the
+         * clause body will live. */
+        for (long k = start; k < end; k++) {
+            long lit = lits[k];
+            if (lit == 0) {
+                status = ADD_BAD_LITERAL;
+                break;
+            }
+            long var = lit > 0 ? lit : -lit;
+            long ilit = 2 * var + (lit < 0);
+            signed char mark = (signed char) (1 + (ilit & 1));
+            if (seen[var] == 3 - mark) {
+                skip = 1; /* tautology */
+                break;
+            }
+            if (seen[var] == mark)
+                continue; /* duplicate literal */
+            signed char value = assigns[var];
+            if (value >= 0) {
+                if ((value ^ (ilit & 1)) == 1) {
+                    skip = 1; /* already satisfied at the root */
+                    break;
+                }
+                continue; /* false at the root: drop the literal */
+            }
+            seen[var] = mark;
+            arena[base + size++] = ilit;
+        }
+        for (long k = 0; k < size; k++)
+            seen[arena[base + k] >> 1] = 0;
+        start = end;
+        if (status != ADD_OK || skip)
+            continue;
+        if (size == 0) {
+            status = ADD_UNSAT;
+        } else if (size == 1) {
+            enqueue(assigns, levels, reasons, trail, &trail_len, 0,
+                    arena[base], 0);
+            if (propagate(arena, heads, assigns, levels, reasons, trail,
+                          &qhead, &trail_len, 0, &state[3]))
+                status = ADD_UNSAT;
+        } else {
+            arena[arena_len] = size << 2;
+            attach(arena, heads, arena_len);
+            refs[nrefs++] = arena_len;
+            arena_len = base + size;
+        }
+    }
+    state[0] = qhead;
+    state[1] = trail_len;
+    state[2] = arena_len;
+    state[5] = nrefs;
+    return status;
 }

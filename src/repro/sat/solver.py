@@ -53,7 +53,7 @@ A solver runs on one of two backends (see :mod:`repro.sat._ccore`).  With
 the ``"c"`` backend the whole search state — arena, watch heads,
 assignments, levels, reasons, trail, saved phases, VSIDS activities, the
 analysis ``seen`` buffer and the order heap — is held in flat
-``array``-backed buffers, and two compiled entry points operate over that
+``array``-backed buffers, and three compiled entry points operate over that
 memory:
 
 * ``repro_propagate`` — the unit-propagation core, used for root-level
@@ -64,12 +64,17 @@ memory:
   saving, assumption decisions and Luby restarts all run inside C,
   returning to Python only for the rare control events (SAT/UNSAT answers,
   assumption-core extraction, learnt-database reduction, budget
-  exhaustion, and buffer-capacity growth).
+  exhaustion, and buffer-capacity growth);
+* ``repro_add_clauses`` — the root-level *bulk load*
+  (:meth:`Solver.add_clauses`): one call applies :meth:`Solver.add_clause`'s
+  simplification rules to a whole flattened batch, writes and attaches the
+  surviving clauses at the arena end, and enqueues and propagates units.
 
 With the ``"python"`` backend the same state lives in plain lists and the
-pure-Python loops implement the identical algorithm; they remain the
+pure-Python loops implement the identical algorithm (the per-clause
+:meth:`Solver.add_clause` loop mirrors the bulk load); they remain the
 always-tested fallback, and both backends produce bit-identical models,
-conflicts, cores and statistics.
+conflicts, cores, statistics and loaded solver state.
 
 Literals use the DIMACS convention (non-zero signed integers) at the API
 boundary and a packed even/odd encoding internally.
@@ -79,10 +84,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain
 from typing import Iterable, Optional, Sequence
 
 from repro.sat import _ccore
-from repro.sat.heap import ActivityHeap
+from repro.sat.heap import ActivityHeap, grow_buffer
 
 _UNDEF = -1
 _FALSE = 0
@@ -106,6 +112,11 @@ _EXIT_REDUCE = 4  # the learnt database hit its size budget
 _EXIT_CAPACITY = 5  # arena/scratch/log slack too small for another conflict
 _EXIT_CONFLICT_BUDGET = 6  # Solver.max_conflicts exhausted
 _EXIT_DECISION_BUDGET = 7  # Solver.max_decisions exhausted
+
+#: Outcomes of the bulk clause load (``repro_add_clauses``).
+_ADD_UNSAT = 1  # an empty clause or a root conflict: the formula is unsat
+_ADD_BAD_LITERAL = 2  # a literal 0 stopped the load
+_ADD_GROW = 3  # the batch names unallocated variables: nothing was loaded
 
 #: Layout of the search kernel's ``state`` array (one slot per line).
 _S_QHEAD = 0
@@ -266,6 +277,7 @@ class Solver:
             self._sstate = array("l", [0] * _S_WORDS)
             self._sfloat = array("d", [0.0, 0.0])
             self._csearch = library.repro_search
+            self._cadd = library.repro_add_clauses
         else:
             self._arena = [0]
             self._heads = [0, 0]
@@ -341,9 +353,29 @@ class Solver:
         return self._num_vars
 
     def ensure_vars(self, max_var: int) -> None:
-        """Allocate variables up to ``max_var`` (inclusive) if needed."""
-        while self._num_vars < max_var:
-            self.new_var()
+        """Allocate variables up to ``max_var`` (inclusive) if needed.
+
+        The bulk form of :meth:`new_var`, leaving the identical state: every
+        per-variable buffer grows in one step, and the order heap gets the
+        new variables appended in index order, which is exactly where
+        one-at-a-time insertion leaves them (a zero-activity variable never
+        sifts up past a parent).
+        """
+        count = max_var - self._num_vars
+        if count <= 0:
+            return
+        first = self._num_vars + 1
+        grow_buffer(self._assigns, _UNDEF, count)
+        grow_buffer(self._level, 0, count)
+        grow_buffer(self._reason, 0, count)
+        grow_buffer(self._polarity, 0 if self._use_c else False, count)
+        grow_buffer(self._activity, 0.0, count)
+        grow_buffer(self._seen, 0, count)
+        grow_buffer(self._heads, 0, 2 * count)
+        grow_buffer(self._trail, 0, count)  # trail capacity: one slot per variable
+        self._num_vars = max_var
+        self._order.insert_fresh(first, max_var)
+        self.stats.max_vars = max(self.stats.max_vars, max_var)
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause of signed literals.
@@ -478,12 +510,77 @@ class Solver:
             del self._kept_assumptions[level:]
         self._cancel_until(level)
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
-        """Add many clauses; returns ``False`` if any made the formula unsat."""
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add many clauses in order; ``False`` if any made the formula unsat.
+
+        Equivalent to :meth:`add_clause` on each clause in turn, except that
+        every variable the batch names is allocated up front.  The batch is
+        flattened once; on the C backend, with no assumption trail kept and
+        no layer open (always the case for a freshly built solver), one
+        ``repro_add_clauses`` call then loads it.  Otherwise the per-clause
+        loop runs, which is also the pure-Python mirror of the kernel.
+        """
+        batch = clauses if isinstance(clauses, list) else list(clauses)
+        if not batch:
+            return True
+        flat = array("l", list(chain.from_iterable(batch)))
+        ends = array("l", accumulate(map(len, batch)))
+        if self._use_c and self._ok and not self._trail_lim and not self._layers:
+            return self._add_clauses_c(flat, ends)
+        if flat:
+            self.ensure_vars(max(max(flat), -min(flat)))
         ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause) and ok
+        start = 0
+        for end in ends:
+            ok = self.add_clause(flat[start:end]) and ok
+            start = end
         return ok
+
+    def _add_clauses_c(self, flat: array, ends: array) -> bool:
+        """Load a flattened batch with one ``repro_add_clauses`` call.
+
+        A batch naming unallocated variables costs a second call, after
+        :meth:`ensure_vars` has grown every buffer.
+        """
+        count = len(ends)
+        arena = self._arena
+        needed = self._arena_len + len(flat) + _HDR * count
+        if len(arena) < needed:
+            arena.frombytes(bytes((needed - len(arena)) * arena.itemsize))
+        refs = array("l", bytes(count * arena.itemsize))
+        state = array(
+            "l",
+            [self._qhead, self._trail_len, self._arena_len, 0, count, 0, 0],
+        )
+        while True:
+            state[6] = self._num_vars
+            status = self._cadd(
+                arena.buffer_info()[0],
+                self._heads.buffer_info()[0],
+                self._assigns.buffer_info()[0],
+                self._level.buffer_info()[0],
+                self._reason.buffer_info()[0],
+                self._trail.buffer_info()[0],
+                self._seen.buffer_info()[0],
+                flat.buffer_info()[0],
+                ends.buffer_info()[0],
+                refs.buffer_info()[0],
+                state.buffer_info()[0],
+            )
+            if status != _ADD_GROW:
+                break
+            self.ensure_vars(state[6])
+        self._qhead = state[0]
+        self._trail_len = state[1]
+        self._arena_len = state[2]
+        self.stats.propagations += state[3]
+        self._clauses.extend(refs[: state[5]])
+        if status == _ADD_BAD_LITERAL:
+            raise ValueError("0 is not a valid literal")
+        if status == _ADD_UNSAT:
+            self._ok = False
+            return False
+        return True
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under the given assumption literals.

@@ -387,6 +387,25 @@ class TestSessionTracing:
         # And the request profile names the trace it ran under.
         assert profile["trace_id"] == handle.trace_id
 
+    def test_engine_load_span(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        program, failing = classify_failing_tests()
+        with obs.trace("request") as handle:
+            with LocalizationSession(program) as session:
+                session.localize(*failing[0])
+                session.localize(*failing[-1])
+                loaded = session._engine._wcnf
+                backend = session._engine._solver.backend
+        loads = [s for s in handle.spans() if s["name"] == "maxsat.load"]
+        # The session loads its engine once, on the first localize.
+        assert len(loads) == 1
+        attrs = loads[0]["attrs"]
+        assert attrs["clauses"] == len(loaded.hard)
+        assert attrs["literals"] == sum(len(clause) for clause in loaded.hard)
+        assert attrs["units"] == sum(len(clause) == 1 for clause in loaded.hard)
+        assert attrs["units"] > 0 and attrs["root_propagations"] > 0
+        assert attrs["path"] == ("kernel" if backend == "c" else "python")
+
     def test_trace_propagates_through_process_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "on")
         program, failing = classify_failing_tests()

@@ -458,6 +458,181 @@ class TestDecisionBudgetHeapRegression:
         assert len(solver.get_model()) == 4  # nothing was lost to the probe
 
 
+def _load_batch(seed: int, num_vars: int = 16) -> list[list[int]]:
+    """A clause batch exercising every root-level rule of ``add_clause``.
+
+    Units (whose propagation leaves later literals root-true or
+    root-false), tautologies, duplicate literals and ordinary clauses; every
+    fifth seed also pins two units and then adds a clause of their
+    negations, which simplifies to empty.
+    """
+    rng = random.Random(seed)
+
+    def lit() -> int:
+        var = rng.randint(1, num_vars)
+        return var if rng.random() < 0.5 else -var
+
+    clauses = []
+    for _ in range(40):
+        kind = rng.random()
+        if kind < 0.12:
+            clauses.append([lit()])
+        elif kind < 0.22:
+            x = lit()
+            clauses.append([lit(), x, lit(), -x])
+        elif kind < 0.32:
+            x = lit()
+            clauses.append([x, lit(), x])
+        else:
+            clauses.append([lit() for _ in range(rng.randint(2, 5))])
+    if seed % 5 == 4:
+        clauses[20:20] = [[3], [-7], [-3, 7]]
+    return clauses
+
+
+def _loaded_state(solver: Solver) -> tuple:
+    """Everything a clause load writes, as plain lists (backend-neutral)."""
+    order = solver._order
+    return (
+        list(solver._arena[: solver._arena_len]),
+        list(solver._heads),
+        list(solver._assigns),
+        list(solver._level),
+        list(solver._reason),
+        list(solver._trail[: solver._trail_len]),
+        solver._qhead,
+        list(order.heap_buffer()[: order.size]),
+        list(order.positions_buffer()),
+        list(solver._clauses),
+        solver._ok,
+        solver.num_vars,
+        solver.stats.max_vars,
+        _stats_tuple(solver.stats),
+    )
+
+
+def _batch_max_var(clauses: list[list[int]]) -> int:
+    return max((abs(lit) for clause in clauses for lit in clause), default=0)
+
+
+class TestBulkLoad:
+    """``Solver.add_clauses`` against the per-clause ``add_clause`` loop.
+
+    On the C backend a batch loaded at the root goes through the
+    ``repro_add_clauses`` kernel; the per-clause loop is its pure-Python
+    mirror.  Both must leave the identical solver state — logical arena,
+    watch heads, assignments, levels, reasons, trail, order heap, clause
+    list, ``_ok`` and statistics — and the same solve sequence must then
+    give the same models and cores.  The bulk side is handed no
+    ``ensure_vars`` (it allocates the batch's variables itself); the loop
+    side pre-allocates the same variables.
+    """
+
+    @staticmethod
+    def _loaded(backend: str, clauses: list[list[int]], bulk: bool):
+        solver = Solver(backend=backend)
+        outcome = None
+        if bulk:
+            try:
+                outcome = solver.add_clauses(clauses)
+            except ValueError as error:
+                outcome = str(error)
+            return solver, outcome
+        solver.ensure_vars(_batch_max_var(clauses))
+        try:
+            outcome = True
+            for clause in clauses:
+                outcome = solver.add_clause(clause) and outcome
+        except ValueError as error:
+            outcome = str(error)
+        return solver, outcome
+
+    def _assert_same_load(self, clauses: list[list[int]]) -> list[Solver]:
+        reference, expected = self._loaded("python", clauses, bulk=False)
+        reference.check_invariants()
+        solvers = [reference]
+        for backend in BACKENDS:
+            for bulk in (False, True):
+                solver, outcome = self._loaded(backend, clauses, bulk)
+                assert outcome == expected, (backend, bulk)
+                assert _loaded_state(solver) == _loaded_state(reference), (
+                    backend,
+                    bulk,
+                )
+                solver.check_invariants()
+                solvers.append(solver)
+        return solvers
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_batches_identical(self, seed):
+        clauses = _load_batch(seed)
+        solvers = self._assert_same_load(clauses)
+        rng = random.Random(500 + seed)
+        for _ in range(6):
+            assumptions = [
+                rng.choice([-1, 1]) * rng.randint(1, 16)
+                for _ in range(rng.randint(0, 3))
+            ]
+            results = [solver.solve(list(assumptions)) for solver in solvers]
+            assert len(set(results)) == 1
+            reference = solvers[0]
+            for solver in solvers[1:]:
+                assert _stats_tuple(solver.stats) == _stats_tuple(reference.stats)
+                if results[0]:
+                    assert solver.get_model() == reference.get_model()
+                else:
+                    assert sorted(solver.unsat_core()) == sorted(
+                        reference.unsat_core()
+                    )
+        # A second batch after the solves meets a kept assumption trail, and
+        # a third one an open layer: both take the per-clause path on every
+        # backend and must still agree.
+        for solver in solvers:
+            solver.add_clauses(_load_batch(1000 + seed))
+            solver.push()
+            solver.add_clauses(_load_batch(2000 + seed))
+        for solver in solvers[1:]:
+            assert _loaded_state(solver) == _loaded_state(solvers[0])
+            solver.check_invariants()
+
+    def test_batches_cover_every_rule(self):
+        """The seeds above really reach each root-level rule and outcome."""
+        propagated = unsat = 0
+        for seed in range(15):
+            solver, outcome = self._loaded("python", _load_batch(seed), bulk=False)
+            propagated += solver.stats.propagations > 0
+            unsat += outcome is False
+        assert propagated >= 5
+        assert 3 <= unsat < 15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_literal_zero_rejected_identically(self, seed):
+        """A literal 0 raises on both paths after the same partial load.
+
+        A clause that is a tautology before its 0 is skipped without
+        reaching it, exactly as in ``add_clause``.
+        """
+        clauses = _load_batch(seed)
+        clauses.insert(2, [1, -1, 0])
+        clauses.insert(4, [2, 0, 5])
+        self._assert_same_load(clauses)
+        solver, outcome = self._loaded(BACKENDS[-1], clauses, bulk=True)
+        assert outcome == "0 is not a valid literal"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_heap_layout_matches_one_at_a_time(self, backend):
+        """ensure_vars grows the order heap exactly as repeated new_var."""
+        bulk, single = Solver(backend=backend), Solver(backend=backend)
+        for solver in (bulk, single):
+            solver.add_clause([1, 2])
+            solver.solve()  # bumps activities, so fresh variables sit at 0.0
+        bulk.ensure_vars(40)
+        while single.num_vars < 40:
+            single.new_var()
+        assert _loaded_state(bulk) == _loaded_state(single)
+        bulk.check_invariants()
+
+
 class TestSearchFeatureCheck:
     def test_python_search_always_constructible(self):
         solver = Solver(backend="python")
@@ -587,6 +762,67 @@ def test_backend_switch_end_to_end_identical():
         outputs[backend] = result.stdout.splitlines()
     assert len(outputs["c"]) == 3
     assert outputs["python"] == outputs["c"]
+
+
+#: One Table 3 trace-mode localization (the row's reduction protocol, then
+#: ``localize_trace``); prints the canonical report digest and the
+#: engine's solver statistics.  ``NAME`` and ``BUDGET`` are prepended.
+_TABLE3_SCRIPT = """\
+import hashlib
+from repro.concolic import ConcolicTracer
+from repro.core import localizer
+from repro.reduction import minimize_failing_input, sliced_tracer_settings
+from repro.serve import canonical_report_bytes
+from repro.siemens.programs import LARGE_BENCHMARKS
+
+benchmark = next(b for b in LARGE_BENCHMARKS if b.name == NAME)
+engines = []
+make_engine = localizer.make_engine
+localizer.make_engine = lambda *args: engines.append(make_engine(*args)) or engines[-1]
+faulty = benchmark.faulty_program()
+test = list(benchmark.failing_test)
+if "D" in benchmark.reduction:
+    test = minimize_failing_input(test, benchmark.fails)
+settings = sliced_tracer_settings(faulty) if "S" in benchmark.reduction else {}
+concrete = set(settings.get("concrete_functions", ()))
+if "C" in benchmark.reduction:
+    concrete |= set(benchmark.concretize)
+formula = ConcolicTracer(
+    faulty,
+    relevant_lines=settings.get("relevant_lines"),
+    concrete_functions=concrete,
+).trace(test, benchmark.specification(tuple(test)))
+report = localizer.BugAssistLocalizer(
+    faulty, mode="trace", max_candidates=BUDGET
+).localize_trace(formula)
+assert report.candidates
+print(hashlib.sha256(canonical_report_bytes(report)).hexdigest())
+print(engines[0].solver_stats)
+"""
+
+
+@pytest.mark.parametrize("name, budget", [("schedule2", 8), ("tot_info", 1)])
+def test_table3_trace_formulas_identical_across_backends(name, budget):
+    """The Table 3 trace formulas load and localize identically per backend.
+
+    schedule2 and tot_info (about 96k clauses, most of them hard) go
+    through the bulk clause load on the C backend and the per-clause loop
+    on the Python one; the canonical report bytes and the engine's
+    ``SolverStats`` must agree.  tot_info's CoMSS budget is 1 to keep the
+    pure-Python search short.  Without a compiler only the Python side
+    runs.
+    """
+    script = f"NAME, BUDGET = {name!r}, {budget}\n" + _TABLE3_SCRIPT
+    backends = ["python"]
+    if _ccore._find_compiler() is not None:
+        backends.append("c")
+    outputs = {}
+    for backend in backends:
+        result = _run_in_subprocess(script, REPRO_BACKEND=backend)
+        assert result.returncode == 0, result.stderr
+        outputs[backend] = result.stdout.splitlines()
+        assert len(outputs[backend]) == 2
+    assert all(output == outputs["python"] for output in outputs.values())
 
 
 def _compilerless_env(tmp_path) -> dict:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import BugAssistLocalizer, OffByOneRepairer, Specification
@@ -231,3 +235,29 @@ class TestStrncatExample:
         # What matters is that the report localizes the call.
         assert result.localization is not None
         assert result.localization.contains_line(FAULT_LINE)
+
+
+def test_table3_record_carries_detection(tmp_path, monkeypatch):
+    """Each row the Table 3 benchmark writes records whether the fault was found."""
+    from repro.siemens.suite import LargeBenchmarkResult
+
+    path = (
+        Path(__file__).resolve().parent.parent
+        / "benchmarks"
+        / "bench_table3_large_programs.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_table3_record", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    record = tmp_path / "BENCH_table3.json"
+    monkeypatch.setattr(bench, "BENCH_JSON_PATH", record)
+    for name, detected in (("schedule", True), ("tot_info", False)):
+        bench._rows[name] = LargeBenchmarkResult(
+            name=name, reduction="S", loc=1, procedures=1, detected=detected
+        )
+    bench._write_bench_json()
+    rows = json.loads(record.read_text())["rows"]
+    assert {row["name"]: row["detected"] for row in rows} == {
+        "schedule": True,
+        "tot_info": False,
+    }
