@@ -345,10 +345,13 @@ class LocalizationSession:
                 report.propagations = layer_stats.propagations
                 report.conflicts = layer_stats.conflicts
                 profile = dict(engine.layer_profile())
+                kernel_exits = engine.layer_kernel_exits()
                 solve_span.set(
                     sat_calls=profile.get("sat_calls"),
                     propagations=layer_stats.propagations,
                     conflicts=layer_stats.conflicts,
+                    kernel_reduce_exits=kernel_exits["reduce"],
+                    kernel_capacity_exits=kernel_exits["capacity"],
                 )
                 encode_profile = compiled.encode_profile()
                 if encode_profile:

@@ -74,6 +74,7 @@ class _EngineLayer:
     #: cumulative counters).
     stats_mark: Optional["SolverStats"] = None
     sat_calls_mark: int = 0
+    kernel_exits_mark: dict[str, int] = field(default_factory=dict)
 
 
 class MaxSatEngine:
@@ -208,6 +209,7 @@ class MaxSatEngine:
                 block_selector=self._block_selector,
                 stats_mark=self._solver.stats.snapshot(),
                 sat_calls_mark=self.sat_calls,
+                kernel_exits_mark=dict(self._solver.kernel_exits),
             )
         )
         self._hard_checked = False
@@ -278,6 +280,19 @@ class MaxSatEngine:
         if not self._layers:
             return self.sat_calls
         return self.sat_calls - self._layers[-1].sat_calls_mark
+
+    def layer_kernel_exits(self) -> dict[str, int]:
+        """C search-kernel exits per reason inside the innermost layer.
+
+        All zero on the Python backend; cumulative outside any layer.
+        """
+        if self._solver is None:
+            return {}
+        exits = self._solver.kernel_exits
+        if not self._layers:
+            return dict(exits)
+        mark = self._layers[-1].kernel_exits_mark
+        return {name: count - mark.get(name, 0) for name, count in exits.items()}
 
     def layer_profile(self) -> dict[str, int]:
         """Per-request solver-effort profile of the innermost layer.

@@ -4,14 +4,17 @@ The solver's and the encoder's hot paths exist twice: as pure-Python loops
 (always available, always tested) and as small C libraries compiled at
 first use:
 
-* ``search.c`` exports three entry points: ``repro_propagate``
+* ``search.c`` exports five entry points: ``repro_propagate``
   (two-watched-literal unit propagation, used for root-level propagation
   outside the search loop), ``repro_search`` (the full CDCL search kernel:
   propagation, first-UIP conflict analysis with clause learning and local
   minimization, backjumping, VSIDS bump/decay/rescale, the activity order
-  heap, phase saving, assumption decisions and Luby restarts, returning to
-  Python only for rare control events) and ``repro_add_clauses`` (the
-  root-level bulk clause load behind :meth:`Solver.add_clauses`);
+  heap, phase saving, assumption decisions, Luby restarts and
+  assumption-core extraction, returning to Python only for rare control
+  events), ``repro_add_clauses`` (the root-level bulk clause load behind
+  :meth:`Solver.add_clauses`), ``repro_cancel`` (the backtrack behind
+  ``Solver._cancel_until``) and ``repro_detach`` (batch watcher-list
+  unlinking for layer pops and learnt-database reduction);
 * ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
   the bit-vector kernels);
 * ``encode_py.c`` — the CPython-API materialization of the legacy clause
@@ -243,6 +246,12 @@ def _build_solver() -> ctypes.CDLL:
     _bind(library.repro_propagate, ctypes.c_long, [ctypes.c_void_p] * 7)
     _bind(library.repro_search, ctypes.c_long, [ctypes.c_void_p] * 18)
     _bind(library.repro_add_clauses, ctypes.c_long, [ctypes.c_void_p] * 11)
+    _bind(
+        library.repro_cancel,
+        ctypes.c_long,
+        [ctypes.c_void_p] * 7 + [ctypes.c_long] * 3,
+    )
+    _bind(library.repro_detach, None, [ctypes.c_void_p] * 3 + [ctypes.c_long])
     return library
 
 

@@ -1,6 +1,6 @@
 /* The C-accelerated solver cores of repro.sat.solver.
  *
- * Three entry points are exported, all operating on flat buffers allocated
+ * Five entry points are exported, all operating on flat buffers allocated
  * and owned by the Python side:
  *
  *   repro_propagate     two-watched-literal unit propagation, used for
@@ -9,18 +9,25 @@
  *                       conflict analysis with clause learning and local
  *                       minimization, backjumping, VSIDS bump/decay/rescale,
  *                       the activity order heap, phase saving, assumption
- *                       decisions and Luby restarts;
+ *                       decisions, Luby restarts and, when an assumption is
+ *                       falsified, the extraction of the assumption core;
  *   repro_add_clauses   the root-level bulk clause load: one call simplifies,
  *                       stores and attaches a whole batch of clauses (units
- *                       are enqueued and propagated on the spot).
+ *                       are enqueued and propagated on the spot);
+ *   repro_cancel        the backtrack outside the search loop: unassign the
+ *                       trail above a bound, saving phases and reinserting
+ *                       the variables into the order heap;
+ *   repro_detach        unlink a batch of clauses from the watcher lists
+ *                       (layer pops and learnt-database reduction).
  *
  * Each implements exactly the same algorithm, over exactly the same data
  * layout, as its pure-Python mirror (Solver._propagate_python,
- * Solver._search_python and the per-clause Solver.add_clause loop).  Any
- * behavioural divergence between the two is a bug; the differential suites
- * (tests/test_propagation_backends.py, tests/test_search_backends.py)
- * compare models, conflicts, cores, statistics and the loaded solver state
- * of python/c solver pairs.
+ * Solver._search_python with Solver._analyze_final, the per-clause
+ * Solver.add_clause loop, the Python loops of Solver._cancel_until and
+ * Solver._detach_all).  Any behavioural divergence between the two is a
+ * bug; the differential suites (tests/test_propagation_backends.py,
+ * tests/test_search_backends.py) compare models, conflicts, cores,
+ * statistics and the loaded solver state of python/c solver pairs.
  *
  * Data layout (all "long" words unless noted):
  *
@@ -60,7 +67,9 @@
  *            activity dict.
  *   tmp      analysis scratch: the first num_vars+2 words hold the raw
  *            learnt clause, the second num_vars+2 words the minimized one.
- *   state    the 32-word bookkeeping block of repro_search (see _S_* in
+ *            On EXIT_ASSUMPTION the first words hold the core's decision
+ *            literals instead (their count in state[32]).
+ *   state    the 33-word bookkeeping block of repro_search (see _S_* in
  *            solver.py); repro_propagate and repro_add_clauses take the
  *            short blocks documented at their definitions.
  *   fp       [var_inc, var_decay] (doubles, var_inc written back).
@@ -294,6 +303,22 @@ static void enqueue(signed char *assigns, long *levels, long *reasons,
     trail[(*trail_len)++] = ilit;
 }
 
+/* Unassign trail[bound..trail_len) from the top down: save each literal's
+ * phase, clear its reason and put its variable back into the order heap. */
+static void unassign(long *trail, long bound, long trail_len,
+                     signed char *assigns, signed char *polarity, long *reasons,
+                     long *heap, long *pos, double *act, long *heap_size)
+{
+    for (long index = trail_len - 1; index >= bound; index--) {
+        long ilit = trail[index];
+        long var = ilit >> 1;
+        assigns[var] = -1;
+        polarity[var] = (signed char) (((ilit & 1) == 0) ? 1 : 0);
+        reasons[var] = 0;
+        heap_insert(heap, pos, act, heap_size, var);
+    }
+}
+
 static void cancel_until(long *trail, long *trail_lim, signed char *assigns,
                          signed char *polarity, long *reasons,
                          long *heap, long *pos, double *act, long *heap_size,
@@ -305,17 +330,23 @@ static void cancel_until(long *trail, long *trail_lim, signed char *assigns,
     if (level < *search_floor)
         *search_floor = level;
     long bound = trail_lim[level];
-    for (long index = *trail_len - 1; index >= bound; index--) {
-        long ilit = trail[index];
-        long var = ilit >> 1;
-        assigns[var] = -1;
-        polarity[var] = (signed char) (((ilit & 1) == 0) ? 1 : 0);
-        reasons[var] = 0;
-        heap_insert(heap, pos, act, heap_size, var);
-    }
+    unassign(trail, bound, *trail_len, assigns, polarity, reasons,
+             heap, pos, act, heap_size);
     *trail_len = bound;
     *level_count = level;
     *qhead = bound;
+}
+
+/* The backtrack of Solver._cancel_until outside the search loop: unassign
+ * trail[bound..trail_len) exactly as the kernel's own backjumps do.  The
+ * driver truncates its trail bookkeeping; returns the new heap size. */
+long repro_cancel(long *trail, signed char *assigns, signed char *polarity,
+                  long *reasons, double *activity, long *heap, long *heap_pos,
+                  long trail_len, long bound, long heap_size)
+{
+    unassign(trail, bound, trail_len, assigns, polarity, reasons,
+             heap, heap_pos, activity, &heap_size);
+    return heap_size;
 }
 
 static long luby(long index)
@@ -434,6 +465,43 @@ static long analyze(long *arena, long *levels, long *reasons, long *trail,
     }
     *out_len = mlen;
     return backjump;
+}
+
+/* Assumption core extraction (mirror of Solver._analyze_final): walk the
+ * trail above the root from the top, following the reasons of every marked
+ * variable back to the decisions that implied the falsified assumption
+ * `failed`.  The decision literals land in core[] in descending trail
+ * order; returns their count (0 at decision level 0). */
+static long analyze_final(long *arena, long *levels, long *reasons,
+                          long *trail, long *trail_lim, signed char *seen,
+                          long trail_len, long level_count, long failed,
+                          long *core)
+{
+    long count = 0;
+    if (level_count == 0)
+        return 0;
+    seen[failed >> 1] = 1;
+    for (long index = trail_len - 1; index >= trail_lim[0]; index--) {
+        long ilit = trail[index];
+        long var = ilit >> 1;
+        if (!seen[var])
+            continue;
+        long reason = reasons[var];
+        if (!reason) {
+            core[count++] = ilit;
+        } else {
+            long base = reason + HDR;
+            long size = arena[reason] >> 2;
+            for (long k = 0; k < size; k++) {
+                long qvar = arena[base + k] >> 1;
+                if (qvar != var && levels[qvar] > 0)
+                    seen[qvar] = 1;
+            }
+        }
+        seen[var] = 0;
+    }
+    seen[failed >> 1] = 0;
+    return count;
 }
 
 /* ------------------------------------------------------------ the kernel */
@@ -567,6 +635,9 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
             } else if (value == 0) {
                 exit_reason = EXIT_ASSUMPTION;
                 exit_payload = assumption;
+                state[32] = analyze_final(arena, levels, reasons, trail,
+                                          trail_lim, seen, trail_len,
+                                          level_count, assumption, tmp);
                 goto out;
             } else {
                 next_lit = assumption;
@@ -732,4 +803,23 @@ long repro_add_clauses(long *arena, long *heads, signed char *assigns,
     state[2] = arena_len;
     state[5] = nrefs;
     return status;
+}
+
+/* ----------------------------------------------------------- batch detach */
+
+/* Unlink both watch slots of each of the `count` clauses in refs[] from
+ * the watcher lists, in order (mirror of Solver._detach_all). */
+void repro_detach(long *arena, long *heads, const long *refs, long count)
+{
+    for (long i = 0; i < count; i++) {
+        long ref = refs[i];
+        for (long slot = 0; slot < 2; slot++) {
+            long target = (ref << 1) | slot;
+            long *link = &heads[arena[ref + HDR + slot]];
+            while (*link && *link != target)
+                link = &arena[(*link >> 1) + 1 + (*link & 1)];
+            if (*link)
+                *link = arena[ref + 1 + slot];
+        }
+    }
 }

@@ -53,7 +53,7 @@ A solver runs on one of two backends (see :mod:`repro.sat._ccore`).  With
 the ``"c"`` backend the whole search state — arena, watch heads,
 assignments, levels, reasons, trail, saved phases, VSIDS activities, the
 analysis ``seen`` buffer and the order heap — is held in flat
-``array``-backed buffers, and three compiled entry points operate over that
+``array``-backed buffers, and five compiled entry points operate over that
 memory:
 
 * ``repro_propagate`` — the unit-propagation core, used for root-level
@@ -61,14 +61,21 @@ memory:
 * ``repro_search`` — the full CDCL *search kernel*: propagation, first-UIP
   conflict analysis with clause learning and local minimization,
   backjumping, VSIDS bump/decay/rescale, the activity order heap, phase
-  saving, assumption decisions and Luby restarts all run inside C,
-  returning to Python only for the rare control events (SAT/UNSAT answers,
-  assumption-core extraction, learnt-database reduction, budget
-  exhaustion, and buffer-capacity growth);
+  saving, assumption decisions, Luby restarts and assumption-core
+  extraction all run inside C, returning to Python only for the rare
+  control events (SAT/UNSAT answers, an extracted assumption core,
+  learnt-database reduction, budget exhaustion, and buffer-capacity
+  growth; :attr:`Solver.kernel_exits` counts them by reason);
 * ``repro_add_clauses`` — the root-level *bulk load*
   (:meth:`Solver.add_clauses`): one call applies :meth:`Solver.add_clause`'s
   simplification rules to a whole flattened batch, writes and attaches the
-  surviving clauses at the arena end, and enqueues and propagates units.
+  surviving clauses at the arena end, and enqueues and propagates units;
+* ``repro_cancel`` — every backtrack outside the search loop
+  (:meth:`Solver._cancel_until`): unassigning the trail, saving phases and
+  reinserting variables into the order heap;
+* ``repro_detach`` — unlinking a batch of clauses from the watcher lists
+  when :meth:`Solver.pop` retracts a layer and when the learnt database
+  is reduced.
 
 With the ``"python"`` backend the same state lives in plain lists and the
 pure-Python loops implement the identical algorithm (the per-clause
@@ -113,6 +120,17 @@ _EXIT_CAPACITY = 5  # arena/scratch/log slack too small for another conflict
 _EXIT_CONFLICT_BUDGET = 6  # Solver.max_conflicts exhausted
 _EXIT_DECISION_BUDGET = 7  # Solver.max_decisions exhausted
 
+#: The keys of :attr:`Solver.kernel_exits`, one per exit reason.
+_EXIT_NAMES = {
+    _EXIT_SAT: "sat",
+    _EXIT_UNSAT: "unsat",
+    _EXIT_ASSUMPTION: "assumption",
+    _EXIT_REDUCE: "reduce",
+    _EXIT_CAPACITY: "capacity",
+    _EXIT_CONFLICT_BUDGET: "conflict_budget",
+    _EXIT_DECISION_BUDGET: "decision_budget",
+}
+
 #: Outcomes of the bulk clause load (``repro_add_clauses``).
 _ADD_UNSAT = 1  # an empty clause or a root conflict: the formula is unsat
 _ADD_BAD_LITERAL = 2  # a literal 0 stopped the load
@@ -151,7 +169,8 @@ _S_SCRATCH_LEN = 28
 _S_SCRATCH_CAP = 29
 _S_LOG_LEN = 30
 _S_LOG_CAP = 31
-_S_WORDS = 32
+_S_CORE_LEN = 32  # literals of the assumption core the kernel wrote to tmp
+_S_WORDS = 33
 
 
 @dataclass
@@ -278,6 +297,8 @@ class Solver:
             self._sfloat = array("d", [0.0, 0.0])
             self._csearch = library.repro_search
             self._cadd = library.repro_add_clauses
+            self._ccancel = library.repro_cancel
+            self._cdetach = library.repro_detach
         else:
             self._arena = [0]
             self._heads = [0, 0]
@@ -321,6 +342,10 @@ class Solver:
         # optimistic full-trail resume.
         self._search_floor = 0
         self.stats = SolverStats()
+        #: How often the C search kernel returned, per exit reason (all zero
+        #: on the Python backend).  Kept outside :attr:`stats`, whose
+        #: counters are identical across backends.
+        self.kernel_exits = dict.fromkeys(_EXIT_NAMES.values(), 0)
         self.max_conflicts: Optional[int] = None
         self.max_decisions: Optional[int] = None
 
@@ -796,8 +821,8 @@ class Solver:
         self._cancel_to_root()
         layer = self._layers.pop()
         removed = set(layer.clauses)
+        self._detach_all(layer.clauses)
         for ref in layer.clauses:
-            self._detach(ref)
             self._free(ref)
         # Every problem clause added since the layer opened belongs to it
         # (add_clause tags them all), so the layer's clauses are exactly the
@@ -816,8 +841,8 @@ class Solver:
                     stale.append(ref)
                     break
         if stale:
+            self._detach_all(stale)
             for ref in stale:
-                self._detach(ref)
                 self._free(ref)
                 removed.add(ref)
             self._learnts = [ref for ref in self._learnts if ref not in removed]
@@ -825,9 +850,12 @@ class Solver:
             # Level-0 propagations may still name a retracted clause as their
             # reason; those reasons are never resolved against again, but the
             # dangling references are cleared so compaction cannot remap them
-            # to a recycled slot.
+            # to a recycled slot.  Only trail variables have a reason, and
+            # the trail is at the root here.
             reason = self._reason
-            for var in range(1, self._num_vars + 1):
+            trail = self._trail
+            for index in range(self._trail_len):
+                var = trail[index] >> 1
                 if reason[var] in removed:
                     reason[var] = 0
         self._maybe_compact()
@@ -922,25 +950,36 @@ class Solver:
         arena[ref + 2] = heads[lit1]
         heads[lit1] = (ref << 1) | 1
 
-    def _detach(self, ref: int) -> None:
-        """Unlink both watch slots of a clause from the watcher lists."""
+    def _detach_all(self, refs: Sequence[int]) -> None:
+        """Unlink both watch slots of each clause, in order, from the
+        watcher lists (one ``repro_detach`` call on the C backend)."""
         arena = self._arena
         heads = self._heads
-        base = ref + _HDR
-        for slot in (0, 1):
-            lit = arena[base + slot]
-            target = (ref << 1) | slot
-            current = heads[lit]
-            if current == target:
-                heads[lit] = arena[ref + 1 + slot]
-                continue
-            while current:
-                link = (current >> 1) + 1 + (current & 1)
-                following = arena[link]
-                if following == target:
-                    arena[link] = arena[ref + 1 + slot]
-                    break
-                current = following
+        if self._use_c:
+            batch = array("l", refs)
+            self._cdetach(
+                arena.buffer_info()[0],
+                heads.buffer_info()[0],
+                batch.buffer_info()[0],
+                len(batch),
+            )
+            return
+        for ref in refs:
+            base = ref + _HDR
+            for slot in (0, 1):
+                lit = arena[base + slot]
+                target = (ref << 1) | slot
+                current = heads[lit]
+                if current == target:
+                    heads[lit] = arena[ref + 1 + slot]
+                    continue
+                while current:
+                    link = (current >> 1) + 1 + (current & 1)
+                    following = arena[link]
+                    if following == target:
+                        arena[link] = arena[ref + 1 + slot]
+                        break
+                    current = following
 
     def _free(self, ref: int) -> None:
         """Mark a detached clause dead; its arena span becomes garbage."""
@@ -1114,6 +1153,11 @@ class Solver:
             "assignment map and trail disagree: "
             f"{sorted(assigned ^ trail_vars)} in one but not the other"
         )
+        for var in range(1, self._num_vars + 1):
+            assert var in trail_vars or self._reason[var] == 0, (
+                f"variable {var} is off the trail but keeps reason "
+                f"{self._reason[var]}"
+            )
         # Order heap: position map and storage agree, the max-heap property
         # holds, and every unassigned variable is present (ready to branch).
         heap_buf = self._order.heap_buffer()
@@ -1286,18 +1330,35 @@ class Solver:
         if level < self._search_floor:
             self._search_floor = level
         bound = self._trail_lim[level]
-        trail = self._trail
-        assigns = self._assigns
-        polarity = self._polarity
-        reason = self._reason
-        order_insert = self._order.insert
-        for index in range(self._trail_len - 1, bound - 1, -1):
-            ilit = trail[index]
-            var = ilit >> 1
-            assigns[var] = _UNDEF
-            polarity[var] = (ilit & 1) == 0
-            reason[var] = 0
-            order_insert(var)
+        if self._use_c:
+            order = self._order
+            order.set_size(
+                self._ccancel(
+                    self._trail.buffer_info()[0],
+                    self._assigns.buffer_info()[0],
+                    self._polarity.buffer_info()[0],
+                    self._reason.buffer_info()[0],
+                    self._activity.buffer_info()[0],
+                    order.heap_buffer().buffer_info()[0],
+                    order.positions_buffer().buffer_info()[0],
+                    self._trail_len,
+                    bound,
+                    order.size,
+                )
+            )
+        else:
+            trail = self._trail
+            assigns = self._assigns
+            polarity = self._polarity
+            reason = self._reason
+            order_insert = self._order.insert
+            for index in range(self._trail_len - 1, bound - 1, -1):
+                ilit = trail[index]
+                var = ilit >> 1
+                assigns[var] = _UNDEF
+                polarity[var] = (ilit & 1) == 0
+                reason[var] = 0
+                order_insert(var)
         self._trail_len = bound
         del self._trail_lim[level:]
         self._qhead = bound
@@ -1448,7 +1509,7 @@ class Solver:
         learnts.sort(key=lambda ref: activity_of.get(ref, 0.0))
         threshold = self._cla_inc / max(len(learnts), 1)
         keep: list[int] = []
-        removed = 0
+        removed: list[int] = []
         half = len(learnts) // 2
         for index, ref in enumerate(learnts):
             base = ref + _HDR
@@ -1460,13 +1521,14 @@ class Solver:
             if locked or (arena[ref] >> 2) <= 2:
                 keep.append(ref)
             elif index < half or activity_of.get(ref, 0.0) < threshold:
-                self._detach(ref)
-                self._free(ref)
-                removed += 1
+                removed.append(ref)
             else:
                 keep.append(ref)
+        self._detach_all(removed)
+        for ref in removed:
+            self._free(ref)
         self._learnts = keep
-        self.stats.deleted_clauses += removed
+        self.stats.deleted_clauses += len(removed)
         self._maybe_compact()
 
     @staticmethod
@@ -1728,6 +1790,8 @@ class Solver:
                 else:
                     self._cla_inc /= self._cla_decay
             reason = state[_S_EXIT_REASON]
+            if reason in _EXIT_NAMES:
+                self.kernel_exits[_EXIT_NAMES[reason]] += 1
             if reason == _EXIT_SAT:
                 self._model = list(self._assigns)
                 return True
@@ -1736,7 +1800,12 @@ class Solver:
                 self._core = []
                 return False
             if reason == _EXIT_ASSUMPTION:
-                self._core = self._analyze_final(state[_S_EXIT_PAYLOAD])
+                # The kernel extracted the core: the falsified assumption,
+                # then the decisions it wrote to the analysis buffer, added
+                # in _analyze_final's order.
+                core = {state[_S_EXIT_PAYLOAD]}
+                core.update(analyze_buf[: state[_S_CORE_LEN]])
+                self._core = [self._to_external(lit) for lit in core]
                 return False
             if reason == _EXIT_REDUCE:
                 self._reduce_db()

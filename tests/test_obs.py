@@ -387,6 +387,47 @@ class TestSessionTracing:
         # And the request profile names the trace it ran under.
         assert profile["trace_id"] == handle.trace_id
 
+    def test_kernel_exits_on_solve_span(self, monkeypatch):
+        """The solve span reports the layer's C-kernel exits by reason.
+
+        Every search of the engine's solver that reaches the kernel ends in
+        one answer exit: a model or an assumption core.
+        """
+        from repro.sat import Solver
+        from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+        searches = []
+        search = Solver._search
+
+        def counting_search(solver, assumptions):
+            searches.append(solver)
+            return search(solver, assumptions)
+
+        monkeypatch.setattr(Solver, "_search", counting_search)
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        failing, _ = classify_tcas_tests("v1", count=200)
+        vector, expected = failing[0]
+        with obs.trace("request") as handle:
+            with LocalizationSession(tcas_faulty_program("v1")) as session:
+                session.localize(
+                    vector.as_list(), Specification.return_value(expected)
+                )
+                solver = session._engine._solver
+        attrs = next(s for s in handle.spans() if s["name"] == "solve.comss")["attrs"]
+        assert attrs["kernel_reduce_exits"] >= 0
+        assert attrs["kernel_capacity_exits"] >= 0
+        exits = solver.kernel_exits
+        kernel_calls = sum(searched is solver for searched in searches)
+        assert kernel_calls > 0
+        if solver.backend == "c":
+            assert exits["sat"] + exits["assumption"] == kernel_calls
+            assert attrs["kernel_reduce_exits"] <= exits["reduce"]
+            assert attrs["kernel_capacity_exits"] <= exits["capacity"]
+        else:
+            assert not any(exits.values())
+            assert attrs["kernel_reduce_exits"] == 0
+            assert attrs["kernel_capacity_exits"] == 0
+
     def test_engine_load_span(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "on")
         program, failing = classify_failing_tests()

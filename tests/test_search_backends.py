@@ -36,7 +36,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sat import Solver, _ccore, propagation_backend
-from repro.sat.solver import SolverStats
+from repro.sat.solver import _HDR, SolverStats
 
 #: Whether the compiled library loaded in this environment (not under
 #: ``REPRO_BACKEND=python``, nor on a machine without a compiler).
@@ -78,7 +78,7 @@ def _assert_all_same(solvers: list[Solver], results: list) -> None:
         if reference:
             assert solver.get_model() == solvers[0].get_model(), backend
         else:
-            assert sorted(solver.unsat_core()) == sorted(solvers[0].unsat_core()), backend
+            assert solver.unsat_core() == solvers[0].unsat_core(), backend
 
 
 def _random_instance(seed: int, num_vars: int, num_clauses: int) -> list[list[int]]:
@@ -581,9 +581,7 @@ class TestBulkLoad:
                 if results[0]:
                     assert solver.get_model() == reference.get_model()
                 else:
-                    assert sorted(solver.unsat_core()) == sorted(
-                        reference.unsat_core()
-                    )
+                    assert solver.unsat_core() == reference.unsat_core()
         # A second batch after the solves meets a kept assumption trail, and
         # a third one an open layer: both take the per-clause path on every
         # backend and must still agree.
@@ -631,6 +629,147 @@ class TestBulkLoad:
             single.new_var()
         assert _loaded_state(bulk) == _loaded_state(single)
         bulk.check_invariants()
+
+
+def _glue_state(solver: Solver) -> tuple:
+    """The loaded state plus what backtracking and detach write."""
+    return _loaded_state(solver) + (
+        [int(phase) for phase in solver._polarity],
+        list(solver._trail_lim),
+        list(solver._learnts),
+        list(solver._kept_assumptions),
+        solver._activity_of,
+    )
+
+
+def _satisfiable_base(seed: int, num_vars: int) -> list[list[int]]:
+    """Random clauses of width 2-4 at a low ratio: satisfiable, with room to
+    block models and to find UNSAT assumption sets."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(2 * num_vars):
+        chosen = rng.sample(range(1, num_vars + 1), rng.randint(2, 4))
+        clauses.append([var if rng.random() < 0.5 else -var for var in chosen])
+    return clauses
+
+
+def _pad_learnts(solver: Solver, seed: int, count: int) -> None:
+    """Give ``solver`` ``count`` extra learnt clauses implied by its formula.
+
+    Each is a problem clause without root-true literals, with its root-false
+    literals dropped and one unassigned literal added, so the database grows
+    past the search's ``max_learnts`` budget and the next solve reduces it.
+    Written at the root, where every literal of a padded clause is
+    unassigned and the watches are sound.
+    """
+    solver._cancel_to_root()
+    rng = random.Random(seed)
+    arena = solver._arena
+    free = [
+        var
+        for var in range(1, solver.num_vars + 1)
+        if solver.root_value(var) is None
+    ]
+    bodies = []
+    for ref in solver._clauses:
+        lits = arena[ref + _HDR : ref + _HDR + (arena[ref] >> 2)]
+        values = [solver._lit_value(lit) for lit in lits]
+        if 1 not in values:
+            body = [lit for lit, value in zip(lits, values) if value == -1]
+            if len(body) < len(free):
+                bodies.append(body)
+    assert bodies
+    for _ in range(count):
+        body = rng.choice(bodies)
+        taken = {lit >> 1 for lit in body}
+        var = rng.choice([var for var in free if var not in taken])
+        learnt = solver._alloc(body + [2 * var + rng.randint(0, 1)], learnt=True)
+        solver._attach(learnt)
+        solver._learnts.append(learnt)
+        solver._clause_bump(learnt)
+
+
+@needs_c
+class TestTrailGlueLockstep:
+    """Backtracking, core extraction and detach, run by the C kernel.
+
+    On the C backend ``repro_cancel`` backs every ``_cancel_until``,
+    ``repro_search`` extracts assumption cores itself and ``repro_detach``
+    unlinks the clauses that ``pop`` and ``_reduce_db`` drop; the Python
+    loops are their mirrors.  A python/c pair is driven through every one
+    of these paths and must agree on the whole solver state after each
+    step, assumption cores in order.
+    """
+
+    NUM_VARS = 20
+
+    @staticmethod
+    def _step(solvers: list[Solver], action, solve: bool = False):
+        results = [action(solver) for solver in solvers]
+        reference = solvers[0]
+        for solver, result in zip(solvers[1:], results[1:]):
+            assert result == results[0]
+            assert _glue_state(solver) == _glue_state(reference)
+            if solve and result:
+                assert solver.get_model() == reference.get_model()
+            elif solve:
+                assert solver.unsat_core() == reference.unsat_core()
+        for solver in solvers:
+            solver.check_invariants()
+        return results[0]
+
+    def _solves(self, solvers, rng, rounds, outcomes, block=False) -> None:
+        """Solves under drifting assumption lists (``block``: SAT answers
+        get blocked)."""
+        assumptions: list[int] = []
+        for _ in range(rounds):
+            kind = rng.random()
+            if kind < 0.4 and assumptions:
+                # Flip one slot: the prefix before it stays on the trail.
+                slot = rng.randrange(len(assumptions))
+                assumptions[slot] = -assumptions[slot]
+            elif kind < 0.75 and len(assumptions) < 8:
+                var = rng.randint(1, self.NUM_VARS)
+                assumptions.append(var if rng.random() < 0.5 else -var)
+            elif assumptions:
+                del assumptions[rng.randrange(len(assumptions)) :]
+            current = list(assumptions)
+            sat = self._step(
+                solvers, lambda solver: solver.solve(current), solve=True
+            )
+            outcomes.add(sat)
+            if sat and block:
+                # Block part of the model while its trail is kept: every
+                # literal is false there, so the clause goes through
+                # _place_under_trail and _cancel_keeping.
+                model = solvers[0].get_model()
+                picked = rng.sample(sorted(model), min(5, len(model)))
+                blocking = [-var if model[var] else var for var in picked]
+                self._step(solvers, lambda solver: solver.add_clause(blocking))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lockstep_identical(self, seed):
+        rng = random.Random(seed)
+        solvers = _pair()
+        base = _satisfiable_base(100 + seed, self.NUM_VARS)
+        self._step(solvers, lambda solver: solver.add_clauses(base))
+        outcomes: set = set()
+        self._solves(solvers, rng, 10, outcomes)
+        # A layer whose solves learn clauses over its selector and block
+        # models: pop detaches the layer's clauses and those stale learnts.
+        self._step(solvers, lambda solver: solver.push())
+        layer = _satisfiable_base(200 + seed, self.NUM_VARS)[:8]
+        self._step(solvers, lambda solver: solver.add_clauses(layer))
+        self._solves(solvers, rng, 14, outcomes, block=True)
+        self._step(solvers, lambda solver: solver.pop())
+        # The learnt database overflows: the next solve reduces it.
+        self._step(solvers, lambda solver: _pad_learnts(solver, seed, 2100))
+        deleted = solvers[0].stats.deleted_clauses
+        self._step(solvers, lambda solver: solver.solve(), solve=True)
+        assert solvers[0].stats.deleted_clauses > deleted
+        assert solvers[1].kernel_exits["reduce"] > 0
+        self._solves(solvers, rng, 8, outcomes)
+        assert outcomes == {True, False}
 
 
 class TestSearchFeatureCheck:
