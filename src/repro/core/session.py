@@ -335,8 +335,7 @@ class LocalizationSession:
             sat_calls_before = engine.sat_calls
             engine.push_layer()
             try:
-                for clause in clauses:
-                    engine.add_hard(clause)
+                engine.add_hard_clauses(clauses)
                 if self.warm_start:
                     engine.set_phases(compiled.phase_hints(test_inputs))
                 with obs.span("solve.comss") as solve_span:
@@ -352,6 +351,7 @@ class LocalizationSession:
                     conflicts=layer_stats.conflicts,
                     kernel_reduce_exits=kernel_exits["reduce"],
                     kernel_capacity_exits=kernel_exits["capacity"],
+                    kernel_ms=engine.layer_kernel_seconds() * 1000.0,
                 )
                 encode_profile = compiled.encode_profile()
                 if encode_profile:

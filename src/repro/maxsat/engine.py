@@ -25,8 +25,8 @@ The one-shot :meth:`MaxSatEngine.solve` remains as ``load`` + ``solve_current``.
 Engines are additionally **layered**: :meth:`MaxSatEngine.push_layer` opens
 a retractable layer on the persistent solver and
 :meth:`MaxSatEngine.pop_layer` undoes everything that happened inside it —
-hard clauses added through :meth:`MaxSatEngine.add_hard` (per-test inputs
-and specifications), blocking clauses, and soft-clause retirements, whose
+hard clauses added through :meth:`MaxSatEngine.add_hard_clauses` (per-test
+inputs and specifications), blocking clauses, and soft-clause retirements, whose
 bindings are re-activated.  This is what lets a
 :class:`~repro.core.session.LocalizationSession` load one whole-program
 instance and run the CoMSS enumeration of many failing tests against it.
@@ -35,12 +35,14 @@ instance and run the CoMSS enumeration of many failing tests against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.maxsat.result import MaxSatResult
 from repro.maxsat.wcnf import WCNF
 from repro.sat import Solver, SolverStats
+from repro.sat.solver import model_from_assignment
 
 
 @dataclass
@@ -75,6 +77,7 @@ class _EngineLayer:
     stats_mark: Optional["SolverStats"] = None
     sat_calls_mark: int = 0
     kernel_exits_mark: dict[str, int] = field(default_factory=dict)
+    kernel_seconds_mark: float = 0.0
 
 
 class MaxSatEngine:
@@ -194,7 +197,7 @@ class MaxSatEngine:
         """Open a retractable layer on the loaded instance.
 
         Everything that happens until the matching :meth:`pop_layer` —
-        clauses added via :meth:`add_hard`, blocking clauses and soft
+        clauses added via :meth:`add_hard_clauses`, blocking clauses and soft
         retirements from :meth:`block`, engine-internal auxiliary clauses —
         is undone by the pop, while learnt clauses, variable activities and
         saved phases of the underlying solver carry over.
@@ -210,6 +213,7 @@ class MaxSatEngine:
                 stats_mark=self._solver.stats.snapshot(),
                 sat_calls_mark=self.sat_calls,
                 kernel_exits_mark=dict(self._solver.kernel_exits),
+                kernel_seconds_mark=self._solver.kernel_seconds,
             )
         )
         self._hard_checked = False
@@ -230,20 +234,28 @@ class MaxSatEngine:
         self._on_pop()
 
     def add_hard(self, clause: Iterable[int]) -> None:
-        """Add a hard clause to the live solver (layered while a layer is open).
+        """Add one hard clause: :meth:`add_hard_clauses` with one clause."""
+        self.add_hard_clauses([clause])
+
+    def add_hard_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Add hard clauses to the live solver (layered while a layer is open).
 
         Used by the session API to assert the per-test input and
-        specification units on top of the shared program encoding.
+        specification units on top of the shared program encoding.  The
+        clauses go to :meth:`Solver.add_clauses` as one batch, which on the
+        C backend is one kernel call even under an open layer.
         """
         if self._solver is None:
             raise RuntimeError("no instance loaded; call load() first")
-        lits = list(clause)
-        self._solver.add_clause(lits)
-        if len(lits) == 1:
-            # A unit hard clause forces its literal for as long as the
-            # current layers live; record it so core bookkeeping
-            # (:meth:`_assumption_forced`) sees through the layer selector.
-            self._layer_forced.add(lits[0])
+        batch = [list(clause) for clause in clauses]
+        self._solver.add_clauses(batch)
+        for lits in batch:
+            if len(lits) == 1:
+                # A unit hard clause forces its literal for as long as the
+                # current layers live; record it so core bookkeeping
+                # (:meth:`_assumption_forced`) sees through the layer
+                # selector.
+                self._layer_forced.add(lits[0])
 
     def set_phases(self, phases: Mapping[int, bool]) -> None:
         """Seed solver phases (warm start from a concrete failing trace)."""
@@ -293,6 +305,18 @@ class MaxSatEngine:
             return dict(exits)
         mark = self._layers[-1].kernel_exits_mark
         return {name: count - mark.get(name, 0) for name, count in exits.items()}
+
+    def layer_kernel_seconds(self) -> float:
+        """Wall seconds inside the C search kernel in the innermost layer.
+
+        Zero on the Python backend; cumulative outside any layer.
+        """
+        if self._solver is None:
+            return 0.0
+        seconds = self._solver.kernel_seconds
+        if not self._layers:
+            return seconds
+        return seconds - self._layers[-1].kernel_seconds_mark
 
     def layer_profile(self) -> dict[str, int]:
         """Per-request solver-effort profile of the innermost layer.
@@ -426,23 +450,18 @@ class MaxSatEngine:
 
     def _result_from_model(self) -> MaxSatResult:
         wcnf = self._wcnf
-        # The partial model: don't-care variables stay absent so the
-        # per-clause completion below can pick the favourable value.
-        model = self._solver.get_model()
+        solver = self._solver
+        active = [binding for binding in self._bindings if binding.active]
+        # Don't-care variables stay unassigned in the partial model; a
+        # clause that is still open gets completed in its favour instead
+        # of over-counting the cost, and later clauses see the completion.
+        completions: dict[int, bool] = {}
         falsified: list[int] = []
-        for binding in self._bindings:
-            if not binding.active:
-                continue
-            lits = wcnf.soft[binding.indices[0]].lits
-            status = evaluate_clause(lits, model)
-            if status is True:
-                continue
-            if status is False:
-                falsified.extend(binding.indices)
-                continue
-            # A don't-care literal: complete the model in the clause's
-            # favour instead of over-counting the cost.
-            model[abs(status)] = status > 0
+        for position in solver.falsified_clauses(
+            (wcnf.soft[binding.indices[0]].lits for binding in active),
+            completions,
+        ):
+            falsified.extend(active[position].indices)
         falsified.sort()
         cost = sum(wcnf.soft[index].weight for index in falsified)
         labels = [
@@ -453,14 +472,25 @@ class MaxSatEngine:
         return MaxSatResult(
             satisfiable=True,
             cost=cost,
-            model=model,
             falsified=falsified,
             falsified_labels=labels,
             sat_calls=self.sat_calls,
+            model_source=partial(
+                _completed_model, solver.model_snapshot(), completions
+            ),
         )
 
     def _unsatisfiable_result(self) -> MaxSatResult:
         return MaxSatResult(satisfiable=False, sat_calls=self.sat_calls)
+
+
+def _completed_model(
+    assigns: Sequence[int], completions: Mapping[int, bool]
+) -> dict[int, bool]:
+    """The partial model of a solve snapshot plus its don't-care completions."""
+    model = model_from_assignment(assigns)
+    model.update(completions)
+    return model
 
 
 def evaluate_clause(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from functools import cached_property
+from typing import Callable, Hashable, Optional
 
 
 @dataclass
@@ -17,8 +18,6 @@ class MaxSatResult:
         correction set exists); every other field is then meaningless.
     cost:
         Total weight of falsified soft clauses in the optimal assignment.
-    model:
-        A ``{var: bool}`` assignment achieving ``cost``.
     falsified:
         Indices (into ``wcnf.soft``) of the soft clauses falsified by
         ``model`` — the CoMSS / minimum correction set.
@@ -26,14 +25,28 @@ class MaxSatResult:
         Labels of those soft clauses (with unlabelled clauses omitted).
     sat_calls:
         Number of calls made to the underlying SAT solver.
+    model_source:
+        Builds :attr:`model` on first read (``None``: no model).
     """
 
     satisfiable: bool
     cost: int = 0
-    model: Optional[dict[int, bool]] = None
     falsified: list[int] = field(default_factory=list)
     falsified_labels: list[Hashable] = field(default_factory=list)
     sat_calls: int = 0
+    model_source: Optional[Callable[[], dict[int, bool]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def model(self) -> Optional[dict[int, bool]]:
+        """A ``{var: bool}`` assignment achieving ``cost``.
+
+        Built on first read from the solve's assignment snapshot plus the
+        don't-care completions, so later solves on the same solver leave
+        it unchanged and a CoMSS loop that never reads it never builds it.
+        """
+        return None if self.model_source is None else self.model_source()
 
     @property
     def comss(self) -> list[int]:

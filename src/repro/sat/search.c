@@ -13,7 +13,9 @@
  *                       falsified, the extraction of the assumption core;
  *   repro_add_clauses   the root-level bulk clause load: one call simplifies,
  *                       stores and attaches a whole batch of clauses (units
- *                       are enqueued and propagated on the spot);
+ *                       are enqueued and propagated on the spot); clauses of
+ *                       an open layer arrive already tagged with the layer's
+ *                       -selector literal;
  *   repro_cancel        the backtrack outside the search loop: unassign the
  *                       trail above a bound, saving phases and reinserting
  *                       the variables into the order heap;
@@ -700,8 +702,11 @@ out:
 #define ADD_GROW 3
 
 /* Root-level bulk clause load: the mirror of Solver.add_clause applied to
- * every clause of a batch in order, when no decision level and no layer is
- * open (Solver.add_clauses falls back to the per-clause loop otherwise).
+ * every clause of a batch in order, when no decision level is open
+ * (Solver.add_clauses falls back to the per-clause loop otherwise).  Under
+ * an open layer the driver has already appended -selector to every clause,
+ * so a layered clause is loaded like any other; the driver registers the
+ * returned refs on the layer.
  *
  *   lits     the batch's DIMACS literals, clause after clause;
  *   ends     ends[i] is the offset one past clause i in lits;

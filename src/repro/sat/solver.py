@@ -65,11 +65,13 @@ memory:
   extraction all run inside C, returning to Python only for the rare
   control events (SAT/UNSAT answers, an extracted assumption core,
   learnt-database reduction, budget exhaustion, and buffer-capacity
-  growth; :attr:`Solver.kernel_exits` counts them by reason);
+  growth; :attr:`Solver.kernel_exits` counts them by reason and
+  :attr:`Solver.kernel_seconds` sums the wall time spent inside);
 * ``repro_add_clauses`` — the root-level *bulk load*
   (:meth:`Solver.add_clauses`): one call applies :meth:`Solver.add_clause`'s
   simplification rules to a whole flattened batch, writes and attaches the
-  surviving clauses at the arena end, and enqueues and propagates units;
+  surviving clauses at the arena end, and enqueues and propagates units
+  (clauses added under an open layer arrive tagged with its selector);
 * ``repro_cancel`` — every backtrack outside the search loop
   (:meth:`Solver._cancel_until`): unassigning the trail, saving phases and
   reinserting variables into the order heap;
@@ -92,6 +94,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
+from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
 from repro.sat import _ccore
@@ -346,6 +349,9 @@ class Solver:
         #: on the Python backend).  Kept outside :attr:`stats`, whose
         #: counters are identical across backends.
         self.kernel_exits = dict.fromkeys(_EXIT_NAMES.values(), 0)
+        #: Wall seconds spent inside ``repro_search`` calls (zero on the
+        #: Python backend); like :attr:`kernel_exits`, outside :attr:`stats`.
+        self.kernel_seconds = 0.0
         self.max_conflicts: Optional[int] = None
         self.max_decisions: Optional[int] = None
 
@@ -540,17 +546,27 @@ class Solver:
 
         Equivalent to :meth:`add_clause` on each clause in turn, except that
         every variable the batch names is allocated up front.  The batch is
-        flattened once; on the C backend, with no assumption trail kept and
-        no layer open (always the case for a freshly built solver), one
-        ``repro_add_clauses`` call then loads it.  Otherwise the per-clause
-        loop runs, which is also the pure-Python mirror of the kernel.
+        flattened once; on the C backend with no assumption trail kept, one
+        ``repro_add_clauses`` call then loads it.  That includes a batch
+        added under an open layer: :meth:`push` has cancelled to the root,
+        and a layered clause is the clause plus ``-selector``, so each
+        clause arrives at the kernel already tagged and its stored ref is
+        registered on the layer.  Only with a kept trail, or on the Python
+        backend, does the per-clause loop run; it is also the pure-Python
+        mirror of the kernel.
         """
         batch = clauses if isinstance(clauses, list) else list(clauses)
         if not batch:
             return True
-        flat = array("l", list(chain.from_iterable(batch)))
-        ends = array("l", accumulate(map(len, batch)))
-        if self._use_c and self._ok and not self._trail_lim and not self._layers:
+        kernel = self._use_c and self._ok and not self._trail_lim
+        if kernel and self._layers:
+            tag = (-self._layers[-1].selector,)
+            flat = array("l", list(chain.from_iterable(chain(c, tag) for c in batch)))
+            ends = array("l", accumulate(len(c) + 1 for c in batch))
+        else:
+            flat = array("l", list(chain.from_iterable(batch)))
+            ends = array("l", accumulate(map(len, batch)))
+        if kernel:
             return self._add_clauses_c(flat, ends)
         if flat:
             self.ensure_vars(max(max(flat), -min(flat)))
@@ -565,7 +581,8 @@ class Solver:
         """Load a flattened batch with one ``repro_add_clauses`` call.
 
         A batch naming unallocated variables costs a second call, after
-        :meth:`ensure_vars` has grown every buffer.
+        :meth:`ensure_vars` has grown every buffer.  The refs of the stored
+        clauses join the clause list and, with a layer open, the layer.
         """
         count = len(ends)
         arena = self._arena
@@ -599,7 +616,10 @@ class Solver:
         self._trail_len = state[1]
         self._arena_len = state[2]
         self.stats.propagations += state[3]
-        self._clauses.extend(refs[: state[5]])
+        stored = refs[: state[5]]
+        self._clauses.extend(stored)
+        if self._layers:
+            self._layers[-1].clauses.extend(stored)
         if status == _ADD_BAD_LITERAL:
             raise ValueError("0 is not a valid literal")
         if status == _ADD_UNSAT:
@@ -746,22 +766,66 @@ class Solver:
         cares, or variables allocated after the solve) take their saved
         phase instead of being omitted, yielding a total assignment.
         """
-        if self._model is None:
-            raise RuntimeError("no model available; last solve was UNSAT or never ran")
+        assigns = self.model_snapshot()
         if not complete:
-            return {
-                var: value == _TRUE
-                for var, value in enumerate(self._model)
-                if var and value != _UNDEF
-            }
+            return model_from_assignment(assigns)
         model: dict[int, bool] = {}
         for var in range(1, self._num_vars + 1):
-            value = self._model[var] if var < len(self._model) else _UNDEF
+            value = assigns[var] if var < len(assigns) else _UNDEF
             if value != _UNDEF:
                 model[var] = value == _TRUE
-            elif complete:
+            else:
                 model[var] = bool(self._polarity[var])
         return model
+
+    def model_snapshot(self) -> Sequence[int]:
+        """The last model's per-variable assignment buffer, read-only.
+
+        Entry ``var`` is ``1`` (true), ``0`` (false) or ``-1`` (left
+        unassigned); entry 0 is unused.  Every SAT answer installs a new
+        buffer and none is ever written afterwards, so the reference stays a
+        snapshot of this solve.  :func:`model_from_assignment` turns it into
+        the :meth:`get_model` dictionary.
+        """
+        if self._model is None:
+            raise RuntimeError("no model available; last solve was UNSAT or never ran")
+        return self._model
+
+    def falsified_clauses(
+        self, clauses: Iterable[Sequence[int]], completions: dict[int, bool]
+    ) -> list[int]:
+        """Positions of the clauses the last model falsifies.
+
+        A three-valued evaluation read straight from the assignment buffer,
+        without building the :meth:`get_model` dictionary.  ``completions``
+        overlays values for variables the model left unassigned.  A clause
+        that is neither satisfied nor falsified (it has an unassigned
+        literal) is a don't-care: its last unassigned literal is set true in
+        ``completions``, so later clauses see the completed value.
+        """
+        model = self.model_snapshot()
+        size = len(model)
+        falsified: list[int] = []
+        for position, lits in enumerate(clauses):
+            unassigned = 0
+            for lit in lits:
+                var = lit if lit > 0 else -lit
+                value = model[var] if var < size else _UNDEF
+                if value == _UNDEF:
+                    truth = completions.get(var)
+                    if truth is None:
+                        unassigned = lit
+                        continue
+                else:
+                    truth = value == _TRUE
+                if truth == (lit > 0):
+                    break
+            else:
+                if unassigned:
+                    completions[abs(unassigned)] = unassigned > 0
+                else:
+                    falsified.append(position)
+        return falsified
 
     def root_value(self, lit: int) -> Optional[bool]:
         """Value of a literal fixed at decision level 0, or ``None``.
@@ -1739,6 +1803,7 @@ class Solver:
             state[_S_LOG_CAP] = len(bump_log)
             floats[0] = self._var_inc
             floats[1] = self._var_decay
+            started = perf_counter()
             self._csearch(
                 arena.buffer_info()[0],
                 self._heads.buffer_info()[0],
@@ -1759,6 +1824,7 @@ class Solver:
                 state.buffer_info()[0],
                 floats.buffer_info()[0],
             )
+            self.kernel_seconds += perf_counter() - started
             # Marshal the kernel's bookkeeping back out.
             self._qhead = state[_S_QHEAD]
             self._trail_len = state[_S_TRAIL_LEN]
@@ -1826,6 +1892,15 @@ class Solver:
             # _EXIT_REDUCE and _EXIT_CAPACITY re-enter: the next iteration
             # re-provisions capacity and resumes at the loop top, where an
             # empty propagation queue makes re-entry a no-op.
+
+
+def model_from_assignment(assigns: Sequence[int]) -> dict[int, bool]:
+    """The ``{var: bool}`` model of an assignment buffer, unassigned omitted."""
+    return {
+        var: value == _TRUE
+        for var, value in enumerate(assigns)
+        if var and value != _UNDEF
+    }
 
 
 class ConflictBudgetExceeded(RuntimeError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,13 +273,160 @@ class TestModelCompletion:
         engine = HittingSetMaxSat()
         engine.load(wcnf)
         assert engine.solve_current().cost == 0
-        monkeypatch.setattr(
-            engine._solver, "get_model", lambda complete=False: {1: True}
-        )
+        snapshot = list(engine._solver.model_snapshot())
+        snapshot[3] = -1  # unassigned
+        monkeypatch.setattr(engine._solver, "model_snapshot", lambda: snapshot)
         result = engine._result_from_model()
         assert result.cost == 0
         assert result.falsified == []
         assert result.model[3] is True
+
+
+def _reference_readout(engine) -> tuple:
+    """The CoMSS readout over a model dict: ``solver.get_model()`` plus the
+    don't-care completions, evaluated binding by binding."""
+    wcnf = engine._wcnf
+    model = engine._solver.get_model()
+    falsified: list[int] = []
+    for binding in engine._bindings:
+        if not binding.active:
+            continue
+        status = evaluate_clause(wcnf.soft[binding.indices[0]].lits, model)
+        if status is True:
+            continue
+        if status is False:
+            falsified.extend(binding.indices)
+            continue
+        model[abs(status)] = status > 0
+    falsified.sort()
+    cost = sum(wcnf.soft[index].weight for index in falsified)
+    labels = [
+        wcnf.soft[index].label
+        for index in falsified
+        if wcnf.soft[index].label is not None
+    ]
+    return falsified, cost, labels, model
+
+
+def _random_wcnf(seed: int, weighted: bool, num_vars: int = 10) -> WCNF:
+    """A mostly satisfiable random instance with partly labelled and
+    occasionally duplicated soft clauses (of weight 1-4 when ``weighted``)."""
+    rng = random.Random(seed)
+
+    def clause(width: int) -> list[int]:
+        chosen = rng.sample(range(1, num_vars + 1), width)
+        return [var if rng.random() < 0.5 else -var for var in chosen]
+
+    wcnf = WCNF()
+    for _ in range(rng.randint(6, 14)):
+        wcnf.add_hard(clause(rng.randint(2, 3)))
+    def weight() -> int:
+        return rng.randint(1, 4) if weighted else 1
+
+    for index in range(rng.randint(6, 14)):
+        lits = clause(rng.randint(1, 3))
+        label = f"s{index}" if rng.random() < 0.8 else None
+        wcnf.add_soft(lits, weight=weight(), label=label)
+        if rng.random() < 0.15:
+            wcnf.add_soft(lits, weight=weight(), label=f"dup{index}")
+    return wcnf
+
+
+class TestReadoutEquivalence:
+    """The CoMSS readout from the assignment buffer against the model dict.
+
+    ``falsified``, ``cost`` and the labels must be what evaluating the
+    ``get_model()`` dictionary gives, and ``result.model`` that dictionary
+    plus the don't-care completions — also when it is first read after
+    later solves have replaced the solver's model.
+    """
+
+    @pytest.mark.parametrize("strategy", ENGINES)
+    @pytest.mark.parametrize("seed", range(15))
+    def test_random_instances(self, seed, strategy, monkeypatch):
+        engine = make_engine(strategy)
+        engine.load(_random_wcnf(seed, weighted=strategy == "hitting-set"))
+        rng = random.Random(seed)
+        kept: list = []
+        for _ in range(6):
+            result = engine.solve_current()
+            if not result.satisfiable:
+                break
+            falsified, cost, labels, model = _reference_readout(engine)
+            assert result.falsified == falsified
+            assert result.cost == cost
+            assert result.falsified_labels == labels
+            kept.append((result, model))
+            # The same model with some variables left unassigned: the
+            # overlay must complete them exactly as the dict did.
+            snapshot = list(engine._solver.model_snapshot())
+            for var in rng.sample(range(1, len(snapshot)), len(snapshot) // 3):
+                snapshot[var] = -1
+            with monkeypatch.context() as patch:
+                patch.setattr(engine._solver, "model_snapshot", lambda: snapshot)
+                partial_result = engine._result_from_model()
+                falsified, cost, labels, model = _reference_readout(engine)
+            assert partial_result.falsified == falsified
+            assert partial_result.cost == cost
+            assert partial_result.falsified_labels == labels
+            kept.append((partial_result, model))
+            if not result.falsified:
+                break
+            engine.block(result.falsified)
+        assert kept
+        # Read only now, after later solves replaced the solver's model.
+        for result, model in kept:
+            assert result.model == model
+
+    def test_unsatisfiable_result_has_no_model(self):
+        wcnf = WCNF()
+        wcnf.add_hard([1])
+        wcnf.add_hard([-1])
+        wcnf.add_soft([2])
+        result = solve_maxsat(wcnf)
+        assert not result.satisfiable
+        assert result.model is None
+
+    def test_tcas_session_readout(self, monkeypatch):
+        """A TCAS localization reads each CoMSS as the model dict would,
+        and still succeeds when ``get_model`` is unavailable."""
+        from repro.core import LocalizationSession, Specification
+        from repro.maxsat.engine import MaxSatEngine
+        from repro.sat import Solver
+        from repro.serve import canonical_report_bytes
+        from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+        failing, _ = classify_tcas_tests("v1", count=200)
+        vector, expected = failing[0]
+        spec = Specification.return_value(expected)
+        readout = MaxSatEngine._result_from_model
+        checked: list = []
+
+        def checked_readout(engine):
+            result = readout(engine)
+            falsified, cost, labels, model = _reference_readout(engine)
+            assert result.falsified == falsified
+            assert result.cost == cost
+            assert result.falsified_labels == labels
+            checked.append((result, model))
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MaxSatEngine, "_result_from_model", checked_readout)
+            with LocalizationSession(tcas_faulty_program("v1")) as session:
+                reference = session.localize(vector.as_list(), spec)
+        assert len(checked) > 1
+        for result, model in checked:
+            assert result.model == model
+
+        def no_model(solver, complete=False):
+            raise AssertionError("the CoMSS readout built a model dict")
+
+        monkeypatch.setattr(Solver, "get_model", no_model)
+        with LocalizationSession(tcas_faulty_program("v1")) as session:
+            report = session.localize(vector.as_list(), spec)
+        assert report.candidates
+        assert canonical_report_bytes(report) == canonical_report_bytes(reference)
 
 
 class TestIncrementalEngine:

@@ -428,6 +428,35 @@ class TestSessionTracing:
             assert attrs["kernel_reduce_exits"] == 0
             assert attrs["kernel_capacity_exits"] == 0
 
+    @pytest.mark.parametrize("backend", ["default", "python"])
+    def test_kernel_ms_on_solve_span(self, backend, monkeypatch):
+        """The solve span reports the layer's wall time inside the C search
+        kernel: within the span's own duration, and zero on the Python
+        backend."""
+        from repro.sat import _ccore
+        from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+        if backend == "python":
+            # What REPRO_BACKEND=python selects for every new Solver.
+            monkeypatch.setattr(_ccore, "backend", lambda: "python")
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        failing, _ = classify_tcas_tests("v1", count=200)
+        vector, expected = failing[0]
+        with obs.trace("request") as handle:
+            with LocalizationSession(tcas_faulty_program("v1")) as session:
+                session.localize(
+                    vector.as_list(), Specification.return_value(expected)
+                )
+                solver = session._engine._solver
+        span = next(s for s in handle.spans() if s["name"] == "solve.comss")
+        kernel_ms = span["attrs"]["kernel_ms"]
+        # dur_us is truncated to whole microseconds.
+        assert 0 <= kernel_ms <= (span["dur_us"] + 1) / 1000
+        if solver.backend == "c":
+            assert kernel_ms > 0
+        else:
+            assert kernel_ms == 0
+
     def test_engine_load_span(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "on")
         program, failing = classify_failing_tests()

@@ -508,6 +508,10 @@ def _loaded_state(solver: Solver) -> tuple:
         solver.num_vars,
         solver.stats.max_vars,
         _stats_tuple(solver.stats),
+        [
+            (layer.selector, layer.clause_mark, list(layer.clauses))
+            for layer in solver._layers
+        ],
     )
 
 
@@ -515,22 +519,51 @@ def _batch_max_var(clauses: list[list[int]]) -> int:
     return max((abs(lit) for clause in clauses for lit in clause), default=0)
 
 
+#: Loaded at the root before a layered batch: two root-true and two
+#: root-false variables for the batch to meet, and variables 1-8 allocated,
+#: so the layer's selector is variable 9.
+_LAYER_BASE = [[1], [-2], [3], [-4], [5, 6, 7, 8]]
+
+
+def _layered_batch(seed: int) -> list[list[int]]:
+    """:func:`_load_batch` with its variables moved past the selector.
+
+    Variables 1-8 keep their numbers (some of them are root-assigned by
+    :data:`_LAYER_BASE`); the rest move up by one, past selector 9, and are
+    unallocated when the batch is loaded.  Every fifth seed also adds a
+    clause of root-false literals, which leaves the unit ``-selector``.
+    """
+    clauses = [
+        [lit + (1 if lit > 8 else -1 if lit < -8 else 0) for lit in clause]
+        for clause in _load_batch(seed)
+    ]
+    if seed % 5 == 3:
+        clauses.insert(30, [-1, 2, -3])
+    return clauses
+
+
 class TestBulkLoad:
     """``Solver.add_clauses`` against the per-clause ``add_clause`` loop.
 
     On the C backend a batch loaded at the root goes through the
-    ``repro_add_clauses`` kernel; the per-clause loop is its pure-Python
-    mirror.  Both must leave the identical solver state — logical arena,
-    watch heads, assignments, levels, reasons, trail, order heap, clause
-    list, ``_ok`` and statistics — and the same solve sequence must then
-    give the same models and cores.  The bulk side is handed no
-    ``ensure_vars`` (it allocates the batch's variables itself); the loop
-    side pre-allocates the same variables.
+    ``repro_add_clauses`` kernel — also under an open layer, with each
+    clause tagged by the layer's selector — and the per-clause loop is its
+    pure-Python mirror.  Both must leave the identical solver state —
+    logical arena, watch heads, assignments, levels, reasons, trail, order
+    heap, clause list, layer bookkeeping, ``_ok`` and statistics — and the
+    same solve sequence must then give the same models and cores.  The
+    bulk side is handed no ``ensure_vars`` (it allocates the batch's
+    variables itself); the loop side pre-allocates the same variables.
     """
 
     @staticmethod
-    def _loaded(backend: str, clauses: list[list[int]], bulk: bool):
+    def _loaded(
+        backend: str, clauses: list[list[int]], bulk: bool, layered: bool = False
+    ):
         solver = Solver(backend=backend)
+        if layered:
+            solver.add_clauses(_LAYER_BASE)
+            solver.push()
         outcome = None
         if bulk:
             try:
@@ -547,13 +580,15 @@ class TestBulkLoad:
             outcome = str(error)
         return solver, outcome
 
-    def _assert_same_load(self, clauses: list[list[int]]) -> list[Solver]:
-        reference, expected = self._loaded("python", clauses, bulk=False)
+    def _assert_same_load(
+        self, clauses: list[list[int]], layered: bool = False
+    ) -> list[Solver]:
+        reference, expected = self._loaded("python", clauses, False, layered)
         reference.check_invariants()
         solvers = [reference]
         for backend in BACKENDS:
             for bulk in (False, True):
-                solver, outcome = self._loaded(backend, clauses, bulk)
+                solver, outcome = self._loaded(backend, clauses, bulk, layered)
                 assert outcome == expected, (backend, bulk)
                 assert _loaded_state(solver) == _loaded_state(reference), (
                     backend,
@@ -563,10 +598,17 @@ class TestBulkLoad:
                 solvers.append(solver)
         return solvers
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_random_batches_identical(self, seed):
-        clauses = _load_batch(seed)
-        solvers = self._assert_same_load(clauses)
+    @pytest.mark.parametrize(
+        "seed, layered",
+        [pytest.param(seed, False, id=str(seed)) for seed in range(15)]
+        + [pytest.param(seed, True, id=f"{seed}-layered") for seed in range(15)],
+    )
+    def test_random_batches_identical(self, seed, layered, monkeypatch):
+        if layered:
+            clauses = _layered_batch(seed)
+        else:
+            clauses = _load_batch(seed)
+        solvers = self._assert_same_load(clauses, layered)
         rng = random.Random(500 + seed)
         for _ in range(6):
             assumptions = [
@@ -582,16 +624,52 @@ class TestBulkLoad:
                     assert solver.get_model() == reference.get_model()
                 else:
                     assert solver.unsat_core() == reference.unsat_core()
-        # A second batch after the solves meets a kept assumption trail, and
-        # a third one an open layer: both take the per-clause path on every
-        # backend and must still agree.
+        if layered:
+            for solver in solvers:
+                solver.pop()
+            for solver in solvers[1:]:
+                assert _loaded_state(solver) == _loaded_state(solvers[0])
+            for solver in solvers:
+                solver.check_invariants()
+        # A second batch after the solves meets a kept assumption trail (the
+        # per-clause path), and a third one an open layer, which on the C
+        # backend still reaches the bulk-load kernel.
         for solver in solvers:
             solver.add_clauses(_load_batch(1000 + seed))
             solver.push()
+        reached: list[Solver] = []
+        bulk_load = Solver._add_clauses_c
+
+        def recording_bulk_load(solver, flat, ends):
+            reached.append(solver)
+            return bulk_load(solver, flat, ends)
+
+        monkeypatch.setattr(Solver, "_add_clauses_c", recording_bulk_load)
+        expected = [s for s in solvers if s.backend == "c" and s._ok]
+        for solver in solvers:
             solver.add_clauses(_load_batch(2000 + seed))
+        assert reached == expected
         for solver in solvers[1:]:
             assert _loaded_state(solver) == _loaded_state(solvers[0])
             solver.check_invariants()
+
+    def test_layered_batches_cover_every_rule(self):
+        """The layered seeds load units, meet root-true, root-false and
+        unallocated variables, and sometimes leave the unit ``-selector``."""
+        stored = disabled = 0
+        for seed in range(15):
+            solver, outcome = self._loaded(
+                "python", _layered_batch(seed), bulk=False, layered=True
+            )
+            assert outcome is True
+            selector = solver._layers[-1].selector
+            stored += len(solver._layers[-1].clauses)
+            disabled += solver.root_value(-selector) is True
+            literals = [lit for clause in _layered_batch(seed) for lit in clause]
+            assert {1, -1, 2, -2} & set(literals)
+            assert max(map(abs, literals)) > selector
+        assert stored > 0
+        assert 1 <= disabled < 15
 
     def test_batches_cover_every_rule(self):
         """The seeds above really reach each root-level rule and outcome."""
