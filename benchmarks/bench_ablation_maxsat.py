@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BugAssistLocalizer, Specification
+from repro.bmc import BoundedModelChecker
+from repro.core import LocalizationSession, Specification
 from repro.maxsat import WCNF, solve_maxsat
 from repro.siemens import classify_tcas_tests, tcas_faulty_program
 from repro.siemens.suite import TCAS_HARNESS_LINES
@@ -29,12 +30,12 @@ def v13_instance():
 def test_ablation_maxsat_strategy(benchmark, strategy, v13_instance):
     """Same localization instance, different MaxSAT engines — same answer."""
     program, test, spec = v13_instance
-    localizer = BugAssistLocalizer(
-        program, mode="program", strategy=strategy, hard_lines=TCAS_HARNESS_LINES
+    session = LocalizationSession(
+        program, strategy=strategy, hard_lines=TCAS_HARNESS_LINES
     )
 
     def run():
-        return localizer.localize_test(test, spec)
+        return session.localize(test, spec)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     assert report.contains_line(66)  # the injected v13 fault
@@ -45,8 +46,8 @@ def test_ablation_maxsat_strategy(benchmark, strategy, v13_instance):
 def test_ablation_clause_grouping(benchmark, v13_instance):
     """Clause grouping (Eq. 2) vs one soft clause per CNF clause."""
     program, test, spec = v13_instance
-    localizer = BugAssistLocalizer(program, mode="program", hard_lines=TCAS_HARNESS_LINES)
-    formula = localizer.build_trace_formula(test, spec)
+    checker = BoundedModelChecker(program, group_statements=True)
+    formula = checker.encode_program_formula(test, spec)
 
     grouped, _ = formula.to_wcnf(hard_groups=set(TCAS_HARNESS_LINES))
 

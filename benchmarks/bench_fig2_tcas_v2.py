@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BugAssistLocalizer, Specification
+from repro.core import LocalizationSession, Specification
 from repro.siemens import classify_tcas_tests, tcas_fault, tcas_faulty_program
 from repro.siemens.suite import TCAS_HARNESS_LINES
 
@@ -22,12 +22,10 @@ def test_fig2_v2_localization(benchmark):
     failing, _ = classify_tcas_tests(version, count=600)
     assert failing, "v2 must have failing tests in the pool"
     vector, expected = failing[0]
-    localizer = BugAssistLocalizer(
-        program, mode="program", hard_lines=TCAS_HARNESS_LINES
-    )
+    session = LocalizationSession(program, hard_lines=TCAS_HARNESS_LINES)
 
     def run():
-        return localizer.localize_test(
+        return session.localize(
             vector.as_list(), Specification.return_value(expected)
         )
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core import BugAssistLocalizer, Specification
+from repro.core import LocalizationSession, Specification
 from repro.lang import Interpreter
 from repro.siemens.strncat_example import (
     FAULT_LINE,
@@ -14,12 +14,12 @@ from repro.siemens.strncat_example import (
 
 def test_strncat_off_by_one(benchmark):
     program = strncat_program()
-    localizer = BugAssistLocalizer(
-        program, mode="program", unwind=10, hard_functions=LIBRARY_FUNCTIONS
+    session = LocalizationSession(
+        program, unwind=10, hard_functions=LIBRARY_FUNCTIONS
     )
 
     def run():
-        return localizer.localize_test([3], Specification.assertion())
+        return session.localize([3], Specification.assertion())
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

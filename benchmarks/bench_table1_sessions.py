@@ -7,13 +7,15 @@ failing tests twice:
   compiles the whole-program encoding once and runs every failing test
   against the persistent MaxSAT engine (solver push/pop between tests);
 * **baseline** — the pre-session per-test protocol: a fresh
-  whole-program encoding, WCNF and engine per failing test (what
-  ``BugAssistPipeline.localize_many`` did before the session API).
+  whole-program encoding
+  (:meth:`~repro.bmc.checker.BoundedModelChecker.encode_program_formula`),
+  WCNF and engine per failing test, run through
+  :meth:`~repro.core.localizer.BugAssistLocalizer.localize_trace`.
 
 Both sides examine the top ``MAX_CANDIDATES`` CoMSSes per failing test and
 must report identical line sets per test.  Besides the printed table the
 run writes ``BENCH_table1.json`` at the repository root — per-version wall
-times for the serial and process-pool session paths, the baseline, the
+times for the serial and worker-pool session paths, the baseline, the
 number of whole-program encodings built, and the SAT-call counts — so the
 session speedup can be tracked across PRs.
 
@@ -34,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 from conftest import tcas_pool_size, tcas_versions_under_test
+from repro.bmc import BoundedModelChecker
 from repro.core import BugAssistLocalizer, LocalizationSession, Specification
 from repro.siemens.suite import TCAS_HARNESS_LINES, classify_tcas_tests
 from repro.siemens.tcas import tcas_faulty_program
@@ -52,7 +55,7 @@ MAX_TESTS = int(os.environ.get("BUGASSIST_SESSION_TESTS", "12"))
 
 
 def run_version(version: str, test_count: int, max_tests: int) -> dict:
-    """One Table 1 row: session (serial + process pool) vs per-test baseline."""
+    """One Table 1 row: session (serial + worker pool) vs per-test baseline."""
     failing, _ = classify_tcas_tests(version, count=test_count)
     selected = failing[:max_tests]
     tests = [
@@ -82,13 +85,18 @@ def run_version(version: str, test_count: int, max_tests: int) -> dict:
 
     localizer = BugAssistLocalizer(
         program,
-        mode="program",
+        mode="trace",
         hard_lines=TCAS_HARNESS_LINES,
         max_candidates=MAX_CANDIDATES,
     )
     started = time.perf_counter()
     baseline_reports = [
-        localizer.localize_test(test, spec) for test, spec in tests
+        localizer.localize_trace(
+            BoundedModelChecker(
+                program, group_statements=True
+            ).encode_program_formula(test, spec)
+        )
+        for test, spec in tests
     ]
     baseline = time.perf_counter() - started
 
@@ -171,7 +179,7 @@ def test_table1_sessions():
     rows = run_benchmark()
     for row in rows:
         # Compile-once contract: the whole-program encoding is built exactly
-        # once per session (and once per worker in the process pool).
+        # once per session (workers adopt the artifact and build none).
         assert row["encodings_built_session"] == 1
         # The session must report the same line sets as the per-test baseline.
         assert row["lines_equal"]

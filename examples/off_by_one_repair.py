@@ -6,7 +6,7 @@ hard), so BugAssist blames the call site in MyFunCopy — the line that should
 pass SIZE - 1.  Run with ``python examples/off_by_one_repair.py``.
 """
 
-from repro.core import BugAssistLocalizer, Specification
+from repro.core import LocalizationSession, Specification
 from repro.lang import Interpreter
 from repro.lang.pretty import format_program
 from repro.siemens.strncat_example import (
@@ -23,10 +23,10 @@ def main() -> None:
     run = Interpreter(program).run([3])
     print(f"buggy program: buffer overflow assertion failed = {run.assertion_failed}")
 
-    localizer = BugAssistLocalizer(
-        program, mode="program", unwind=10, hard_functions=LIBRARY_FUNCTIONS
-    )
-    report = localizer.localize_test([3], Specification.assertion())
+    with LocalizationSession(
+        program, unwind=10, hard_functions=LIBRARY_FUNCTIONS
+    ) as session:
+        report = session.localize([3], Specification.assertion())
     print()
     print(report.summary())
     print(f"the injected fault is on line {FAULT_LINE}: "

@@ -1,9 +1,18 @@
 """The BugAssist algorithms — the paper's primary contribution.
 
-* :class:`BugAssistLocalizer` — Algorithm 1: build the extended trace
-  formula for a failing test, repeatedly extract CoMSSes from the partial
-  MaxSAT instance, block each one, and report the corresponding source
-  lines as candidate error locations.
+Algorithm 1 has one front door per formula source:
+
+* :class:`LocalizationSession` — program mode: compile the whole-program
+  BMC encoding once, then ``localize``/``localize_batch`` many failing
+  tests against it with solver push/pop between tests (Table 1, TCAS, and
+  every request the ``repro.serve`` daemon answers).
+* :class:`BugAssistLocalizer` — trace mode: build the concolic trace
+  formula of one failing execution, repeatedly extract CoMSSes from the
+  partial MaxSAT instance, block each one, and report the corresponding
+  source lines as candidate error locations (Table 3).
+
+Around them:
+
 * :func:`rank_locations` / :class:`RankedLocalization` — Section 4.3:
   aggregate localization over many failing tests and rank lines by how
   often they are reported.
@@ -13,12 +22,6 @@
 * :class:`LoopIterationLocalizer` — Section 5.2: weighted soft clauses with
   per-iteration selector variables to pin-point the loop iteration at which
   the failure is first caused.
-* :class:`LocalizationSession` — the session API: compile the
-  whole-program encoding once, then ``localize``/``localize_batch`` many
-  failing tests against it with solver push/pop between tests.
-* :class:`BugAssistPipeline` — the end-to-end flow of Figure 1 (failing
-  trace generation via tests or BMC, localization, optional repair);
-  deprecated in favour of the session.
 """
 
 from repro.core.report import BugLocation, LocalizationReport, RankedLocalization
@@ -26,21 +29,12 @@ from repro.core.localizer import BugAssistLocalizer
 from repro.core.ranking import merge_reports, rank_locations
 from repro.core.repair import OffByOneRepairer, RepairResult
 from repro.core.loops import LoopIterationLocalizer, LoopIterationReport
-from repro.core.session import (
-    BatchLocalizationError,
-    LocalizationSession,
-    SessionStats,
-    ShardLocalizationError,
-    TestCase,
-)
-from repro.core.pipeline import BugAssistPipeline, PipelineConfig
+from repro.core.session import LocalizationSession, SessionStats, TestCase
 from repro.spec import Specification
 
 __all__ = [
-    "BatchLocalizationError",
     "BugAssistLocalizer",
     "BugLocation",
-    "ShardLocalizationError",
     "LocalizationReport",
     "LocalizationSession",
     "RankedLocalization",
@@ -52,7 +46,5 @@ __all__ = [
     "RepairResult",
     "LoopIterationLocalizer",
     "LoopIterationReport",
-    "BugAssistPipeline",
-    "PipelineConfig",
     "Specification",
 ]

@@ -1,13 +1,10 @@
-"""Algorithm 1: the BugAssist localization loop.
+"""Algorithm 1: the BugAssist localization loop, trace mode.
 
 Given a failing test, the localizer
 
-1. builds the extended trace formula — either from "the entire boolean
-   representation of the program" (``mode="program"``, the CBMC-style
-   whole-program encoding the paper uses for the TCAS experiments) or from
-   the dynamic trace of the failing execution (``mode="trace"``, the
-   concolic construction used together with the trace-reduction techniques
-   of Table 3),
+1. builds the extended trace formula from the dynamic trace of the failing
+   execution (the concolic construction used together with the
+   trace-reduction techniques of Table 3),
 2. converts it to a partial MaxSAT instance (test input and post-condition
    hard, one soft selector clause per statement),
 3. repeatedly asks the MaxSAT engine for a CoMSS, reports the corresponding
@@ -21,6 +18,15 @@ The CoMSS loop is incremental: the trace formula is loaded into one engine
 added to the live solver through :meth:`MaxSatEngine.block` — learnt
 clauses, variable activities and saved phases from earlier candidates all
 carry over, instead of rebuilding a fresh engine and WCNF per candidate.
+
+Program mode — "the entire boolean representation of the program", the
+CBMC-style whole-program encoding the paper uses for the TCAS experiments —
+goes through :class:`~repro.core.session.LocalizationSession`, which
+compiles that encoding once and localizes every failing test against it.
+:meth:`BugAssistLocalizer.localize_trace` also accepts any prebuilt
+formula, e.g. a per-test
+:meth:`~repro.bmc.checker.BoundedModelChecker.encode_program_formula`
+(the fresh-engine reference the session is checked against).
 """
 
 from __future__ import annotations
@@ -67,15 +73,15 @@ def run_comss_loop(
 
 
 class BugAssistLocalizer:
-    """Error localization by maximum satisfiability (the BugAssist tool)."""
+    """Trace-mode error localization by maximum satisfiability."""
 
     def __init__(
         self,
         program: ast.Program,
         width: int = DEFAULT_WIDTH,
         strategy: str = "hitting-set",
-        mode: str = "program",
-        unwind: int = 16,
+        *,
+        mode: str,
         max_candidates: int = 25,
         concrete_functions: Iterable[str] = (),
         hard_functions: Iterable[str] = (),
@@ -83,24 +89,22 @@ class BugAssistLocalizer:
     ) -> None:
         """Configure the localizer.
 
-        ``strategy`` selects the MaxSAT engine.  ``mode`` selects how the
-        formula is built: ``"program"`` encodes the whole program (both
-        branches of every conditional, loops unrolled up to ``unwind``) the
-        way CBMC does, while ``"trace"`` encodes only the dynamic path of the
-        failing execution (used with the trace-reduction techniques).
-        ``concrete_functions`` are executed concretely only (concolic trace
-        reduction, ``mode="trace"`` only), while ``hard_functions`` /
+        ``strategy`` selects the MaxSAT engine.  ``mode`` must be
+        ``"trace"``: the formula encodes only the dynamic path of the
+        failing execution.  ``concrete_functions`` are executed concretely
+        only (concolic trace reduction), while ``hard_functions`` /
         ``hard_lines`` are encoded but excluded from the candidate set
         (library code assumed correct).  ``max_candidates`` bounds the number
         of CoMSS iterations.
         """
-        if mode not in ("program", "trace"):
-            raise ValueError(f"unknown localization mode {mode!r}")
+        if mode != "trace":
+            raise ValueError(
+                f"BugAssistLocalizer is trace mode only, got mode={mode!r}; "
+                "program mode goes through LocalizationSession"
+            )
         self.program = program
         self.width = width
         self.strategy = strategy
-        self.mode = mode
-        self.unwind = unwind
         self.max_candidates = max_candidates
         self.concrete_functions = tuple(concrete_functions)
         self.hard_functions = tuple(hard_functions)
@@ -116,19 +120,6 @@ class BugAssistLocalizer:
         nondet_values: Sequence[int] = (),
     ) -> TraceFormula:
         """Build the extended trace formula for one failing test."""
-        if self.mode == "program":
-            from repro.bmc import BoundedModelChecker
-
-            checker = BoundedModelChecker(
-                self.program,
-                width=self.width,
-                unwind=self.unwind,
-                group_statements=True,
-                hard_functions=self.hard_functions,
-            )
-            return checker.encode_program_formula(
-                inputs, spec, entry=entry, nondet_values=nondet_values
-            )
         tracer = ConcolicTracer(
             self.program,
             width=self.width,

@@ -4,13 +4,13 @@ BugAssist becomes more precise when run with several failing tests: each run
 reports a set of candidate lines, and ranking the lines by how frequently
 they are reported narrows the search to the true fault.
 
-The runner accepts either a per-test
-:class:`~repro.core.localizer.BugAssistLocalizer` (one encoding per failing
-test) or a :class:`~repro.core.session.LocalizationSession` (one shared
-encoding for the whole batch) — both expose the same ``localize_test``
-surface.  :func:`merge_reports` is the order-preserving aggregation step,
-shared with the session's sharded batch executor so serial and process-pool
-runs rank identically.
+The runner accepts either a :class:`~repro.core.session.LocalizationSession`
+(program mode: one shared encoding for the whole batch) or a trace-mode
+:class:`~repro.core.localizer.BugAssistLocalizer` (one concolic trace per
+failing test) — both expose the same ``localize_test`` surface.
+:func:`merge_reports` is the order-preserving aggregation step, shared
+with the session's batch executors so serial and worker-pool runs rank
+identically.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def rank_locations(
     specification is per-test because the Siemens benchmarks use the golden
     output of each individual test as its correctness condition.
     ``localizer`` is anything with the ``localize_test`` surface: a
-    :class:`~repro.core.localizer.BugAssistLocalizer` or a
-    :class:`~repro.core.session.LocalizationSession`.
+    :class:`~repro.core.session.LocalizationSession` or a trace-mode
+    :class:`~repro.core.localizer.BugAssistLocalizer`.
     """
     name = program_name or _default_program_name(localizer)
 

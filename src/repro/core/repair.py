@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.localizer import BugAssistLocalizer
 from repro.core.report import LocalizationReport
+from repro.core.session import LocalizationSession
 from repro.lang import ast
 from repro.lang.interp import Interpreter
 from repro.lang.pretty import format_program
@@ -73,7 +74,7 @@ class OffByOneRepairer:
     def __init__(
         self,
         program: ast.Program,
-        localizer: Optional[BugAssistLocalizer] = None,
+        localizer: Optional[LocalizationSession | BugAssistLocalizer] = None,
         width: int = DEFAULT_WIDTH,
         validator: str = "tests",
         bmc_unwind: int = 16,
@@ -81,7 +82,9 @@ class OffByOneRepairer:
         entry: str = "main",
     ) -> None:
         self.program = program
-        self.localizer = localizer or BugAssistLocalizer(program, width=width)
+        self.localizer = localizer or LocalizationSession(
+            program, width=width, entry=entry
+        )
         self.width = width
         self.validator = validator
         self.bmc_unwind = bmc_unwind

@@ -20,8 +20,9 @@ test-input equalities and the post-condition units differ.  A
   first model search starts from the failing execution rather than from a
   cold default;
 * :meth:`LocalizationSession.localize_batch` shards the failing tests over
-  a process pool (``executor="process"``), pickling the compiled artifact
-  once per worker, and merges the per-test reports into a
+  the daemon's :class:`~repro.serve.workers.WorkerPool`
+  (``executor="process"``), shipping the serialized artifact once per
+  worker, and merges the per-test reports into a
   :class:`~repro.core.report.RankedLocalization`.
 
 Typical use::
@@ -34,12 +35,15 @@ Typical use::
 
 from __future__ import annotations
 
+import hashlib
+import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro import obs
-from repro.bmc import BoundedModelChecker, CompiledProgram
+from repro.bmc import BoundedModelChecker, CompiledProgram, dumps_artifact
 from repro.core.localizer import run_comss_loop
 from repro.core.ranking import merge_reports
 from repro.core.report import LocalizationReport, RankedLocalization
@@ -53,37 +57,6 @@ FailingTest = tuple[TestCase, Specification]
 
 #: Executors accepted by :meth:`LocalizationSession.localize_batch`.
 EXECUTORS = ("serial", "process")
-
-
-class ShardLocalizationError(RuntimeError):
-    """One test inside a process-pool shard failed to localize.
-
-    Raised worker-side with the offending test's label so the parent never
-    sees a bare pickle traceback with no hint of which test was to blame.
-    ``args`` carries ``(test_label, cause)`` verbatim, which keeps the
-    exception picklable across the pool boundary.
-    """
-
-    def __init__(self, test_label: str, cause: str) -> None:
-        super().__init__(test_label, cause)
-        self.test_label = test_label
-        self.cause = cause
-
-    def __str__(self) -> str:
-        return f"localization of test {self.test_label} failed: {self.cause}"
-
-
-class BatchLocalizationError(RuntimeError):
-    """A shard of a batch localization failed twice (original run + retry)."""
-
-
-def _test_label(index: int, test: FailingTest) -> str:
-    inputs, spec = test
-    if isinstance(inputs, Mapping):
-        shown = dict(inputs)
-    else:
-        shown = list(inputs)
-    return f"#{index} inputs={shown!r} spec={spec.describe()!r}"
 
 
 @dataclass
@@ -102,9 +75,10 @@ class SessionStats:
 class LocalizationSession:
     """Localize many failing tests against one compiled program encoding.
 
-    The session is the primary user-facing localization API; the per-test
-    :class:`~repro.core.localizer.BugAssistLocalizer` remains for one-shot
-    use and for the dynamic-trace mode.  Sessions are context managers::
+    The session is the one entry point for program mode (the whole-program
+    BMC encoding); :class:`~repro.core.localizer.BugAssistLocalizer` is the
+    one for trace mode (a concolic trace per failing input, nothing to
+    compile once).  Sessions are context managers::
 
         with LocalizationSession(program, hard_lines=(7, 8)) as session:
             report = session.localize(test, spec)
@@ -205,7 +179,7 @@ class LocalizationSession:
         warm_start: bool = True,
         static_pruning: bool = True,
     ) -> "LocalizationSession":
-        """Adopt an existing compiled artifact (process-pool workers do this).
+        """Adopt an existing compiled artifact (pool workers do this).
 
         The session never re-encodes: ``stats.encodings_built`` stays 0.
         """
@@ -407,8 +381,9 @@ class LocalizationSession:
         """Section 4.3 at session speed: localize a batch and rank the lines.
 
         ``executor="serial"`` reuses this session's engine for every test;
-        ``executor="process"`` compiles once, pickles the artifact to each
-        worker process, shards the tests round-robin and merges the reports.
+        ``executor="process"`` compiles once, ships the artifact to each
+        worker of a :class:`~repro.serve.workers.WorkerPool`, gives each
+        worker one contiguous shard and merges the reports.
         Either way the reports arrive in input order, so the resulting
         :class:`~repro.core.report.RankedLocalization` is identical across
         executors.
@@ -434,76 +409,47 @@ class LocalizationSession:
     def _localize_with_pool(
         self, tests: list[FailingTest], workers: Optional[int]
     ) -> list[LocalizationReport]:
-        import os
-        from concurrent.futures import ProcessPoolExecutor
+        """Run the batch on a :class:`~repro.serve.workers.WorkerPool`.
+
+        The daemon's pool, started for this call only: the artifact is
+        serialized once, each worker adopts it with
+        :meth:`from_compiled` (zero encodings), and the tests are cut into
+        one contiguous shard per worker.  A dead or wedged worker gets the
+        pool's single retry; a test that raises surfaces as
+        :class:`~repro.serve.workers.ServeShardError` naming its inputs.
+        """
+        from repro.serve.workers import Job, WorkerPool
 
         workers = workers or min(len(tests), os.cpu_count() or 1)
         workers = max(1, min(workers, len(tests)))
-        shards: list[list[tuple[int, FailingTest]]] = [[] for _ in range(workers)]
-        for index, test in enumerate(tests):
-            shards[index % workers].append((index, test))
-        payload = (
-            self.compiled,
-            self.strategy,
-            self.max_candidates,
-            tuple(self.hard_lines),
-            self.warm_start,
-            self.static_pruning,
+        blob = dumps_artifact(self.compiled)
+        job = Job(
+            artifact_key=hashlib.sha256(blob).hexdigest(),
+            artifact_bytes=lambda: blob,
+            session_options={
+                "strategy": self.strategy,
+                "max_candidates": self.max_candidates,
+                "hard_lines": sorted(self.hard_lines),
+                "warm_start": self.warm_start,
+                "static_pruning": self.static_pruning,
+            },
+            tests=[
+                (index, inputs, spec, ()) for index, (inputs, spec) in enumerate(tests)
+            ],
+            # The caller's open span, if any: worker spans ship back with
+            # the results and stitch under it.
+            trace_ctx=obs.current_context(),
         )
-        reports: list[Optional[LocalizationReport]] = [None] * len(tests)
-        failed: list[tuple[list[tuple[int, FailingTest]], BaseException]] = []
-        # The forwardable (trace_id, parent_span_id) of the caller's open
-        # span, if any: each shard re-binds it in the worker process and
-        # ships its spans back with the results, so one trace stitches the
-        # whole fan-out.
-        trace_ctx = obs.current_context()
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(payload,),
+        with WorkerPool(
+            workers=workers, max_tests_per_shard=math.ceil(len(tests) / workers)
         ) as pool:
-            futures = [
-                pool.submit(_pool_localize_shard, shard, trace_ctx)
-                for shard in shards
-            ]
-            for shard, future in zip(shards, futures):
-                try:
-                    results, shard_spans = future.result()
-                    for index, report in results:
-                        reports[index] = report
-                    obs.merge_spans(trace_ctx and trace_ctx[0], shard_spans)
-                except Exception as exc:
-                    # A dead or poisoned worker takes its whole shard down
-                    # (and, for a BrokenProcessPool, every later shard too).
-                    # Collect the casualties; they get exactly one retry on a
-                    # fresh pool below instead of surfacing a bare traceback.
-                    failed.append((shard, exc))
-        for shard, original in failed:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_pool_initializer,
-                    initargs=(payload,),
-                ) as retry_pool:
-                    results, shard_spans = retry_pool.submit(
-                        _pool_localize_shard, shard, trace_ctx
-                    ).result()
-                    for index, report in results:
-                        reports[index] = report
-                    obs.merge_spans(trace_ctx and trace_ctx[0], shard_spans)
-            except Exception as exc:
-                raise BatchLocalizationError(
-                    f"shard of {len(shard)} test(s) failed twice "
-                    f"(original run: {_describe_error(original)}; "
-                    f"fresh-pool retry: {_describe_error(exc)}); "
-                    f"offending test: {_shard_failure_label(shard, exc)}"
-                ) from exc
+            by_index = pool.run_jobs([job])
+        reports = [by_index[index] for index in range(len(tests))]
         self.stats.tests_localized += len(tests)
         for report in reports:
-            assert report is not None
             self.stats.maxsat_calls += report.maxsat_calls
             self.stats.sat_calls += report.sat_calls
-        return reports  # type: ignore[return-value]
+        return reports
 
 
 def _record_localize_metrics(report: LocalizationReport, layer_stats) -> None:
@@ -533,68 +479,3 @@ def _record_localize_metrics(report: LocalizationReport, layer_stats) -> None:
     registry.histogram(
         "repro_localize_seconds", "End-to-end localization latency"
     ).observe(report.time_seconds)
-
-
-# ----------------------------------------------------- process-pool plumbing
-
-#: Per-worker session, created once by the pool initializer from the pickled
-#: compiled artifact — each worker builds zero encodings and reuses one
-#: persistent engine across its whole shard.
-_WORKER_SESSION: Optional[LocalizationSession] = None
-
-
-def _pool_initializer(payload) -> None:
-    global _WORKER_SESSION
-    compiled, strategy, max_candidates, hard_lines, warm_start, static_pruning = payload
-    _WORKER_SESSION = LocalizationSession.from_compiled(
-        compiled,
-        strategy=strategy,
-        max_candidates=max_candidates,
-        hard_lines=hard_lines,
-        warm_start=warm_start,
-        static_pruning=static_pruning,
-    )
-
-
-def _pool_localize_shard(
-    shard, trace_ctx=None
-) -> tuple[list[tuple[int, LocalizationReport]], list[dict]]:
-    """Localize one shard; returns the reports plus the spans to stitch.
-
-    ``trace_ctx`` is the parent's forwarded ``(trace_id, parent_span_id)``;
-    the per-test ``session.localize`` spans recorded here parent under it
-    once the caller merges them.  ``None`` (tracing off) collects nothing.
-    """
-    assert _WORKER_SESSION is not None
-    results: list[tuple[int, LocalizationReport]] = []
-    with obs.remote_trace(trace_ctx) as bundle:
-        with obs.span("pool.shard", tests=len(shard)):
-            for index, (inputs, spec) in shard:
-                try:
-                    results.append((index, _WORKER_SESSION.localize(inputs, spec)))
-                except Exception as exc:
-                    raise ShardLocalizationError(
-                        _test_label(index, (inputs, spec)),
-                        f"{type(exc).__name__}: {exc}",
-                    ) from exc
-    return results, bundle.spans
-
-
-def _describe_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _shard_failure_label(
-    shard: list[tuple[int, FailingTest]], exc: BaseException
-) -> str:
-    """Name the test to blame for a shard failure.
-
-    A :class:`ShardLocalizationError` pinpoints it; a worker that died
-    outright (BrokenProcessPool) cannot say which test killed it, so the
-    whole shard is named.
-    """
-    if isinstance(exc, ShardLocalizationError):
-        return exc.test_label
-    return "unknown (worker died); shard tests: " + ", ".join(
-        _test_label(index, test) for index, test in shard
-    )

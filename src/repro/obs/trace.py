@@ -33,8 +33,9 @@ Three usage tiers, by how much context the caller has:
 A *trace id* is minted at the outermost entry point (the serve frontend
 for daemon traffic, :func:`trace` for in-process runs), carried in the
 wire protocol as the optional ``trace_id`` request field, and propagated
-into worker-pool subprocesses and ``localize_batch(executor="process")``
-shards — so one trace stitches router → daemon → worker → solver.  Span
+into the worker-pool subprocesses (which also run
+``localize_batch(executor="process")``) — so one trace stitches
+router → daemon → worker → solver.  Span
 timestamps are epoch-anchored microseconds (wall clock at span start,
 monotonic clock for the duration), which keeps per-process timing
 monotonic while letting spans from different processes merge onto one

@@ -15,11 +15,15 @@ artifact when one exists, falling back to the least-loaded worker.
 Artifact bytes ride along only on the first shard a worker sees for that
 key; a worker that evicted the artifact in the meantime answers
 ``need-artifact`` and the shard is resent with bytes.  A shard whose
-worker dies (crash, OOM-kill) is retried exactly once on a freshly
-restarted worker before :class:`ServeShardError` reaches the caller —
-mirroring the retry contract of
+worker dies (crash, OOM-kill) or wedges is retried exactly once on a
+freshly restarted worker before :class:`ServeShardError` reaches the
+caller; a localization that raises is answered at once, naming the test
+(a deterministic error fails the same way twice).
+
+This is the only process pool:
 :meth:`LocalizationSession.localize_batch(executor="process")
-<repro.core.session.LocalizationSession.localize_batch>`.
+<repro.core.session.LocalizationSession.localize_batch>` runs its batch as
+one :class:`Job` on a pool started for the call.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import traceback
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.core.report import LocalizationReport
@@ -41,7 +45,7 @@ ShardTest = tuple[object, object, object, tuple]
 
 
 class ServeShardError(RuntimeError):
-    """A shard failed on a worker (and once more on its retry)."""
+    """A shard failed: a test raised, or its worker died twice."""
 
 
 @dataclass
@@ -433,6 +437,8 @@ def _worker_main(conn, max_sessions: int) -> None:
             conn.send(("error", "protocol", f"unknown message {message[0]!r}"))
             continue
         _, key, blob, options, tests, trace_ctx = message
+        # The test being localized, so an error reply can name it.
+        current: Optional[tuple] = None
         try:
             if blob is not None and key not in artifacts:
                 from repro.bmc.compiled import loads_artifact
@@ -470,11 +476,13 @@ def _worker_main(conn, max_sessions: int) -> None:
                     session.pin()
                     try:
                         for request_id, inputs, spec, nondet in tests:
+                            current = (request_id, inputs)
                             report = session.localize(
                                 inputs, spec, nondet_values=nondet
                             )
                             results.append((request_id, report))
                             localized += 1
+                        current = None
                     finally:
                         session.unpin()
             conn.send(
@@ -496,6 +504,10 @@ def _worker_main(conn, max_sessions: int) -> None:
             )
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             label = f"artifact {key[:12]}…"
+            if current is not None:
+                request_id, inputs = current
+                shown = dict(inputs) if isinstance(inputs, Mapping) else list(inputs)
+                label = f"test {request_id!r} inputs={shown!r} of {label}"
             conn.send(("error", label, f"{type(exc).__name__}: {exc}\n"
                        + traceback.format_exc(limit=8)))
     conn.close()

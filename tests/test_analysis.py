@@ -330,16 +330,13 @@ class TestCompiledProgramIntegration:
             "}\n"
         )
         program = parse_program(source, name="bmc-diff")
-        localizer = BugAssistLocalizer(program, mode="program")
-        localizer_checker_kwargs = {"analysis_narrowing": narrowing}
         from repro.bmc import BoundedModelChecker
 
         checker = BoundedModelChecker(
-            program, width=localizer.width, unwind=localizer.unwind,
-            group_statements=True, **localizer_checker_kwargs,
+            program, group_statements=True, analysis_narrowing=narrowing
         )
         formula = checker.encode_program_formula([4], Specification.return_value(12))
-        report = localizer.localize_trace(formula)
+        report = BugAssistLocalizer(program, mode="trace").localize_trace(formula)
         # in=4 → shifted = 11, expected 12: either arithmetic line or the
         # return itself can be blamed, identically in both modes.
         assert set(report.lines) == {4, 5, 6}

@@ -11,7 +11,6 @@ import pytest
 from repro.bmc import BoundedModelChecker
 from repro.core import (
     BugAssistLocalizer,
-    BugAssistPipeline,
     LocalizationSession,
     LoopIterationLocalizer,
     OffByOneRepairer,
@@ -92,8 +91,9 @@ def squareroot_program():
 
 class TestMotivatingExample:
     def test_localization_finds_both_fix_locations(self, motivating_program):
-        localizer = BugAssistLocalizer(motivating_program)
-        report = localizer.localize_test([1], Specification.assertion())
+        report = LocalizationSession(motivating_program).localize(
+            [1], Specification.assertion()
+        )
         # The paper reports two candidate locations: the constant assignment in
         # the else branch and the branch condition itself.
         assert report.contains_line(6)
@@ -103,7 +103,7 @@ class TestMotivatingExample:
         assert not report.contains_line(4)
 
     def test_first_candidate_is_a_singleton_comss(self, motivating_program):
-        report = BugAssistLocalizer(motivating_program).localize_test(
+        report = LocalizationSession(motivating_program).localize(
             [1], Specification.assertion()
         )
         assert len(report.candidates[0].groups) == 1
@@ -111,7 +111,7 @@ class TestMotivatingExample:
     def test_localization_is_finer_than_the_backward_slice(self, motivating_program):
         # The backward slice contains lines 3, 6 and 8 together; BugAssist
         # reports lines 3 and 6 as *separate* candidates (paper Section 2).
-        report = BugAssistLocalizer(motivating_program).localize_test(
+        report = LocalizationSession(motivating_program).localize(
             [1], Specification.assertion()
         )
         singleton_lines = {
@@ -122,7 +122,7 @@ class TestMotivatingExample:
         assert {3, 6} <= singleton_lines
 
     def test_report_metrics(self, motivating_program):
-        report = BugAssistLocalizer(motivating_program).localize_test(
+        report = LocalizationSession(motivating_program).localize(
             [1], Specification.assertion()
         )
         assert report.maxsat_calls >= 2
@@ -134,21 +134,20 @@ class TestMotivatingExample:
     def test_strategies_agree(self, motivating_program):
         reports = {}
         for strategy in ("hitting-set", "msu3", "linear"):
-            localizer = BugAssistLocalizer(motivating_program, strategy=strategy)
-            reports[strategy] = localizer.localize_test([1], Specification.assertion())
+            session = LocalizationSession(motivating_program, strategy=strategy)
+            reports[strategy] = session.localize([1], Specification.assertion())
         lines = {strategy: set(report.lines) for strategy, report in reports.items()}
         assert lines["hitting-set"] == lines["msu3"] == lines["linear"]
 
     def test_hard_lines_are_never_reported(self, motivating_program):
-        localizer = BugAssistLocalizer(motivating_program, hard_lines=[6])
-        report = localizer.localize_test([1], Specification.assertion())
+        session = LocalizationSession(motivating_program, hard_lines=[6])
+        report = session.localize([1], Specification.assertion())
         assert not report.contains_line(6)
         assert report.contains_line(3)
 
     def test_session_localizes_from_bmc_counterexample(self, motivating_program):
         # No failing test given: the bounded model checker finds one, and
-        # the session localizes it (the modern form of the old
-        # ``BugAssistPipeline.localize()`` no-test flow).
+        # the session localizes it.
         counterexample = BoundedModelChecker(
             motivating_program, unwind=16
         ).find_counterexample()
@@ -161,14 +160,11 @@ class TestMotivatingExample:
             )
         assert report.contains_line(6) or report.contains_line(3)
 
-    def test_pipeline_shim_is_deprecated_but_functional(self, motivating_program):
-        # The shim's DeprecationWarning is pinned here — and only here — so
-        # the compatibility surface stays covered without leaking warnings
-        # into the rest of the run.
-        with pytest.warns(DeprecationWarning, match="BugAssistPipeline is deprecated"):
-            pipeline = BugAssistPipeline(motivating_program)
-        report = pipeline.localize()  # no failing test given: BMC finds one
-        assert report.contains_line(6) or report.contains_line(3)
+    def test_localizer_rejects_every_mode_but_trace(self, motivating_program):
+        # A forgotten program-mode caller fails loudly instead of silently
+        # localizing a concolic trace.
+        with pytest.raises(ValueError, match="LocalizationSession"):
+            BugAssistLocalizer(motivating_program, mode="bmc")
 
 
 class TestRanking:
@@ -194,8 +190,8 @@ class TestRanking:
             if outcome.return_value != expected:
                 failing.append(([x], Specification.return_value(expected)))
         assert failing  # inputs 8, 9, 10 fail
-        localizer = BugAssistLocalizer(program)
-        ranked = rank_locations(localizer, failing, program_name="classify")
+        session = LocalizationSession(program)
+        ranked = rank_locations(session, failing, program_name="classify")
         assert len(ranked.runs) == len(failing)
         top_line, top_count = ranked.ranked_lines[0]
         assert top_line in (3, 4)
@@ -301,7 +297,7 @@ class TestLoopIterationLocalization:
             assert report.reported_iteration(line) in iterations
 
     def test_plain_localization_also_reports_fix_line(self, squareroot_program):
-        report = BugAssistLocalizer(squareroot_program).localize_test(
+        report = LocalizationSession(squareroot_program).localize(
             [50], Specification.assertion()
         )
         assert report.contains_line(9)

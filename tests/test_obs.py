@@ -487,14 +487,20 @@ class TestSessionTracing:
         # Worker subprocesses contributed spans under the parent's root.
         assert len({s["pid"] for s in spans}) >= 2
         by_id = {s["span_id"]: s for s in spans}
-        shard_spans = [s for s in spans if s["name"] == "pool.shard"]
-        assert shard_spans
-        for shard in shard_spans:
+        # The same span tree as daemon traffic:
+        # batch -> serve.shard -> worker.shard -> session.localize.
+        serve_shards = [s for s in spans if s["name"] == "serve.shard"]
+        assert serve_shards
+        for shard in serve_shards:
             assert by_id[shard["parent_id"]]["name"] == "batch"
+        worker_shards = [s for s in spans if s["name"] == "worker.shard"]
+        assert len(worker_shards) == len(serve_shards)
+        for shard in worker_shards:
+            assert by_id[shard["parent_id"]]["name"] == "serve.shard"
         localize_spans = [s for s in spans if s["name"] == "session.localize"]
         assert len(localize_spans) == len(failing)
         for span in localize_spans:
-            assert by_id[span["parent_id"]]["name"] == "pool.shard"
+            assert by_id[span["parent_id"]]["name"] == "worker.shard"
 
     def test_pool_untraced_when_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

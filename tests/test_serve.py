@@ -450,6 +450,24 @@ class TestDaemon:
                 client.localize(test=[1], spec=SPEC_ZERO, artifact="f" * 64)
             with pytest.raises(ServeError, match="ParseError|error"):
                 client.compile("int main( {")
+            # A wrong-arity test among good ones: the error names that test.
+            tests = [
+                {"inputs": [8], "spec": SPEC_ZERO},
+                {"inputs": [1, 2, 3], "spec": SPEC_ZERO},
+                {"inputs": [9], "spec": SPEC_ZERO},
+            ]
+            with pytest.raises(ServeError) as excinfo:
+                client.localize_batch(
+                    [
+                        {
+                            "program": CLASSIFY,
+                            "options": {"name": "classify-poisoned"},
+                            "tests": tests,
+                        }
+                    ]
+                )
+            assert "[1, 2, 3]" in str(excinfo.value)
+            assert "ValueError" in str(excinfo.value)
             # The daemon is still healthy.
             assert client.stats()["ok"] is True
 

@@ -9,17 +9,15 @@ import pytest
 
 from repro.bmc import BoundedModelChecker
 from repro.core import (
-    BatchLocalizationError,
     BugAssistLocalizer,
-    BugAssistPipeline,
     LocalizationSession,
-    ShardLocalizationError,
     Specification,
-    rank_locations,
+    merge_reports,
 )
 from repro.lang import Interpreter, parse_program
 from repro.maxsat import WCNF, make_engine
 from repro.sat import Solver
+from repro.serve.workers import ServeShardError
 
 MOTIVATING = (
     "int Array[3] = {10, 20, 30};\n"
@@ -46,6 +44,19 @@ CLASSIFY = (
     "}\n"
     "int main(int x) { return classify(x); }\n"
 )
+
+
+def fresh_engine_reference(
+    program, inputs, spec, strategy="hitting-set", hard_lines=()
+):
+    """The per-test reference the session must match: a fresh
+    whole-program encoding, WCNF and engine for one failing test."""
+    checker = BoundedModelChecker(program, group_statements=True)
+    formula = checker.encode_program_formula(inputs, spec)
+    localizer = BugAssistLocalizer(
+        program, strategy=strategy, mode="trace", hard_lines=hard_lines
+    )
+    return localizer.localize_trace(formula)
 
 
 def classify_failing_tests():
@@ -228,10 +239,14 @@ def motivating_program():
 
 
 class TestLocalizationSession:
-    def test_compiles_once_and_matches_per_test_localizer(self, motivating_program):
-        localizer = BugAssistLocalizer(motivating_program)
-        baseline = localizer.localize_test([1], Specification.assertion())
-        with LocalizationSession(motivating_program) as session:
+    @pytest.mark.parametrize("strategy", ["hitting-set", "msu3", "linear"])
+    def test_compiles_once_and_matches_per_test_localizer(
+        self, motivating_program, strategy
+    ):
+        baseline = fresh_engine_reference(
+            motivating_program, [1], Specification.assertion(), strategy=strategy
+        )
+        with LocalizationSession(motivating_program, strategy=strategy) as session:
             first = session.localize([1], Specification.assertion())
             second = session.localize([1], Specification.assertion())
         assert session.stats.encodings_built == 1
@@ -243,14 +258,15 @@ class TestLocalizationSession:
 
     def test_session_vs_pipeline_equivalence_on_batch(self):
         program, failing = classify_failing_tests()
-        pipeline_baseline = rank_locations(
-            BugAssistLocalizer(program), failing, program_name="classify"
+        baseline = merge_reports(
+            "classify",
+            [fresh_engine_reference(program, inputs, spec) for inputs, spec in failing],
         )
         with LocalizationSession(program) as session:
             ranked = session.localize_batch(failing, program_name="classify")
-        assert ranked.ranked_lines == pipeline_baseline.ranked_lines
-        assert len(ranked.runs) == len(pipeline_baseline.runs)
-        for mine, theirs in zip(ranked.runs, pipeline_baseline.runs):
+        assert ranked.ranked_lines == baseline.ranked_lines
+        assert len(ranked.runs) == len(baseline.runs)
+        for mine, theirs in zip(ranked.runs, baseline.runs):
             assert set(mine.lines) == set(theirs.lines)
 
     def test_process_executor_matches_serial(self):
@@ -272,25 +288,16 @@ class TestLocalizationSession:
 
     def test_poisoned_test_in_pool_names_the_offender(self):
         # A test with the wrong arity makes its worker raise; the failure
-        # must surface as BatchLocalizationError naming the offending test
-        # (after one fresh-pool retry), not as a bare pickle traceback.
+        # must surface as ServeShardError naming the offending test, not as
+        # a bare traceback.
         program, failing = classify_failing_tests()
         poisoned = failing[:2] + [([1, 2, 3], Specification.return_value(0))]
         with LocalizationSession(program) as session:
-            with pytest.raises(BatchLocalizationError) as excinfo:
+            with pytest.raises(ServeShardError) as excinfo:
                 session.localize_batch(poisoned, executor="process", workers=2)
         message = str(excinfo.value)
         assert "[1, 2, 3]" in message          # the offending test's inputs
-        assert "failed twice" in message       # original run plus one retry
         assert "ValueError" in message         # the underlying cause survives
-
-    def test_shard_error_pickles_with_its_label(self):
-        import pickle
-
-        error = ShardLocalizationError("#2 inputs=[7]", "ValueError: boom")
-        clone = pickle.loads(pickle.dumps(error))
-        assert clone.test_label == "#2 inputs=[7]"
-        assert "ValueError: boom" in str(clone)
 
     def test_healthy_batch_unaffected_by_retry_machinery(self):
         program, failing = classify_failing_tests()
@@ -361,20 +368,6 @@ class TestSessionPinning:
         with pytest.raises(RuntimeError):
             session.localize([1], Specification.assertion())
 
-    def test_pipeline_shim_delegates_to_session(self, motivating_program):
-        with pytest.warns(DeprecationWarning):
-            pipeline = BugAssistPipeline(motivating_program)
-        report = pipeline.localize([1])
-        assert report.contains_line(6)
-        assert pipeline.session.stats.encodings_built == 1
-        program, failing = classify_failing_tests()
-        with pytest.warns(DeprecationWarning):
-            pipeline = BugAssistPipeline(program)
-        ranked = pipeline.localize_many(failing)
-        assert len(ranked.runs) == len(failing)
-        # The whole batch reused one compiled encoding.
-        assert pipeline.session.stats.encodings_built == 1
-
 
 @pytest.mark.slow
 class TestSessionOnTcas:
@@ -385,15 +378,14 @@ class TestSessionOnTcas:
         failing, _ = classify_tcas_tests("v2", count=300)
         selected = failing[:3]
         program = tcas_faulty_program("v2")
-        localizer = BugAssistLocalizer(
-            program, mode="program", hard_lines=TCAS_HARNESS_LINES
-        )
         with LocalizationSession(
             program, hard_lines=TCAS_HARNESS_LINES
         ) as session:
             for vector, expected in selected:
                 spec = Specification.return_value(expected)
                 mine = session.localize(vector.as_list(), spec)
-                theirs = localizer.localize_test(vector.as_list(), spec)
+                theirs = fresh_engine_reference(
+                    program, vector.as_list(), spec, hard_lines=TCAS_HARNESS_LINES
+                )
                 assert set(mine.lines) == set(theirs.lines)
         assert session.stats.encodings_built == 1

@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import BugAssistLocalizer, OffByOneRepairer, Specification
+from repro.core import (
+    BugAssistLocalizer,
+    LocalizationSession,
+    OffByOneRepairer,
+    Specification,
+)
 from repro.concolic import ConcolicTracer
 from repro.lang import Interpreter
 from repro.reduction import (
@@ -213,20 +218,20 @@ class TestStrncatExample:
 
     def test_localization_blames_the_call_not_the_library(self):
         program = strncat_program()
-        localizer = BugAssistLocalizer(
-            program, mode="program", unwind=10, hard_functions=LIBRARY_FUNCTIONS
+        session = LocalizationSession(
+            program, unwind=10, hard_functions=LIBRARY_FUNCTIONS
         )
-        report = localizer.localize_test([3], Specification.assertion())
+        report = session.localize([3], Specification.assertion())
         assert report.contains_line(FAULT_LINE)
         library_lines = set(range(5, 26))
         assert not set(report.lines) & library_lines
 
     def test_off_by_one_repair_fixes_the_call(self):
         program = strncat_program()
-        localizer = BugAssistLocalizer(
-            program, mode="program", unwind=10, hard_functions=LIBRARY_FUNCTIONS
+        session = LocalizationSession(
+            program, unwind=10, hard_functions=LIBRARY_FUNCTIONS
         )
-        repairer = OffByOneRepairer(program, localizer=localizer, validator="tests")
+        repairer = OffByOneRepairer(program, localizer=session, validator="tests")
         regressions = []
         result = repairer.repair([3], Specification.assertion(), regression_tests=regressions)
         # The only constant on the faulty call line is the buffer length
