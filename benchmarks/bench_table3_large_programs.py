@@ -17,10 +17,9 @@ Each row also carries *why*-a-row-moved fields:
 the C propagation core or the pure-Python fallback ran),
 ``conflicts_per_second`` (search-kernel throughput: conflict analysis,
 backjumping and VSIDS maintenance), ``gates_shared`` (how many gates the
-structure-hashed circuit cache deduplicated while encoding) and
-``simplifier`` (the encoder configuration), ``clauses_pruned`` /
-``narrowed_vars`` (what the interval-analysis bit narrowing removed from
-the reduced trace), plus the active ``propagation_backend`` and
+structure-hashed circuit cache deduplicated while encoding),
+``clauses_pruned`` / ``narrowed_vars`` (what the interval-analysis bit
+narrowing removed from the reduced trace), plus the active ``propagation_backend`` and
 ``analysis_backend`` per row.
 
 The incremental-compilation fields track the warm path:
@@ -194,7 +193,6 @@ def _write_bench_json() -> None:
             "propagations_per_second": round(row.propagations_per_second),
             "conflicts_per_second": round(row.conflicts_per_second),
             "gates_shared": row.gates_shared,
-            "simplifier": row.simplifier,
             "clauses_pruned": row.clauses_pruned,
             "narrowed_vars": row.narrowed_vars,
             "unwind_pruned_clauses": row.unwind_pruned_clauses,

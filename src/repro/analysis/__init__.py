@@ -7,7 +7,7 @@ The package splits along the classic lines:
   faithful to mini-C's wrap/div/mod semantics) plus the bit-narrowing plan;
 * :mod:`repro.analysis.framework` — the generic worklist solver over
   ``repro.cfg`` graphs (RPO iteration, widening, descending rounds);
-* :mod:`repro.analysis.domains` — interval, constant and definite-init
+* :mod:`repro.analysis.domains` — interval, definite-init and live-locals
   domains;
 * :mod:`repro.analysis.analyzer` — the interprocedural driver, diagnostics
   engine and the :func:`analyze_program` / :func:`analyze_source` API.
@@ -22,7 +22,6 @@ from repro.analysis.analyzer import (
     failed_result,
 )
 from repro.analysis.domains import (
-    ConstantDomain,
     DefiniteInitDomain,
     FunctionSummary,
     IntervalDomain,
@@ -55,7 +54,6 @@ __all__ = [
     "analyze_program",
     "analyze_source",
     "failed_result",
-    "ConstantDomain",
     "DefiniteInitDomain",
     "FunctionSummary",
     "IntervalDomain",

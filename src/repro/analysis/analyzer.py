@@ -1,7 +1,8 @@
 """The interprocedural analysis driver and the diagnostics engine.
 
-:func:`analyze_program` runs the interval, constant and definite-init
-domains over every function of a program to a global fixpoint:
+:func:`analyze_program` runs the interval domain over every function of a
+program to a global fixpoint, then the definite-init and live-locals
+domains per function for the lints:
 
 * functions exchange information through context-insensitive
   :class:`~repro.analysis.domains.FunctionSummary` entries (the join of
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.analysis.domains import (
-    ConstantDomain,
     DefiniteInitDomain,
     FunctionSummary,
     IntervalDomain,
@@ -978,7 +978,6 @@ def _scalar_reads(expr: ast.Expr) -> Iterable[str]:
 
 __all__ = [
     "AnalysisResult",
-    "ConstantDomain",
     "analyze_program",
     "analyze_source",
     "failed_result",

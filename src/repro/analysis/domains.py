@@ -6,14 +6,11 @@
   untaken edges infeasible).  Function calls are resolved through
   context-insensitive summaries supplied by the interprocedural driver;
   global variables are read from a flow-insensitive global invariant.
-* :class:`ConstantDomain` — a flat constant lattice per local scalar, the
-  classic constant-propagation analysis.  Mostly subsumed by intervals but
-  kept separate so the diagnostics engine can distinguish "provably the
-  constant 0" from "an interval that happens to be [0, 0]" and future
-  passes can fold proven constants without dragging in range reasoning.
 * :class:`DefiniteInitDomain` — a must-analysis of definitely-assigned
   locals (join is intersection), powering the uninitialized-read lint for
   variables declared without an initializer.
+* :class:`LiveLocalsDomain` — a may-analysis of live locals, solved over
+  the reversed CFG, powering the dead-store lint.
 
 All three share the mini-C scoping rule: a name is local if the function
 declares it (or takes it as a parameter), global otherwise.
@@ -28,7 +25,7 @@ from repro.analysis.intervals import Interval
 from repro.cfg.defuse import function_local_names
 from repro.cfg.graph import Edge, Node
 from repro.lang import ast
-from repro.lang.semantics import DEFAULT_WIDTH, apply_binary, apply_unary
+from repro.lang.semantics import DEFAULT_WIDTH, apply_binary
 
 COMPARISON_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
@@ -458,80 +455,6 @@ class IntervalDomain:
 
 def _negate_comparison(op: str) -> str:
     return {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}[op]
-
-
-# ---------------------------------------------------------------- constants
-
-
-class ConstantDomain:
-    """Flat constant propagation over local scalars (intraprocedural)."""
-
-    def __init__(self, function: ast.Function, width: int = DEFAULT_WIDTH) -> None:
-        self.function = function
-        self.width = width
-        self.locals = function_local_names(function)
-
-    def entry_state(self) -> dict[str, int]:
-        return {}
-
-    def join(self, a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-        return {name: a[name] for name in a if name in b and a[name] == b[name]}
-
-    def widen(self, a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
-        return self.join(a, b)
-
-    def equal(self, a: dict[str, int], b: dict[str, int]) -> bool:
-        return a == b
-
-    def transfer(self, node: Node, state: dict[str, int]) -> Optional[dict[str, int]]:
-        stmt = node.stmt
-        if stmt is None:
-            return state
-        if isinstance(stmt, (ast.VarDecl, ast.Assign)):
-            name = stmt.name
-            if name in self.locals:
-                value_expr = stmt.init if isinstance(stmt, ast.VarDecl) else stmt.value
-                value = (
-                    0
-                    if value_expr is None and isinstance(stmt, ast.VarDecl)
-                    else self.eval(value_expr, state)
-                )
-                state = dict(state)
-                if value is None:
-                    state.pop(name, None)
-                else:
-                    state[name] = value
-        return state
-
-    def refine_edge(self, edge: Edge, state: dict[str, int]) -> Optional[dict[str, int]]:
-        return state
-
-    def eval(self, expr: Optional[ast.Expr], state: dict[str, int]) -> Optional[int]:
-        if expr is None:
-            return None
-        if isinstance(expr, ast.IntLiteral):
-            from repro.lang.semantics import wrap
-
-            return wrap(expr.value, self.width)
-        if isinstance(expr, ast.VarRef):
-            return state.get(expr.name)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self.eval(expr.operand, state)
-            if operand is None:
-                return None
-            return apply_unary(expr.op, operand, self.width)
-        if isinstance(expr, ast.BinaryOp):
-            left = self.eval(expr.left, state)
-            right = self.eval(expr.right, state)
-            if left is None or right is None:
-                return None
-            return apply_binary(expr.op, left, right, self.width)
-        if isinstance(expr, ast.Conditional):
-            cond = self.eval(expr.cond, state)
-            if cond is None:
-                return None
-            return self.eval(expr.then if cond != 0 else expr.otherwise, state)
-        return None
 
 
 # ------------------------------------------------------------ definite init

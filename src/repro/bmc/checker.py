@@ -4,7 +4,7 @@ The checker symbolically executes the entry function with *guarded updates*:
 every statement is encoded under a path-guard literal, assignments become
 multiplexers between the new and old value, loops are unrolled up to the
 ``unwind`` bound (with a CBMC-style unwinding assumption that the loop has
-terminated), and function calls are inlined up to ``max_call_depth``.
+terminated), and function calls are inlined up to :data:`MAX_CALL_DEPTH`.
 
 Three front doors are provided:
 
@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.bmc.compiled import CompiledProgram
-from repro.encoding.circuits import Bits, CircuitBuilder, simplifier_name
+from repro.encoding.circuits import Bits, CircuitBuilder
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder
 from repro.encoding.trace import TraceFormula, TraceStep
@@ -36,6 +36,10 @@ from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH
 from repro.sat import Solver
 from repro.spec import Specification
+
+#: Call-stack depth beyond which a call's result is left unconstrained
+#: (the inlining bound for recursion).
+MAX_CALL_DEPTH = 24
 
 
 @dataclass
@@ -75,10 +79,8 @@ class BoundedModelChecker:
         program: ast.Program,
         width: int = DEFAULT_WIDTH,
         unwind: int = 16,
-        max_call_depth: int = 24,
         group_statements: bool = False,
         hard_functions: Iterable[str] = (),
-        simplify: bool = True,
         analysis_narrowing: bool = True,
         unwind_planning: bool = False,
         loop_iteration_groups: bool = False,
@@ -88,8 +90,7 @@ class BoundedModelChecker:
         With ``group_statements`` the clauses of every statement are routed
         into a per-line clause group (needed for localization); functions in
         ``hard_functions`` keep their clauses hard (library code that is not
-        a candidate bug location).  ``simplify`` toggles the structure-hashed
-        gate cache of the circuit builder.  ``analysis_narrowing`` lets the
+        a candidate bug location).  ``analysis_narrowing`` lets the
         abstract-interpretation pass (:mod:`repro.analysis`) narrow the
         bit-width of written values whose range is statically bounded; the
         flow-insensitive table is used, which stays sound under the guarded
@@ -104,10 +105,8 @@ class BoundedModelChecker:
         self.program = program
         self.width = width
         self.unwind = unwind
-        self.max_call_depth = max_call_depth
         self.group_statements = group_statements
         self.hard_functions = set(hard_functions)
-        self.simplify = simplify
         self.analysis_narrowing = analysis_narrowing
         self.unwind_planning = unwind_planning
         self.loop_iteration_groups = loop_iteration_groups
@@ -130,10 +129,8 @@ class BoundedModelChecker:
             "entry": entry,
             "width": self.width,
             "unwind": self.unwind,
-            "max_call_depth": self.max_call_depth,
             "group_statements": self.group_statements,
             "hard_functions": tuple(sorted(self.hard_functions)),
-            "simplify": self.simplify,
             "analysis_narrowing": self.analysis_narrowing,
             "unwind_planning": self.unwind_planning,
             "loop_iteration_groups": self.loop_iteration_groups,
@@ -214,7 +211,6 @@ class BoundedModelChecker:
             violations=tuple(self._violations),
             true_lit=context._true_lit,
             gates_shared=context.gate_hits,
-            simplifier=simplifier_name(self.simplify),
             signature=context.gate_signature,
             diagnostics=diagnostics,
             pruned_lines=self._pruned_lines(),
@@ -296,7 +292,7 @@ class BoundedModelChecker:
             if context.journaling:
                 context.record(("nd", bits))
             return bits
-        if len(self._frames) > self.max_call_depth:
+        if len(self._frames) > MAX_CALL_DEPTH:
             # Recursion beyond the bound: treat the result as unconstrained.
             return builder.fresh()
         callee = self.program.function(call.name)
@@ -467,7 +463,7 @@ class BoundedModelChecker:
         self._context = ArenaEncodingContext(self.width)
         if journal:
             self._context.begin_journal()
-        self._builder = CircuitBuilder(self._context, simplify=self.simplify)
+        self._builder = CircuitBuilder(self._context)
         self._encoder = ExpressionEncoder(self._builder, self)
         self._violations: list[tuple[int, int]] = []
         self._nondet_bits: list[Bits] = []

@@ -39,7 +39,7 @@ Bits = tuple[int, ...]
 #: :class:`~repro.encoding.context.StatementGroup`) change incompatibly, so a
 #: content-addressed store never deserializes a stale on-disk spill into a
 #: newer process — it recompiles instead.
-ARTIFACT_FORMAT_VERSION = 4
+ARTIFACT_FORMAT_VERSION = 5
 
 #: Magic prefix of a serialized artifact (sanity check before unpickling).
 _ARTIFACT_MAGIC = b"repro-artifact\x00"
@@ -54,11 +54,10 @@ def artifact_key(program_text: str, options: Mapping[str, object]) -> str:
 
     The key covers everything that determines the compiled CNF: the program
     source text, the encoding options (width, unwind bound, entry function,
-    hard functions, simplifier toggle, program name), the artifact format
-    version, and the library version — the last so that upgrading to a
-    build with a changed encoder (new gate rewrites, different clause
-    forms) can never serve a stale persistent spill whose pickle layout
-    happens to still load.  The gate-cache signature of the *result* is a
+    hard functions, program name), the artifact format version, and the
+    library version — the last so that upgrading to a build with a changed
+    encoder (new gate rewrites, different clause forms) can never serve a
+    stale persistent spill whose pickle layout happens to still load.  The gate-cache signature of the *result* is a
     function of exactly these inputs, so hashing the inputs gives a key
     that can be computed before (and without) compiling.  Canonical JSON
     keeps the hash independent of dict ordering.
@@ -178,8 +177,6 @@ class CompiledProgram:
     true_lit: Optional[int] = None
     #: Structure-hashing statistics of the compile (gate-cache hits).
     gates_shared: int = 0
-    #: Name of the circuit simplifier configuration used by the compile.
-    simplifier: str = ""
     #: Structural gate-cache signature (keys cross-test core archives).
     signature: str = ""
     #: Static-analysis lint findings for the compiled program, as
@@ -401,7 +398,6 @@ class CompiledProgram:
             test_inputs=test_inputs,
             assertion_description=spec.describe(),
             gates_shared=self.gates_shared,
-            simplifier=self.simplifier,
             signature=self.signature,
             narrowed_vars=self.narrowed_vars,
         )
@@ -422,7 +418,6 @@ class CompiledProgram:
             test_inputs={},
             assertion_description="",
             gates_shared=self.gates_shared,
-            simplifier=self.simplifier,
             signature=self.signature,
             narrowed_vars=self.narrowed_vars,
         )

@@ -59,7 +59,7 @@ from repro.analysis.impact import (
 )
 from repro.bmc.checker import BoundedModelChecker, _Frame
 from repro.bmc.compiled import CompiledProgram
-from repro.encoding.circuits import Bits, CircuitBuilder, simplifier_name
+from repro.encoding.circuits import Bits, CircuitBuilder
 from repro.encoding.context import EncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder
 from repro.encoding.trace import TraceStep
@@ -356,7 +356,6 @@ def _splice(
         true_lit=context._true_lit,
         # Approximate: replayed spans do not re-count their cache hits.
         gates_shared=base.gates_shared + context.gate_hits,
-        simplifier=simplifier_name(checker.simplify),
         signature=context.gate_signature,
         diagnostics=diagnostics,
         pruned_lines=pruned_lines,
@@ -397,7 +396,7 @@ class _Replay:
 
         context = EncodingContext(checker.width)
         context.begin_journal()
-        builder = CircuitBuilder(context, simplify=checker.simplify)
+        builder = CircuitBuilder(context)
         self.context = context
         self.builder = builder
         # Wire the checker onto the warm context so region re-encodes emit

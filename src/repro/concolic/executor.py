@@ -14,13 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.encoding.circuits import Bits, CircuitBuilder, simplifier_name
+from repro.encoding.circuits import Bits, CircuitBuilder
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder, expression_has_effects
 from repro.encoding.trace import TraceFormula, TraceStep
 from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH, apply_binary, apply_unary, truth, wrap
 from repro.spec import Specification
+
+#: Statements a trace may execute before it is abandoned as runaway.
+MAX_STEPS = 200_000
 
 
 class TraceError(RuntimeError):
@@ -60,12 +63,10 @@ class ConcolicTracer:
         self,
         program: ast.Program,
         width: int = DEFAULT_WIDTH,
-        max_steps: int = 200_000,
         concrete_functions: Iterable[str] = (),
         loop_iteration_groups: bool = False,
         hard_functions: Iterable[str] = (),
         relevant_lines: Optional[Iterable[int]] = None,
-        simplify: bool = True,
         analysis_narrowing: bool = True,
     ) -> None:
         """Create a tracer.
@@ -79,8 +80,6 @@ class ConcolicTracer:
         ``relevant_lines`` restricts symbolic encoding to the given source
         lines (the slicing trace-reduction technique): assignments outside
         the slice are executed concretely and contribute no clauses.
-        ``simplify`` toggles the structure-hashed gate cache and the
-        constant-aware arithmetic rewrites of the circuit builder.
         ``analysis_narrowing`` lets the abstract-interpretation pass narrow
         the bit-width of written values: statements whose value provably
         fits ``k < width`` bits get fresh vectors with the high bits pinned,
@@ -88,12 +87,10 @@ class ConcolicTracer:
         """
         self.program = program
         self.width = width
-        self.max_steps = max_steps
         self.concrete_functions = set(concrete_functions)
         self.hard_functions = set(hard_functions)
         self.loop_iteration_groups = loop_iteration_groups
         self.relevant_lines = set(relevant_lines) if relevant_lines is not None else None
-        self.simplify = simplify
         self.analysis_narrowing = analysis_narrowing
 
     # ------------------------------------------------------------------ API
@@ -111,7 +108,7 @@ class ConcolicTracer:
         specification (the formula would not be unsatisfiable in that case).
         """
         self._context = ArenaEncodingContext(self.width)
-        self._builder = CircuitBuilder(self._context, simplify=self.simplify)
+        self._builder = CircuitBuilder(self._context)
         self._encoder = ExpressionEncoder(self._builder, self)
         self._steps: list[TraceStep] = []
         self._step_count = 0
@@ -206,7 +203,6 @@ class ConcolicTracer:
             steps=self._steps,
             test_inputs=self._test_inputs,
             assertion_description=description,
-            simplifier=simplifier_name(self.simplify),
             narrowed_vars=self._narrowed_vars,
         )
 
@@ -325,8 +321,8 @@ class ConcolicTracer:
 
     def _tick(self) -> None:
         self._step_count += 1
-        if self._step_count > self.max_steps:
-            raise TraceError(f"trace exceeded {self.max_steps} steps")
+        if self._step_count > MAX_STEPS:
+            raise TraceError(f"trace exceeded {MAX_STEPS} steps")
 
     @property
     def _call_cache(self) -> dict[int, int]:
@@ -699,8 +695,8 @@ class ConcolicTracer:
         from repro.lang.interp import Interpreter, _State
         from repro.lang.interp import ExecutionResult
 
-        interpreter = Interpreter(self.program, width=self.width, max_steps=self.max_steps)
-        state = _State(ExecutionResult(), [], self.max_steps)
+        interpreter = Interpreter(self.program, width=self.width, max_steps=MAX_STEPS)
+        state = _State(ExecutionResult(), [], MAX_STEPS)
         before = {
             name: (list(value) if isinstance(value, list) else value)
             for name, value in self._globals.concrete.items()

@@ -49,8 +49,8 @@ def run_comss_loop(
 ) -> None:
     """Lines 5-15 of Algorithm 1: enumerate and block CoMSSes.
 
-    Shared by the one-shot localizer and the session API so both produce
-    identical candidate sequences.  Appends to ``report.candidates`` and
+    Shared by the one-shot localizer, the session API and the loop-iteration
+    localizer so all produce identical candidate sequences.  Appends to ``report.candidates`` and
     sets ``report.maxsat_calls``; the caller accounts for SAT calls and
     wall time (the session reports per-test deltas on a shared engine).
     """

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from repro.concolic import ConcolicTracer
+from repro.core.localizer import run_comss_loop
 from repro.core.report import BugLocation
 from repro.encoding.context import StatementGroup
 from repro.lang import ast
 from repro.lang.semantics import DEFAULT_WIDTH
-from repro.maxsat import WCNF, make_engine
+from repro.maxsat import make_engine
 from repro.spec import Specification
 
 TestCase = Sequence[int] | Mapping[str, int]
@@ -39,6 +40,7 @@ class LoopIterationReport:
     eta: int
     candidates: list[BugLocation] = field(default_factory=list)
     iteration_candidates: dict[int, list[int]] = field(default_factory=dict)
+    maxsat_calls: int = 0
 
     @property
     def lines(self) -> list[int]:
@@ -102,38 +104,13 @@ class LoopIterationLocalizer:
 
         wcnf, _ = formula.to_wcnf(weight_of=weight_of)
         report = LoopIterationReport(program_name=self.program.name, eta=eta)
-        for _ in range(self.max_candidates):
-            engine = make_engine("hitting-set")
-            result = engine.solve(wcnf)
-            if not result.satisfiable or not result.falsified:
-                break
-            groups = tuple(
-                label
-                for label in result.falsified_labels
-                if isinstance(label, StatementGroup)
-            )
-            if not groups:
-                break
-            report.candidates.append(BugLocation(groups=groups, cost=result.cost))
-            for group in groups:
+        engine = make_engine("hitting-set")
+        engine.load(wcnf)
+        run_comss_loop(engine, report, self.max_candidates)
+        for candidate in report.candidates:
+            for group in candidate.groups:
                 if group.iteration is not None:
                     report.iteration_candidates.setdefault(group.line, []).append(
                         group.iteration
                     )
-            wcnf = self._block(wcnf, result.falsified)
         return report
-
-    @staticmethod
-    def _block(wcnf: WCNF, falsified: Sequence[int]) -> WCNF:
-        blocked = set(falsified)
-        beta: list[int] = []
-        for index in blocked:
-            beta.extend(wcnf.soft[index].lits)
-        successor = WCNF()
-        successor._num_vars = wcnf.num_vars
-        successor.add_hard_clauses(wcnf.hard)
-        successor.add_hard(beta)
-        for index, soft in enumerate(wcnf.soft):
-            if index not in blocked:
-                successor.add_soft(list(soft.lits), weight=soft.weight, label=soft.label)
-        return successor

@@ -96,9 +96,6 @@ class LocalizationSession:
         entry: str = "main",
         hard_functions: Iterable[str] = (),
         hard_lines: Iterable[int] = (),
-        warm_start: bool = True,
-        analysis_narrowing: bool = True,
-        static_pruning: bool = True,
         unwind_planning: bool = False,
         loop_iteration_groups: bool = False,
         base_artifact: Optional[CompiledProgram] = None,
@@ -111,9 +108,6 @@ class LocalizationSession:
         self.entry = entry
         self.hard_functions = tuple(hard_functions)
         self.hard_lines = set(hard_lines)
-        self.warm_start = warm_start
-        self.analysis_narrowing = analysis_narrowing
-        self.static_pruning = static_pruning
         self.unwind_planning = unwind_planning
         self.loop_iteration_groups = loop_iteration_groups
         #: Optional prior-version artifact to splice the encoding from
@@ -176,37 +170,26 @@ class LocalizationSession:
         strategy: str = "hitting-set",
         max_candidates: int = 25,
         hard_lines: Iterable[int] = (),
-        warm_start: bool = True,
-        static_pruning: bool = True,
     ) -> "LocalizationSession":
         """Adopt an existing compiled artifact (pool workers do this).
 
-        The session never re-encodes: ``stats.encodings_built`` stays 0.
+        The encoding settings are read back from the artifact.  The session
+        never re-encodes: ``stats.encodings_built`` stays 0.
         """
-        session = cls.__new__(cls)
-        session.program = None
-        session.width = compiled.width
-        session.strategy = strategy
-        session.unwind = compiled.unwind
-        session.max_candidates = max_candidates
-        session.entry = compiled.entry
-        session.hard_functions = ()
-        session.hard_lines = set(hard_lines)
-        session.warm_start = warm_start
-        session.analysis_narrowing = True
-        session.static_pruning = static_pruning
-        options = compiled.compile_options or {}
-        session.unwind_planning = bool(options.get("unwind_planning", False))
-        session.loop_iteration_groups = bool(
-            options.get("loop_iteration_groups", False)
+        options = compiled.compile_options
+        session = cls(
+            None,
+            width=compiled.width,
+            strategy=strategy,
+            unwind=compiled.unwind,
+            max_candidates=max_candidates,
+            entry=compiled.entry,
+            hard_functions=options.get("hard_functions", ()),
+            hard_lines=hard_lines,
+            unwind_planning=options.get("unwind_planning", False),
+            loop_iteration_groups=options.get("loop_iteration_groups", False),
         )
-        session.base_artifact = None
-        session.stats = SessionStats()
-        session.last_request_profile = {}
         session._compiled = compiled
-        session._engine = None
-        session._closed = False
-        session._pins = 0
         return session
 
     # --------------------------------------------------------------- compile
@@ -226,7 +209,6 @@ class LocalizationSession:
                 unwind=self.unwind,
                 group_statements=True,
                 hard_functions=self.hard_functions,
-                analysis_narrowing=self.analysis_narrowing,
                 unwind_planning=self.unwind_planning,
                 loop_iteration_groups=self.loop_iteration_groups,
             )
@@ -262,9 +244,7 @@ class LocalizationSession:
             # backward slice of every assertion/output stay hard — their
             # writes provably cannot explain the failure, so they are never
             # offered to MaxSAT as fault candidates.
-            hard_groups = set(self.hard_lines)
-            if self.static_pruning:
-                hard_groups.update(self.compiled.pruned_lines)
+            hard_groups = self.hard_lines.union(self.compiled.pruned_lines)
             wcnf, _ = self.compiled.base_formula().to_wcnf(
                 hard_groups=hard_groups or None
             )
@@ -310,8 +290,7 @@ class LocalizationSession:
             engine.push_layer()
             try:
                 engine.add_hard_clauses(clauses)
-                if self.warm_start:
-                    engine.set_phases(compiled.phase_hints(test_inputs))
+                engine.set_phases(compiled.phase_hints(test_inputs))
                 with obs.span("solve.comss") as solve_span:
                     run_comss_loop(engine, report, self.max_candidates)
                 layer_stats = engine.layer_stats()
@@ -430,8 +409,6 @@ class LocalizationSession:
                 "strategy": self.strategy,
                 "max_candidates": self.max_candidates,
                 "hard_lines": sorted(self.hard_lines),
-                "warm_start": self.warm_start,
-                "static_pruning": self.static_pruning,
             },
             tests=[
                 (index, inputs, spec, ()) for index, (inputs, spec) in enumerate(tests)

@@ -35,11 +35,6 @@ from repro.sat import _ccore
 Bits = tuple[int, ...]
 
 
-def simplifier_name(simplify: bool) -> str:
-    """The benchmark-facing name of the active circuit-encoder configuration."""
-    return "gate-hash+const-fold" if simplify else "none"
-
-
 #: Vector lengths the C kernels accept (the multiplier's rows live in
 #: fixed-size C locals); wider vectors use the Python composition.
 _MAX_VECTOR_BITS = 64

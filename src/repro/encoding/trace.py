@@ -46,8 +46,6 @@ class TraceFormula:
     assertion_description: str = ""
     #: Number of gate-cache hits while encoding (structure-hash sharing).
     gates_shared: int = 0
-    #: Name of the circuit simplifier configuration used by the encoder.
-    simplifier: str = ""
     #: Structural signature of the gate cache (keys cross-test core reuse).
     signature: str = ""
     #: Bits eliminated by analysis-guided range narrowing (0 = narrowing off
@@ -78,7 +76,6 @@ class TraceFormula:
         steps: list[TraceStep],
         test_inputs: dict[str, int],
         assertion_description: str = "",
-        simplifier: str = "",
         narrowed_vars: int = 0,
     ) -> "TraceFormula":
         return cls(
@@ -90,7 +87,6 @@ class TraceFormula:
             test_inputs=dict(test_inputs),
             assertion_description=assertion_description,
             gates_shared=context.gate_hits,
-            simplifier=simplifier,
             signature=context.gate_signature,
             narrowed_vars=narrowed_vars,
         )

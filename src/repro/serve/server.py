@@ -39,6 +39,8 @@ from repro.serve.store import (
     ArtifactStore,
     CompileRejectedError,
     ResultCache,
+    check_positive_int,
+    checked_sorted_list,
     normalize_compile_options,
 )
 from repro.serve.workers import Job, ServeShardError, WorkerPool
@@ -49,13 +51,12 @@ SESSION_OPTION_DEFAULTS: dict[str, object] = {
     "strategy": "hitting-set",
     "max_candidates": 25,
     "hard_lines": (),
-    "warm_start": True,
-    "static_pruning": True,
 }
 
 
 def _split_options(options: Optional[Mapping[str, Any]]) -> tuple[dict, dict]:
-    """Partition a request's options into compile-level and session-level."""
+    """Partition a request's options into normalized compile-level and
+    session-level sets; an unknown or ill-typed option raises ValueError."""
     compile_options: dict[str, Any] = {}
     session_options = dict(SESSION_OPTION_DEFAULTS)
     for name, value in (options or {}).items():
@@ -63,10 +64,11 @@ def _split_options(options: Optional[Mapping[str, Any]]) -> tuple[dict, dict]:
             session_options[name] = value
         else:
             compile_options[name] = value
-    session_options["hard_lines"] = sorted(
-        int(line) for line in session_options["hard_lines"] or ()
+    check_positive_int("max_candidates", session_options["max_candidates"])
+    session_options["hard_lines"] = checked_sorted_list(
+        "hard_lines", session_options["hard_lines"], int
     )
-    return compile_options, session_options
+    return normalize_compile_options(compile_options), session_options
 
 
 class LocalizationServer:

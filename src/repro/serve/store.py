@@ -55,8 +55,6 @@ COMPILE_OPTION_DEFAULTS: dict[str, object] = {
     "width": None,  # None = the language default width
     "unwind": 16,
     "hard_functions": (),
-    "simplify": True,
-    "analysis_narrowing": True,
     "unwind_planning": False,
     "loop_iteration_groups": False,
 }
@@ -80,14 +78,36 @@ class CompileRejectedError(ValueError):
         super().__init__(f"program rejected: {summary}")
 
 
+def check_positive_int(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is a positive int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"option {name!r} must be a positive int, got {value!r}")
+
+
+def checked_sorted_list(name: str, value: object, kind: type) -> list:
+    """``value`` sorted if it is a list (or tuple) of ``kind``, else ValueError."""
+    if not isinstance(value, (list, tuple)) or any(
+        isinstance(item, bool) or not isinstance(item, kind) for item in value
+    ):
+        raise ValueError(
+            f"option {name!r} must be a list of {kind.__name__}, got {value!r}"
+        )
+    return sorted(value)
+
+
 def normalize_compile_options(options: Optional[Mapping[str, object]]) -> dict:
-    """Fill defaults and reject unknown compile options."""
+    """Fill defaults and reject unknown or ill-typed compile options."""
     merged = dict(COMPILE_OPTION_DEFAULTS)
     for name, value in (options or {}).items():
         if name not in COMPILE_OPTION_DEFAULTS:
             raise ValueError(f"unknown compile option {name!r}")
         merged[name] = value
-    merged["hard_functions"] = sorted(merged["hard_functions"] or ())
+    merged["hard_functions"] = checked_sorted_list(
+        "hard_functions", merged["hard_functions"], str
+    )
+    check_positive_int("unwind", merged["unwind"])
+    if merged["width"] is not None:
+        check_positive_int("width", merged["width"])
     return merged
 
 
@@ -345,17 +365,14 @@ class ArtifactStore:
             check_program(program)
         except (ParseError, TypeError_) as exc:
             raise CompileRejectedError((exc.to_diagnostic(),)) from exc
-        checker_kwargs: dict[str, object] = {
-            "unwind": normalized["unwind"],
-            "group_statements": True,
-            "hard_functions": tuple(normalized["hard_functions"]),
-            "simplify": normalized["simplify"],
-            "analysis_narrowing": normalized["analysis_narrowing"],
-            "unwind_planning": normalized["unwind_planning"],
-            "loop_iteration_groups": normalized["loop_iteration_groups"],
+        # The other compile options are checker keywords of the same name
+        # (a None width leaves the checker's default).
+        checker_kwargs = {
+            name: value
+            for name, value in normalized.items()
+            if name not in ("name", "entry") and value is not None
         }
-        if normalized["width"] is not None:
-            checker_kwargs["width"] = normalized["width"]
+        checker_kwargs["group_statements"] = True
         compiled: Optional[CompiledProgram] = None
         warm_from: Optional[str] = None
         entry = normalized["entry"]

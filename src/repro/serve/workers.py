@@ -28,6 +28,7 @@ one :class:`Job` on a pool started for the call.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import threading
 import traceback
@@ -55,6 +56,9 @@ class Job:
     artifact_key: str
     #: Lazily fetches the serialized artifact when a worker needs it.
     artifact_bytes: Callable[[], bytes]
+    #: Normalized keyword arguments of
+    #: :meth:`~repro.core.session.LocalizationSession.from_compiled`; they
+    #: also key the worker's session cache.
     session_options: dict
     tests: list[ShardTest]
     #: The request's forwarded ``(trace_id, parent_span_id)``; rides every
@@ -447,26 +451,14 @@ def _worker_main(conn, max_sessions: int) -> None:
             if key not in artifacts:
                 conn.send(("need-artifact", key))
                 continue
-            session_key = (
-                key,
-                options.get("strategy", "hitting-set"),
-                options.get("max_candidates", 25),
-                tuple(sorted(options.get("hard_lines", ()))),
-                options.get("warm_start", True),
-                options.get("static_pruning", True),
-            )
+            session_key = (key, json.dumps(options, sort_keys=True))
             with obs.remote_trace(trace_ctx) as trace_bundle:
                 with obs.span("worker.shard", tests=len(tests)) as shard_span:
                     session = sessions.get(session_key)
                     if session is None:
                         with obs.span("worker.session_load"):
                             session = LocalizationSession.from_compiled(
-                                artifacts[key],
-                                strategy=session_key[1],
-                                max_candidates=session_key[2],
-                                hard_lines=session_key[3],
-                                warm_start=session_key[4],
-                                static_pruning=session_key[5],
+                                artifacts[key], **options
                             )
                         sessions[session_key] = session
                         shard_span.set(session="cold")

@@ -216,8 +216,6 @@ class LargeBenchmarkResult:
     conflicts_per_second: float = 0.0
     #: Gate-cache hits while encoding the reduced trace (structure sharing).
     gates_shared: int = 0
-    #: Circuit simplifier configuration used by the encoder.
-    simplifier: str = ""
     #: Clauses the interval analysis removed from the reduced trace: the
     #: same trace encoded with ``analysis_narrowing`` off minus with it on.
     clauses_pruned: int = 0
@@ -391,7 +389,6 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     result.detected = any(line in benchmark.fault_lines for line in report.lines)
     result.time_seconds = time.perf_counter() - started
     result.gates_shared = reduced.gates_shared
-    result.simplifier = reduced.simplifier
     if result.time_seconds > 0:
         result.propagations_per_second = report.propagations / result.time_seconds
         result.conflicts_per_second = report.conflicts / result.time_seconds

@@ -341,32 +341,6 @@ class TestCompiledProgramIntegration:
         # return itself can be blamed, identically in both modes.
         assert set(report.lines) == {4, 5, 6}
 
-    def test_static_pruning_does_not_change_the_report(self):
-        from repro.core.session import LocalizationSession
-        from repro.spec import Specification
-
-        source = (
-            "int scratch[4];\n"
-            "int main(int x) {\n"
-            "    scratch[0] = x * 7;\n"
-            "    int y = x + 1;\n"
-            "    int z = y * 2;\n"
-            "    assert(z != 6);\n"
-            "    return z;\n"
-            "}\n"
-        )
-        program = parse_program(source, name="prune-diff")
-        reports = {}
-        for pruning in (True, False):
-            session = LocalizationSession(program, static_pruning=pruning)
-            reports[pruning] = session.localize([2], Specification.assertion())
-        assert reports[True].lines == reports[False].lines
-        assert [c.lines for c in reports[True].candidates] == [
-            c.lines for c in reports[False].candidates
-        ]
-        # The write to scratch[0] can never reach the assertion: pruned.
-        assert 3 not in reports[True].lines
-
 
 # ------------------------------------------------- Table 3 differential gate
 

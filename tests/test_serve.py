@@ -695,11 +695,67 @@ class TestCompileDiagnostics:
         assert response["error_kind"] == "rejected"
         assert response["diagnostics"][0]["severity"] == "error"
 
-    def test_narrowing_option_is_part_of_the_artifact_key(self):
-        on = normalize_compile_options({})
-        off = normalize_compile_options({"analysis_narrowing": False})
-        assert on["analysis_narrowing"] is True
-        assert artifact_key(CLASSIFY, on) != artifact_key(CLASSIFY, off)
+
+
+class TestOptionChecks:
+    @pytest.mark.parametrize(
+        "name", ["warm_start", "static_pruning", "analysis_narrowing", "simplify"]
+    )
+    def test_retired_option_is_unknown(self, daemon, name):
+        with Client(tcp=daemon.tcp_address) as client:
+            with pytest.raises(ServeError, match=f"unknown compile option '{name}'"):
+                client.localize(
+                    test=[8], spec=SPEC_ZERO, program=CLASSIFY, options={name: True}
+                )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hard_functions", "main"),
+            ("hard_functions", ["main", 1]),
+            ("hard_lines", "12"),
+            ("hard_lines", [3, "4"]),
+            ("hard_lines", [True]),
+            ("unwind", "16"),
+            ("unwind", True),
+            ("unwind", 0),
+            ("width", "8"),
+            ("width", -1),
+            ("max_candidates", "3"),
+            ("max_candidates", False),
+        ],
+    )
+    def test_ill_typed_option_is_refused_by_name(self, daemon, name, value):
+        with Client(tcp=daemon.tcp_address) as client:
+            with pytest.raises(ServeError, match=f"ValueError: option '{name}'"):
+                client.localize(
+                    test=[8],
+                    spec=SPEC_ZERO,
+                    program=CLASSIFY,
+                    options={"name": "classify-typed", name: value},
+                )
+            with pytest.raises(ServeError, match=f"ValueError: option '{name}'"):
+                client.compile(CLASSIFY, options={name: value})
+            # The daemon is still healthy.
+            assert client.stats()["ok"] is True
+
+    def test_well_typed_options_still_compile_and_localize(self, daemon):
+        with Client(tcp=daemon.tcp_address) as client:
+            reply = client.localize(
+                test=[8],
+                spec=SPEC_ZERO,
+                program=CLASSIFY,
+                options={
+                    "name": "classify-typed",
+                    "hard_functions": ["main"],
+                    "hard_lines": [3],
+                    "unwind": 4,
+                    "width": 8,
+                    "max_candidates": 3,
+                },
+            )
+        assert reply["report"]["lines"]
+        assert 3 not in reply["report"]["lines"]
 
 
 # ------------------------------------------------------ inbound frame bound

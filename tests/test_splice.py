@@ -44,8 +44,12 @@ def assert_encoding_identical(warm, cold) -> None:
         assert getattr(warm, field.name) == getattr(cold, field.name), field.name
 
 
+#: Follow-up TCAS versions that splice from v1 (impact 0.12 to 0.49).
+SPLICED_VERSIONS = ["v2", "v13", "v16", "v22", "v28", "v37", "v40", "v41"]
+
+
 class TestSpliceEquivalence:
-    @pytest.mark.parametrize("version", ["v2", "v13", "v28", "v40"])
+    @pytest.mark.parametrize("version", SPLICED_VERSIONS)
     def test_warm_equals_cold(self, version):
         base = cold_compile("v1")
         warm = warm_compile(base, version)
@@ -113,14 +117,15 @@ class TestSpliceDeclines:
 
 
 class TestSpliceLocalization:
-    def test_reports_byte_identical(self):
-        failing, _ = classify_tcas_tests("v2", count=200)
+    @pytest.mark.parametrize("version", SPLICED_VERSIONS)
+    def test_reports_byte_identical(self, version):
+        failing, _ = classify_tcas_tests(version, count=200)
         assert failing
         vector, expected = failing[0]
         spec = Specification.return_value(expected)
         base = cold_compile("v1")
-        warm = warm_compile(base, "v2")
-        cold = cold_compile("v2")
+        warm = warm_compile(base, version)
+        cold = cold_compile(version)
         reports = []
         for compiled in (warm, cold):
             with LocalizationSession.from_compiled(compiled) as session:
