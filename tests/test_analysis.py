@@ -341,6 +341,38 @@ class TestCompiledProgramIntegration:
         # return itself can be blamed, identically in both modes.
         assert set(report.lines) == {4, 5, 6}
 
+    def test_static_pruning_does_not_change_the_report(self):
+        """A session prunes dead lines; a fresh whole-program encoding
+        does not. Both must blame the same lines."""
+        from repro.bmc import BoundedModelChecker
+        from repro.core.localizer import BugAssistLocalizer
+        from repro.core.session import LocalizationSession
+        from repro.spec import Specification
+
+        source = (
+            "int scratch[4];\n"
+            "int main(int x) {\n"
+            "    scratch[0] = x * 7;\n"
+            "    int y = x + 1;\n"
+            "    int z = y * 2;\n"
+            "    assert(z != 6);\n"
+            "    return z;\n"
+            "}\n"
+        )
+        program = parse_program(source, name="prune-diff")
+        with LocalizationSession(program) as session:
+            pruned = session.localize([2], Specification.assertion())
+        checker = BoundedModelChecker(program, group_statements=True)
+        formula = checker.encode_program_formula([2], Specification.assertion())
+        unpruned = BugAssistLocalizer(program, mode="trace").localize_trace(formula)
+        assert set(pruned.lines) == set(unpruned.lines)
+        assert [c.lines for c in pruned.candidates] == [
+            c.lines for c in unpruned.candidates
+        ]
+        # The write to scratch[0] can never reach the assertion: pruned.
+        assert session.compiled.pruned_lines == (3,)
+        assert 3 not in pruned.lines
+
 
 # ------------------------------------------------- Table 3 differential gate
 
