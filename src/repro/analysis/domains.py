@@ -38,16 +38,6 @@ class FunctionSummary:
     params: dict[str, Interval] = field(default_factory=dict)
     returns: Interval = field(default_factory=Interval.bottom)
 
-    def join_arguments(self, arguments: dict[str, Interval]) -> bool:
-        changed = False
-        for name, interval in arguments.items():
-            old = self.params.get(name, Interval.bottom())
-            new = old.join(interval)
-            if new != old:
-                self.params[name] = new
-                changed = True
-        return changed
-
 
 # ---------------------------------------------------------------- intervals
 

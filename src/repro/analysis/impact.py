@@ -341,9 +341,6 @@ class ProgramFingerprint:
                 shared += sig.num_statements
         return shared
 
-    def total_statements(self) -> int:
-        return sum(sig.num_statements for sig in self.functions.values())
-
 
 def _literal_value(expr: Optional[ast.Expr]) -> Optional[int]:
     """Statically evaluate a literal (possibly negated) initializer."""

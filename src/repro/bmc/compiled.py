@@ -177,7 +177,8 @@ class CompiledProgram:
     true_lit: Optional[int] = None
     #: Structure-hashing statistics of the compile (gate-cache hits).
     gates_shared: int = 0
-    #: Structural gate-cache signature (keys cross-test core archives).
+    #: Structural gate-cache signature: equal signatures mean equal
+    #: encodings (warm splices are checked against cold compiles by it).
     signature: str = ""
     #: Static-analysis lint findings for the compiled program, as
     #: :class:`~repro.lang.diagnostics.Diagnostic` records.
@@ -398,7 +399,6 @@ class CompiledProgram:
             test_inputs=test_inputs,
             assertion_description=spec.describe(),
             gates_shared=self.gates_shared,
-            signature=self.signature,
             narrowed_vars=self.narrowed_vars,
         )
 
@@ -418,6 +418,5 @@ class CompiledProgram:
             test_inputs={},
             assertion_description="",
             gates_shared=self.gates_shared,
-            signature=self.signature,
             narrowed_vars=self.narrowed_vars,
         )

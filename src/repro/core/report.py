@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.encoding.context import StatementGroup
 
@@ -96,10 +95,6 @@ class RankedLocalization:
     def ranked_lines(self) -> list[tuple[int, int]]:
         """(line, count) pairs sorted by decreasing report frequency."""
         return sorted(self.line_counts.items(), key=lambda item: (-item[1], item[0]))
-
-    @property
-    def all_lines(self) -> list[int]:
-        return [line for line, _ in self.ranked_lines]
 
     def detection_count(self, fault_lines: set[int]) -> int:
         """How many runs reported at least one of the true fault lines."""

@@ -94,9 +94,6 @@ class CircuitBuilder:
             return False
         return None
 
-    def bit_not(self, lit: int) -> int:
-        return -lit
-
     def bit_and(self, a: int, b: int) -> int:
         cenc = self._cenc
         if cenc is not None:
@@ -498,11 +495,6 @@ class CircuitBuilder:
         if len(bits) >= width:
             return bits[:width]
         return bits + tuple(self.false for _ in range(width - len(bits)))
-
-    def sign_extend(self, bits: Bits, width: int) -> Bits:
-        if len(bits) >= width:
-            return bits[:width]
-        return bits + tuple(bits[-1] for _ in range(width - len(bits)))
 
     def bool_to_bits(self, lit: int, width: Optional[int] = None) -> Bits:
         width = width or self.width

@@ -67,7 +67,7 @@ class EncodingContext:
         self.gates_emitted = 0
         self.gate_hits = 0
         # Rolling FNV-1a hash over the canonical gate keys: a structural
-        # signature of the circuit, used to key cross-test core archives.
+        # signature of the circuit (``CompiledProgram.signature``).
         self._sig = 0xCBF29CE484222325
         # Emission journal (None = off).  When enabled, every variable
         # allocation, clause emission, gate-cache insertion and group

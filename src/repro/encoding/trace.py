@@ -46,8 +46,6 @@ class TraceFormula:
     assertion_description: str = ""
     #: Number of gate-cache hits while encoding (structure-hash sharing).
     gates_shared: int = 0
-    #: Structural signature of the gate cache (keys cross-test core reuse).
-    signature: str = ""
     #: Bits eliminated by analysis-guided range narrowing (0 = narrowing off
     #: or nothing provable).
     narrowed_vars: int = 0
@@ -87,7 +85,6 @@ class TraceFormula:
             test_inputs=dict(test_inputs),
             assertion_description=assertion_description,
             gates_shared=context.gate_hits,
-            signature=context.gate_signature,
             narrowed_vars=narrowed_vars,
         )
 
@@ -111,7 +108,6 @@ class TraceFormula:
         """
         wcnf = WCNF()
         wcnf._num_vars = self.num_vars  # reserve the trace-formula variables
-        wcnf.signature = self.signature or None
         wcnf.add_hard_clauses(self.hard)
         selector_to_group: dict[int, StatementGroup] = {}
         for group in sorted(self.groups):

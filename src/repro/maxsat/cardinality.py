@@ -1,15 +1,15 @@
-"""Cardinality-constraint encodings (totalizer and sequential counter).
+"""The totalizer cardinality-constraint encoding.
 
 Unsatisfiability-based MaxSAT solvers relax clauses in each unsatisfiable
 sub-formula and then "use cardinality constraints to constrain the number of
-relaxed clauses" (paper Section 3.3).  Both encodings produce auxiliary
-output variables; constraining the outputs yields at-most-k / at-least-k
-constraints over the input literals.
+relaxed clauses" (paper Section 3.3).  The totalizer produces auxiliary
+output variables; constraining the outputs yields at-most-k constraints over
+the input literals.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 class TotalizerEncoding:
@@ -106,55 +106,3 @@ class TotalizerEncoding:
             return []
         return [-self.outputs[bound]]
 
-    def at_least(self, bound: int) -> list[int]:
-        """Assumption literals enforcing ``sum(inputs) >= bound``."""
-        if bound <= 0:
-            return []
-        if bound > len(self.outputs):
-            raise ValueError("bound exceeds the number of inputs")
-        return [self.outputs[bound - 1]]
-
-
-def encode_at_most_k(
-    inputs: Sequence[int],
-    bound: int,
-    new_var: Callable[[], int],
-    add_clause: Callable[[list[int]], object],
-) -> None:
-    """Sequential-counter encoding of ``at most bound`` of ``inputs`` are true.
-
-    Sinz's sequential counter: registers ``s[i][j]`` meaning "at least j+1 of
-    the first i+1 inputs are true".  Used for one-shot (non-incremental)
-    cardinality constraints.
-    """
-    n = len(inputs)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if bound >= n:
-        return
-    if bound == 0:
-        for lit in inputs:
-            add_clause([-lit])
-        return
-    registers = [[new_var() for _ in range(bound)] for _ in range(n)]
-    add_clause([-inputs[0], registers[0][0]])
-    for j in range(1, bound):
-        add_clause([-registers[0][j]])
-    for i in range(1, n):
-        add_clause([-inputs[i], registers[i][0]])
-        add_clause([-registers[i - 1][0], registers[i][0]])
-        for j in range(1, bound):
-            add_clause([-inputs[i], -registers[i - 1][j - 1], registers[i][j]])
-            add_clause([-registers[i - 1][j], registers[i][j]])
-        add_clause([-inputs[i], -registers[i - 1][bound - 1]])
-
-
-def encode_exactly_one(
-    inputs: Sequence[int],
-    add_clause: Callable[[list[int]], object],
-) -> None:
-    """Pairwise exactly-one constraint (used by the Fu–Malik style relaxation)."""
-    add_clause(list(inputs))
-    for index, first in enumerate(inputs):
-        for second in inputs[index + 1 :]:
-            add_clause([-first, -second])

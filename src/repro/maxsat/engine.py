@@ -85,8 +85,6 @@ class MaxSatEngine:
 
     def __init__(self) -> None:
         self.sat_calls = 0
-        #: Structural signature of the loaded instance's encoding (if any).
-        self.signature: Optional[str] = None
         self._wcnf: Optional[WCNF] = None
         self._solver: Optional[Solver] = None
         self._bindings: list[_SoftBinding] = []
@@ -134,7 +132,6 @@ class MaxSatEngine:
         self._wcnf = wcnf
         self._solver = solver
         self._bindings = bindings
-        self.signature = getattr(wcnf, "signature", None)
         self._assumption_to_binding = {b.assumption: b for b in bindings}
         self._hard_checked = False
         self._hard_ok = False

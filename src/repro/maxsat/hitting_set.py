@@ -21,14 +21,8 @@ from repro.maxsat.engine import MaxSatEngine
 from repro.maxsat.result import MaxSatResult
 
 
-#: Upper bound on archived cross-layer candidate cores (newest kept).
-MAX_STALE_CORES = 64
-
-#: Bounds for the *post-blocking* core archive: cores mined after blocking
-#: started, keyed by (encoding signature, retired-binding set) so they are
-#: only offered again in an equivalent blocking context.
-MAX_POST_KEYS = 32
-MAX_POST_CORES_PER_KEY = 16
+#: Iteration budget of one :meth:`HittingSetMaxSat.solve_current` call.
+MAX_ITERATIONS = 100000
 
 
 class HittingSetMaxSat(MaxSatEngine):
@@ -41,39 +35,14 @@ class HittingSetMaxSat(MaxSatEngine):
     clause's assumption (singleton CoMSSes) and dropped otherwise.
 
     Across layers (the session API's per-test push/pop) cores do *not* stay
-    valid — they are conditioned on the retracted per-test units — but in
-    practice the failing tests of one faulty program produce almost the
-    same initial cores.  Cores mined before the layer's first blocking
-    clause are therefore archived as *candidates* and re-validated at the
-    start of the next layer with one cheap budgeted SAT probe each; the
-    ones that hold seed the oracle, replacing the expensive
-    full-assumption core-mining calls of the first enumeration step.
-
-    Cores mined *after* blocking started are conditioned on the blocking
-    sequence, so they are archived separately, keyed by the encoding's
-    gate-cache signature plus the exact set of retired bindings at mining
-    time, and only offered again when a later test reaches the equivalent
-    blocking context (reuse only — the probe budget and search strategy are
-    unchanged).  The archives survive :meth:`load` when the new instance
-    carries the same structural signature.
+    valid — they are conditioned on the retracted per-test units — so each
+    layer's cores are snapshotted on push and restored on pop.
     """
 
-    def __init__(self, max_iterations: int = 100000) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.max_iterations = max_iterations
-        #: Cores promoted from a *subsumed* post-blocking shelf (one whose
-        #: retired-binding context is a strict subset of the current one) —
-        #: hits the exact-match lookup alone would have missed.
-        self.post_subsumption_hits = 0
         self.cores: list[frozenset[int]] = []
         self._core_snapshots: list[list[frozenset[int]]] = []
-        self._stale_cores: list[frozenset[int]] = []
-        self._stale_misses: dict[frozenset[int], int] = {}
-        self._stale_post_cores: dict[tuple, list[frozenset[int]]] = {}
-        self._post_misses: dict[frozenset[int], int] = {}
-        self._probed_post_keys: set[tuple] = set()
-        self._archive_signature: Optional[str] = None
-        self._probed = False
         self._volatile: set[int] = set()
         self._volatile_order: list[int] = []
         self._slot_cache: Optional[list] = None
@@ -82,19 +51,6 @@ class HittingSetMaxSat(MaxSatEngine):
     def _on_load(self) -> None:
         self.cores = []
         self._core_snapshots = []
-        # Candidate archives survive a reload of the *same* encoding (equal
-        # gate-cache signature); anything else starts from scratch.
-        same_encoding = (
-            self.signature is not None and self.signature == self._archive_signature
-        )
-        if not same_encoding:
-            self._stale_cores = []
-            self._stale_misses = {}
-            self._stale_post_cores = {}
-            self._post_misses = {}
-        self._archive_signature = self.signature
-        self._probed_post_keys = set()
-        self._probed = False
         self._volatile = set()
         self._volatile_order = []
         self._slot_cache = None
@@ -130,139 +86,12 @@ class HittingSetMaxSat(MaxSatEngine):
         # Cores found inside a layer are conditioned on the layer's clauses
         # (the per-test units); they become invalid once the layer is popped.
         self._core_snapshots.append(list(self.cores))
-        self._probed = False
-        self._probed_post_keys = set()
         # The tie-breaking hint is per-layer: a stale hitting set from the
         # previous test would drag ties toward its late-enumeration shape.
         self._last_hitting_set = set()
 
     def _on_pop(self) -> None:
         self.cores = self._core_snapshots.pop()
-        self._probed = False
-        self._probed_post_keys = set()
-
-    def _archive(self, core: frozenset[int]) -> None:
-        """Remember a discovered core as a candidate for future layers."""
-        shelf = self._stale_cores
-        if core not in shelf:
-            shelf.append(core)
-            while len(shelf) > MAX_STALE_CORES:
-                self._stale_misses.pop(shelf.pop(0), None)
-
-    def _blocking_context(self) -> frozenset[int]:
-        """The set of retired binding positions (the blocking state key)."""
-        return frozenset(
-            binding.position for binding in self._bindings if not binding.active
-        )
-
-    def _archive_post(self, core: frozenset[int]) -> None:
-        """Archive a post-blocking core under its exact blocking context."""
-        key = (self.signature, self._blocking_context())
-        shelf = self._stale_post_cores.setdefault(key, [])
-        if core not in shelf:
-            shelf.append(core)
-            while len(shelf) > MAX_POST_CORES_PER_KEY:
-                self._post_misses.pop(shelf.pop(0), None)
-        while len(self._stale_post_cores) > MAX_POST_KEYS:
-            oldest = next(iter(self._stale_post_cores))
-            for old in self._stale_post_cores.pop(oldest):
-                self._post_misses.pop(old, None)
-
-    def _validate_stale_cores(self) -> None:
-        """Promote archived pre-blocking candidates that hold in this layer."""
-        self._probe_candidates(self._stale_cores, self._stale_misses)
-
-    def _validate_post_cores(self) -> None:
-        """Probe the post-blocking archive for the current blocking context.
-
-        Besides the exact-context shelf, shelves archived at a blocking
-        context that is a *strict subset* of the current one are probed too
-        (the ROADMAP's subsumption-aware lookup): those cores were mined
-        with fewer retirements, and blocking since then only added hard
-        clauses, so they remain plausible — the budgeted probe, which also
-        skips any core touching a now-retired binding, keeps the reuse
-        sound.  Cores promoted this way are counted in
-        :attr:`post_subsumption_hits`.
-        """
-        context = self._blocking_context()
-        key = (self.signature, context)
-        if key in self._probed_post_keys:
-            return
-        self._probed_post_keys.add(key)
-        shelf = self._stale_post_cores.get(key)
-        if shelf:
-            self._probe_candidates(shelf, self._post_misses)
-        for other_key in list(self._stale_post_cores):
-            other_signature, other_context = other_key
-            if other_key == key or other_signature != self.signature:
-                continue
-            if other_context < context:
-                other_shelf = self._stale_post_cores.get(other_key)
-                if other_shelf:
-                    self.post_subsumption_hits += self._probe_candidates(
-                        other_shelf, self._post_misses
-                    )
-
-    def _probe_candidates(
-        self,
-        shelf: list[frozenset[int]],
-        misses: dict[frozenset[int], int],
-    ) -> int:
-        """Promote archived candidate cores that hold under this layer.
-
-        Each candidate is checked with a SAT call assuming only its own
-        bindings — a tiny propagation cone compared to the full-assumption
-        mining call it replaces.  UNSAT confirms (and possibly shrinks) the
-        core; SAT (or an exhausted probe budget) discards it.  Returns the
-        number of cores promoted into :attr:`cores`.
-        """
-        if not shelf:
-            return 0
-        promoted = 0
-        seen = set(self.cores)
-        true_slot = self._true_slot
-        for core in list(shelf):
-            if core in seen:
-                continue
-            bindings = [self._bindings[position] for position in core]
-            if any(not binding.active for binding in bindings):
-                continue
-            # The probe uses the same fixed assumption layout as the main
-            # solves (placeholder in every slot outside the core), so the
-            # per-test cone on the kept trail is propagated once, not per
-            # probe.  A still-valid core then conflicts within a handful of
-            # free decisions; anything needing a real model search is not
-            # worth confirming.
-            assumptions = [
-                binding.assumption if binding.position in core else true_slot
-                for binding in self._slot_order()
-            ]
-            self.sat_calls += 1
-            outcome = self._solver.solve_limited(
-                assumptions + self._block_assumptions,
-                max_decisions=len(core) + 16,
-            )
-            if outcome is not False:
-                # Candidates that keep failing validation are test-specific
-                # noise: stop probing them after a couple of misses.
-                count = misses.get(core, 0) + 1
-                misses[core] = count
-                if count >= 2:
-                    shelf.remove(core)
-                    misses.pop(core, None)
-                continue
-            misses.pop(core, None)
-            refined = frozenset(
-                self._assumption_to_binding[lit].position
-                for lit in self._solver.unsat_core()
-                if lit in self._assumption_to_binding
-                and self._assumption_to_binding[lit].active
-            )
-            if refined and refined not in seen:
-                self.cores.append(refined)
-                seen.add(refined)
-                promoted += 1
-        return promoted
 
     def _on_block(self, retired) -> None:
         # A blocked *singleton* CoMSS adds a unit blocking clause, fixing the
@@ -297,16 +126,9 @@ class HittingSetMaxSat(MaxSatEngine):
         # involves no soft binding, which returns "unsatisfiable" below —
         # and skipping the check saves the one solve per instance that has
         # to complete a full model with every soft clause disabled.
-        if self._layers and not self._probed:
-            self._probed = True
-            self._validate_stale_cores()
-        if self._layers and self._blocks > self._layers[-1].blocks:
-            # Mid-enumeration: a previous test may have archived the cores
-            # it mined at this exact blocking context — seed from them.
-            self._validate_post_cores()
         weights = [binding.weight for binding in self._bindings]
         true_slot = self._true_slot
-        for _ in range(self.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             hitting_set = minimum_cost_hitting_set(
                 self.cores, weights, prefer=self._last_hitting_set
             )
@@ -336,15 +158,6 @@ class HittingSetMaxSat(MaxSatEngine):
                 return self._unsatisfiable_result()
             self.cores.append(core)
             self._mark_volatile(core)
-            if self._layers:
-                if self._blocks == self._layers[-1].blocks:
-                    # Candidate for the next layer's opening enumeration.
-                    self._archive(core)
-                else:
-                    # Conditioned on the blocking sequence: archive under
-                    # the exact blocking context so an equivalent moment in
-                    # a later test can seed from it.
-                    self._archive_post(core)
         raise RuntimeError("hitting-set MaxSAT did not converge within the iteration budget")
 
 

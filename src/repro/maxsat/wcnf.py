@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Optional
 
@@ -32,10 +32,6 @@ class WCNF:
         self.hard: list[list[int]] = []
         self.soft: list[SoftClause] = []
         self._num_vars = 0
-        #: Optional structural signature of the encoding this instance came
-        #: from (the gate-cache signature); engines use it to decide whether
-        #: archived cross-test cores may be reused across :meth:`load` calls.
-        self.signature: Optional[str] = None
 
     # ------------------------------------------------------------- building
 
@@ -114,7 +110,6 @@ class WCNF:
         duplicate.hard = [list(clause) for clause in self.hard]
         duplicate.soft = list(self.soft)
         duplicate._num_vars = self._num_vars
-        duplicate.signature = self.signature
         return duplicate
 
     # -------------------------------------------------------------- helpers

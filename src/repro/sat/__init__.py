@@ -8,8 +8,7 @@ needs:
 * incremental solving under *assumptions* (used to implement selector
   variables / clause groups),
 * extraction of an unsatisfiable core over the assumptions (used by the
-  core-guided MaxSAT algorithms),
-* DIMACS CNF and WCNF reading/writing for interoperability and debugging.
+  core-guided MaxSAT algorithms).
 
 The solver's hot loops optionally run in a small C library compiled on
 first use (see :mod:`repro.sat._ccore` and ``search.c``): two-watched-literal
@@ -24,12 +23,12 @@ Both backends implement the identical algorithms and produce identical
 models, conflicts, cores and statistics; the pure-Python loops remain the
 always-tested fallback.
 
-The public entry points are :class:`Solver`, :data:`TRUE_LIT` helpers in
-:mod:`repro.sat.literals`, and the DIMACS helpers in :mod:`repro.sat.dimacs`.
+The public entry points are :class:`Solver` and the literal helpers in
+:mod:`repro.sat.literals`.
 """
 
 from repro.sat.literals import neg, lit_to_var, var_to_lit
-from repro.sat.solver import Solver, SolveResult, SolverStats
+from repro.sat.solver import Solver, SolverStats
 
 
 def propagation_backend() -> str:
@@ -63,7 +62,6 @@ def propagation_core_unavailable_reason():
 
 __all__ = [
     "Solver",
-    "SolveResult",
     "SolverStats",
     "neg",
     "lit_to_var",

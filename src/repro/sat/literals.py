@@ -1,8 +1,8 @@
 """Literal and variable helpers.
 
-Externally (user-facing API, DIMACS files) literals are non-zero signed
-integers: ``+v`` is the positive literal of variable ``v`` and ``-v`` its
-negation, exactly as in the DIMACS convention.  This module provides the
+Externally (the user-facing API) literals are non-zero signed integers:
+``+v`` is the positive literal of variable ``v`` and ``-v`` its negation,
+exactly as in the DIMACS convention.  This module provides the
 small helpers shared by the solver, the encoders and the MaxSAT layer.
 """
 
@@ -26,11 +26,6 @@ def var_to_lit(var: int, positive: bool = True) -> int:
     if var <= 0:
         raise ValueError(f"variable index must be positive, got {var}")
     return var if positive else -var
-
-
-def is_positive(lit: int) -> bool:
-    """True when ``lit`` is a positive literal."""
-    return lit > 0
 
 
 def normalize_clause(lits: Iterable[int]) -> list[int] | None:

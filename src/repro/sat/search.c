@@ -70,8 +70,8 @@
  *   tmp      analysis scratch: the first num_vars+2 words hold the raw
  *            learnt clause, the second num_vars+2 words the minimized one.
  *            On EXIT_ASSUMPTION the first words hold the core's decision
- *            literals instead (their count in state[32]).
- *   state    the 33-word bookkeeping block of repro_search (see _S_* in
+ *            literals instead (their count in state[30]).
+ *   state    the 31-word bookkeeping block of repro_search (see _S_* in
  *            solver.py); repro_propagate and repro_add_clauses take the
  *            short blocks documented at their definitions.
  *   fp       [var_inc, var_decay] (doubles, var_inc written back).
@@ -89,7 +89,6 @@
 #define EXIT_REDUCE 4
 #define EXIT_CAPACITY 5
 #define EXIT_CONFLICT_BUDGET 6
-#define EXIT_DECISION_BUDGET 7
 
 /* ------------------------------------------------------------ propagation */
 
@@ -530,13 +529,11 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
     long conflicts_since_restart = state[13];
     long total_conflicts = state[14];
     long max_conflicts = state[15];
-    long free_decisions = state[16];
-    long max_decisions = state[17];
-    long search_floor = state[18];
-    long scratch_len = state[28];
-    long scratch_cap = state[29];
-    long log_len = state[30];
-    long log_cap = state[31];
+    long search_floor = state[16];
+    long scratch_len = state[26];
+    long scratch_cap = state[27];
+    long log_len = state[28];
+    long log_cap = state[29];
     long exit_reason = 0;
     long exit_payload = 0;
 
@@ -556,7 +553,7 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
                                   trail, &qhead, &trail_len, level_count,
                                   &state[3]);
         if (conflict) {
-            state[21]++; /* conflicts */
+            state[19]++; /* conflicts */
             conflicts_since_restart++;
             total_conflicts++;
             if (max_conflicts >= 0 && total_conflicts > max_conflicts) {
@@ -572,9 +569,9 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
                                     activity, fp, num_vars, heap, heap_pos,
                                     &heap_size, trail_len, level_count,
                                     conflict, tmp, bumplog, &log_len,
-                                    &mlen, &state[26]);
-            state[25]++; /* analyses */
-            state[27] += level_count - backjump; /* backjumped levels */
+                                    &mlen, &state[24]);
+            state[23]++; /* analyses */
+            state[25] += level_count - backjump; /* backjumped levels */
             cancel_until(trail, trail_lim, assigns, polarity, reasons,
                          heap, heap_pos, activity, &heap_size,
                          &trail_len, &qhead, &level_count, &search_floor,
@@ -596,7 +593,7 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
                 attach(arena, heads, ref);
                 scratch[scratch_len++] = ref;
                 bumplog[log_len++] = ref;
-                state[24]++; /* learnt clauses */
+                state[22]++; /* learnt clauses */
                 learnt_count++;
                 enqueue(assigns, levels, reasons, trail, &trail_len,
                         level_count, clause[0], ref);
@@ -607,7 +604,7 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
         }
 
         if (conflicts_since_restart >= conflict_budget) {
-            state[23]++; /* restarts */
+            state[21]++; /* restarts */
             restart_index++;
             conflict_budget = 100 * luby(restart_index);
             conflicts_since_restart = 0;
@@ -637,7 +634,7 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
             } else if (value == 0) {
                 exit_reason = EXIT_ASSUMPTION;
                 exit_payload = assumption;
-                state[32] = analyze_final(arena, levels, reasons, trail,
+                state[30] = analyze_final(arena, levels, reasons, trail,
                                           trail_lim, seen, trail_len,
                                           level_count, assumption, tmp);
                 goto out;
@@ -650,23 +647,13 @@ long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
             while (heap_size > 0) {
                 long var = heap_pop(heap, heap_pos, activity, &heap_size);
                 if (assigns[var] < 0) {
-                    state[22]++; /* decisions */
+                    state[20]++; /* decisions */
                     next_lit = 2 * var + (polarity[var] ? 0 : 1);
                     break;
                 }
             }
             if (next_lit < 0) {
                 exit_reason = EXIT_SAT;
-                break;
-            }
-            free_decisions++;
-            if (max_decisions >= 0 && free_decisions > max_decisions) {
-                /* The branch variable was popped but never enqueued:
-                 * reinsert it so it is not lost to future searches
-                 * (mirrors Solver._search_python). */
-                heap_insert(heap, heap_pos, activity, &heap_size,
-                            next_lit >> 1);
-                exit_reason = EXIT_DECISION_BUDGET;
                 break;
             }
         }
@@ -685,12 +672,11 @@ out:
     state[12] = conflict_budget;
     state[13] = conflicts_since_restart;
     state[14] = total_conflicts;
-    state[16] = free_decisions;
-    state[18] = search_floor;
-    state[19] = exit_reason;
-    state[20] = exit_payload;
-    state[28] = scratch_len;
-    state[30] = log_len;
+    state[16] = search_floor;
+    state[17] = exit_reason;
+    state[18] = exit_payload;
+    state[26] = scratch_len;
+    state[28] = log_len;
     return exit_reason;
 }
 

@@ -121,7 +121,6 @@ _EXIT_ASSUMPTION = 3  # an assumption is falsified: extract a core
 _EXIT_REDUCE = 4  # the learnt database hit its size budget
 _EXIT_CAPACITY = 5  # arena/scratch/log slack too small for another conflict
 _EXIT_CONFLICT_BUDGET = 6  # Solver.max_conflicts exhausted
-_EXIT_DECISION_BUDGET = 7  # Solver.max_decisions exhausted
 
 #: The keys of :attr:`Solver.kernel_exits`, one per exit reason.
 _EXIT_NAMES = {
@@ -131,7 +130,6 @@ _EXIT_NAMES = {
     _EXIT_REDUCE: "reduce",
     _EXIT_CAPACITY: "capacity",
     _EXIT_CONFLICT_BUDGET: "conflict_budget",
-    _EXIT_DECISION_BUDGET: "decision_budget",
 }
 
 #: Outcomes of the bulk clause load (``repro_add_clauses``).
@@ -156,24 +154,22 @@ _S_CONFLICT_BUDGET = 12
 _S_CONFLICTS_SINCE_RESTART = 13
 _S_TOTAL_CONFLICTS = 14
 _S_MAX_CONFLICTS = 15
-_S_FREE_DECISIONS = 16
-_S_MAX_DECISIONS = 17
-_S_SEARCH_FLOOR = 18
-_S_EXIT_REASON = 19
-_S_EXIT_PAYLOAD = 20
-_S_D_CONFLICTS = 21
-_S_D_DECISIONS = 22
-_S_D_RESTARTS = 23
-_S_D_LEARNTS = 24
-_S_D_ANALYSES = 25
-_S_D_MINIMIZED = 26
-_S_D_BACKJUMPED = 27
-_S_SCRATCH_LEN = 28
-_S_SCRATCH_CAP = 29
-_S_LOG_LEN = 30
-_S_LOG_CAP = 31
-_S_CORE_LEN = 32  # literals of the assumption core the kernel wrote to tmp
-_S_WORDS = 33
+_S_SEARCH_FLOOR = 16
+_S_EXIT_REASON = 17
+_S_EXIT_PAYLOAD = 18
+_S_D_CONFLICTS = 19
+_S_D_DECISIONS = 20
+_S_D_RESTARTS = 21
+_S_D_LEARNTS = 22
+_S_D_ANALYSES = 23
+_S_D_MINIMIZED = 24
+_S_D_BACKJUMPED = 25
+_S_SCRATCH_LEN = 26
+_S_SCRATCH_CAP = 27
+_S_LOG_LEN = 28
+_S_LOG_CAP = 29
+_S_CORE_LEN = 30  # literals of the assumption core the kernel wrote to tmp
+_S_WORDS = 31
 
 
 @dataclass
@@ -188,15 +184,6 @@ class _Layer:
     selector: int
     clauses: list[int] = field(default_factory=list)
     clause_mark: int = 0  # len(solver._clauses) when the layer opened
-
-
-@dataclass
-class SolveResult:
-    """Outcome of a single :meth:`Solver.solve` call."""
-
-    satisfiable: bool
-    model: Optional[dict[int, bool]] = None
-    core: Optional[list[int]] = None
 
 
 @dataclass
@@ -353,7 +340,6 @@ class Solver:
         #: Python backend); like :attr:`kernel_exits`, outside :attr:`stats`.
         self.kernel_seconds = 0.0
         self.max_conflicts: Optional[int] = None
-        self.max_decisions: Optional[int] = None
 
     # ------------------------------------------------------------------ API
 
@@ -718,33 +704,6 @@ class Solver:
         else:
             self._kept_assumptions = list(all_assumptions[: min(level, count)])
         return result
-
-    def solve_result(self, assumptions: Sequence[int] = ()) -> SolveResult:
-        """Like :meth:`solve` but returning a :class:`SolveResult` record."""
-        sat = self.solve(assumptions)
-        if sat:
-            return SolveResult(True, model=self.get_model())
-        return SolveResult(False, core=self.unsat_core())
-
-    def solve_limited(
-        self, assumptions: Sequence[int] = (), max_decisions: Optional[int] = None
-    ) -> Optional[bool]:
-        """Budgeted probe: solve, but give up after ``max_decisions`` free
-        decisions and return ``None``.
-
-        Cheap UNSAT proofs (assumption cones that conflict almost
-        immediately) complete well inside a small budget; anything that
-        needs a real model search exhausts it.  Used to re-validate
-        candidate cores across session layers without paying for full
-        solves.
-        """
-        self.max_decisions = max_decisions
-        try:
-            return self.solve(assumptions)
-        except DecisionBudgetExceeded:
-            return None
-        finally:
-            self.max_decisions = None
 
     def model_value(self, lit: int) -> Optional[bool]:
         """Value of a signed literal in the last model (None if unknown var)."""
@@ -1621,7 +1580,6 @@ class Solver:
         conflicts_since_restart = 0
         max_learnts = max(len(self._clauses) // 3, 2000)
         total_conflicts = 0
-        free_decisions = 0
 
         while True:
             conflict = self._propagate()
@@ -1691,16 +1649,6 @@ class Solver:
                 if next_lit is None:
                     self._model = list(self._assigns)
                     return True
-                free_decisions += 1
-                if self.max_decisions is not None and free_decisions > self.max_decisions:
-                    # The branch variable was popped from the order heap but
-                    # never enqueued; without reinsertion it would be lost
-                    # to every future search on this solver.
-                    self._order.insert(next_lit >> 1)
-                    self._cancel_to_root()
-                    raise DecisionBudgetExceeded(
-                        f"exceeded decision budget of {self.max_decisions}"
-                    )
             self._new_decision_level()
             self._enqueue(next_lit, 0)
 
@@ -1735,7 +1683,6 @@ class Solver:
         conflicts_since_restart = 0
         max_learnts = max(len(self._clauses) // 3, 2000)
         total_conflicts = 0
-        free_decisions = 0
         state = self._sstate
         floats = self._sfloat
         assump_buf = self._ensure_buf("_assump_buf", n_assumptions)
@@ -1788,10 +1735,6 @@ class Solver:
             state[_S_MAX_CONFLICTS] = (
                 -1 if self.max_conflicts is None else self.max_conflicts
             )
-            state[_S_FREE_DECISIONS] = free_decisions
-            state[_S_MAX_DECISIONS] = (
-                -1 if self.max_decisions is None else self.max_decisions
-            )
             state[_S_SEARCH_FLOOR] = self._search_floor
             state[_S_EXIT_REASON] = 0
             state[_S_EXIT_PAYLOAD] = 0
@@ -1836,7 +1779,6 @@ class Solver:
             conflict_budget = state[_S_CONFLICT_BUDGET]
             conflicts_since_restart = state[_S_CONFLICTS_SINCE_RESTART]
             total_conflicts = state[_S_TOTAL_CONFLICTS]
-            free_decisions = state[_S_FREE_DECISIONS]
             self._search_floor = state[_S_SEARCH_FLOOR]
             stats.conflicts += state[_S_D_CONFLICTS]
             stats.decisions += state[_S_D_DECISIONS]
@@ -1882,11 +1824,6 @@ class Solver:
                 raise ConflictBudgetExceeded(
                     f"exceeded conflict budget of {self.max_conflicts}"
                 )
-            elif reason == _EXIT_DECISION_BUDGET:
-                self._cancel_to_root()
-                raise DecisionBudgetExceeded(
-                    f"exceeded decision budget of {self.max_decisions}"
-                )
             elif reason != _EXIT_CAPACITY:  # pragma: no cover
                 raise RuntimeError(f"C search kernel returned bad exit {reason}")
             # _EXIT_REDUCE and _EXIT_CAPACITY re-enter: the next iteration
@@ -1906,6 +1843,3 @@ def model_from_assignment(assigns: Sequence[int]) -> dict[int, bool]:
 class ConflictBudgetExceeded(RuntimeError):
     """Raised when ``Solver.max_conflicts`` is exhausted during search."""
 
-
-class DecisionBudgetExceeded(RuntimeError):
-    """Raised when ``Solver.max_decisions`` is exhausted during search."""

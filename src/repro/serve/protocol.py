@@ -31,7 +31,7 @@ import socket
 import struct
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.core.report import LocalizationReport, RankedLocalization
+from repro.core.report import LocalizationReport
 from repro.spec import Specification
 
 #: Default upper bound on one frame.  Reports and batched requests are
@@ -220,11 +220,3 @@ def canonical_report_bytes(report: LocalizationReport | Mapping[str, Any]) -> by
     return json.dumps(
         canonical_report_wire(wire), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-
-
-def ranked_to_wire(ranked: RankedLocalization) -> dict:
-    return {
-        "program_name": ranked.program_name,
-        "ranked_lines": [[line, count] for line, count in ranked.ranked_lines],
-        "runs": [report_to_wire(run) for run in ranked.runs],
-    }

@@ -29,7 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro import obs
 from repro.analysis.impact import fingerprint_program
@@ -193,14 +193,9 @@ class ArtifactStore:
         #: while lookups of *other* keys proceed (the store lock is never
         #: held across a compile).
         self._in_flight: dict[str, threading.Event] = {}
-        self._sweep_stale_spills()
+        self._sweep_outdated_spills()
 
     # ------------------------------------------------------------- addressing
-
-    @staticmethod
-    def key_for(program_text: str, options: Optional[Mapping[str, object]] = None) -> str:
-        """The content address of one (program text, compile options) pair."""
-        return artifact_key(program_text, normalize_compile_options(options))
 
     def _spill_path(self, key: str) -> Optional[Path]:
         if self.root is None:
@@ -468,7 +463,7 @@ class ArtifactStore:
             self.stats.corrupt_recovered += 1
             return None
 
-    def _sweep_stale_spills(self) -> None:
+    def _sweep_outdated_spills(self) -> None:
         """Delete spills written under an older artifact format at startup.
 
         A format bump (``ARTIFACT_FORMAT_VERSION``) invalidates every spill
@@ -531,14 +526,6 @@ class ResultCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-
-    def get_or_fill(self, key: str, compute: Callable[[], dict]) -> dict:
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        value = compute()
-        self.put(key, value)
-        return value
 
     def __len__(self) -> int:
         with self._lock:

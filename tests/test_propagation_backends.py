@@ -104,17 +104,6 @@ class TestDifferential:
             cc.pop()
             _assert_same_outcome(py, cc, py.solve(), cc.solve())
 
-    def test_budgeted_probe_identical(self):
-        clauses = _random_instance(77, num_vars=16, num_clauses=70)
-        py, cc = _pair()
-        for clause in clauses:
-            py.add_clause(list(clause))
-            cc.add_clause(list(clause))
-        outcome_py = py.solve_limited(max_decisions=3)
-        outcome_cc = cc.solve_limited(max_decisions=3)
-        assert outcome_py == outcome_cc
-        assert _stats_tuple(py.stats) == _stats_tuple(cc.stats)
-
     def test_pigeonhole_unsat_identical(self):
         py, cc = _pair()
         _pigeonhole(py, 4, 3)

@@ -266,18 +266,6 @@ class TestDifferentialMatrix:
         solver.solve()
         solver.check_invariants()
 
-    def test_budgeted_probe_identical(self):
-        clauses = _random_instance(77, num_vars=16, num_clauses=70)
-        solvers = _pair()
-        for solver in solvers:
-            for clause in clauses:
-                solver.add_clause(list(clause))
-        outcomes = [solver.solve_limited(max_decisions=3) for solver in solvers]
-        assert len(set(outcomes)) == 1
-        reference = _stats_tuple(solvers[0].stats)
-        for solver in solvers[1:]:
-            assert _stats_tuple(solver.stats) == reference
-
     def test_conflict_budget_identical(self):
         from repro.sat.solver import ConflictBudgetExceeded
 
@@ -435,27 +423,6 @@ class TestAnalyzeMinimization:
         learnt, _ = solver._analyze(refs[3])
         # ¬x1 blames a decision (no reason clause): it can never be dropped.
         assert to_internal(-1) in learnt
-
-
-class TestDecisionBudgetHeapRegression:
-    """An exhausted decision budget must not leak the branch variable.
-
-    The budget check fires *after* the branch variable was popped from the
-    order heap; before the fix the variable was never reinserted, so later
-    solves on the same solver could silently leave it unassigned.
-    """
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_probe_does_not_lose_branch_variable(self, backend):
-        solver = Solver(backend=backend)
-        for clause in ([1, 2], [-1, 2], [3, 4], [-3, -4]):
-            solver.add_clause(list(clause))
-        assert solver.solve_limited(max_decisions=0) is None
-        # Every variable must be back in the order heap after the probe.
-        for var in range(1, 5):
-            assert var in solver._order, var
-        assert solver.solve()
-        assert len(solver.get_model()) == 4  # nothing was lost to the probe
 
 
 def _load_batch(seed: int, num_vars: int = 16) -> list[list[int]]:

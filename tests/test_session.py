@@ -71,6 +71,21 @@ def classify_failing_tests():
     return program, failing
 
 
+ARITH = (
+    "int main(int x) {\n"
+    "    int a = x + 1;\n"
+    "    int b = a * 2;\n"
+    "    int c = b - x;\n"
+    "    return c;\n"
+    "}\n"
+)
+
+
+def arith_failing_tests():
+    program = parse_program(ARITH, name="arith")
+    return program, [([x], Specification.return_value(0)) for x in (2, 3)]
+
+
 # --------------------------------------------------------------- solver push/pop
 
 
@@ -144,21 +159,6 @@ class TestSolverLayers:
         assert not solver.solve([x, y])
         core = solver.unsat_core()
         assert set(core) <= {x, y}
-
-    def test_solve_limited_budget(self):
-        solver = Solver()
-        lits = [solver.new_var() for _ in range(30)]
-        for a in range(0, 30, 3):
-            solver.add_clause([lits[a], lits[a + 1], lits[a + 2]])
-        assert solver.solve_limited(max_decisions=1000) is True
-        solver.add_clause([lits[0]])
-        assert solver.solve_limited([-lits[0]], max_decisions=1000) is False
-        # An absurdly small budget gives up rather than answering.
-        fresh = Solver()
-        vars2 = [fresh.new_var() for _ in range(40)]
-        for index in range(0, 40, 2):
-            fresh.add_clause([vars2[index], vars2[index + 1]])
-        assert fresh.solve_limited(max_decisions=1) is None
 
 
 # --------------------------------------------------------------- engine layers
@@ -257,17 +257,25 @@ class TestLocalizationSession:
         ]
 
     def test_session_vs_pipeline_equivalence_on_batch(self):
-        program, failing = classify_failing_tests()
-        baseline = merge_reports(
-            "classify",
-            [fresh_engine_reference(program, inputs, spec) for inputs, spec in failing],
-        )
-        with LocalizationSession(program) as session:
-            ranked = session.localize_batch(failing, program_name="classify")
-        assert ranked.ranked_lines == baseline.ranked_lines
-        assert len(ranked.runs) == len(baseline.runs)
-        for mine, theirs in zip(ranked.runs, baseline.runs):
-            assert set(mine.lines) == set(theirs.lines)
+        # Each later test runs on the solver the earlier ones left behind
+        # (learnt clauses, activities, phases, slot order); its candidates
+        # must still come out in the fresh engine's order.
+        for program, failing in (classify_failing_tests(), arith_failing_tests()):
+            baseline = merge_reports(
+                program.name,
+                [
+                    fresh_engine_reference(program, inputs, spec)
+                    for inputs, spec in failing
+                ],
+            )
+            with LocalizationSession(program) as session:
+                ranked = session.localize_batch(failing, program_name=program.name)
+            assert ranked.ranked_lines == baseline.ranked_lines
+            assert len(ranked.runs) == len(baseline.runs)
+            for mine, theirs in zip(ranked.runs, baseline.runs):
+                assert [c.lines for c in mine.candidates] == [
+                    c.lines for c in theirs.candidates
+                ]
 
     def test_process_executor_matches_serial(self):
         program, failing = classify_failing_tests()

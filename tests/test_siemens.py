@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,13 @@ from repro.siemens import (
     tcas_versions,
 )
 from repro.siemens.faults import ErrorType
-from repro.siemens.programs import LARGE_BENCHMARKS, PRINT_TOKENS, SCHEDULE, TOT_INFO
+from repro.siemens.programs import (
+    LARGE_BENCHMARKS,
+    PRINT_TOKENS,
+    SCHEDULE,
+    SCHEDULE2,
+    TOT_INFO,
+)
 from repro.siemens.strncat_example import (
     FAULT_LINE,
     LIBRARY_FUNCTIONS,
@@ -138,6 +145,45 @@ class TestLargeBenchmarks:
         row = run_large_benchmark(SCHEDULE, max_candidates=1)
         assert row.reduction == "DS"
         assert row.fault_candidates >= 1
+
+    def test_side_experiments_are_not_timed(self, monkeypatch):
+        # Delay every side experiment (the four whole-program compiles and
+        # the unnarrowed re-trace) by ``delay``: none of it may show up in
+        # the row's ``time_seconds``.
+        from repro.bmc import BoundedModelChecker, splice
+
+        delay = 0.5
+        delayed: list[str] = []
+
+        def slowed(name, original):
+            def wrapper(*args, **kwargs):
+                delayed.append(name)
+                time.sleep(delay)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            BoundedModelChecker,
+            "compile_program",
+            slowed("compile", BoundedModelChecker.compile_program),
+        )
+        monkeypatch.setattr(
+            splice, "splice_compile", slowed("splice", splice.splice_compile)
+        )
+        original_trace = ConcolicTracer.trace
+
+        def trace(tracer, *args, **kwargs):
+            if not tracer.analysis_narrowing:
+                delayed.append("unnarrowed")
+                time.sleep(delay)
+            return original_trace(tracer, *args, **kwargs)
+
+        monkeypatch.setattr(ConcolicTracer, "trace", trace)
+        row = run_large_benchmark(SCHEDULE2)
+        assert delayed.count("compile") >= 3
+        assert "splice" in delayed and "unnarrowed" in delayed
+        assert row.time_seconds < delay
 
 
 class TestReductions:
