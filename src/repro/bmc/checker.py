@@ -243,6 +243,10 @@ class BoundedModelChecker:
                 "Per-phase encode wall time",
                 labels={"phase": phase},
             ).observe(seconds)
+        # The expression encoder refers back to this checker; dropping it
+        # lets the encode state, arena buffers included, be freed by
+        # reference counting instead of waiting for the cyclic collector.
+        self._encoder = None
         return compiled
 
     def encode_program_formula(

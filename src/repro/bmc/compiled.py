@@ -388,13 +388,13 @@ class CompiledProgram:
         output: the invariant hard clauses followed by the per-test units.
         """
         clauses, test_inputs = self.test_clauses(inputs, spec, nondet_values)
-        # The clause lists are shared, not copied: TraceFormula consumers
-        # only read them (to_wcnf re-materializes every clause anyway).
-        return TraceFormula(
+        # One flatten pass over the artifact's clause lists builds the
+        # formula's flat clause store; the artifact itself is not touched.
+        return TraceFormula.from_clauses(
+            self.hard + clauses,
+            self.groups,
             width=self.width,
             num_vars=self.num_vars,
-            hard=self.hard + clauses,
-            groups=dict(self.groups),
             steps=list(self.steps),
             test_inputs=test_inputs,
             assertion_description=spec.describe(),
@@ -409,11 +409,11 @@ class CompiledProgram:
         partial MaxSAT instance a session loads exactly once; per-test units
         are then asserted as retractable layers.
         """
-        return TraceFormula(
+        return TraceFormula.from_clauses(
+            self.hard,
+            self.groups,
             width=self.width,
             num_vars=self.num_vars,
-            hard=list(self.hard),
-            groups=dict(self.groups),
             steps=list(self.steps),
             test_inputs={},
             assertion_description="",

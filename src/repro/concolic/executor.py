@@ -197,14 +197,18 @@ class ConcolicTracer:
                     for bits, value in zip(observable_symbolic, expected):
                         self._builder.fix_to_value(bits, value)
 
-        self._context.finalize()
-        return TraceFormula.from_context(
+        formula = TraceFormula.from_arena(
             self._context,
             steps=self._steps,
             test_inputs=self._test_inputs,
             assertion_description=description,
             narrowed_vars=self._narrowed_vars,
         )
+        # The expression encoder refers back to this tracer; dropping it
+        # lets the arena buffers be freed by reference counting instead of
+        # waiting for the cyclic collector.
+        self._encoder = None
+        return formula
 
     # ----------------------------------------------------- resolver protocol
 

@@ -93,7 +93,11 @@ class LoopIterationLocalizer:
         )
         formula = tracer.trace(inputs, spec, entry=entry, nondet_values=nondet_values)
         eta = max(
-            (group.iteration for group in formula.groups if group.iteration is not None),
+            (
+                group.iteration
+                for group in formula.group_table
+                if group.iteration is not None
+            ),
             default=0,
         )
 

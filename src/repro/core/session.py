@@ -298,13 +298,16 @@ class LocalizationSession:
                 report.conflicts = layer_stats.conflicts
                 profile = dict(engine.layer_profile())
                 kernel_exits = engine.layer_kernel_exits()
+                kernel_ms = engine.layer_kernel_seconds() * 1000.0
                 solve_span.set(
                     sat_calls=profile.get("sat_calls"),
                     propagations=layer_stats.propagations,
                     conflicts=layer_stats.conflicts,
                     kernel_reduce_exits=kernel_exits["reduce"],
                     kernel_capacity_exits=kernel_exits["capacity"],
-                    kernel_ms=engine.layer_kernel_seconds() * 1000.0,
+                    kernel_ms=kernel_ms,
+                    # The Python around the kernel: engine, CoMSS loop, glue.
+                    glue_ms=solve_span.duration * 1000.0 - kernel_ms,
                 )
                 encode_profile = compiled.encode_profile()
                 if encode_profile:

@@ -24,11 +24,18 @@ with C vector kernels freely, and both backends produce bit-identical
 results by construction of the shared layout (and by the differential test
 matrix for the C reimplementation of the fold rules).
 
-At the end of a compile :meth:`ArenaEncodingContext.finalize` materializes
-the exact legacy structures — ``hard``/``groups`` clause lists and the
-tuple journal, with clause lists shared between the two just as the legacy
-emitter produces them — so artifacts, the splice replay and every other
-consumer are byte-for-byte unaffected by which storage backed the encode.
+At the end of a whole-program compile
+:meth:`ArenaEncodingContext.finalize` materializes the exact legacy
+structures — ``hard``/``groups`` clause lists and the tuple journal, with
+clause lists shared between the two just as the legacy emitter produces
+them — so artifacts, the splice replay and every other consumer are
+byte-for-byte unaffected by which storage backed the encode.
+
+A concolic trace never journals and never materializes: the trace formula
+keeps the clause store itself (:meth:`GateArena.clause_store`), and
+:func:`gather_clauses` reorders it into the MaxSAT engine's load order in
+one pass, so no per-clause Python list exists between the encoder and the
+SAT kernel.
 
 String-bearing journal events (statements, call interfaces …) cannot live
 in an int stream; they are kept in a side list (``raw``) and referenced by
@@ -364,6 +371,16 @@ class GateArena:
 
     # -------------------------------------------------------- materialization
 
+    def clause_store(self) -> tuple[array, array, array]:
+        """Copies of the filled part of ``lits``, ``cend`` and ``cgid``."""
+        hdr = self.hdr
+        nclauses = hdr[HDR_NCLAUSES]
+        return (
+            self.lits[: hdr[HDR_LITS]],
+            self.cend[:nclauses],
+            self.cgid[:nclauses],
+        )
+
     def materialize(
         self, group_table: list
     ) -> tuple[list, dict, Optional[list], Optional[int]]:
@@ -456,3 +473,91 @@ class GateArena:
             else:  # pragma: no cover - defensive
                 raise AssertionError(f"corrupt journal stream tag {tag}")
         return hard, groups, journal, true_lit
+
+
+# ------------------------------------------------------------------ gather
+
+
+def gather_clauses(
+    lits: array, ends: array, gids: array, rank: array, tags: array
+) -> tuple[array, array, int]:
+    """Reorder a clause store into load order, tagging grouped clauses.
+
+    Clause ``i`` spans ``lits[ends[i-1]:ends[i]]`` and belongs to group
+    ``gids[i]`` (-1 = hard).  ``rank[g]`` is group ``g``'s bucket
+    (``1 .. len(tags) - 1``); bucket 0 holds the hard clauses.  The result
+    lists the hard clauses in emission order, then each bucket's clauses in
+    emission order, every clause followed by ``tags[bucket]`` unless that
+    is 0.  Returns ``(lits, ends, top)`` with ``top`` the largest variable
+    an input literal names.  Raises :class:`ValueError` for a 0 literal or
+    a malformed store (a group index outside ``rank``, a rank outside the
+    buckets, decreasing or out-of-range end offsets).  All five arrays are
+    ``array("q")``.
+
+    One ``repro_enc_gather`` call on the C backend; the pure-Python mirror
+    (:func:`_gather_python`) produces the same buffers.
+    """
+    from repro.sat import _ccore
+
+    count = len(ends)
+    if len(gids) != count or (count and ends[-1] > len(lits)):
+        raise ValueError("malformed clause store")
+    library = _ccore.encode_library()
+    if library is None:
+        return _gather_python(lits, ends, gids, rank, tags)
+    if any(buf.typecode != "q" for buf in (lits, ends, gids, rank, tags)):
+        raise TypeError("gather_clauses takes array('q') buffers")
+    out_lits = array("q", bytes(8 * (len(lits) + count)))
+    out_ends = array("q", bytes(8 * count))
+    cursor = array("q", bytes(16 * len(tags)))
+    result = array("q", bytes(16))
+    status = library.repro_enc_gather(
+        lits.buffer_info()[0],
+        ends.buffer_info()[0],
+        gids.buffer_info()[0],
+        count,
+        rank.buffer_info()[0],
+        len(rank),
+        tags.buffer_info()[0],
+        len(tags),
+        out_lits.buffer_info()[0],
+        out_ends.buffer_info()[0],
+        cursor.buffer_info()[0],
+        result.buffer_info()[0],
+    )
+    if status == -1:
+        raise ValueError("0 is not a valid literal")
+    if status:
+        raise ValueError("malformed clause store")
+    del out_lits[result[0]:]
+    return out_lits, out_ends, result[1]
+
+
+def _gather_python(
+    lits: array, ends: array, gids: array, rank: array, tags: array
+) -> tuple[array, array, int]:
+    """The pure-Python mirror of ``repro_enc_gather``."""
+    used = lits[: ends[-1]] if ends else array("q")
+    if 0 in used:
+        raise ValueError("0 is not a valid literal")
+    buckets: list[list[tuple[int, int]]] = [[] for _ in tags]
+    start = 0
+    for gid, end in zip(gids, ends):
+        if (
+            gid >= len(rank)
+            or end < start
+            or (gid >= 0 and not 0 <= rank[gid] < len(tags))
+        ):
+            raise ValueError("malformed clause store")
+        buckets[0 if gid < 0 else rank[gid]].append((start, end))
+        start = end
+    out_lits = array("q")
+    out_ends = array("q")
+    for tag, spans in zip(tags, buckets):
+        for start, end in spans:
+            out_lits.extend(lits[start:end])
+            if tag:
+                out_lits.append(tag)
+            out_ends.append(len(out_lits))
+    top = max(max(used), -min(used)) if used else 0
+    return out_lits, out_ends, top

@@ -280,9 +280,12 @@ class ArenaEncodingContext(EncodingContext):
     variable numbering, clause order, journal events and gate signature —
     but clauses, the journal and the gate cache live in flat ``array('q')``
     buffers while the encode runs (the C emission core operates on the same
-    buffers).  :meth:`finalize` materializes the legacy ``hard`` / ``groups``
-    / ``journal`` structures once at the end, so artifacts and every
-    downstream consumer are byte-for-byte unaffected.
+    buffers).  A whole-program compile calls :meth:`finalize` once at the
+    end to materialize the legacy ``hard`` / ``groups`` / ``journal``
+    structures, so artifacts and the splice replay are byte-for-byte
+    unaffected.  A concolic trace never calls it:
+    :meth:`~repro.encoding.trace.TraceFormula.from_arena` takes the flat
+    clause store as it is, and ``hard`` / ``groups`` then stay unreadable.
 
     The legacy class remains the engine of the splice replay
     (:mod:`repro.bmc.splice` mutates its state directly); this subclass is

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
@@ -121,7 +122,8 @@ class MaxSatEngine:
         with obs.span("maxsat.load") as load_span:
             solver, bindings = self._build_solver(wcnf)
             if obs.current_trace_id() is not None:  # only sized when traced
-                lengths = list(map(len, wcnf.hard))
+                ends = wcnf.hard_ends
+                lengths = [end - start for start, end in zip(chain((0,), ends), ends)]
                 load_span.set(
                     clauses=len(lengths),
                     literals=sum(lengths),
@@ -152,13 +154,14 @@ class MaxSatEngine:
     def _build_solver(wcnf: WCNF) -> tuple[Solver, list[_SoftBinding]]:
         """A solver holding the hard clauses, plus one binding per soft.
 
-        The hard clauses and then the selector clauses of the non-unit
-        softs each go to the solver as one :meth:`Solver.add_clauses` batch,
-        in the order clause-at-a-time loading would add them.
+        The hard clauses go to the solver as the WCNF's flat buffers in one
+        :meth:`Solver.add_flat` call, then the selector clauses of the
+        non-unit softs as one :meth:`Solver.add_clauses` batch, in the order
+        clause-at-a-time loading would add them.
         """
         solver = Solver()
         solver.ensure_vars(wcnf.num_vars)
-        solver.add_clauses(wcnf.hard)
+        solver.add_flat(wcnf.hard_lits, wcnf.hard_ends)
         bindings: list[_SoftBinding] = []
         by_clause: dict[tuple[int, ...], _SoftBinding] = {}
         selector_clauses: list[list[int]] = []

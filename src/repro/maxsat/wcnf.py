@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Optional
@@ -26,12 +27,32 @@ class WCNF:
     Hard clauses must be satisfied; soft clauses each carry a positive weight
     and the solvers maximise the total weight of satisfied soft clauses
     (equivalently, minimise the total weight of falsified ones).
+
+    The hard clauses are stored flat, the way the SAT kernel loads them:
+    :attr:`hard_lits` holds every literal and :attr:`hard_ends` each
+    clause's end offset into it.  :attr:`hard` is a list view built on
+    demand.
     """
 
     def __init__(self) -> None:
-        self.hard: list[list[int]] = []
+        self._lits = array("q")
+        self._ends = array("q")
         self.soft: list[SoftClause] = []
         self._num_vars = 0
+
+    @classmethod
+    def from_flat(cls, lits: array, ends: array, num_vars: int) -> "WCNF":
+        """An instance whose hard clauses are the flat buffers ``lits`` and
+        ``ends`` (clause ``i`` is ``lits[ends[i-1]:ends[i]]``), adopted as
+        they are.
+
+        The caller has checked the literals: none is 0 and none names a
+        variable above ``num_vars``, which is reserved.
+        """
+        wcnf = cls()
+        wcnf._lits, wcnf._ends = lits, ends
+        wcnf._num_vars = num_vars
+        return wcnf
 
     # ------------------------------------------------------------- building
 
@@ -47,11 +68,12 @@ class WCNF:
 
     def add_hard(self, lits: Iterable[int]) -> None:
         """Add a hard clause."""
-        self.hard.extend(self._checked([lits]))
+        self._append(self._checked([lits]))
 
     def add_hard_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
         """Add many hard clauses, in order."""
-        self.hard.extend(self._checked(clauses))
+        self._append(self._checked(clauses))
+
 
     def add_soft(
         self,
@@ -89,11 +111,27 @@ class WCNF:
             self._checked([[selector]])
         for clause in materialized:
             clause.append(-selector)
-        self.hard.extend(materialized)
+        self._append(materialized)
         self.add_soft([selector], weight=weight, label=label)
         return selector
 
     # ------------------------------------------------------------ inspection
+
+    @property
+    def hard_lits(self) -> array:
+        """Every hard clause's literals, concatenated."""
+        return self._lits
+
+    @property
+    def hard_ends(self) -> array:
+        """Per hard clause, its end offset into :attr:`hard_lits`."""
+        return self._ends
+
+    @property
+    def hard(self) -> list[list[int]]:
+        """The hard clauses as fresh lists (a view; edits are not kept)."""
+        lits, ends = self._lits, self._ends
+        return [lits[start:end].tolist() for start, end in zip(chain((0,), ends), ends)]
 
     @property
     def total_soft_weight(self) -> int:
@@ -105,14 +143,21 @@ class WCNF:
         return len({soft.weight for soft in self.soft}) > 1
 
     def copy(self) -> "WCNF":
-        """Deep-enough copy (clause lists are copied; literals are ints)."""
+        """Independent copy (the hard buffers are copied; soft clauses are frozen)."""
         duplicate = WCNF()
-        duplicate.hard = [list(clause) for clause in self.hard]
+        duplicate._lits = array("q", self._lits)
+        duplicate._ends = array("q", self._ends)
         duplicate.soft = list(self.soft)
         duplicate._num_vars = self._num_vars
         return duplicate
 
     # -------------------------------------------------------------- helpers
+
+    def _append(self, clauses: list[list[int]]) -> None:
+        lits, ends = self._lits, self._ends
+        for clause in clauses:
+            lits.extend(clause)
+            ends.append(len(lits))
 
     def _checked(self, clauses: Iterable[Iterable[int]]) -> list[list[int]]:
         """Fresh lists of the clauses' literals; rejects 0, notes the top var."""
@@ -126,6 +171,6 @@ class WCNF:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"WCNF(vars={self._num_vars}, hard={len(self.hard)}, "
+            f"WCNF(vars={self._num_vars}, hard={len(self._ends)}, "
             f"soft={len(self.soft)}, weight={self.total_soft_weight})"
         )

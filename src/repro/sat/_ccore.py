@@ -16,7 +16,8 @@ first use:
   ``Solver._cancel_until``) and ``repro_detach`` (batch watcher-list
   unlinking for layer pops and learnt-database reduction);
 * ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
-  the bit-vector kernels);
+  the bit-vector kernels) and the gather that reorders a finished clause
+  store into the MaxSAT engine's load order;
 * ``encode_py.c`` — the CPython-API materialization of the legacy clause
   lists and journal at the end of a compile.
 
@@ -265,6 +266,11 @@ def _build_encode() -> ctypes.CDLL:
     _bind(library.repro_enc_uless, num, [ptr] * 8 + [num])
     _bind(library.repro_enc_mux, None, [ptr] * 6 + [num] + [ptr] * 3 + [num])
     _bind(library.repro_enc_rehash, None, [ptr, num, ptr, num])
+    _bind(
+        library.repro_enc_gather,
+        num,
+        [ptr] * 3 + [num, ptr, num, ptr, num] + [ptr] * 4,
+    )
     return library
 
 

@@ -20,6 +20,9 @@
  *   repro_enc_equals   MSB-first equality AND chain.
  *   repro_enc_uless    unsigned less-than mux chain.
  *   repro_enc_mux      per-bit if-then-else.
+ *   repro_enc_gather   reorder a finished clause store into the MaxSAT
+ *                      engine's load order, tagging grouped clauses with
+ *                      their selector (mirror: arena._gather_python).
  *
  * Capacity contract: the Python caller reserves worst-case room (gates,
  * clauses, literals, journal words, gate-table load factor < 1/2) before
@@ -553,4 +556,73 @@ void repro_enc_rehash(const i64 *old_tab, i64 old_slots, i64 *new_tab,
         dst[2] = slot[2];
         dst[3] = slot[3];
     }
+}
+
+/* Gather a clause store into load order: the hard clauses (group -1) in
+ * emission order, then bucket after bucket, each in emission order, every
+ * clause followed by its bucket's tag literal unless the tag is 0.
+ *
+ * Clause i spans lits[ends[i-1] .. ends[i]) (ends[-1] = 0) and belongs to
+ * group gids[i]; rank[g] (1 .. nbuckets-1) is group g's bucket, bucket 0
+ * holds the hard clauses and tags[b] is bucket b's tag.  out_lits has room
+ * for every literal plus one tag per clause, out_ends for one end offset
+ * per clause; cursor is 2 * nbuckets words of scratch.  On success
+ * result[0] is the number of literals written and result[1] the largest
+ * variable an input literal names.  Returns 0, -1 for a 0 literal or -2
+ * for a malformed store: a group index outside the rank table, a rank
+ * outside the buckets or a decreasing end offset (nothing written then).
+ * The caller guarantees ends[count-1] <= the length of lits. */
+i64 repro_enc_gather(const i64 *lits, const i64 *ends, const i64 *gids,
+                     i64 count, const i64 *rank, i64 ngroups, const i64 *tags,
+                     i64 nbuckets, i64 *out_lits, i64 *out_ends, i64 *cursor,
+                     i64 *result) {
+    i64 *clause_at = cursor, *lit_at = cursor + nbuckets;
+    for (i64 b = 0; b < nbuckets; b++) {
+        clause_at[b] = 0;
+        lit_at[b] = 0;
+    }
+    i64 top = 0, start = 0;
+    for (i64 i = 0; i < count; i++) {
+        i64 g = gids[i], end = ends[i];
+        if (g >= ngroups || end < start)
+            return -2;
+        i64 b = g < 0 ? 0 : rank[g];
+        if (b < 0 || b >= nbuckets)
+            return -2;
+        for (i64 k = start; k < end; k++) {
+            i64 lit = lits[k];
+            if (lit == 0)
+                return -1;
+            i64 var = lit < 0 ? -lit : lit;
+            if (var > top)
+                top = var;
+        }
+        clause_at[b] += 1;
+        lit_at[b] += end - start + (tags[b] != 0);
+        start = end;
+    }
+    i64 clauses = 0, words = 0;
+    for (i64 b = 0; b < nbuckets; b++) {
+        i64 c = clause_at[b], w = lit_at[b];
+        clause_at[b] = clauses;
+        lit_at[b] = words;
+        clauses += c;
+        words += w;
+    }
+    start = 0;
+    for (i64 i = 0; i < count; i++) {
+        i64 g = gids[i], end = ends[i];
+        i64 b = g < 0 ? 0 : rank[g];
+        i64 pos = lit_at[b];
+        for (i64 k = start; k < end; k++)
+            out_lits[pos++] = lits[k];
+        if (tags[b])
+            out_lits[pos++] = tags[b];
+        lit_at[b] = pos;
+        out_ends[clause_at[b]++] = pos;
+        start = end;
+    }
+    result[0] = words;
+    result[1] = top;
+    return 0;
 }

@@ -532,27 +532,41 @@ class Solver:
 
         Equivalent to :meth:`add_clause` on each clause in turn, except that
         every variable the batch names is allocated up front.  The batch is
-        flattened once; on the C backend with no assumption trail kept, one
-        ``repro_add_clauses`` call then loads it.  That includes a batch
-        added under an open layer: :meth:`push` has cancelled to the root,
-        and a layered clause is the clause plus ``-selector``, so each
-        clause arrives at the kernel already tagged and its stored ref is
-        registered on the layer.  Only with a kept trail, or on the Python
-        backend, does the per-clause loop run; it is also the pure-Python
-        mirror of the kernel.
+        flattened once and handed to :meth:`add_flat`; with a layer open on
+        the C backend each clause is flattened already tagged with the
+        layer's ``-selector``, which is how the kernel receives layered
+        clauses.
         """
         batch = clauses if isinstance(clauses, list) else list(clauses)
         if not batch:
             return True
-        kernel = self._use_c and self._ok and not self._trail_lim
-        if kernel and self._layers:
+        if self._layers and self._kernel_ready():
             tag = (-self._layers[-1].selector,)
             flat = array("l", list(chain.from_iterable(chain(c, tag) for c in batch)))
             ends = array("l", accumulate(len(c) + 1 for c in batch))
-        else:
-            flat = array("l", list(chain.from_iterable(batch)))
-            ends = array("l", accumulate(map(len, batch)))
-        if kernel:
+            return self._add_clauses_c(flat, ends)
+        flat = array("l", list(chain.from_iterable(batch)))
+        ends = array("l", accumulate(map(len, batch)))
+        return self.add_flat(flat, ends)
+
+    def add_flat(self, flat: array, ends: array) -> bool:
+        """Add clauses given flat: clause ``i`` is ``flat[ends[i-1]:ends[i]]``.
+
+        The flat form of :meth:`add_clauses`, with the same result.  On the
+        C backend, at the root with no layer open, one
+        ``repro_add_clauses`` call loads the whole batch.  Otherwise the
+        per-clause :meth:`add_clause` loop runs after allocating every
+        variable the batch names; it is also the pure-Python mirror of the
+        kernel.  ``flat`` and ``ends`` are int arrays; the end offsets are
+        non-decreasing and the last one is ``len(flat)``.
+        """
+        if not len(ends):
+            return True
+        if ends[-1] != len(flat):
+            raise ValueError("the last clause end must be the literal count")
+        if not self._layers and self._kernel_ready():
+            if flat.itemsize != self._arena.itemsize:  # the kernel reads C longs
+                flat, ends = array("l", flat), array("l", ends)
             return self._add_clauses_c(flat, ends)
         if flat:
             self.ensure_vars(max(max(flat), -min(flat)))
@@ -562,6 +576,10 @@ class Solver:
             ok = self.add_clause(flat[start:end]) and ok
             start = end
         return ok
+
+    def _kernel_ready(self) -> bool:
+        """Whether ``repro_add_clauses`` may load a batch right now."""
+        return self._use_c and self._ok and not self._trail_lim
 
     def _add_clauses_c(self, flat: array, ends: array) -> bool:
         """Load a flattened batch with one ``repro_add_clauses`` call.

@@ -263,10 +263,49 @@ def run_large_benchmark(benchmark, max_candidates: int = 8) -> LargeBenchmarkRes
         return _run_large_benchmark(benchmark, max_candidates)
 
 
+def _reduction_options(benchmark, faulty) -> dict:
+    """``ConcolicTracer`` options of the benchmark's slicing (``S``) and
+    concretization (``C``)."""
+    from repro.reduction import sliced_tracer_settings
+
+    settings: dict[str, object] = {}
+    if "S" in benchmark.reduction:
+        settings = sliced_tracer_settings(faulty)
+    concrete = set(settings.get("concrete_functions", ()))
+    if "C" in benchmark.reduction:
+        concrete |= set(benchmark.concretize)
+    return {
+        "relevant_lines": settings.get("relevant_lines"),
+        "concrete_functions": concrete,
+    }
+
+
+def localize_large_input(benchmark, inputs, max_candidates: int = 8):
+    """The reduced Table 3 protocol on one failing input of ``benchmark``.
+
+    Delta debugging (``D``), then the concolic trace reduced by slicing
+    (``S``) or concretization (``C``), then the CoMSS enumeration.  Returns
+    the reduced trace formula and the localization report.
+    """
+    from repro.concolic import ConcolicTracer
+    from repro.core.localizer import BugAssistLocalizer
+    from repro.reduction import minimize_failing_input
+
+    faulty = benchmark.faulty_program()
+    test = list(inputs)
+    if "D" in benchmark.reduction:
+        test = minimize_failing_input(test, benchmark.fails)
+    formula = ConcolicTracer(faulty, **_reduction_options(benchmark, faulty)).trace(
+        test, benchmark.specification(tuple(test))
+    )
+    localizer = BugAssistLocalizer(faulty, mode="trace", max_candidates=max_candidates)
+    return formula, localizer.localize_trace(formula, program_name=benchmark.name)
+
+
 def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult:
     from repro.concolic import ConcolicTracer
     from repro.core.localizer import BugAssistLocalizer
-    from repro.reduction import minimize_failing_input, sliced_tracer_settings
+    from repro.reduction import minimize_failing_input
 
     faulty = benchmark.faulty_program()
     result = LargeBenchmarkResult(
@@ -360,17 +399,8 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     result.variables_before = full.num_vars
     result.clauses_before = full.num_clauses
 
-    settings: dict[str, object] = {}
-    if "S" in benchmark.reduction:
-        settings = sliced_tracer_settings(faulty)
-    concrete = set(settings.get("concrete_functions", ()))
-    if "C" in benchmark.reduction:
-        concrete |= set(benchmark.concretize)
-    reduced = ConcolicTracer(
-        faulty,
-        relevant_lines=settings.get("relevant_lines"),
-        concrete_functions=concrete,
-    ).trace(test, spec)
+    options = _reduction_options(benchmark, faulty)
+    reduced = ConcolicTracer(faulty, **options).trace(test, spec)
     result.assignments_after = reduced.num_assignments
     result.variables_after = reduced.num_vars
     result.clauses_after = reduced.num_clauses
@@ -390,11 +420,8 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
 
     # Same reduced trace without analysis narrowing: the clause-count gap is
     # what the interval analysis bought on this row.
-    unnarrowed = ConcolicTracer(
-        faulty,
-        relevant_lines=settings.get("relevant_lines"),
-        concrete_functions=concrete,
-        analysis_narrowing=False,
-    ).trace(test, spec)
+    unnarrowed = ConcolicTracer(faulty, analysis_narrowing=False, **options).trace(
+        test, spec
+    )
     result.clauses_pruned = unnarrowed.num_clauses - reduced.num_clauses
     return result

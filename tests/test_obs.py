@@ -432,7 +432,7 @@ class TestSessionTracing:
     def test_kernel_ms_on_solve_span(self, backend, monkeypatch):
         """The solve span reports the layer's wall time inside the C search
         kernel: within the span's own duration, and zero on the Python
-        backend."""
+        backend.  ``glue_ms`` is the rest of the span's duration."""
         from repro.sat import _ccore
         from repro.siemens import classify_tcas_tests, tcas_faulty_program
 
@@ -450,8 +450,11 @@ class TestSessionTracing:
                 solver = session._engine._solver
         span = next(s for s in handle.spans() if s["name"] == "solve.comss")
         kernel_ms = span["attrs"]["kernel_ms"]
+        glue_ms = span["attrs"]["glue_ms"]
         # dur_us is truncated to whole microseconds.
         assert 0 <= kernel_ms <= (span["dur_us"] + 1) / 1000
+        assert glue_ms > 0
+        assert abs(kernel_ms + glue_ms - span["dur_us"] / 1000) <= 0.001
         if solver.backend == "c":
             assert kernel_ms > 0
         else:
@@ -470,9 +473,11 @@ class TestSessionTracing:
         # The session loads its engine once, on the first localize.
         assert len(loads) == 1
         attrs = loads[0]["attrs"]
-        assert attrs["clauses"] == len(loaded.hard)
-        assert attrs["literals"] == sum(len(clause) for clause in loaded.hard)
-        assert attrs["units"] == sum(len(clause) == 1 for clause in loaded.hard)
+        ends = list(loaded.hard_ends)
+        lengths = [end - start for start, end in zip([0] + ends, ends)]
+        assert attrs["clauses"] == len(ends)
+        assert attrs["literals"] == ends[-1] == len(loaded.hard_lits)
+        assert attrs["units"] == lengths.count(1)
         assert attrs["units"] > 0 and attrs["root_propagations"] > 0
         assert attrs["path"] == ("kernel" if backend == "c" else "python")
 
