@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from repro import obs
 from repro.analysis.domains import (
     DefiniteInitDomain,
     FunctionSummary,
@@ -84,6 +85,10 @@ class AnalysisResult:
     #: Round-trajectory cache recorded by this run (``record_cache=True``);
     #: stored in compiled artifacts to seed later incremental runs.
     cache: Optional[AnalysisCache] = None
+    #: Interval solves this run performed, and those it skipped by reusing
+    #: an earlier round's solve under the same environment.
+    solves: int = 0
+    solves_reused: int = 0
 
     @property
     def has_errors(self) -> bool:
@@ -259,6 +264,11 @@ def analyze_program(
     )
     last_params: dict[str, dict[str, Interval]] = {}
     last_round: Optional[RoundRecord] = None
+    # Each function's last live solve, with the round whose environment it
+    # ran under: a later round whose environment matches reuses it instead
+    # of re-solving (the same exact-replay predicate as the base cache).
+    live: dict[str, tuple[RoundRecord, IntervalDomain, dict, tuple]] = {}
+    solved = reused = 0
 
     for round_index in range(MAX_ROUNDS):
         domains = {}
@@ -296,23 +306,39 @@ def analyze_program(
                 ):
                     out = None
             if out is None:
-                domain = IntervalDomain(
-                    function,
+                previous = live.get(name)
+                if previous is not None and environment_matches(
+                    name,
+                    reads_of(name),
                     params,
+                    returns_now,
                     global_scalars,
                     global_arrays,
-                    array_sizes,
-                    summaries,
-                    width,
-                )
+                    previous[0],
+                ):
+                    _, domain, function_states, out = previous
+                    reused += 1
+                else:
+                    domain = IntervalDomain(
+                        function,
+                        params,
+                        global_scalars,
+                        global_arrays,
+                        array_sizes,
+                        summaries,
+                        width,
+                    )
+                    function_states = solve(graph_of(name), domain)
+                    out = (
+                        domain.returned,
+                        domain.call_arguments,
+                        domain.global_scalar_writes,
+                        domain.global_array_writes,
+                    )
+                    live[name] = (record, domain, function_states, out)
+                    solved += 1
                 domains[name] = domain
-                states[name] = solve(graph_of(name), domain)
-                out = (
-                    domain.returned,
-                    domain.call_arguments,
-                    domain.global_scalar_writes,
-                    domain.global_array_writes,
-                )
+                states[name] = function_states
             outputs[name] = out
         record.outputs = outputs
         if cache is not None:
@@ -419,20 +445,35 @@ def analyze_program(
             domain = domains.get(name)
             function_states = states.get(name)
             if domain is None or function_states is None:
-                # Reused in the final round, but the recorded products do
+                # Replayed in the final round, but the recorded products do
                 # not transfer (e.g. the two runs converged at different
-                # round counts): solve once more under the fixpoint
-                # environment, which the last round left unchanged.
-                domain = IntervalDomain(
-                    function,
-                    last_params.get(name, {}),
+                # round counts): take the live solve made under the fixpoint
+                # environment (which the last round left unchanged), or
+                # solve once more.
+                previous = live.get(name)
+                if previous is not None and environment_matches(
+                    name,
+                    reads_of(name),
+                    last_params[name],
+                    final_returns,
                     global_scalars,
                     global_arrays,
-                    array_sizes,
-                    summaries,
-                    width,
-                )
-                function_states = solve(graph_of(name), domain)
+                    previous[0],
+                ):
+                    _, domain, function_states, _ = previous
+                    reused += 1
+                else:
+                    domain = IntervalDomain(
+                        function,
+                        last_params.get(name, {}),
+                        global_scalars,
+                        global_arrays,
+                        array_sizes,
+                        summaries,
+                        width,
+                    )
+                    function_states = solve(graph_of(name), domain)
+                    solved += 1
                 domains[name] = domain
                 states[name] = function_states
             graph = graph_of(name)
@@ -474,6 +515,13 @@ def analyze_program(
         lint_loops(loop_bounds.values(), unwind=unwind, unwind_planning=unwind_planning)
     )
 
+    for outcome, count in (("solved", solved), ("reused", reused)):
+        obs.REGISTRY.counter(
+            "repro_analysis_solves",
+            "Per-function interval solves of the analysis fixpoint",
+            labels={"outcome": outcome},
+        ).inc(count)
+
     return AnalysisResult(
         program=program,
         width=width,
@@ -486,6 +534,8 @@ def analyze_program(
         graphs=graphs,
         states=states,
         cache=cache,
+        solves=solved,
+        solves_reused=reused,
     )
 
 

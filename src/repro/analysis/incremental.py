@@ -16,6 +16,12 @@ solve — the incremental fixpoint is therefore value-identical to the cold
 one on every program, which is what lets the splice path compare narrowing
 tables across versions byte-for-byte.
 
+The same predicate, :func:`environment_matches`, serves reuse *within* one
+run: a function whose environment in this round matches the one its last
+live solve ran under reuses that solve instead of re-solving.  Cross-version
+replay and within-run reuse therefore rest on one notion of "the solve
+cannot have changed".
+
 The :class:`AnalysisCache` produced by a recorded run is stored inside the
 compiled artifact (everything in it pickles: intervals are frozen
 dataclasses, diagnostics are plain records).  Line-keyed products carry

@@ -17,6 +17,7 @@ sign boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.lang.semantics import DEFAULT_WIDTH, wrap
@@ -38,12 +39,11 @@ class Interval:
 
     @staticmethod
     def top(width: int = DEFAULT_WIDTH) -> "Interval":
-        lo, hi = width_bounds(width)
-        return Interval(lo, hi)
+        return _top(width)
 
     @staticmethod
     def bottom() -> "Interval":
-        return Interval(0, 0, empty=True)
+        return _BOTTOM
 
     @staticmethod
     def const(value: int, width: int = DEFAULT_WIDTH) -> "Interval":
@@ -102,6 +102,10 @@ class Interval:
             return other
         if other.empty:
             return self
+        if self.lo <= other.lo and other.hi <= self.hi:
+            return self
+        if other.lo <= self.lo and self.hi <= other.hi:
+            return other
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
@@ -354,6 +358,17 @@ class Interval:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "⊥" if self.empty else f"[{self.lo}, {self.hi}]"
+
+
+# Intervals are immutable, so the analysis shares one bottom and one top per
+# width instead of constructing a fresh one at every read of an unset name.
+_BOTTOM = Interval(0, 0, empty=True)
+
+
+@lru_cache(maxsize=None)
+def _top(width: int) -> Interval:
+    lo, hi = width_bounds(width)
+    return Interval(lo, hi)
 
 
 def _c_div(left: int, right: int) -> int:

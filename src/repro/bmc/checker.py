@@ -232,6 +232,10 @@ class BoundedModelChecker:
             {
                 "encode_backend": getattr(context, "encode_backend", "python"),
                 "encode_phases": encode_phases,
+                "analysis_solves": analysis.solves if analysis is not None else 0,
+                "analysis_solves_reused": (
+                    analysis.solves_reused if analysis is not None else 0
+                ),
             },
         )
         obs.REGISTRY.counter(
@@ -349,22 +353,25 @@ class BoundedModelChecker:
 
     # --------------------------------------------------------------- running
 
-    def _analysis_for(self, entry: str):
-        """The cached abstract-interpretation result (or ``None`` when the
-        pass fails — analysis is an accelerator, never a prerequisite)."""
+    def _analysis_for(self, entry: str, timed: Optional[obs.Span] = None):
+        """The cached abstract-interpretation result, or ``None`` when the
+        pass fails — analysis is an accelerator, never a prerequisite, so
+        the compile goes on unnarrowed.  A run made here reports its solve
+        counts, or its failure, on ``timed`` (the ``encode.analysis`` span);
+        failures also count in ``repro_analysis_failures``."""
         cache = getattr(self, "_analysis_cache", None)
         if cache is None:
             cache = self._analysis_cache = {}
         if entry not in cache:
-            try:
-                from repro.analysis import analyze_program
+            from repro.analysis import analyze_program
 
-                # The splice path seeds ``(base_cache, reusable, line_map)``
-                # so hash-identical functions replay their recorded rounds
-                # instead of re-solving; see repro.analysis.incremental.
-                seed = getattr(self, "_analysis_seed", None) or (None, None, None)
-                base_cache, reusable, line_map = seed
-                cache[entry] = analyze_program(
+            # The splice path seeds ``(base_cache, reusable, line_map)``
+            # so hash-identical functions replay their recorded rounds
+            # instead of re-solving; see repro.analysis.incremental.
+            seed = getattr(self, "_analysis_seed", None) or (None, None, None)
+            base_cache, reusable, line_map = seed
+            try:
+                result = analyze_program(
                     self.program,
                     entry=entry,
                     width=self.width,
@@ -375,8 +382,20 @@ class BoundedModelChecker:
                     unwind=self.unwind,
                     unwind_planning=self.unwind_planning,
                 )
-            except Exception:  # pragma: no cover - defensive
-                cache[entry] = None
+            except Exception as exc:  # noqa: BLE001 - reported, then skipped
+                result = None
+                obs.REGISTRY.counter(
+                    "repro_analysis_failures",
+                    "Static analyses that raised; the compile went on unnarrowed",
+                ).inc()
+                if timed is not None:
+                    timed.set(error=f"{type(exc).__name__}: {exc}")
+            else:
+                if timed is not None:
+                    timed.set(
+                        solves=result.solves, solves_reused=result.solves_reused
+                    )
+            cache[entry] = result
         return cache[entry]
 
     def _pruned_lines(self) -> tuple[int, ...]:
@@ -481,7 +500,7 @@ class BoundedModelChecker:
         phases = self._context.encode_phases
         with obs.span("encode.analysis") as timed:
             if self.analysis_narrowing or self.unwind_planning:
-                analysis = self._analysis_for(entry)
+                analysis = self._analysis_for(entry, timed)
                 if analysis is not None and not analysis.has_errors:
                     if self.analysis_narrowing:
                         self._write_intervals = analysis.flow_write_intervals

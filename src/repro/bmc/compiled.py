@@ -140,7 +140,8 @@ def loads_artifact(data: bytes) -> "CompiledProgram":
 
 
 def _set_encode_profile(compiled: "CompiledProgram", profile: dict) -> None:
-    """Attach the encode profile (emission backend + phase wall times).
+    """Attach the encode profile (emission backend, phase wall times and
+    analysis solve counts).
 
     Held in :mod:`repro.obs`'s id-keyed weakref side table and *never*
     pickled: timings differ run to run and backend to backend, while
@@ -225,10 +226,12 @@ class CompiledProgram:
     # ------------------------------------------------------------ statistics
 
     def encode_profile(self) -> dict:
-        """Emission backend and per-phase wall times of the compile that
-        produced this artifact: ``{"encode_backend": ..., "encode_phases":
-        {phase: seconds}}``.  Empty for unpickled or spliced artifacts —
-        timings are observability data, not content, and never serialize."""
+        """Emission backend, per-phase wall times and analysis solve counts
+        of the compile that produced this artifact: ``{"encode_backend":
+        ..., "encode_phases": {phase: seconds}, "analysis_solves": n,
+        "analysis_solves_reused": m}``.  Empty for unpickled or spliced
+        artifacts — timings are observability data, not content, and never
+        serialize."""
         return obs.profile_of(self)
 
     @property

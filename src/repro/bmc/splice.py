@@ -50,6 +50,7 @@ from __future__ import annotations
 import weakref
 from typing import Optional
 
+from repro import obs
 from repro.analysis.impact import (
     ProgramFingerprint,
     compute_impact,
@@ -245,7 +246,8 @@ def _splice(
             line_map,
         )
         try:
-            analysis = checker._analysis_for(entry)
+            with obs.span("encode.analysis") as timed:
+                analysis = checker._analysis_for(entry, timed)
         finally:
             checker._analysis_seed = None
     if (
@@ -612,6 +614,7 @@ class _Replay:
         context.gates_emitted = state["gates_emitted"]
         context.gate_hits = state["gate_hits"]
         context._true_lit = state["true_lit"]
+        self.builder.forget_true()
         context.hard[:] = state["hard"]
         context.journal[:] = state["journal"]
         context.groups.clear()

@@ -75,29 +75,43 @@ class CircuitBuilder:
                 self._cenc = CEncoder(self._arena, library)
             if hasattr(context, "encode_backend"):
                 context.encode_backend = "c" if self._cenc is not None else "python"
+        # The context's constant-true literal as a plain int once it exists
+        # (0 before).  Allocation stays lazy: the first constant a fold or a
+        # gate asks for allocates it, at the same point in emission order.
+        self._true = 0
 
     # ----------------------------------------------------------- bit helpers
 
+    def _allocate_true(self) -> int:
+        self._true = self.context.true_lit
+        return self._true
+
+    def forget_true(self) -> None:
+        """Drop the cached literal (the context's was rewound)."""
+        self._true = 0
+
     @property
     def true(self) -> int:
-        return self.context.true_lit
+        return self._true or self._allocate_true()
 
     @property
     def false(self) -> int:
-        return -self.context.true_lit
+        return -(self._true or self._allocate_true())
 
     def _const_value(self, lit: int) -> Optional[bool]:
         """Return the Boolean value of a literal if it is a known constant."""
-        if lit == self.true:
+        true = self._true or self._allocate_true()
+        if lit == true:
             return True
-        if lit == self.false:
+        if lit == -true:
             return False
         return None
 
     def bit_and(self, a: int, b: int) -> int:
         cenc = self._cenc
         if cenc is not None:
-            self.context.true_lit  # the constant allocates first, as in the folds
+            if not self._true:  # the constant allocates first, as in the folds
+                self._allocate_true()
             return cenc.gate(_OP_AND, a, b)
         for first, second in ((a, b), (b, a)):
             value = self._const_value(first)
@@ -148,7 +162,8 @@ class CircuitBuilder:
     def bit_xor(self, a: int, b: int) -> int:
         cenc = self._cenc
         if cenc is not None:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.gate(_OP_XOR, a, b)
         value_a, value_b = self._const_value(a), self._const_value(b)
         if value_a is not None:
@@ -216,7 +231,8 @@ class CircuitBuilder:
     def bit_ite(self, cond: int, then_lit: int, else_lit: int) -> int:
         cenc = self._cenc
         if cenc is not None:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.gate(_OP_ITE, cond, then_lit, else_lit)
         value = self._const_value(cond)
         if value is True:
@@ -299,7 +315,8 @@ class CircuitBuilder:
             return self.bit_xor(self.bit_xor(a, b), c)
         cenc = self._cenc
         if cenc is not None:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.gate(_OP_XOR3, a, b, c)
         # Fold constants and cancelling pairs: parity is invariant under
         # removing (x, x) and flips under removing (x, -x) or a true input.
@@ -379,7 +396,8 @@ class CircuitBuilder:
             return self.bit_or(self.bit_and(a, b), self.bit_and(self.bit_xor(a, b), c))
         cenc = self._cenc
         if cenc is not None:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.gate(_OP_MAJ, a, b, c)
         for first, second, third in ((a, b, c), (b, c, a), (c, a, b)):
             value = self._const_value(first)
@@ -555,7 +573,8 @@ class CircuitBuilder:
                 a, b = b, a
         cenc = self._cenc
         if cenc is not None and 0 < width <= _MAX_VECTOR_BITS:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.multiply(self.zero_extend(a, width), self.zero_extend(b, width))
         accumulator = self.const(0, width)
         a_ext = self.zero_extend(a, width)
@@ -610,7 +629,8 @@ class CircuitBuilder:
     def equals(self, a: Bits, b: Bits) -> int:
         cenc = self._cenc
         if cenc is not None and 0 < len(a) == len(b) <= _MAX_VECTOR_BITS:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.equals(a, b)
         bits = [self.bit_equal(bit_a, bit_b) for bit_a, bit_b in zip(a, b)]
         if self.simplify:
@@ -624,7 +644,8 @@ class CircuitBuilder:
         """a < b treating the vectors as unsigned integers."""
         cenc = self._cenc
         if cenc is not None and 0 < len(a) == len(b) <= _MAX_VECTOR_BITS:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.unsigned_less(a, b)
         less = self.false
         if self.simplify:
@@ -657,7 +678,8 @@ class CircuitBuilder:
     def mux(self, cond: int, then_bits: Bits, else_bits: Bits) -> Bits:
         cenc = self._cenc
         if cenc is not None and 0 < len(then_bits) == len(else_bits) <= _MAX_VECTOR_BITS:
-            self.context.true_lit
+            if not self._true:
+                self._allocate_true()
             return cenc.mux(cond, then_bits, else_bits)
         return tuple(
             self.bit_ite(cond, then_bit, else_bit)

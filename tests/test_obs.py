@@ -354,7 +354,13 @@ class TestSessionTracing:
             session.localize(*failing[0])
             profile = session.last_request_profile
             encode_profile = session.compiled.encode_profile()
-        assert set(encode_profile) == {"encode_backend", "encode_phases"}
+        # The analysis solve counts joined the schema as two more keys.
+        assert set(encode_profile) == {
+            "encode_backend",
+            "encode_phases",
+            "analysis_solves",
+            "analysis_solves_reused",
+        }
         assert set(encode_profile["encode_phases"]) >= {
             "analysis",
             "gates",
