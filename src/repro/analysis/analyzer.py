@@ -13,7 +13,10 @@ domains per function for the lints:
   widening after a few rounds);
 * the entry function's parameters can be pinned to concrete values
   (``entry_inputs``), which is how the concolic tracer obtains ranges that
-  hold on the specific failing test it encodes.
+  hold on the specific failing test it encodes;
+* every interval solve of a function is kept in its program's solve table
+  and reused by any later round or later analysis of the same program
+  object whose environment for that function matches.
 
 The result carries structured :class:`~repro.lang.diagnostics.Diagnostic`
 records (the lint output) and per-write-site value intervals (the narrowing
@@ -22,6 +25,8 @@ table consumed by the range-guided encoder).
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -52,6 +57,10 @@ from repro.lang.semantics import DEFAULT_WIDTH
 #: the hard cap (widening makes the cap unreachable in practice).
 WIDEN_ROUND = 3
 MAX_ROUNDS = 12
+
+#: Solves kept per function in a program's solve table; the least recently
+#: used one is dropped beyond this.
+SOLVE_TABLE_CAP = 32
 
 
 @dataclass
@@ -86,7 +95,8 @@ class AnalysisResult:
     #: stored in compiled artifacts to seed later incremental runs.
     cache: Optional[AnalysisCache] = None
     #: Interval solves this run performed, and those it skipped by reusing
-    #: an earlier round's solve under the same environment.
+    #: a kept solve (an earlier round's, or an earlier analysis's of the
+    #: same program) made under the same environment.
     solves: int = 0
     solves_reused: int = 0
 
@@ -178,11 +188,21 @@ def analyze_program(
     instead of re-solved.  A hit replays exactly what the live solve would
     produce and a mismatch falls back to the live solve, so the result is
     value-identical to a cold run either way.
+
+    Every live solve goes through the program's solve table (one per
+    program object and width, at most :data:`SOLVE_TABLE_CAP` solves per
+    function, dropped when the program is garbage-collected): a function
+    whose environment matches a kept solve — from an earlier round or an
+    earlier analysis of the same program — reuses it.  ``solves`` and
+    ``solves_reused`` on the result count both outcomes.
     """
     reuse_names = frozenset(reusable) if reusable is not None else frozenset()
     if entry_inputs is not None:
-        # Pinned-input runs (the concolic tracer) have per-test
-        # trajectories; neither record nor reuse whole-program caches.
+        # Pinned-input runs (the concolic tracer) follow per-test round
+        # trajectories, so the round-indexed cache neither records nor
+        # replays them.  Their per-function solves still go through the
+        # program's solve table, where a later test's analysis reuses every
+        # solve whose environment matches one an earlier test made.
         record_cache = False
         base_cache = None
     if base_cache is not None and not base_cache.usable_for(entry, width):
@@ -264,11 +284,50 @@ def analyze_program(
     )
     last_params: dict[str, dict[str, Interval]] = {}
     last_round: Optional[RoundRecord] = None
-    # Each function's last live solve, with the round whose environment it
-    # ran under: a later round whose environment matches reuses it instead
-    # of re-solving (the same exact-replay predicate as the base cache).
-    live: dict[str, tuple[RoundRecord, IntervalDomain, dict, tuple]] = {}
+    table = _solve_table(program, width)
     solved = reused = 0
+
+    def reuse_or_solve(
+        name: str,
+        function: ast.Function,
+        params: dict[str, Interval],
+        returns: dict[str, Interval],
+        record: Optional[RoundRecord],
+    ) -> tuple[IntervalDomain, dict, tuple]:
+        """The function's solve under the live environment: a matching
+        solve from the table, else a fresh one (kept in the table when
+        ``record`` describes the environment it ran under)."""
+        nonlocal solved, reused
+        hit = table.lookup(
+            name, reads_of(name), params, returns, global_scalars, global_arrays
+        )
+        if hit is not None:
+            reused += 1
+            return (
+                hit.domain.rebound(global_scalars, global_arrays, summaries),
+                hit.states,
+                hit.outputs,
+            )
+        domain = IntervalDomain(
+            function,
+            params,
+            global_scalars,
+            global_arrays,
+            array_sizes,
+            summaries,
+            width,
+        )
+        function_states = solve(graph_of(name), domain)
+        solved += 1
+        out = (
+            domain.returned,
+            domain.call_arguments,
+            domain.global_scalar_writes,
+            domain.global_array_writes,
+        )
+        if record is not None:
+            table.add(name, _Solve(record, domain, function_states, out))
+        return domain, function_states, out
 
     for round_index in range(MAX_ROUNDS):
         domains = {}
@@ -306,37 +365,9 @@ def analyze_program(
                 ):
                     out = None
             if out is None:
-                previous = live.get(name)
-                if previous is not None and environment_matches(
-                    name,
-                    reads_of(name),
-                    params,
-                    returns_now,
-                    global_scalars,
-                    global_arrays,
-                    previous[0],
-                ):
-                    _, domain, function_states, out = previous
-                    reused += 1
-                else:
-                    domain = IntervalDomain(
-                        function,
-                        params,
-                        global_scalars,
-                        global_arrays,
-                        array_sizes,
-                        summaries,
-                        width,
-                    )
-                    function_states = solve(graph_of(name), domain)
-                    out = (
-                        domain.returned,
-                        domain.call_arguments,
-                        domain.global_scalar_writes,
-                        domain.global_array_writes,
-                    )
-                    live[name] = (record, domain, function_states, out)
-                    solved += 1
+                domain, function_states, out = reuse_or_solve(
+                    name, function, params, returns_now, record
+                )
                 domains[name] = domain
                 states[name] = function_states
             outputs[name] = out
@@ -447,33 +478,12 @@ def analyze_program(
             if domain is None or function_states is None:
                 # Replayed in the final round, but the recorded products do
                 # not transfer (e.g. the two runs converged at different
-                # round counts): take the live solve made under the fixpoint
+                # round counts): take a solve made under the fixpoint
                 # environment (which the last round left unchanged), or
                 # solve once more.
-                previous = live.get(name)
-                if previous is not None and environment_matches(
-                    name,
-                    reads_of(name),
-                    last_params[name],
-                    final_returns,
-                    global_scalars,
-                    global_arrays,
-                    previous[0],
-                ):
-                    _, domain, function_states, _ = previous
-                    reused += 1
-                else:
-                    domain = IntervalDomain(
-                        function,
-                        last_params.get(name, {}),
-                        global_scalars,
-                        global_arrays,
-                        array_sizes,
-                        summaries,
-                        width,
-                    )
-                    function_states = solve(graph_of(name), domain)
-                    solved += 1
+                domain, function_states, _ = reuse_or_solve(
+                    name, function, last_params[name], final_returns, None
+                )
                 domains[name] = domain
                 states[name] = function_states
             graph = graph_of(name)
@@ -540,6 +550,77 @@ def analyze_program(
 
 
 # --------------------------------------------------------------- driver bits
+
+
+@dataclass
+class _Solve:
+    """One interval solve of a function and the round environment it ran
+    under (only the function's own slice of it matters)."""
+
+    record: RoundRecord
+    domain: IntervalDomain
+    states: dict[int, IntervalState]
+    outputs: tuple
+
+
+class _SolveTable:
+    """The interval solves of one program's functions, shared by every
+    round of every analysis of that program object.
+
+    A solve is a pure function of the function's body and its observable
+    environment, so a lookup returns any kept solve whose environment
+    passes :func:`environment_matches` — the predicate cross-version
+    replay trusts.  Kept solves are read-only: a hit hands out the solve's
+    states and outputs as they are and a rebound copy of its domain.
+    """
+
+    def __init__(self) -> None:
+        self._solves: dict[str, list[_Solve]] = {}
+        # One program object may be analyzed on several threads at once.
+        self._lock = threading.Lock()
+
+    def lookup(
+        self,
+        name: str,
+        reads: tuple[frozenset, frozenset],
+        params: dict[str, Interval],
+        returns: dict[str, Interval],
+        global_scalars: dict[str, Interval],
+        global_arrays: dict[str, Interval],
+    ) -> Optional[_Solve]:
+        with self._lock:
+            solves = self._solves.get(name, ())
+            # Most recently used last, and likeliest to match.
+            for index in range(len(solves) - 1, -1, -1):
+                hit = solves[index]
+                if environment_matches(
+                    name, reads, params, returns, global_scalars, global_arrays, hit.record
+                ):
+                    solves.append(solves.pop(index))
+                    return hit
+        return None
+
+    def add(self, name: str, entry: _Solve) -> None:
+        with self._lock:
+            solves = self._solves.setdefault(name, [])
+            solves.append(entry)
+            if len(solves) > SOLVE_TABLE_CAP:
+                del solves[0]
+
+
+#: One solve table per ``(id(program), width)``, dropped with its program.
+_SOLVE_TABLES: dict[tuple[int, int], _SolveTable] = {}
+
+
+def _solve_table(program: ast.Program, width: int) -> _SolveTable:
+    key = (id(program), width)
+    table = _SOLVE_TABLES.get(key)
+    if table is None:
+        fresh = _SolveTable()
+        table = _SOLVE_TABLES.setdefault(key, fresh)
+        if table is fresh:
+            weakref.finalize(program, _SOLVE_TABLES.pop, key, None)
+    return table
 
 
 def _combine(old: Interval, new: Interval, widen: bool, width: int) -> Interval:

@@ -16,11 +16,12 @@ solve — the incremental fixpoint is therefore value-identical to the cold
 one on every program, which is what lets the splice path compare narrowing
 tables across versions byte-for-byte.
 
-The same predicate, :func:`environment_matches`, serves reuse *within* one
-run: a function whose environment in this round matches the one its last
-live solve ran under reuses that solve instead of re-solving.  Cross-version
-replay and within-run reuse therefore rest on one notion of "the solve
-cannot have changed".
+The same predicate, :func:`environment_matches`, serves the analyzer's
+solve table: every live solve is kept per program object, and a function
+whose environment matches one a kept solve ran under — in a later round of
+the same run or in a later analysis of the same program — reuses that
+solve instead of re-solving.  Cross-version replay and the solve table
+therefore rest on one notion of "the solve cannot have changed".
 
 The :class:`AnalysisCache` produced by a recorded run is stored inside the
 compiled artifact (everything in it pickles: intervals are frozen
@@ -31,7 +32,7 @@ of :mod:`repro.analysis.impact` before use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.analysis.intervals import Interval
@@ -103,6 +104,63 @@ class AnalysisCache:
             and self.entry == entry
             and self.width == width
         )
+
+    def __getstate__(self) -> dict:
+        """The pickled state, every interval interned by value.
+
+        Pickle writes an object once and refers back to it after that, so
+        the bytes record which entries share one interval object.  A run
+        that reuses solves kept from earlier analyses of the same program
+        holds their interval objects, so that sharing would depend on the
+        program's analysis history; interned, an artifact's bytes depend
+        only on the values recorded.  Shared records and solve outputs stay
+        shared: ``final`` is the last round, and a reused solve's outputs
+        appear in several rounds.
+        """
+        intern = {}.setdefault
+        copies: dict[int, object] = {}
+
+        def intervals(table: dict) -> dict:
+            return {key: intern(value, value) for key, value in table.items()}
+
+        def outputs(out: tuple) -> tuple:
+            done = copies.get(id(out))
+            if done is None:
+                returned, calls, scalar_writes, array_writes = out
+                done = copies[id(out)] = (
+                    intern(returned, returned),
+                    {callee: intervals(args) for callee, args in calls.items()},
+                    intervals(scalar_writes),
+                    intervals(array_writes),
+                )
+            return done
+
+        def record(round_: RoundRecord) -> RoundRecord:
+            done = copies.get(id(round_))
+            if done is None:
+                done = copies[id(round_)] = RoundRecord(
+                    params={name: intervals(p) for name, p in round_.params.items()},
+                    returns=intervals(round_.returns),
+                    global_scalars=intervals(round_.global_scalars),
+                    global_arrays=intervals(round_.global_arrays),
+                    outputs={name: outputs(o) for name, o in round_.outputs.items()},
+                )
+            return done
+
+        state = dict(self.__dict__)
+        state["rounds"] = [record(round_) for round_ in self.rounds]
+        if self.final is not None:
+            state["final"] = record(self.final)
+        state["products"] = {
+            name: replace(
+                products,
+                write_intervals=intervals(products.write_intervals),
+                flow_write_intervals=intervals(products.flow_write_intervals),
+                variable_intervals=intervals(products.variable_intervals),
+            )
+            for name, products in self.products.items()
+        }
+        return state
 
 
 def function_reads(function: ast.Function) -> tuple[frozenset, frozenset]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.encoding.circuits import Bits, CircuitBuilder
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder, expression_has_effects
@@ -127,21 +128,7 @@ class ConcolicTracer:
         self._write_intervals = None
         self._narrowed_vars = 0
         if self.analysis_narrowing:
-            try:
-                from repro.analysis import analyze_program
-
-                analysis = analyze_program(
-                    self.program,
-                    entry=entry,
-                    entry_inputs=arguments,
-                    width=self.width,
-                )
-                if not analysis.has_errors:
-                    self._write_intervals = analysis.write_intervals
-            except Exception:
-                # Narrowing is an optimization; a program the analyzer cannot
-                # handle falls back to the full-width encoding.
-                self._write_intervals = None
+            self._write_intervals = self._narrowing_table(entry, arguments)
         self._globals = self._initialize_globals()
         frame = _Frame(function=entry)
         for name, value in arguments.items():
@@ -209,6 +196,38 @@ class ConcolicTracer:
         # waiting for the cyclic collector.
         self._encoder = None
         return formula
+
+    def _narrowing_table(
+        self, entry: str, arguments: Mapping[str, int]
+    ) -> Optional[dict]:
+        """The write intervals of the analysis pinned to this test, or
+        ``None`` (full-width encoding) when the analysis raises or finds an
+        ERROR that voids its intervals.
+
+        Narrowing is an optimization: a failure is counted in
+        ``repro_analysis_failures`` and named on the ``encode.analysis``
+        span, which otherwise carries the run's solve counts.  The
+        ``unwind-insufficient`` lint does not gate: it judges the BMC's
+        unrolling, and a concolic trace runs every iteration concretely.
+        """
+        from repro.analysis import analyze_program
+
+        with obs.span("encode.analysis") as timed:
+            try:
+                analysis = analyze_program(
+                    self.program, entry=entry, entry_inputs=arguments, width=self.width
+                )
+            except Exception as exc:  # noqa: BLE001 - reported, then skipped
+                obs.REGISTRY.counter(
+                    "repro_analysis_failures",
+                    "Static analyses that raised; the compile went on unnarrowed",
+                ).inc()
+                timed.set(error=f"{type(exc).__name__}: {exc}")
+                return None
+            timed.set(solves=analysis.solves, solves_reused=analysis.solves_reused)
+        if any(d.code != "unwind-insufficient" for d in analysis.errors()):
+            return None
+        return analysis.write_intervals
 
     # ----------------------------------------------------- resolver protocol
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.concolic import ConcolicTracer, TraceError
+from repro.core.localizer import BugAssistLocalizer
 from repro.lang import Interpreter, parse_program
 from repro.maxsat import solve_maxsat
 from repro.sat import Solver
@@ -47,6 +48,22 @@ int main(int n) {
     }
     assert(total < 100);
     return total;
+}
+"""
+
+
+#: A loop of 20 iterations: past the BMC's default unwinding of 16, which
+#: the tracer, running every iteration concretely, never applies.
+LONG_LOOP_PROGRAM = """
+int main(int x) {
+    int s = 0;
+    int i = 0;
+    while (i < 20) {
+        s = s + 1;
+        i = i + 1;
+    }
+    s = s + x;
+    return s;
 }
 """
 
@@ -218,3 +235,38 @@ class TestTraceConstruction:
         wcnf, _ = formula.to_wcnf()
         outcome = solve_maxsat(wcnf)
         assert outcome.satisfiable and outcome.falsified
+
+
+class TestAnalysisNarrowing:
+    def test_a_loop_past_the_bmc_unwinding_keeps_narrowing(self):
+        program = parse_program(LONG_LOOP_PROGRAM)
+        spec = Specification.return_value(99)
+        narrowed = ConcolicTracer(program).trace([3], spec)
+        plain = ConcolicTracer(program, analysis_narrowing=False).trace([3], spec)
+        assert narrowed.narrowed_vars > 0
+        assert narrowed.num_clauses < plain.num_clauses
+        localizer = BugAssistLocalizer(program, mode="trace")
+        assert [c.lines for c in localizer.localize_trace(narrowed).candidates] == [
+            c.lines for c in localizer.localize_trace(plain).candidates
+        ]
+
+    @pytest.mark.parametrize(
+        "statement",
+        ["int t = buf[9];", "int t = 7 / (x - 3);"],
+        ids=["always-OOB", "const-div-by-zero"],
+    )
+    def test_error_findings_switch_narrowing_off(self, statement):
+        def trace(line: str):
+            source = (
+                "int buf[4];\n"
+                "int main(int x) {\n"
+                "    int s = x + 1;\n"
+                f"    {line}\n"
+                "    return s + t;\n"
+                "}\n"
+            )
+            program = parse_program(source)
+            return ConcolicTracer(program).trace([3], Specification.return_value(99))
+
+        assert trace("int t = 0;").narrowed_vars > 0
+        assert trace(statement).narrowed_vars == 0
