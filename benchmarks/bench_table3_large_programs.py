@@ -29,9 +29,8 @@ The incremental-compilation fields track the warm path:
 a paid-for partial replay), and ``impact_fraction``.  The emission-core
 fields say *which encoder* produced the row and where its time went:
 ``encode_backend`` (``"c"`` when the C emission core ran, else
-``"python"``) and ``encode_phase_analysis`` / ``encode_phase_gates`` /
-``encode_phase_materialize`` (interval analysis, the encode walk with gate
-emission, and the final clause/journal materialization, in seconds).
+``"python"``) and ``encode_phase_analysis`` / ``encode_phase_gates``
+(interval analysis and the encode walk with gate emission, in seconds).
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def test_journaling_off_encode_is_not_slower():
             best = min(best, time.perf_counter() - started)
             if not journal:
                 assert checker._context.arena.hdr[HDR_JLEN] == 0
-                assert checker._context.journal is None
+                assert checker._context.arena.journal_store() == (None, [])
         return best
 
     off = best_encode_seconds(False)

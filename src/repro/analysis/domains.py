@@ -475,6 +475,18 @@ def _negate_comparison(op: str) -> str:
 # ------------------------------------------------------------ definite init
 
 
+def _add_implicit_zero(statements: tuple[ast.Stmt, ...], names: set[str]) -> None:
+    """Add the locals declared without an initializer in ``statements``."""
+    for stmt in statements:
+        if isinstance(stmt, ast.VarDecl) and stmt.init is None:
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.If):
+            _add_implicit_zero(stmt.then_body, names)
+            _add_implicit_zero(stmt.else_body, names)
+        elif isinstance(stmt, ast.While):
+            _add_implicit_zero(stmt.body, names)
+
+
 class DefiniteInitDomain:
     """Must-analysis of definitely-assigned locals.
 
@@ -488,18 +500,7 @@ class DefiniteInitDomain:
         self.function = function
         #: Locals declared without an initializer anywhere in the body.
         self.implicit_zero: set[str] = set()
-
-        def visit(statements: tuple[ast.Stmt, ...]) -> None:
-            for stmt in statements:
-                if isinstance(stmt, ast.VarDecl) and stmt.init is None:
-                    self.implicit_zero.add(stmt.name)
-                elif isinstance(stmt, ast.If):
-                    visit(stmt.then_body)
-                    visit(stmt.else_body)
-                elif isinstance(stmt, ast.While):
-                    visit(stmt.body)
-
-        visit(function.body)
+        _add_implicit_zero(function.body, self.implicit_zero)
 
     def entry_state(self) -> frozenset:
         return frozenset(self.function.params)

@@ -176,61 +176,64 @@ def function_reads(function: ast.Function) -> tuple[frozenset, frozenset]:
     locals_ = function_local_names(function)
     callees: set[str] = set()
     names: set[str] = set()
-
-    def visit_expr(expr: Optional[ast.Expr]) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.VarRef):
-            names.add(expr.name)
-        elif isinstance(expr, ast.ArrayRef):
-            names.add(expr.name)
-            visit_expr(expr.index)
-        elif isinstance(expr, ast.UnaryOp):
-            visit_expr(expr.operand)
-        elif isinstance(expr, ast.BinaryOp):
-            visit_expr(expr.left)
-            visit_expr(expr.right)
-        elif isinstance(expr, ast.Conditional):
-            visit_expr(expr.cond)
-            visit_expr(expr.then)
-            visit_expr(expr.otherwise)
-        elif isinstance(expr, ast.Call):
-            callees.add(expr.name)
-            for arg in expr.args:
-                visit_expr(arg)
-
-    def visit(statements: tuple[ast.Stmt, ...]) -> None:
-        for stmt in statements:
-            if isinstance(stmt, ast.VarDecl):
-                visit_expr(stmt.init)
-            elif isinstance(stmt, ast.ArrayDecl):
-                for expr in stmt.init:
-                    visit_expr(expr)
-            elif isinstance(stmt, ast.Assign):
-                names.add(stmt.name)
-                visit_expr(stmt.value)
-            elif isinstance(stmt, ast.ArrayAssign):
-                names.add(stmt.name)
-                visit_expr(stmt.index)
-                visit_expr(stmt.value)
-            elif isinstance(stmt, ast.If):
-                visit_expr(stmt.cond)
-                visit(stmt.then_body)
-                visit(stmt.else_body)
-            elif isinstance(stmt, ast.While):
-                visit_expr(stmt.cond)
-                visit(stmt.body)
-            elif isinstance(stmt, (ast.Assert, ast.Assume)):
-                visit_expr(stmt.cond)
-            elif isinstance(stmt, ast.Return):
-                visit_expr(stmt.value)
-            elif isinstance(stmt, ast.Print):
-                visit_expr(stmt.value)
-            elif isinstance(stmt, ast.ExprStmt):
-                visit_expr(stmt.expr)
-
-    visit(function.body)
+    _add_statement_reads(function.body, callees, names)
     return frozenset(callees), frozenset(names - locals_)
+
+
+def _add_expression_reads(
+    expr: Optional[ast.Expr], callees: set[str], names: set[str]
+) -> None:
+    if expr is None:
+        return
+    if isinstance(expr, ast.VarRef):
+        names.add(expr.name)
+    elif isinstance(expr, ast.ArrayRef):
+        names.add(expr.name)
+        _add_expression_reads(expr.index, callees, names)
+    elif isinstance(expr, ast.UnaryOp):
+        _add_expression_reads(expr.operand, callees, names)
+    elif isinstance(expr, ast.BinaryOp):
+        _add_expression_reads(expr.left, callees, names)
+        _add_expression_reads(expr.right, callees, names)
+    elif isinstance(expr, ast.Conditional):
+        _add_expression_reads(expr.cond, callees, names)
+        _add_expression_reads(expr.then, callees, names)
+        _add_expression_reads(expr.otherwise, callees, names)
+    elif isinstance(expr, ast.Call):
+        callees.add(expr.name)
+        for arg in expr.args:
+            _add_expression_reads(arg, callees, names)
+
+
+def _add_statement_reads(
+    statements: tuple[ast.Stmt, ...], callees: set[str], names: set[str]
+) -> None:
+    for stmt in statements:
+        if isinstance(stmt, ast.VarDecl):
+            _add_expression_reads(stmt.init, callees, names)
+        elif isinstance(stmt, ast.ArrayDecl):
+            for expr in stmt.init:
+                _add_expression_reads(expr, callees, names)
+        elif isinstance(stmt, ast.Assign):
+            names.add(stmt.name)
+            _add_expression_reads(stmt.value, callees, names)
+        elif isinstance(stmt, ast.ArrayAssign):
+            names.add(stmt.name)
+            _add_expression_reads(stmt.index, callees, names)
+            _add_expression_reads(stmt.value, callees, names)
+        elif isinstance(stmt, ast.If):
+            _add_expression_reads(stmt.cond, callees, names)
+            _add_statement_reads(stmt.then_body, callees, names)
+            _add_statement_reads(stmt.else_body, callees, names)
+        elif isinstance(stmt, ast.While):
+            _add_expression_reads(stmt.cond, callees, names)
+            _add_statement_reads(stmt.body, callees, names)
+        elif isinstance(stmt, (ast.Assert, ast.Assume)):
+            _add_expression_reads(stmt.cond, callees, names)
+        elif isinstance(stmt, (ast.Return, ast.Print)):
+            _add_expression_reads(stmt.value, callees, names)
+        elif isinstance(stmt, ast.ExprStmt):
+            _add_expression_reads(stmt.expr, callees, names)
 
 
 def environment_matches(

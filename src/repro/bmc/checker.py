@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import obs
 from repro.bmc.compiled import CompiledProgram
+from repro.encoding.arena import HDR_TRUE
 from repro.encoding.circuits import Bits, CircuitBuilder
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder
@@ -191,10 +192,8 @@ class BoundedModelChecker:
         diagnostics = analysis.diagnostics if analysis is not None else ()
         from repro.analysis.impact import fingerprint_program
 
-        # The journal shares its clause-list objects with hard/groups, so the
-        # artifact must share them too (copying would double the pickle and
-        # break the sharing the replay relies on); clause lists are treated
-        # as immutable by every consumer.
+        lits, ends, gids = context.arena.clause_store()
+        journal, raw = context.arena.journal_store()
         compiled = CompiledProgram(
             program_name=self.program.name,
             entry=entry,
@@ -202,21 +201,23 @@ class BoundedModelChecker:
             unwind=self.unwind,
             num_vars=context.num_vars,
             params=tuple(function.params),
-            hard=list(context.hard),
-            groups={group: list(clauses) for group, clauses in context.groups.items()},
+            lits=lits,
+            ends=ends,
+            gids=gids,
             steps=list(self._steps),
             input_bits=dict(input_bits),
             nondet_bits=list(self._nondet_bits),
             return_bits=return_bits,
             violations=tuple(self._violations),
-            true_lit=context._true_lit,
+            true_lit=context.arena.hdr[HDR_TRUE] or None,
             gates_shared=context.gate_hits,
             signature=context.gate_signature,
             diagnostics=diagnostics,
             pruned_lines=self._pruned_lines(),
             narrowed_vars=self._narrowed_vars,
             fingerprint=fingerprint_program(self.program),
-            journal=context.journal,
+            journal=journal,
+            raw=raw,
             group_table=list(context.group_table),
             compile_options=self.compile_options(entry),
             narrowing_plans=self._narrowing_plan_table(),
@@ -524,7 +525,6 @@ class BoundedModelChecker:
             if self._context.journaling:
                 self._context.record(("ret", frame.return_value))
         phases["gates"] = timed.duration
-        self._context.finalize()
         return input_bits, frame.return_value
 
     def _initialize_globals(self) -> None:

@@ -5,7 +5,8 @@ version independently, yet the CBMC-style whole-program encoding is
 identical across all of them — only the test-input equalities and the
 post-condition units change.  :class:`CompiledProgram` captures exactly the
 invariant part: the program CNF (hard structural clauses plus one clause
-group per statement), the bit-vectors of the entry function's inputs,
+group per statement, as the encoder arena's flat clause store), the
+bit-vectors of the entry function's inputs,
 ``nondet()`` results and return value, and the assertion-violation
 literals.
 
@@ -22,11 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Mapping, Optional, Sequence
 
 from repro import obs
 
+from repro.encoding.arena import split_clauses
 from repro.encoding.context import StatementGroup
 from repro.encoding.trace import TraceFormula, TraceStep
 from repro.lang.semantics import to_unsigned, wrap
@@ -39,7 +43,7 @@ Bits = tuple[int, ...]
 #: :class:`~repro.encoding.context.StatementGroup`) change incompatibly, so a
 #: content-addressed store never deserializes a stale on-disk spill into a
 #: newer process — it recompiles instead.
-ARTIFACT_FORMAT_VERSION = 5
+ARTIFACT_FORMAT_VERSION = 6
 
 #: Magic prefix of a serialized artifact (sanity check before unpickling).
 _ARTIFACT_MAGIC = b"repro-artifact\x00"
@@ -151,15 +155,25 @@ def _set_encode_profile(compiled: "CompiledProgram", profile: dict) -> None:
     obs.attach_profile(compiled, profile)
 
 
+def _int_array() -> array:
+    return array("q")
+
+
 @dataclass
 class CompiledProgram:
     """The invariant whole-program CNF of one entry function.
 
-    Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program`.  The
-    clauses never mention a concrete test: ``hard`` holds the structural
-    clauses (guards, multiplexers, unwinding assumptions), ``groups`` the
-    per-statement transition clauses that become soft selector groups, and
-    the bit-vector maps locate the points where a test plugs in.
+    Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program` (or
+    the warm :func:`repro.bmc.splice.splice_compile`).  The clauses never
+    mention a concrete test.  They are kept as the encoder's flat clause
+    store — ``lits``/``ends``/``gids`` in emission order, group indexes
+    into ``group_table`` — and the flat emission journal, exactly as the
+    arena filled them: a session loads the store without a flatten pass,
+    and the splice replays the journal.  The read-only views ``hard`` (the
+    structural clauses: guards, multiplexers, unwinding assumptions) and
+    ``groups`` (the per-statement transition clauses that become soft
+    selector groups) are built on demand.  The bit-vector maps locate the
+    points where a test plugs in.
     """
 
     program_name: str
@@ -168,8 +182,12 @@ class CompiledProgram:
     unwind: int
     num_vars: int
     params: tuple[str, ...]
-    hard: list[list[int]] = field(default_factory=list)
-    groups: dict[StatementGroup, list[list[int]]] = field(default_factory=dict)
+    #: Every clause's literals, concatenated in emission order.
+    lits: array = field(default_factory=_int_array)
+    #: Per clause, its end offset into ``lits`` (start = previous end).
+    ends: array = field(default_factory=_int_array)
+    #: Per clause, its index into ``group_table`` (-1 = hard).
+    gids: array = field(default_factory=_int_array)
     steps: list[TraceStep] = field(default_factory=list)
     input_bits: dict[str, Bits] = field(default_factory=dict)
     nondet_bits: list[Bits] = field(default_factory=list)
@@ -194,11 +212,15 @@ class CompiledProgram:
     #: (:class:`~repro.analysis.impact.ProgramFingerprint`): the identity
     #: the store's nearest-ancestor index and the change-impact diff use.
     fingerprint: Optional[object] = None
-    #: Emission journal (see :class:`~repro.encoding.context.EncodingContext`):
-    #: every allocation/emission event in order, clause lists shared with
-    #: ``hard``/``groups``.  ``None`` for artifacts built without journaling.
-    journal: Optional[list] = None
-    #: Statement groups referenced by journal clause events, by index.
+    #: Emission journal: the arena's flat event stream
+    #: (:mod:`repro.encoding.arena` tags; clause and gate records consume
+    #: the clause store in order).  ``None`` for artifacts built without
+    #: journaling.
+    journal: Optional[array] = None
+    #: The journal's string-bearing events, by the stream's side-list index.
+    raw: list = field(default_factory=list)
+    #: Every registered statement group, by the index ``gids`` and the
+    #: journal use (empty groups included).
     group_table: list = field(default_factory=list)
     #: The checker options that produced this artifact (splice precondition).
     compile_options: dict = field(default_factory=dict)
@@ -237,7 +259,17 @@ class CompiledProgram:
     @property
     def num_clauses(self) -> int:
         """Clause count of the invariant encoding (hard plus grouped)."""
-        return len(self.hard) + sum(len(clauses) for clauses in self.groups.values())
+        return len(self.ends)
+
+    @property
+    def hard(self) -> list[list[int]]:
+        """The hard clauses in emission order (a view built on demand)."""
+        return split_clauses(self.lits, self.ends, self.gids, self.group_table)[0]
+
+    @property
+    def groups(self) -> dict[StatementGroup, list[list[int]]]:
+        """Each group's clauses in emission order (a view built on demand)."""
+        return split_clauses(self.lits, self.ends, self.gids, self.group_table)[1]
 
     @property
     def planned_loops(self) -> int:
@@ -391,19 +423,17 @@ class CompiledProgram:
         output: the invariant hard clauses followed by the per-test units.
         """
         clauses, test_inputs = self.test_clauses(inputs, spec, nondet_values)
-        # One flatten pass over the artifact's clause lists builds the
-        # formula's flat clause store; the artifact itself is not touched.
-        return TraceFormula.from_clauses(
-            self.hard + clauses,
-            self.groups,
-            width=self.width,
-            num_vars=self.num_vars,
-            steps=list(self.steps),
-            test_inputs=test_inputs,
-            assertion_description=spec.describe(),
-            gates_shared=self.gates_shared,
-            narrowed_vars=self.narrowed_vars,
-        )
+        formula = self.base_formula()
+        # The test units join the store as hard clauses after the invariant
+        # ones; the artifact's own buffers are not touched.
+        formula.lits = self.lits + array("q", chain.from_iterable(clauses))
+        formula.ends = self.ends + array(
+            "q", accumulate(map(len, clauses), initial=len(self.lits))
+        )[1:]
+        formula.gids = self.gids + array("q", [-1]) * len(clauses)
+        formula.test_inputs = test_inputs
+        formula.assertion_description = spec.describe()
+        return formula
 
     def base_formula(self) -> TraceFormula:
         """The invariant encoding as a test-less trace formula.
@@ -412,14 +442,14 @@ class CompiledProgram:
         partial MaxSAT instance a session loads exactly once; per-test units
         are then asserted as retractable layers.
         """
-        return TraceFormula.from_clauses(
-            self.hard,
-            self.groups,
+        return TraceFormula(
             width=self.width,
             num_vars=self.num_vars,
+            lits=self.lits,
+            ends=self.ends,
+            gids=self.gids,
+            group_table=list(self.group_table),
             steps=list(self.steps),
-            test_inputs={},
-            assertion_description="",
             gates_shared=self.gates_shared,
             narrowed_vars=self.narrowed_vars,
         )

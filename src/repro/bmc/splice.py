@@ -7,7 +7,12 @@ gate-cache insertion and call-interface crossing, in order.  Given a later
 version of the same program, :func:`splice_compile` replays that journal —
 statement for statement — and drops into the real encoder only for the
 inlined subtrees of functions the change-impact diff
-(:mod:`repro.analysis.impact`) marked as changed.
+(:mod:`repro.analysis.impact`) marked as changed.  The journal is the
+encoder arena's flat record stream (:mod:`repro.encoding.arena`), read
+together with the base artifact's clause store, and the replay emits into
+a fresh arena: the one encoding context a cold compile uses, so region
+re-encodes run on the same emitter (C core included) and the warm
+artifact takes the arena's buffers as they are.
 
 The replay maintains a variable map ``mu : base var -> new var`` that starts
 as the identity and is extended at every region boundary from the recorded
@@ -25,16 +30,18 @@ to a cold compile.  Declining is always safe; splicing is only ever an
 accelerator.
 
 Two refinements keep the replayed and re-encoded parts converging on the
-cold result.  *Gate elision*: journal gate events precede their definition
-clauses and carry a clause count, so when a remapped gate key hits the warm
-cache (typically because a region re-encode built the gate first) the
+cold result.  *Gate elision*: a journal gate record owns its definition
+clauses and carries their count, so when a remapped gate key hits the warm
+gate table (typically because a region re-encode built the gate first) the
 replay binds the output to the cached variable and skips the definition —
 exactly the no-allocation, no-emission behavior of a cold compile's cache
 hit.  *Span replay*: inside a changed function's re-encode, calls to
 unchanged callees are paired positionally with the base subtree's recorded
 child spans and replayed under the map instead of re-encoded (the bulk of
 a changed function's cost is usually its unchanged callees); any
-obstruction rolls the attempt back and the live encoder takes over.
+obstruction rewinds the arena to a mark taken before the attempt
+(:meth:`~repro.encoding.arena.GateArena.rewind`) and the live encoder
+takes over.
 
 Byte-identity of the result is not best-effort: the warm artifact has the
 same variables, the same clauses in the same order, the same groups, steps,
@@ -48,6 +55,7 @@ replay does not re-count cache hits inside unchanged code.
 from __future__ import annotations
 
 import weakref
+from array import array
 from typing import Optional
 
 from repro import obs
@@ -60,18 +68,28 @@ from repro.analysis.impact import (
 )
 from repro.bmc.checker import BoundedModelChecker, _Frame
 from repro.bmc.compiled import CompiledProgram
+from repro.encoding.arena import (
+    HDR_NUM_VARS,
+    HDR_TRUE,
+    PACKED_OPS,
+    TAG_C,
+    TAG_CE,
+    TAG_CX,
+    TAG_G,
+    TAG_GRP,
+    TAG_RAW,
+    TAG_T,
+    TAG_V,
+    record_end,
+)
 from repro.encoding.circuits import Bits, CircuitBuilder
-from repro.encoding.context import EncodingContext, StatementGroup
+from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.encoding.symbolic import ExpressionEncoder
 from repro.encoding.trace import TraceStep
 
 __all__ = ["splice_compile", "SpliceDecline"]
 
-#: Opcodes whose first cache-key component packs two literals
-#: (``x * 2**32 + y``): ITE, XOR3, MAJ.  See ``repro.encoding.circuits``.
-_PACKED_OPS = frozenset((3, 4, 5))
-
-#: Per-base-artifact span metadata (``id(base) -> {ce index -> bool}``):
+#: Per-base-artifact span metadata (``id(base) -> {ce position -> refs}``):
 #: whether each recorded call span is *self-contained* — references only
 #: its own interface, its own allocations and the constant-true variable.
 #: The property depends only on the base journal, so it is computed once
@@ -93,12 +111,12 @@ def _span_meta(base: "CompiledProgram") -> dict:
 
 #: Per-base-artifact prefix checkpoints (``id(base) -> meta``), same
 #: lifecycle as `_SPAN_META_REGISTRY`.  ``meta["ce"]`` caches the journal
-#: positions of every call-enter event; ``meta["checkpoints"]`` maps a
-#: journal index to the complete replay state just before that index.  The
-#: identity prefix of a journal (everything before the first changed-region
-#: call) replays deterministically and produces shared, never-mutated
-#: values, so a later splice against the same base can bulk-restore the
-#: state instead of stepping through thousands of events.  Only valid while
+#: positions of every call-enter record; ``meta["checkpoints"]`` maps a
+#: journal position to the complete replay state just before it (a copy of
+#: the warm arena plus the replay's own lists).  The identity prefix of a
+#: journal (everything before the first changed-region call) replays
+#: deterministically, so a later splice against the same base can restore
+#: the state instead of stepping through thousands of records.  Only valid while
 #: the map is still the identity, the line map is the identity, and no
 #: global-initializer substitution is active — the conditions under which
 #: the prefix bytes cannot depend on the new program version at all.
@@ -293,35 +311,40 @@ def _splice(
     checker._unwind_plans = new_unwind_plans
 
     unchanged = set(program.functions) - region - set(changes.added)
-    replay = _Replay(base, checker, region, line_map, unchanged, init_subst)
-    start_index = start_pending = 0
+    checkpoint = capture_at = checkpoints = None
     if not init_subst and all(new == old for old, new in line_map.items()):
         # The identity prefix (everything before the first region call)
         # cannot depend on the new version: jump over it from a checkpoint
         # left by an earlier splice against this base, and leave one at
         # this splice's own first region for the next version.
+        journal = base.journal
         meta = _prefix_meta(base)
         positions = meta.get("ce")
         if positions is None:
-            positions = [
-                (i, e[1]) for i, e in enumerate(base.journal) if e[0] == "ce"
-            ]
+            positions = []
+            position = 0
+            while position < len(journal):
+                if journal[position] == TAG_CE:
+                    positions.append((position, base.raw[journal[position + 1]][1]))
+                position = record_end(journal, position)
             meta["ce"] = positions
-        first = next((i for i, fn in positions if fn in region), len(base.journal))
+        first = next((i for i, fn in positions if fn in region), len(journal))
         checkpoints = meta["checkpoints"]
-        best = -1
-        for i in checkpoints:
-            if best < i <= first:
-                best = i
-        if best >= 0:
-            start_index, start_pending = replay._restore_checkpoint(
-                checkpoints[best], best
-            )
-        if first < len(base.journal) and first not in checkpoints:
-            replay._checkpoint_at = first
-            replay._checkpoints = checkpoints
-    replay.run(start_index, start_pending)
+        best = max((i for i in checkpoints if i <= first), default=None)
+        if best is not None:
+            checkpoint = checkpoints[best]
+        if first < len(journal) and first not in checkpoints:
+            capture_at = first
+    replay = _Replay(
+        base, checker, region, line_map, unchanged, init_subst, checkpoint
+    )
+    replay._checkpoint_at = capture_at
+    replay._checkpoints = checkpoints
+    replay.run()
     context = replay.context
+    # The expression encoder refers back to the checker; dropping it lets
+    # the warm arena be freed by reference counting.
+    checker._encoder = None
 
     # The backward slice consumes only statement kinds, lines, scope-
     # qualified defs/uses and callee names — all captured per function in
@@ -341,6 +364,8 @@ def _splice(
     function = program.function(entry)
     impact = compute_impact(program, changes)
     diagnostics = analysis.diagnostics if analysis is not None else ()
+    lits, ends, gids = context.arena.clause_store()
+    journal, raw = context.arena.journal_store()
     return CompiledProgram(
         program_name=program.name,
         entry=entry,
@@ -348,14 +373,15 @@ def _splice(
         unwind=checker.unwind,
         num_vars=context.num_vars,
         params=tuple(function.params),
-        hard=list(context.hard),
-        groups={group: clauses for group, clauses in context.groups.items()},
+        lits=lits,
+        ends=ends,
+        gids=gids,
         steps=list(replay.steps),
         input_bits=dict(replay.input_bits),
         nondet_bits=list(replay.nondet_bits),
         return_bits=replay.return_bits,
         violations=tuple(replay.violations),
-        true_lit=context._true_lit,
+        true_lit=context.arena.hdr[HDR_TRUE] or None,
         # Approximate: replayed spans do not re-count their cache hits.
         gates_shared=base.gates_shared + context.gate_hits,
         signature=context.gate_signature,
@@ -363,7 +389,8 @@ def _splice(
         pruned_lines=pruned_lines,
         narrowed_vars=checker._narrowed_vars,
         fingerprint=new_fp,
-        journal=context.journal,
+        journal=journal,
+        raw=raw,
         group_table=list(context.group_table),
         compile_options=options,
         narrowing_plans=new_plans,
@@ -376,7 +403,16 @@ def _splice(
 
 
 class _Replay:
-    """One pass over the base journal, producing the warm encoding."""
+    """One pass over the base journal, producing the warm encoding.
+
+    The base artifact's flat journal (``base.journal`` with its ``raw`` side
+    list) is read record by record; clause and gate records consume the
+    base clause store (``lits``/``ends``/``gids``) in order, tracked by a
+    clause cursor.  Everything is emitted into a journaling
+    :class:`ArenaEncodingContext`, the same context a cold compile fills, so
+    region re-encodes run on the ordinary encoder (C emission core
+    included) and the warm artifact takes the arena's buffers as they are.
+    """
 
     def __init__(
         self,
@@ -386,6 +422,7 @@ class _Replay:
         line_map: dict[int, int],
         unchanged: set[str],
         init_subst: Optional[dict[str, tuple]] = None,
+        checkpoint: Optional[dict] = None,
     ) -> None:
         self.base = base
         self.checker = checker
@@ -396,14 +433,21 @@ class _Replay:
         self.unchanged = unchanged
         self.program = checker.program
 
-        context = EncodingContext(checker.width)
-        context.begin_journal()
+        if checkpoint is None:
+            context = ArenaEncodingContext(checker.width)
+            context.begin_journal()
+        else:
+            context = ArenaEncodingContext(
+                checker.width,
+                checkpoint["arena"].copy(),
+                checkpoint["group_table"],
+            )
         builder = CircuitBuilder(context)
         self.context = context
+        self.arena = context.arena
         self.builder = builder
         # Wire the checker onto the warm context so region re-encodes emit
-        # into it; the lists are shared so replayed and region-built entries
-        # interleave in true emission order.
+        # into it, interleaved with the replayed records in emission order.
         checker._context = context
         checker._builder = builder
         checker._encoder = ExpressionEncoder(builder, checker)
@@ -419,42 +463,50 @@ class _Replay:
         self.return_bits: Optional[Bits] = None
         # mu[base var] = signed-positive warm var; None while the replay is
         # still in the identity prefix (before the first region).
-        self.mu: Optional[list[int]] = None
-        self.base_cursor = 0
+        self.mu: Optional[array] = None
+        # Where `run` stands in the base (a `GateArena.copy_records`
+        # cursor): journal position, base clauses and base variables
+        # consumed, and the variable a copy found unmapped.
+        self.cursor = array("q", bytes(8 * 4))
         self.mapped_groups: dict[int, StatementGroup] = {}
-        # Every non-identity (base var, warm var) commitment, across all
-        # regions; sorted-strictly-increasing is the global monotonicity
-        # invariant the canonicalization-replay argument rests on.
-        self.pairs: list[tuple[int, int]] = []
+        # Warm group index per base group index, -2 while not looked up
+        # (`_warm_gid` fills it; the record copy reads it).
+        self._gid_map = array("q", [-2]) * len(base.group_table)
+        if checkpoint is not None:
+            self.cursor[:3] = checkpoint["cursor"]
+            self.mapped_groups.update(checkpoint["mapped_groups"])
+            self.steps.extend(checkpoint["steps"])
+            self.violations.extend(checkpoint["violations"])
+            self.nondet_bits.extend(checkpoint["nondet_bits"])
+            self.input_bits.update(checkpoint["input_bits"])
+            self.return_bits = checkpoint["return_bits"]
+            checker._narrowed_vars = checkpoint["narrowed_vars"]
         # Span-replay state, live only while `_region` runs the encoder.
         # `_span_stack` holds one frame per call level being *paired*: the
         # base child spans at that level (matched positionally with the new
         # body's calls), the next unused child, and the frame depth the
         # pairing applies at.  `_span_children_by_start` indexes every span
-        # of the region subtree by its "ce" journal position, so a dirty
+        # of the region subtree by its call-enter position, so a dirty
         # child encoded live can still pair its own calls one level down.
         self._span_stack: list[list] = []
         self._span_children_by_start: dict[int, list] = {}
         self._region_base_start = 0
         self._region_new_start = 0
-        # Gate events of the current region's base subtree, keyed by output
-        # variable; consulted (only) during a span replay to resolve
-        # references to gates built earlier in the subtree.
-        self._region_gate_index: dict[int, tuple] = {}
-        self._span_gate_index: Optional[dict[int, tuple]] = None
+        # Gate records of the current region's base subtree (journal
+        # positions), keyed by output variable; consulted (only) during a
+        # span replay to resolve references to gates built earlier in the
+        # subtree.
+        self._region_gate_index: dict[int, int] = {}
+        self._span_gate_index: Optional[dict[int, int]] = None
         self._span_commits: Optional[list[int]] = None
         # Self-containment verdicts per span of this base artifact (shared
         # across all splices against it; see `_SPAN_META_REGISTRY`).
         self._span_meta = _span_meta(base)
         # Prefix checkpointing (see `_PREFIX_REGISTRY`): when set, `run`
-        # captures the replay state just before the journal index
+        # captures the replay state just before the journal position
         # `_checkpoint_at` into `_checkpoints` for later splices to restore.
         self._checkpoint_at: Optional[int] = None
         self._checkpoints: Optional[dict] = None
-        # True while every committed mapping so far is the identity: lets
-        # the replay drop back into the cheap identity prefix after a
-        # region that allocated the exact same variables as its base.
-        self._mu_identity = True
         # Re-initialized globals: name -> (base pattern, new pattern), the
         # true-literal-encoded constants of the two initializer values.
         # Snapshot values matching the base pattern are *substituted* with
@@ -478,6 +530,95 @@ class _Replay:
             return patterns[1]
         return None
 
+    # ------------------------------------------------------------ base data
+
+    def _base_clause(self, index: int):
+        """Literals of clause ``index`` of the base clause store."""
+        ends = self.base.ends
+        return self.base.lits[ends[index - 1] if index else 0 : ends[index]]
+
+    def _copy_record(self, position: int) -> None:
+        """Append the base raw/call record at ``position`` unchanged."""
+        js = self.base.journal
+        end = record_end(js, position)
+        self.arena.record_event(
+            self.base.raw[js[position + 1]], js[position], js[position + 3 : end]
+        )
+
+    def _gate_key(self, position: int, lit_map) -> Optional[tuple[int, int, int]]:
+        """The key of the base gate record at ``position`` under ``lit_map``
+        (``None`` when ``lit_map`` leaves one of its literals unmapped)."""
+        js = self.base.journal
+        op, key1, key2 = js[position + 1], js[position + 2], js[position + 3]
+        if op in PACKED_OPS:
+            first = (key1 + (1 << 31)) >> 32
+            parts = (lit_map(first), lit_map(key1 - (first << 32)), lit_map(key2))
+            if not all(parts):
+                return None
+            return op, parts[0] * (1 << 32) + parts[1], parts[2]
+        mapped1, mapped2 = lit_map(key1), lit_map(key2)
+        if not mapped1 or not mapped2:
+            return None
+        return op, mapped1, mapped2
+
+    def _emit_group_record(self, gid: int) -> None:
+        """Replay a base group registration (``TAG_GRP gid``)."""
+        base_group = self.base.group_table[gid]
+        group = StatementGroup(
+            line=self.line_map.get(base_group.line, base_group.line),
+            function=base_group.function,
+            iteration=base_group.iteration,
+        )
+        self.mapped_groups[gid] = group
+        if group not in self.context._group_ids:
+            # Already registered means an earlier region re-encode created
+            # the group first — exactly what a cold compile of the new
+            # version would have done.
+            self.arena.record_group(self.context.group_id(group))
+
+    def _warm_gid(self, gid: int) -> int:
+        """The warm group index of a base group index (-1 stays hard)."""
+        if gid < 0:
+            return -1
+        warm = self._gid_map[gid]
+        if warm < -1:
+            warm = self._gid_map[gid] = self.context._group_ids[
+                self._group_for_gid(gid)
+            ]
+        return warm
+
+    def _copy_plain(self, cursor: array, mapped: bool, check: bool = False) -> int:
+        """Copy the plain records at ``cursor`` (:meth:`GateArena.copy_records`,
+        under ``mu`` when ``mapped``), looking groups up and resolving span
+        references to shared gates on the way.
+
+        Returns the status the copy stopped with: 0 at a record that is not
+        plain, 1 at a gate the warm table already holds and 3 at a
+        misnumbered gate output (both identity only), 6 at a non-canonical
+        mapped key (``check`` only).  An unmapped variable outside a span
+        replay declines.
+        """
+        base = self.base
+        while True:
+            status = self.arena.copy_records(
+                base.journal,
+                base.lits,
+                base.ends,
+                base.gids,
+                self._gid_map,
+                cursor,
+                self.mu if mapped else None,
+                check,
+            )
+            if status == 2:
+                self._warm_gid(base.gids[cursor[1]])
+            elif status == 5:
+                if self._span_gate_index is None:
+                    raise SpliceDecline
+                self._resolve_span_var(cursor[3])
+            else:
+                return status
+
     # ------------------------------------------------------------- mapping
 
     def _map_lit(self, lit: int) -> int:
@@ -497,24 +638,16 @@ class _Replay:
         paired: necessarily the output of a gate built earlier in the
         region's base subtree (structure sharing across the call).  The
         gate's key is remapped — recursively; its inputs may be such gates
-        themselves — and looked up in the warm cache the region re-encode
-        populated: a cold compile's encode of this callee would hit exactly
-        that entry.  A miss means the new region never built the gate, so
-        the span cannot be replayed — decline (rolled back to a live
-        encode by the caller)."""
-        event = self._span_gate_index.get(var)
-        if event is None:
+        themselves — and looked up in the warm gate table the region
+        re-encode populated: a cold compile's encode of this callee would
+        hit exactly that entry.  A miss means the new region never built
+        the gate, so the span cannot be replayed — decline (rolled back to
+        a live encode by the caller)."""
+        position = self._span_gate_index.get(var)
+        if position is None:
             raise SpliceDecline
-        _, op, key1, key2, _out, _nclauses = event
-        if op in _PACKED_OPS:
-            first = (key1 + (1 << 31)) >> 32
-            second = key1 - (first << 32)
-            mapped1 = self._map_lit(first) * (1 << 32) + self._map_lit(second)
-        else:
-            mapped1 = self._map_lit(key1)
-        mapped2 = self._map_lit(key2)
-        cached = self.builder._gate_cache.get((op, mapped1, mapped2))
-        if cached is None:
+        cached = self.arena.gate_find(*self._gate_key(position, self._map_lit))
+        if not cached:
             raise SpliceDecline
         self.mu[var] = cached
         self._span_commits.append(var)
@@ -544,12 +677,12 @@ class _Replay:
     def _group_for_gid(self, gid: int) -> StatementGroup:
         """The warm group for a base journal group index.
 
-        Usually cached by the "grp" replay; the lazy path covers groups
-        whose first base registration happened *inside* a region span (an
-        unchanged helper first called from a changed function): the region
-        re-encode has already created the warm group, so the base identity
-        just needs remapping.  A group the warm context never created means
-        the encodings diverged — decline.
+        Usually cached by the group-record replay; the lazy path covers
+        groups whose first base registration happened *inside* a region
+        span (an unchanged helper first called from a changed function):
+        the region re-encode has already created the warm group, so the
+        base identity just needs remapping.  A group the warm context never
+        created means the encodings diverged — decline.
         """
         group = self.mapped_groups.get(gid)
         if group is None:
@@ -564,38 +697,28 @@ class _Replay:
             self.mapped_groups[gid] = group
         return group
 
-    def _materialize(self) -> None:
+    def _start_map(self) -> None:
         """Switch from the implicit identity prefix to an explicit map."""
-        if self.context.num_vars != self.base_cursor:  # pragma: no cover
+        consumed = self.cursor[2]
+        if self.context.num_vars != consumed:  # pragma: no cover
             raise SpliceDecline
-        self.mu = list(range(self.base_cursor + 1)) + [0] * (
-            self.base.num_vars - self.base_cursor
+        self.mu = array("q", range(consumed + 1)) + array(
+            "q", bytes(8 * (self.base.num_vars - consumed))
         )
 
     # ----------------------------------------------------------------- run
 
-    def _capture_checkpoint(self, pending: int) -> dict:
-        """Snapshot the replay state just before a journal index.
+    def _capture_checkpoint(self) -> dict:
+        """Snapshot the replay state just before a journal position.
 
-        Taken only while the map is still the identity: everything stored
-        is either immutable (event tuples, group keys) or shallow-copied,
-        and `_restore_checkpoint` copies again on the way out, so a stored
+        Taken only while the map is still the identity; the arena and every
+        list are copied, and a restore copies the arena again, so a stored
         checkpoint is never aliased by a live compile.
         """
-        context = self.context
         return {
-            "pending": pending,
-            "num_vars": context.num_vars,
-            "base_cursor": self.base_cursor,
-            "sig": context._sig,
-            "gates_emitted": context.gates_emitted,
-            "gate_hits": context.gate_hits,
-            "true_lit": context._true_lit,
-            "hard": list(context.hard),
-            "journal": list(context.journal),
-            "groups": {g: list(c) for g, c in context.groups.items()},
-            "group_table": list(context.group_table),
-            "gate_cache": dict(self.builder._gate_cache),
+            "arena": self.arena.copy(),
+            "group_table": list(self.context.group_table),
+            "cursor": self.cursor[:3],
             "mapped_groups": dict(self.mapped_groups),
             "steps": list(self.steps),
             "violations": list(self.violations),
@@ -605,379 +728,171 @@ class _Replay:
             "narrowed_vars": self.checker._narrowed_vars,
         }
 
-    def _restore_checkpoint(self, state: dict, index: int) -> tuple[int, int]:
-        """Install a stored prefix state; returns (journal index, pending)."""
-        context = self.context
-        context.num_vars = state["num_vars"]
-        self.base_cursor = state["base_cursor"]
-        context._sig = state["sig"]
-        context.gates_emitted = state["gates_emitted"]
-        context.gate_hits = state["gate_hits"]
-        context._true_lit = state["true_lit"]
-        self.builder.forget_true()
-        context.hard[:] = state["hard"]
-        context.journal[:] = state["journal"]
-        context.groups.clear()
-        for group, clauses in state["groups"].items():
-            context.groups[group] = list(clauses)
-        context.group_table[:] = state["group_table"]
-        context._group_ids.clear()
-        context._group_ids.update(
-            (group, i) for i, group in enumerate(context.group_table)
-        )
-        cache = self.builder._gate_cache
-        cache.clear()
-        cache.update(state["gate_cache"])
-        self.mapped_groups.clear()
-        self.mapped_groups.update(state["mapped_groups"])
-        self.steps[:] = state["steps"]
-        self.violations[:] = state["violations"]
-        self.nondet_bits[:] = state["nondet_bits"]
-        self.input_bits.clear()
-        self.input_bits.update(state["input_bits"])
-        self.return_bits = state["return_bits"]
-        self.checker._narrowed_vars = state["narrowed_vars"]
-        return index, state["pending"]
+    def run(self) -> None:
+        """Replay every journal record, entering `_region` at changed calls.
 
-    def run(self, start_index: int = 0, start_pending: int = 0) -> None:
-        """Replay every journal event, entering `_region` at changed calls.
-
-        This loop dominates warm-compile time, so the three frequent event
-        kinds ("c" clauses, "v" allocation runs, "g" gate insertions) are
-        inlined against local aliases instead of going through the context
-        methods, and while the map is still the identity the original event
-        tuples and clause lists are appended verbatim (shared, not copied).
-        The pending-variable run-length counter is kept in a local and only
-        synchronized with the context around the rare event kinds and
-        region re-encodes.
+        Runs of clause, variable and gate records go through one
+        `_copy_plain` each: verbatim while the map is still the identity,
+        under ``mu`` (with canonical-key checks) after it.  Raw records are
+        appended with the base event objects shared while nothing needs
+        mapping.
         """
-        events = self.base.journal
-        context = self.context
-        builder = self.builder
-        checker = self.checker
-        hard_append = context.hard.append
-        journal = context.journal
-        journal_append = journal.append
-        groups = context.groups
-        group_ids = context._group_ids
-        gate_cache = builder._gate_cache
-        mapped_groups = self.mapped_groups
-        fnv = 0x100000001B3
-        mask64 = 0xFFFFFFFFFFFFFFFF
-        mask32 = 0xFFFFFFFF
-        mu: Optional[list[int]] = None
-        pending = start_pending
-        index, count = start_index, len(events)
-        while index < count:
-            event = events[index]
-            tag = event[0]
-            if tag == "c":
-                dest = event[1]
-                if mu is None:
-                    mapped_event, clause = event, event[2]
-                else:
-                    clause = []
-                    for lit in event[2]:
-                        m = mu[lit] if lit > 0 else -mu[-lit]
-                        if not m:
-                            raise SpliceDecline
-                        clause.append(m)
-                    mapped_event = None
-                if dest < 0:
-                    hard_append(clause)
-                    if pending:
-                        journal_append(("v", pending))
-                        pending = 0
-                    journal_append(mapped_event or ("c", -1, clause))
-                else:
-                    group = mapped_groups.get(dest)
-                    if group is None:
-                        group = self._group_for_gid(dest)
-                    gid = group_ids[group]
-                    groups[group].append(clause)
-                    if pending:
-                        journal_append(("v", pending))
-                        pending = 0
-                    if mapped_event is not None and gid == dest:
-                        journal_append(mapped_event)
-                    else:
-                        journal_append(("c", gid, clause))
-            elif tag == "v":
-                n = event[1]
-                pending += n
-                if mu is None:
-                    context.num_vars += n
-                    self.base_cursor += n
-                else:
-                    var = context.num_vars
-                    cursor = self.base_cursor
-                    for offset in range(1, n + 1):
-                        mu[cursor + offset] = var + offset
-                    context.num_vars = var + n
-                    self.base_cursor = cursor + n
-            elif tag == "g":
-                # A gate event owns its output variable (it is excluded from
-                # the "v" runs) and precedes its definition clauses, whose
-                # count it carries — so a replay can reproduce both of cold's
-                # behaviors: fresh insertion (allocate + emit) and cache hit
-                # (neither; the definition clauses are skipped wholesale).
-                if mu is None:
-                    op, m1, m2, mout = event[1], event[2], event[3], event[4]
-                    cached = gate_cache.get((op, m1, m2))
-                    if cached is not None:
-                        # Possible only after an identity-resumed region
-                        # built this gate first: a cold compile of the new
-                        # version hits the cache here, so leave the
-                        # identity prefix and elide the insertion.
-                        self._materialize()
-                        self._mu_identity = False
-                        mu = self.mu
-                        mu[mout] = cached
-                        self.base_cursor += 1
-                        context.gate_hits += 1
-                        index += 1 + event[5]
-                        continue
-                    context.num_vars += 1
-                    self.base_cursor += 1
-                    mapped_event = event
-                else:
-                    op, key1, key2, out, nclauses = (
-                        event[1],
-                        event[2],
-                        event[3],
-                        event[4],
-                        event[5],
-                    )
-                    # The mapped key must still be in the builder's canonical
-                    # form (operand order, sign placement) and must not hit
-                    # any constant-folding case the live encoder would have
-                    # reduced away — the replay copies the base key and its
-                    # definition clauses verbatim, so any such divergence
-                    # would produce bytes a cold compile never emits.  A
-                    # region re-encode may legally map recovered gate
-                    # outputs *backwards* (cross-span structure sharing the
-                    # new version unifies), so the map as a whole need not
-                    # be order-preserving; only each key's internal order
-                    # matters, and it is checked here at the point of use.
-                    tl = context.true_lit or 0
-                    if op >= 3:  # packed first component: ITE / XOR3 / MAJ
-                        first = (key1 + (1 << 31)) >> 32
-                        second = key1 - (first << 32)
-                        # A majority key may carry one negative literal in
-                        # front; map sign-preservingly (never index mu with
-                        # a negative, which would silently read the tail).
-                        mf = mu[first] if first > 0 else -mu[-first]
-                        ms = mu[second] if second > 0 else -mu[-second]
-                        m2 = mu[key2] if key2 > 0 else -mu[-key2]
-                        if not mf or not ms or not m2:
-                            raise SpliceDecline
-                        if op == 3:  # ITE: cond, then, else
-                            if (
-                                mf == tl
-                                or ms == tl
-                                or ms == -tl
-                                or m2 == tl
-                                or m2 == -tl
-                                or ms == m2
-                                or ms == -m2
-                            ):
-                                raise SpliceDecline
-                        elif op == 4:  # XOR3: ascending positive inputs
-                            if not mf < ms < m2 or mf == tl or ms == tl or m2 == tl:
-                                raise SpliceDecline
-                        else:  # MAJ: value-sorted, <=1 negative in front
-                            if (
-                                not mf < ms < m2
-                                or mf == -ms
-                                or mf == -m2
-                                or mf == tl
-                                or mf == -tl
-                                or ms == tl
-                                or m2 == tl
-                            ):
-                                raise SpliceDecline
-                        m1 = mf * (1 << 32) + ms
-                    else:
-                        m1 = mu[key1] if key1 > 0 else -mu[-key1]
-                        m2 = mu[key2] if key2 > 0 else -mu[-key2]
-                        if not m1 or not m2:
-                            raise SpliceDecline
-                        if op == 1:  # AND: value-sorted signed literals
-                            if (
-                                not m1 < m2
-                                or m1 == -m2
-                                or m1 == tl
-                                or m1 == -tl
-                                or m2 == tl
-                                or m2 == -tl
-                            ):
-                                raise SpliceDecline
-                        elif not m1 < m2 or m1 == tl or m2 == tl:
-                            # XOR: ascending positive inputs
-                            raise SpliceDecline
-                    self.base_cursor += 1
-                    cached = gate_cache.get((op, m1, m2))
-                    if cached is not None:
-                        # A region re-encode already built this gate, so a
-                        # cold compile of the new version would hit the
-                        # cache here: no allocation, no clauses.  Elide the
-                        # insertion and skip its definition clauses.
-                        mu[out] = cached
-                        self._mu_identity = False
-                        context.gate_hits += 1
-                        index += 1 + nclauses
-                        continue
-                    mout = context.num_vars + 1
-                    context.num_vars = mout
-                    mu[out] = mout
-                    mapped_event = ("g", op, m1, m2, mout, nclauses)
-                gate_cache[(op, m1, m2)] = mout
-                context.gates_emitted += 1
-                sig = context._sig
-                sig = ((sig ^ (op & mask32)) * fnv) & mask64
-                sig = ((sig ^ (m1 & mask32)) * fnv) & mask64
-                sig = ((sig ^ (m2 & mask32)) * fnv) & mask64
-                sig = ((sig ^ (mout & mask32)) * fnv) & mask64
-                context._sig = sig
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(mapped_event)
-            else:
-                # Rare events go through the context methods; hand them the
-                # accumulated pending-variable run and reclaim the (flushed
-                # or untouched) remainder afterwards.
-                context._pending_vars = pending
-                if tag == "grp":
-                    gid = event[1]
-                    group = self.base.group_table[gid]
-                    mapped_group = StatementGroup(
-                        line=self.line_map.get(group.line, group.line),
-                        function=group.function,
-                        iteration=group.iteration,
-                    )
-                    self.mapped_groups[gid] = mapped_group
-                    if mapped_group not in context._group_ids:
-                        # Already registered means an earlier region
-                        # re-encode created the group first — exactly what
-                        # a cold compile of the new version would have done.
-                        context.groups.setdefault(mapped_group, [])
-                        context.record(("grp", context.group_id(mapped_group)))
-                elif tag == "s":
-                    _, line, fn, kind, iteration = event
-                    mapped_line = self.line_map.get(line, line)
-                    self.steps.append(
-                        TraceStep(
-                            line=mapped_line,
-                            function=fn,
-                            kind=kind,
-                            iteration=iteration,
-                        )
-                    )
-                    context.record(("s", mapped_line, fn, kind, iteration))
-                elif tag == "ce":
-                    fn = event[1]
-                    if fn in self.region:
-                        if (
-                            index == self._checkpoint_at
-                            and mu is None
-                            and self._mu_identity
-                        ):
-                            self._checkpoints[index] = self._capture_checkpoint(
-                                pending
-                            )
-                        index = self._region(index)
-                        pending = context._pending_vars
-                        context._pending_vars = 0
-                        mu = self.mu
-                        continue
-                    _, _, depth, gid, guard, args, snapshot = event
-                    mapped_gid = (
-                        -1
-                        if gid < 0
-                        else context._group_ids[self._group_for_gid(gid)]
-                    )
-                    context.record(
-                        (
-                            "ce",
-                            fn,
-                            depth,
-                            mapped_gid,
-                            self._map_lit(guard),
-                            tuple(self._map_bits(a) for a in args),
-                            self._map_snapshot(snapshot),
-                        )
-                    )
-                elif tag == "cx":
-                    _, fn, result, snapshot = event
-                    context.record(
-                        ("cx", fn, self._map_bits(result), self._map_snapshot(snapshot))
-                    )
-                elif tag == "t":
-                    base_var = event[1]
-                    lit = context.true_lit
-                    self.base_cursor += 1
-                    if mu is not None:
-                        mu[base_var] = lit
-                        if lit != base_var:
-                            self._mu_identity = False
-                    elif lit != base_var:  # pragma: no cover - defensive
-                        raise SpliceDecline
-                elif tag == "nw":
-                    checker._narrowed_vars += event[1]
-                    context.record(event)
-                elif tag == "nd":
-                    bits = self._map_bits(event[1])
-                    self.nondet_bits.append(bits)
-                    context.record(("nd", bits))
-                elif tag == "viol":
-                    _, line, lit = event
-                    mapped_line = self.line_map.get(line, line)
-                    mapped_lit = self._map_lit(lit)
-                    self.violations.append((mapped_line, mapped_lit))
-                    context.record(("viol", mapped_line, mapped_lit))
-                elif tag == "in":
-                    _, name, bits = event
-                    mapped_bits = self._map_bits(bits)
-                    self.input_bits[name] = mapped_bits
-                    context.record(("in", name, mapped_bits))
-                elif tag == "ret":
-                    mapped_bits = self._map_bits(event[1])
-                    self.return_bits = mapped_bits
-                    context.record(("ret", mapped_bits))
-                else:  # pragma: no cover - defensive
+        js, raw = self.base.journal, self.base.raw
+        cursor = self.cursor
+        count = len(js)
+        while True:
+            status = self._copy_plain(cursor, self.mu is not None, check=True)
+            if status:  # pragma: no cover - the prefix repeats base gates
+                raise SpliceDecline
+            index = cursor[0]
+            if index >= count:
+                break
+            tag = js[index]
+            if tag == TAG_GRP:
+                self._emit_group_record(js[index + 1])
+            elif tag == TAG_T:
+                base_var = js[index + 1]
+                lit = self.context.true_lit
+                cursor[2] += 1
+                cursor[1] += 1  # the constant's hard unit
+                if self.mu is not None:
+                    self.mu[base_var] = lit
+                elif lit != base_var:  # pragma: no cover - defensive
                     raise SpliceDecline
-                pending = context._pending_vars
-                context._pending_vars = 0
-            index += 1
-        context._pending_vars = pending
-        context._flush_vars()
+            else:
+                event = raw[js[index + 1]]
+                if event[0] == "ce" and event[1] in self.region:
+                    if index == self._checkpoint_at and self.mu is None:
+                        self._checkpoints[index] = self._capture_checkpoint()
+                    self._region()
+                    continue
+                if self.mu is None and not self._subst:
+                    self._replay_identity_event(index, event)
+                else:
+                    self._replay_mapped_event(event)
+            cursor[0] = record_end(js, index)
+
+    def _replay_identity_event(self, position: int, event: tuple) -> None:
+        """Replay a raw/call record whose literals need no mapping (the
+        identity prefix, or a self-contained span under an identical
+        interface): only group indexes and lines can differ from the base
+        record, which is otherwise copied with its event shared."""
+        kind = event[0]
+        if kind == "ce":
+            gid = self._warm_gid(event[3])
+            if gid != event[3]:
+                self.context.record(("ce", event[1], event[2], gid) + event[4:])
+                return
+        elif kind == "s" or kind == "viol":
+            line = event[1]
+            mapped_line = self.line_map.get(line, line)
+            if kind == "s":
+                _, _, fn, step_kind, iteration = event
+                self.steps.append(
+                    TraceStep(
+                        line=mapped_line,
+                        function=fn,
+                        kind=step_kind,
+                        iteration=iteration,
+                    )
+                )
+            else:
+                self.violations.append((mapped_line, event[2]))
+            if mapped_line != line:
+                self.context.record((kind, mapped_line) + event[2:])
+                return
+        elif kind == "nw":
+            self.checker._narrowed_vars += event[1]
+        elif kind == "nd":
+            self.nondet_bits.append(event[1])
+        elif kind == "in":
+            self.input_bits[event[1]] = event[2]
+        elif kind == "ret":
+            self.return_bits = event[1]
+        self._copy_record(position)
+
+    def _replay_mapped_event(self, event: tuple) -> None:
+        """Replay one raw/call record of the base journal under the map."""
+        context = self.context
+        kind = event[0]
+        if kind == "ce":
+            _, fn, depth, gid, guard, args, snapshot = event
+            context.record(
+                (
+                    "ce",
+                    fn,
+                    depth,
+                    self._warm_gid(gid),
+                    self._map_lit(guard),
+                    tuple(self._map_bits(a) for a in args),
+                    self._map_snapshot(snapshot),
+                )
+            )
+        elif kind == "cx":
+            _, fn, result, snapshot = event
+            context.record(
+                ("cx", fn, self._map_bits(result), self._map_snapshot(snapshot))
+            )
+        elif kind == "s":
+            _, line, fn, step_kind, iteration = event
+            mapped_line = self.line_map.get(line, line)
+            self.steps.append(
+                TraceStep(
+                    line=mapped_line, function=fn, kind=step_kind, iteration=iteration
+                )
+            )
+            context.record(("s", mapped_line, fn, step_kind, iteration))
+        elif kind == "nw":
+            self.checker._narrowed_vars += event[1]
+            context.record(event)
+        elif kind == "nd":
+            bits = self._map_bits(event[1])
+            self.nondet_bits.append(bits)
+            context.record(("nd", bits))
+        elif kind == "viol":
+            _, line, lit = event
+            mapped_line = self.line_map.get(line, line)
+            mapped_lit = self._map_lit(lit)
+            self.violations.append((mapped_line, mapped_lit))
+            context.record(("viol", mapped_line, mapped_lit))
+        elif kind == "in":
+            _, name, bits = event
+            mapped_bits = self._map_bits(bits)
+            self.input_bits[name] = mapped_bits
+            context.record(("in", name, mapped_bits))
+        elif kind == "ret":
+            mapped_bits = self._map_bits(event[1])
+            self.return_bits = mapped_bits
+            context.record(("ret", mapped_bits))
+        else:  # pragma: no cover - defensive
+            raise SpliceDecline
 
     # -------------------------------------------------------------- regions
 
-    def _region(self, index: int) -> int:
-        """Re-encode one changed call subtree; return the next journal index.
+    def _region(self) -> None:
+        """Re-encode the changed call subtree at the replay cursor.
 
-        The base journal's ``ce`` event at ``index`` carries the complete
-        interface the inlined subtree depended on; the matching ``cx``
-        carries everything the caller observed.  The subtree in between is
-        discarded and the real encoder runs on the new program's function,
-        after which the variable map is extended by pairing the old and new
-        interface bits.
+        Moves the cursor past the subtree.  The base journal's call-enter
+        record there carries the complete interface the inlined subtree
+        depended on; the matching call-exit carries everything the caller
+        observed.  The subtree in between is discarded and the real encoder
+        runs on the new program's function, after which the variable map is
+        extended by pairing the old and new interface bits.
         """
-        events = self.base.journal
-        _, fn, depth, gid, guard, args, snapshot = events[index]
+        js, raw = self.base.journal, self.base.raw
+        index = self.cursor[0]
+        _, fn, depth, gid, guard, args, snapshot = raw[js[index + 1]]
         if self.mu is None:
-            self._materialize()
+            self._start_map()
         context = self.context
         builder = self.builder
         checker = self.checker
-        region_base_start = self.base_cursor
+        region_base_start = self.cursor[2]
         region_new_start = context.num_vars
 
         # One pass over the discarded subtree, up front: find the matching
-        # call-exit, count the subtree's variable allocations, collect its
-        # gate insertions (their outputs may be shared with later code and
+        # call-exit, count the subtree's variables and clauses, collect its
+        # gate records (their outputs may be shared with later code and
         # need recovering below), and build the call-span tree — for every
         # span, at every depth, the list of its direct child spans.  The
         # hook pairs the new body's calls with these positionally; a clean
@@ -986,40 +901,41 @@ class _Replay:
         # unchanged callees keep replaying at every depth under a change.
         children: list[list] = []
         children_by_start: dict[int, list] = {}
-        span_gates: list[tuple] = []
+        span_gates: list[int] = []
         unchanged = self.unchanged
         # Scan stack frames: (span entry | None for the region root, kids).
         stack: list[tuple[Optional[list], list]] = [(None, children)]
-        cursor = self.base_cursor
-        scan = index + 1
+        cursor = region_base_start
+        ccur = self.cursor[1]
+        scan = record_end(js, index)
         while True:
-            event = events[scan]
-            tag = event[0]
-            if tag == "c":
-                pass
-            elif tag == "v":
-                cursor += event[1]
-            elif tag == "g":
+            tag = js[scan]
+            if tag == TAG_C:
+                ccur += 1
+            elif tag == TAG_V:
+                cursor += js[scan + 1]
+            elif tag == TAG_G:
                 cursor += 1
-                span_gates.append(event)
-            elif tag == "ce":
-                # [fn, start index, base-var cursor at entry, clean]
-                stack.append(
-                    ([event[1], scan, cursor, event[1] in unchanged], [])
-                )
-            elif tag == "cx":
+                ccur += js[scan + 5]
+                span_gates.append(scan)
+            elif tag == TAG_CE:
+                # [fn, start, base-var cursor, clause cursor, clean]
+                name = raw[js[scan + 1]][1]
+                stack.append(([name, scan, cursor, ccur, name in unchanged], []))
+            elif tag == TAG_CX:
                 entry, kids = stack.pop()
                 if entry is None:
                     break
                 children_by_start[entry[1]] = kids
                 parent_entry, parent_kids = stack[-1]
                 parent_kids.append(entry)
-                if not entry[3] and parent_entry is not None:
+                if not entry[4] and parent_entry is not None:
                     # A changed function below poisons every enclosing span.
-                    parent_entry[3] = False
-            elif tag == "t":  # pragma: no cover - true_lit precedes any call
+                    parent_entry[4] = False
+            elif tag == TAG_T:  # pragma: no cover - true_lit precedes any call
                 cursor += 1
-            scan += 1
+                ccur += 1
+            scan = record_end(js, scan)
         end_index, end_cursor = scan, cursor
 
         try:
@@ -1055,7 +971,7 @@ class _Replay:
         self._span_children_by_start = children_by_start
         self._region_base_start = region_base_start
         self._region_new_start = region_new_start
-        self._region_gate_index = {e[4]: e for e in span_gates}
+        self._region_gate_index = {js[position + 4]: position for position in span_gates}
         checker._splice_call_hook = self._try_span_replay
         try:
             frame = _Frame(function=fn, active=builder.true)
@@ -1084,10 +1000,9 @@ class _Replay:
             self._span_stack = []
             self._span_children_by_start = {}
 
-        self.base_cursor = end_cursor
-        base_event = events[end_index]
-        base_result, base_snapshot = base_event[2], base_event[3]
-        region_base_end = self.base_cursor
+        self.cursor[:3] = array("q", [record_end(js, end_index), ccur, end_cursor])
+        _, _, base_result, base_snapshot = raw[js[end_index + 1]]
+        region_base_end = end_cursor
         region_new_end = context.num_vars
 
         # Extend mu from the observed interface.  Already-mapped base bits
@@ -1154,11 +1069,9 @@ class _Replay:
 
         # Recover mappings for subtree gates shared with later code: the
         # region re-encode built the corresponding gate under the mapped
-        # key, so the warm cache tells us its output variable.  Gates whose
-        # inputs are region-internal stay unmapped — if later code somehow
-        # referenced one anyway, `_map_lit` declines at that use.
-        cache = self.builder._gate_cache
-
+        # key, so the warm gate table tells us its output variable.  Gates
+        # whose inputs are region-internal stay unmapped — if later code
+        # somehow referenced one anyway, `_map_lit` declines at that use.
         def look(lit: int) -> int:
             """`_map_lit` without the decline exception: 0 when unmapped."""
             mapped = mu[lit] if lit > 0 else mu[-lit]
@@ -1166,46 +1079,19 @@ class _Replay:
                 return 0
             return mapped if lit > 0 else -mapped
 
-        for _, op, key1, key2, out, _nclauses in span_gates:
+        for position in span_gates:
+            out = js[position + 4]
             if mu[out]:
                 continue
-            if op in _PACKED_OPS:
-                first = (key1 + (1 << 31)) >> 32
-                second = key1 - (first << 32)
-                mapped_first = look(first)
-                mapped_second = look(second)
-                if not mapped_first or not mapped_second:
-                    continue
-                mapped1 = mapped_first * (1 << 32) + mapped_second
-            else:
-                mapped1 = look(key1)
-                if not mapped1:
-                    continue
-            mapped2 = look(key2)
-            if not mapped2:
-                continue
-            shared = cache.get((op, mapped1, mapped2))
-            if shared is not None:
-                mu[out] = shared
-
-        # A region whose re-encode allocated the exact same variables as
-        # its base subtree — every pairing the identity — leaves the map
-        # indistinguishable from the identity prefix, so the replay can
-        # resume the cheap shared-event path.  (Unmapped subtree-internal
-        # variables are unreachable from later code except through the
-        # gate cache, which the elision path consults live either way.)
-        if self._mu_identity and context.num_vars == self.base_cursor:
-            start = region_base_start + 1
-            if all(
-                m == 0 or m == v
-                for v, m in enumerate(mu[start : region_base_end + 1], start)
-            ):
-                self.mu = None
-            else:
-                self._mu_identity = False
-        else:
-            self._mu_identity = False
-        return end_index + 1
+            key = self._gate_key(position, look)
+            if key is not None:
+                shared = self.arena.gate_find(*key)
+                if shared:
+                    mu[out] = shared
+        # The map stays explicit for the rest of the replay, even when every
+        # pairing above is the identity: region-internal base variables the
+        # re-encode did not pair stay unmapped, and a later record naming
+        # one must decline rather than be copied as it is.
 
     # --------------------------------------------------------------- spans
 
@@ -1234,13 +1120,15 @@ class _Replay:
         if k >= len(children):
             return None
         stack[-1][1] = k + 1
-        fn, start, cursor0, clean = children[k]
+        fn, start, cursor0, clause0, clean = children[k]
         if fn != name:
             return None
         if clean:
-            result = self._replay_span_identity(name, start, cursor0, frame, guard)
+            result = self._replay_span_identity(
+                name, start, cursor0, clause0, frame, guard
+            )
             if result is None:
-                result = self._replay_span(name, start, cursor0, frame, guard)
+                result = self._replay_span(name, start, cursor0, clause0, frame, guard)
             if result is not None:
                 return result
         return self._paired_live(name, start, frame, guard)
@@ -1287,44 +1175,34 @@ class _Replay:
         context.record(("cx", name, result, checker._globals_snapshot()))
         return result
 
-    def _span_external_refs(self, start: int, cursor0: int) -> Optional[tuple]:
+    def _span_external_refs(
+        self, start: int, cursor0: int, clause0: int
+    ) -> Optional[tuple]:
         """Variables the base call span at ``start`` references from outside
-        its own interface (the ``ce`` guard/argument/global bits), its own
-        allocations and the constant-true variable — in practice, outputs of
-        gates structure-shared from earlier in the base journal.  ``None``
-        when the span contains an event the identity fast path cannot share
-        (a misnumbered gate output or an out-of-place rare event).
+        its own interface (the call-enter guard/argument/global bits), its
+        own allocations and the constant-true variable — in practice,
+        outputs of gates structure-shared from earlier in the base journal.
+        ``None`` when the span contains a record the identity fast path
+        cannot share (a misnumbered gate output or an out-of-place record).
 
         A property of the base journal alone, so the result is memoized on
         the artifact and shared by every splice against it.  The fast path
-        may share the span's events verbatim once every external reference
-        is proven identity-mapped: every other literal it emits is either
+        may share the span's records once every external reference is
+        proven identity-mapped: every other literal it emits is either
         pinned equal by the interface check or allocated at an identical
-        position by the aligned cursors.
+        position by the aligned cursors.  Call records carry their literal
+        payload in the stream, and a gate's definition clauses name only
+        its key's inputs and its output, so the scan reads the stream and
+        the span's non-gate clauses.
         """
         cached = self._span_meta.get(start, False)
         if cached is not False:
             return cached
-        events = self.base.journal
-        base_ce = events[start]
-        iface: set[int] = set()
-
-        def absorb(bits) -> None:
-            for lit in bits:
-                iface.add(lit if lit > 0 else -lit)
-
-        guard = base_ce[4]
-        iface.add(guard if guard > 0 else -guard)
-        for bits in base_ce[5]:
-            absorb(bits)
-        for _, value in base_ce[6]:
-            if value and isinstance(value[0], int):
-                absorb(value)
-            else:
-                for cell in value:
-                    absorb(cell)
-        if self.base.true_lit:
-            iface.add(abs(self.base.true_lit))
+        base = self.base
+        js, raw = base.journal, base.raw
+        iface = {lit if lit > 0 else -lit for lit in js[start + 3 : record_end(js, start)]}
+        if base.true_lit:
+            iface.add(abs(base.true_lit))
 
         external: set[int] = set()
 
@@ -1338,88 +1216,102 @@ class _Replay:
                     return False
             return True
 
-        def scan_snapshot(snapshot, cursor: int) -> bool:
-            for _, value in snapshot:
-                if value and isinstance(value[0], int):
-                    if not scan(value, cursor):
-                        return False
-                else:
-                    for cell in value:
-                        if not scan(cell, cursor):
-                            return False
-            return True
-
         ok = True
         cursor = cursor0
-        index = start + 1
+        ccur = clause0
+        index = record_end(js, start)
         nesting = 1
         while ok:
-            event = events[index]
-            tag = event[0]
-            if tag == "c":
-                ok = scan(event[2], cursor)
-            elif tag == "v":
-                cursor += event[1]
-            elif tag == "g":
-                op, key1, key2 = event[1], event[2], event[3]
-                if op in _PACKED_OPS:
+            tag = js[index]
+            end = record_end(js, index)
+            if tag == TAG_C:
+                ok = scan(self._base_clause(ccur), cursor)
+                ccur += 1
+            elif tag == TAG_V:
+                cursor += js[index + 1]
+            elif tag == TAG_G:
+                op, key1, key2 = js[index + 1], js[index + 2], js[index + 3]
+                if op in PACKED_OPS:
                     first = (key1 + (1 << 31)) >> 32
                     keys = (first, key1 - (first << 32), key2)
                 else:
                     keys = (key1, key2)
                 cursor += 1
-                ok = scan(keys, cursor) and event[4] == cursor
-            elif tag == "ce":
-                nesting += 1
-                ok = (
-                    scan((event[4],), cursor)
-                    and all(scan(bits, cursor) for bits in event[5])
-                    and scan_snapshot(event[6], cursor)
-                )
-            elif tag == "cx":
-                nesting -= 1
-                ok = scan(event[2], cursor) and scan_snapshot(event[3], cursor)
+                ccur += js[index + 5]
+                ok = scan(keys, cursor) and js[index + 4] == cursor
+            elif tag == TAG_CE or tag == TAG_CX:
+                nesting += 1 if tag == TAG_CE else -1
+                ok = scan(js[index + 3 : end], cursor)
                 if nesting == 0:
                     break
-            elif tag == "nd":
-                ok = scan(event[1], cursor)
-            elif tag == "viol":
-                ok = scan((event[2],), cursor)
-            elif tag in ("s", "grp", "nw"):
-                pass
-            else:  # "t"/"in"/"ret" cannot occur inside a call span
+            elif tag == TAG_RAW:
+                # "t"/"in"/"ret" cannot occur inside a call span.
+                ok = raw[js[index + 1]][0] not in ("in", "ret") and scan(
+                    js[index + 3 : end], cursor
+                )
+            elif tag == TAG_T:
                 ok = False
-            index += 1
+            index = end
         refs = tuple(sorted(external)) if ok else None
         self._span_meta[start] = refs
         return refs
 
+    def _rewind_span(self, mark, commits: list[int], gids_mapped: list[int]) -> None:
+        """Roll an abandoned span replay back to ``mark``."""
+        context_mark, steps, violations, nondet, narrowed = mark
+        mu = self.mu
+        for var in commits:
+            mu[var] = 0
+        for gid in gids_mapped:
+            self.mapped_groups.pop(gid, None)
+            self._gid_map[gid] = -2
+        self.context.rewind(context_mark)
+        del self.steps[steps:]
+        del self.violations[violations:]
+        del self.nondet_bits[nondet:]
+        self.checker._narrowed_vars = narrowed
+
+    def _span_mark(self) -> tuple:
+        return (
+            self.context.mark(),
+            len(self.steps),
+            len(self.violations),
+            len(self.nondet_bits),
+            self.checker._narrowed_vars,
+        )
+
     def _replay_span_identity(
-        self, name: str, start: int, cursor0: int, frame: _Frame, guard: int
+        self,
+        name: str,
+        start: int,
+        cursor0: int,
+        clause0: int,
+        frame: _Frame,
+        guard: int,
     ):
-        """Replay a clean span by sharing the base events verbatim.
+        """Replay a clean span by copying the base records as they are.
 
         Applies when the live call interface is bit-for-bit the base one
         (same guard, argument and global literals), the warm variable
         counter sits exactly at the span's base cursor, the constant-true
         literal agrees, and the span is self-contained: then a cold compile
         of the new version would emit exactly the bytes the base journal
-        already holds, so the replay appends the original event tuples and
-        clause lists without rebuilding them.  The one live decision left
-        is the gate cache — a hit (a region re-encode built one of these
-        gates first) changes the bytes, so the attempt rolls back and
-        returns ``None``; the caller redoes the span under the variable
-        map, whose elision path handles the hit correctly.
+        already holds, so the replay copies clauses and records without
+        mapping a literal.  The one live decision left is the gate table —
+        a hit (a region re-encode built one of these gates first) changes
+        the bytes, so the attempt rewinds and returns ``None``; the caller
+        redoes the span under the variable map, whose elision path handles
+        the hit correctly.
         """
         context = self.context
+        arena = self.arena
         checker = self.checker
         if cursor0 != context.num_vars:
             return None
-        if self.base.true_lit != context.true_lit:
+        if self.base.true_lit != arena.hdr[HDR_TRUE]:
             return None
-        events = self.base.journal
-        base_ce = events[start]
-        base_guard, base_args, base_snapshot = base_ce[4], base_ce[5], base_ce[6]
+        js, raw = self.base.journal, self.base.raw
+        _, _, _, _, base_guard, base_args, base_snapshot = raw[js[start + 1]]
         if guard != base_guard:
             return None
         try:
@@ -1440,7 +1332,7 @@ class _Replay:
             for base_cell, new_cell in zip(base_value, new_value):
                 if base_cell is not new_cell and base_cell != tuple(new_cell):
                     return None
-        refs = self._span_external_refs(start, cursor0)
+        refs = self._span_external_refs(start, cursor0, clause0)
         if refs is None:
             return None
         mu = self.mu
@@ -1466,33 +1358,8 @@ class _Replay:
                 self._span_gate_index = None
                 self._span_commits = None
 
-        # ---------------------------------------------------- state snapshot
-        journal = context.journal
-        saved_num_vars = context.num_vars
-        saved_sig = context._sig
-        saved_emitted = context.gates_emitted
-        saved_pending = context._pending_vars
-        saved_hard = len(context.hard)
-        saved_journal = len(journal)
-        saved_groups = len(context.group_table)
-        saved_steps = len(self.steps)
-        saved_viol = len(self.violations)
-        saved_nondet = len(self.nondet_bits)
-        saved_narrowed = checker._narrowed_vars
-        cache_keys: list[tuple] = []
-        grouped: list[list] = []
+        mark = self._span_mark()
         gids_mapped: list[int] = []
-
-        gate_cache = self.builder._gate_cache
-        mapped_groups = self.mapped_groups
-        group_ids = context._group_ids
-        hard_append = context.hard.append
-        journal_append = journal.append
-        line_map = self.line_map
-        fnv = 0x100000001B3
-        mask64 = 0xFFFFFFFFFFFFFFFF
-        mask32 = 0xFFFFFFFF
-
         group = context.current_group
         context.record(
             (
@@ -1505,211 +1372,103 @@ class _Replay:
                 checker._globals_snapshot(),
             )
         )
-        ok = True
-        pending = 0
-        cursor = cursor0
-        index = start + 1
+        cursor = array("q", [record_end(js, start), clause0, cursor0, 0])
+        try:
+            _, _, base_result, base_out = self._span_records(
+                cursor, False, gids_mapped
+            )
+        except SpliceDecline:
+            # Typically a gate a region re-encode built first: cold would
+            # elide it, changing the bytes.  The caller redoes the span
+            # under the map, whose elision path handles the hit.
+            commits.extend(range(cursor0 + 1, cursor[2] + 1))
+            self._rewind_span(mark, commits, gids_mapped)
+            return None
+        out_globals: dict[str, object] = {}
+        for gname, value in base_out:
+            if value and isinstance(value[0], int):
+                out_globals[gname] = value
+            else:
+                out_globals[gname] = list(value)
+        checker._globals = out_globals
+        context.record(("cx", name, base_result, checker._globals_snapshot()))
+        return base_result
+
+    def _span_records(self, cursor: array, mapped: bool, gids_mapped: list[int]):
+        """Replay the records of a base call span from ``cursor`` to its
+        call-exit, and return that call-exit event.
+
+        Literals go through ``mu`` when ``mapped``; otherwise they are
+        copied as they are, which the aligned cursors make the identity
+        map.  Registered groups are added to ``gids_mapped``.  Raises
+        :class:`SpliceDecline` where the span cannot be replayed that way;
+        the caller rewinds.
+        """
+        js, raw = self.base.journal, self.base.raw
+        hdr = self.arena.hdr
+        mu = self.mu
         nesting = 1
         while True:
-            event = events[index]
-            tag = event[0]
-            if tag == "c":
-                dest = event[1]
-                clause = event[2]
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                if dest < 0:
-                    hard_append(clause)
-                    journal_append(event)
+            before = hdr[HDR_NUM_VARS]
+            status = self._copy_plain(cursor, mapped)
+            if not mapped:
+                after = hdr[HDR_NUM_VARS]
+                mu[before + 1 : after + 1] = array("q", range(before + 1, after + 1))
+            if status:
+                raise SpliceDecline
+            index = cursor[0]
+            tag = js[index]
+            if tag == TAG_GRP:
+                gids_mapped.append(js[index + 1])
+                self._emit_group_record(js[index + 1])
+            elif tag == TAG_T:  # pragma: no cover - outside any call span
+                raise SpliceDecline
+            else:
+                event = raw[js[index + 1]]
+                kind = event[0]
+                if kind == "cx":
+                    nesting -= 1
+                    if nesting == 0:
+                        return event
+                elif kind == "ce":
+                    nesting += 1
+                elif kind in ("in", "ret"):  # pragma: no cover - as above
+                    raise SpliceDecline
+                if mapped:
+                    self._replay_mapped_event(event)
                 else:
-                    mapped_group = mapped_groups.get(dest)
-                    if mapped_group is None:
-                        mapped_group = self._group_for_gid(dest)
-                    gid = group_ids[mapped_group]
-                    bucket = context.groups[mapped_group]
-                    bucket.append(clause)
-                    grouped.append(bucket)
-                    journal_append(event if gid == dest else ("c", gid, clause))
-            elif tag == "v":
-                n = event[1]
-                var = context.num_vars
-                for offset in range(1, n + 1):
-                    mu[cursor + offset] = var + offset
-                    commits.append(cursor + offset)
-                context.num_vars = var + n
-                cursor += n
-                pending += n
-            elif tag == "g":
-                key = (event[1], event[2], event[3])
-                if key in gate_cache:
-                    # A region re-encode built this gate first; cold would
-                    # elide here, changing the bytes.  Redo the span mapped.
-                    ok = False
-                    break
-                out = event[4]
-                cursor += 1
-                context.num_vars = out
-                mu[out] = out
-                commits.append(out)
-                gate_cache[key] = out
-                cache_keys.append(key)
-                context.gates_emitted += 1
-                sig = context._sig
-                sig = ((sig ^ (key[0] & mask32)) * fnv) & mask64
-                sig = ((sig ^ (key[1] & mask32)) * fnv) & mask64
-                sig = ((sig ^ (key[2] & mask32)) * fnv) & mask64
-                sig = ((sig ^ (out & mask32)) * fnv) & mask64
-                context._sig = sig
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(event)
-            elif tag == "cx":
-                nesting -= 1
-                if nesting == 0:
-                    break
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(event)
-            elif tag == "ce":
-                nesting += 1
-                gid = event[3]
-                mapped_gid = (
-                    -1 if gid < 0 else group_ids[self._group_for_gid(gid)]
-                )
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(
-                    event
-                    if mapped_gid == gid
-                    else ("ce", event[1], event[2], mapped_gid) + event[4:]
-                )
-            elif tag == "s":
-                line = event[1]
-                mapped_line = line_map.get(line, line)
-                self.steps.append(
-                    TraceStep(
-                        line=mapped_line,
-                        function=event[2],
-                        kind=event[3],
-                        iteration=event[4],
-                    )
-                )
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(
-                    event
-                    if mapped_line == line
-                    else ("s", mapped_line) + event[2:]
-                )
-            elif tag == "grp":
-                gid = event[1]
-                base_group = self.base.group_table[gid]
-                mapped_group = StatementGroup(
-                    line=line_map.get(base_group.line, base_group.line),
-                    function=base_group.function,
-                    iteration=base_group.iteration,
-                )
-                mapped_groups[gid] = mapped_group
-                gids_mapped.append(gid)
-                if mapped_group not in group_ids:
-                    context.groups.setdefault(mapped_group, [])
-                    if pending:
-                        journal_append(("v", pending))
-                        pending = 0
-                    journal_append(("grp", context.group_id(mapped_group)))
-            elif tag == "nw":
-                checker._narrowed_vars += event[1]
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(event)
-            elif tag == "viol":
-                line = event[1]
-                mapped_line = line_map.get(line, line)
-                self.violations.append((mapped_line, event[2]))
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(
-                    event if mapped_line == line else ("viol", mapped_line, event[2])
-                )
-            elif tag == "nd":
-                self.nondet_bits.append(event[1])
-                if pending:
-                    journal_append(("v", pending))
-                    pending = 0
-                journal_append(event)
-            else:  # pragma: no cover - excluded by self-containment
-                ok = False
-                break
-            index += 1
-
-        if ok:
-            base_result, base_out = event[2], event[3]
-            context._pending_vars = pending
-            out_globals: dict[str, object] = {}
-            for gname, value in base_out:
-                if value and isinstance(value[0], int):
-                    out_globals[gname] = value
-                else:
-                    out_globals[gname] = list(value)
-            checker._globals = out_globals
-            context.record(("cx", name, base_result, checker._globals_snapshot()))
-            return base_result
-
-        # Roll the partial share back; the caller retries under the map.
-        for var in commits:
-            mu[var] = 0
-        for key in cache_keys:
-            del gate_cache[key]
-        for bucket in reversed(grouped):
-            bucket.pop()
-        while len(context.group_table) > saved_groups:
-            stale = context.group_table.pop()
-            del group_ids[stale]
-            context.groups.pop(stale, None)
-        for gid in gids_mapped:
-            mapped_groups.pop(gid, None)
-        del context.hard[saved_hard:]
-        del journal[saved_journal:]
-        context.num_vars = saved_num_vars
-        context._sig = saved_sig
-        context.gates_emitted = saved_emitted
-        context._pending_vars = saved_pending
-        del self.steps[saved_steps:]
-        del self.violations[saved_viol:]
-        del self.nondet_bits[saved_nondet:]
-        checker._narrowed_vars = saved_narrowed
-        return None
+                    self._replay_identity_event(index, event)
+            cursor[0] = record_end(js, index)
 
     def _replay_span(
-        self, name: str, start: int, cursor0: int, frame: _Frame, guard: int
+        self,
+        name: str,
+        start: int,
+        cursor0: int,
+        clause0: int,
+        frame: _Frame,
+        guard: int,
     ):
         """Replay one base call span against the live interface at `frame`.
 
-        The base journal's ``ce`` at ``start`` records the interface the
-        inlined subtree depended on; the map is seeded by pairing it with
-        the live arguments/guard/globals, then the span's events replay
-        exactly like the top-level mapped phase (gate elision included —
-        the warm cache is consulted live, so hits and misses land wherever
-        a cold compile's would).  An unmappable variable, sign flip or
-        shape mismatch aborts the attempt: every side effect is rolled
-        back and the caller encodes the subtree live instead.  Soundness
-        never rests on the pairing being "right" — a wrong pairing either
-        fails seeding, hits an unmapped variable, or breaks the global
-        monotonicity sweep, all of which decline.
+        The base journal's call-enter record at ``start`` records the
+        interface the inlined subtree depended on; the map is seeded by
+        pairing it with the live arguments/guard/globals, then the span's
+        records replay exactly like the top-level mapped phase (gate
+        elision included — the warm gate table is consulted live, so hits
+        and misses land wherever a cold compile's would).  An unmappable
+        variable, sign flip or shape mismatch aborts the attempt: the arena
+        and the replay state are rewound and the caller encodes the subtree
+        live instead.  Soundness never rests on the pairing being "right" —
+        a wrong pairing either fails seeding, hits an unmapped variable, or
+        later fails the top-level replay's canonical-key check, all of which
+        decline.
         """
         checker = self.checker
         context = self.context
-        events = self.base.journal
+        js, raw = self.base.journal, self.base.raw
         mu = self.mu
-        base_ce = events[start]
-        _, _, _, _, base_guard, base_args, base_snapshot = base_ce
+        _, _, _, _, base_guard, base_args, base_snapshot = raw[js[start + 1]]
         try:
             callee = self.program.function(name)
         except KeyError:
@@ -1721,25 +1480,9 @@ class _Replay:
         if [n for n, _ in base_snapshot] != list(live_globals):
             return None
 
-        # ---------------------------------------------------- state snapshot
-        journal = context.journal
-        saved_num_vars = context.num_vars
-        saved_sig = context._sig
-        saved_emitted = context.gates_emitted
-        saved_hits = context.gate_hits
-        saved_pending = context._pending_vars
-        saved_hard = len(context.hard)
-        saved_journal = len(journal)
-        saved_groups = len(context.group_table)
-        saved_steps = len(self.steps)
-        saved_viol = len(self.violations)
-        saved_nondet = len(self.nondet_bits)
-        saved_narrowed = checker._narrowed_vars
+        mark = self._span_mark()
         commits: list[int] = []
-        cache_keys: list[tuple] = []
-        grouped: list[list] = []
         gids_mapped: list[int] = []
-
         region_base_start = self._region_base_start
         region_new_start = self._region_new_start
 
@@ -1769,25 +1512,7 @@ class _Replay:
             for base_lit, new_lit in zip(base_bits, new_bits):
                 seed(base_lit, new_lit)
 
-        gate_cache = self.builder._gate_cache
-        mapped_groups = self.mapped_groups
-        group_ids = context._group_ids
-        hard_append = context.hard.append
-        journal_append = journal.append
-        line_map = self.line_map
-        fnv = 0x100000001B3
-        mask64 = 0xFFFFFFFFFFFFFFFF
-        mask32 = 0xFFFFFFFF
-        resolve = self._resolve_span_var
-
-        def sl(lit: int) -> int:
-            """Span-lit map: mu with fallback to shared-gate resolution."""
-            var = lit if lit > 0 else -lit
-            mapped = mu[var]
-            if not mapped:
-                mapped = resolve(var)
-            return mapped if lit > 0 else -mapped
-
+        cursor = array("q", [record_end(js, start), clause0, cursor0, 0])
         self._span_gate_index = self._region_gate_index
         self._span_commits = commits
         try:
@@ -1837,171 +1562,12 @@ class _Replay:
                     for base_cell, new_cell in zip(base_value, new_value):
                         seed_bits(base_cell, new_cell)
 
-            pending = 0
-            cursor = cursor0
-            index = start + 1
-            nesting = 1
-            while True:
-                event = events[index]
-                tag = event[0]
-                if tag == "c":
-                    dest = event[1]
-                    clause = []
-                    for lit in event[2]:
-                        if lit > 0:
-                            m = mu[lit]
-                            if not m:
-                                m = resolve(lit)
-                        else:
-                            m = mu[-lit]
-                            if not m:
-                                m = resolve(-lit)
-                            m = -m
-                        clause.append(m)
-                    if pending:
-                        journal_append(("v", pending))
-                        pending = 0
-                    if dest < 0:
-                        hard_append(clause)
-                        journal_append(("c", -1, clause))
-                    else:
-                        group = mapped_groups.get(dest)
-                        if group is None:
-                            group = self._group_for_gid(dest)
-                        context.groups[group].append(clause)
-                        grouped.append(context.groups[group])
-                        journal_append(("c", group_ids[group], clause))
-                elif tag == "v":
-                    n = event[1]
-                    var = context.num_vars
-                    for offset in range(1, n + 1):
-                        mu[cursor + offset] = var + offset
-                        commits.append(cursor + offset)
-                    context.num_vars = var + n
-                    cursor += n
-                    pending += n
-                elif tag == "g":
-                    op, key1, key2, out, nclauses = (
-                        event[1],
-                        event[2],
-                        event[3],
-                        event[4],
-                        event[5],
-                    )
-                    if op >= 3:
-                        first = (key1 + (1 << 31)) >> 32
-                        second = key1 - (first << 32)
-                        m1 = sl(first) * (1 << 32) + sl(second)
-                    else:
-                        m1 = sl(key1)
-                    m2 = sl(key2)
-                    cursor += 1
-                    cached = gate_cache.get((op, m1, m2))
-                    if cached is not None:
-                        mu[out] = cached
-                        commits.append(out)
-                        context.gate_hits += 1
-                        index += 1 + nclauses
-                        continue
-                    mout = context.num_vars + 1
-                    context.num_vars = mout
-                    mu[out] = mout
-                    commits.append(out)
-                    gate_cache[(op, m1, m2)] = mout
-                    cache_keys.append((op, m1, m2))
-                    context.gates_emitted += 1
-                    sig = context._sig
-                    sig = ((sig ^ (op & mask32)) * fnv) & mask64
-                    sig = ((sig ^ (m1 & mask32)) * fnv) & mask64
-                    sig = ((sig ^ (m2 & mask32)) * fnv) & mask64
-                    sig = ((sig ^ (mout & mask32)) * fnv) & mask64
-                    context._sig = sig
-                    if pending:
-                        journal_append(("v", pending))
-                        pending = 0
-                    journal_append(("g", op, m1, m2, mout, nclauses))
-                elif tag == "cx":
-                    nesting -= 1
-                    context._pending_vars = pending
-                    pending = 0
-                    if nesting == 0:
-                        break
-                    _, fn, res, snap = event
-                    context.record(
-                        ("cx", fn, self._map_bits(res), self._map_snapshot(snap))
-                    )
-                    pending = context._pending_vars
-                    context._pending_vars = 0
-                else:
-                    context._pending_vars = pending
-                    pending = 0
-                    if tag == "ce":
-                        nesting += 1
-                        _, fn, depth, gid, g, a, snap = event
-                        mapped_gid = (
-                            -1
-                            if gid < 0
-                            else group_ids[self._group_for_gid(gid)]
-                        )
-                        context.record(
-                            (
-                                "ce",
-                                fn,
-                                depth,
-                                mapped_gid,
-                                self._map_lit(g),
-                                tuple(self._map_bits(b) for b in a),
-                                self._map_snapshot(snap),
-                            )
-                        )
-                    elif tag == "grp":
-                        gid = event[1]
-                        base_group = self.base.group_table[gid]
-                        mapped_group = StatementGroup(
-                            line=line_map.get(base_group.line, base_group.line),
-                            function=base_group.function,
-                            iteration=base_group.iteration,
-                        )
-                        mapped_groups[gid] = mapped_group
-                        gids_mapped.append(gid)
-                        if mapped_group not in group_ids:
-                            context.groups.setdefault(mapped_group, [])
-                            context.record(("grp", context.group_id(mapped_group)))
-                    elif tag == "s":
-                        _, line, fn, kind, iteration = event
-                        mapped_line = line_map.get(line, line)
-                        self.steps.append(
-                            TraceStep(
-                                line=mapped_line,
-                                function=fn,
-                                kind=kind,
-                                iteration=iteration,
-                            )
-                        )
-                        context.record(("s", mapped_line, fn, kind, iteration))
-                    elif tag == "nw":
-                        checker._narrowed_vars += event[1]
-                        context.record(event)
-                    elif tag == "nd":
-                        bits = self._map_bits(event[1])
-                        self.nondet_bits.append(bits)
-                        context.record(("nd", bits))
-                    elif tag == "viol":
-                        _, line, lit = event
-                        mapped_line = line_map.get(line, line)
-                        mapped_lit = self._map_lit(lit)
-                        self.violations.append((mapped_line, mapped_lit))
-                        context.record(("viol", mapped_line, mapped_lit))
-                    else:
-                        # "t"/"in"/"ret" cannot occur inside a call span.
-                        raise SpliceDecline
-                    pending = context._pending_vars
-                    context._pending_vars = 0
-                index += 1
+            _, _, base_result, base_out = self._span_records(
+                cursor, True, gids_mapped
+            )
 
             # Matching call-exit: the caller observes the mapped result and
             # the mapped globals-out snapshot.
-            _, _, base_result, base_out = event
             result = self._map_bits(base_result)
             out_globals: dict[str, object] = {}
             for gname, value in base_out:
@@ -2018,31 +1584,10 @@ class _Replay:
             context.record(("cx", name, result, checker._globals_snapshot()))
             return result
         except SpliceDecline:
-            # Roll every side effect back and let the live encoder take
-            # over; declining a span is as safe as declining the splice.
-            for var in commits:
-                mu[var] = 0
-            for key in cache_keys:
-                del gate_cache[key]
-            for clauses in reversed(grouped):
-                clauses.pop()
-            while len(context.group_table) > saved_groups:
-                stale = context.group_table.pop()
-                del group_ids[stale]
-                context.groups.pop(stale, None)
-            for gid in gids_mapped:
-                mapped_groups.pop(gid, None)
-            del context.hard[saved_hard:]
-            del journal[saved_journal:]
-            context.num_vars = saved_num_vars
-            context._sig = saved_sig
-            context.gates_emitted = saved_emitted
-            context.gate_hits = saved_hits
-            context._pending_vars = saved_pending
-            del self.steps[saved_steps:]
-            del self.violations[saved_viol:]
-            del self.nondet_bits[saved_nondet:]
-            checker._narrowed_vars = saved_narrowed
+            # Rewind and let the live encoder take over; declining a span
+            # is as safe as declining the splice.
+            commits.extend(range(cursor0 + 1, cursor[2] + 1))
+            self._rewind_span(mark, commits, gids_mapped)
             return None
         finally:
             self._span_gate_index = None

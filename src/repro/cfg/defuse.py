@@ -169,19 +169,19 @@ def call_graph(program: ast.Program) -> dict[str, set[str]]:
 def function_local_names(function: ast.Function) -> set[str]:
     """Parameters and locally declared variable names of a function."""
     names: set[str] = set(function.params)
-
-    def visit(statements: tuple[ast.Stmt, ...]) -> None:
-        for stmt in statements:
-            if isinstance(stmt, (ast.VarDecl, ast.ArrayDecl)):
-                names.add(stmt.name)
-            if isinstance(stmt, ast.If):
-                visit(stmt.then_body)
-                visit(stmt.else_body)
-            elif isinstance(stmt, ast.While):
-                visit(stmt.body)
-
-    visit(function.body)
+    _add_declared_names(function.body, names)
     return names
+
+
+def _add_declared_names(statements: tuple[ast.Stmt, ...], names: set[str]) -> None:
+    for stmt in statements:
+        if isinstance(stmt, (ast.VarDecl, ast.ArrayDecl)):
+            names.add(stmt.name)
+        if isinstance(stmt, ast.If):
+            _add_declared_names(stmt.then_body, names)
+            _add_declared_names(stmt.else_body, names)
+        elif isinstance(stmt, ast.While):
+            _add_declared_names(stmt.body, names)
 
 
 def backward_slice_lines(

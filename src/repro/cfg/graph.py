@@ -169,54 +169,71 @@ def build_function_graph(function: ast.Function) -> FunctionGraph:
     graph = FunctionGraph(function=function)
     graph.nodes.append(Node(index=0, kind="entry"))
     graph.nodes.append(Node(index=1, kind="exit"))
-
-    def new_node(stmt: ast.Stmt, kind: str, loop_head: bool = False) -> int:
-        node = Node(index=len(graph.nodes), stmt=stmt, kind=kind, is_loop_head=loop_head)
-        graph.nodes.append(node)
-        return node.index
-
-    def link(source: int, target: int, cond: Optional[ast.Expr] = None, taken: bool = True) -> None:
-        graph.edges.append(Edge(source=source, target=target, cond=cond, taken=taken))
-
-    def build_block(statements: tuple[ast.Stmt, ...], preds: list[tuple[int, Optional[ast.Expr], bool]]) -> list[tuple[int, Optional[ast.Expr], bool]]:
-        """Wire a statement sequence; ``preds`` are dangling (source, cond,
-        taken) triples waiting to be connected to the next node.  Returns
-        the dangling exits of the block."""
-        current = preds
-        for stmt in statements:
-            if isinstance(stmt, ast.If):
-                index = new_node(stmt, "branch")
-                for source, cond, taken in current:
-                    link(source, index, cond, taken)
-                then_exits = build_block(stmt.then_body, [(index, stmt.cond, True)])
-                else_exits = build_block(stmt.else_body, [(index, stmt.cond, False)])
-                current = then_exits + else_exits
-            elif isinstance(stmt, ast.While):
-                index = new_node(stmt, "loop", loop_head=True)
-                for source, cond, taken in current:
-                    link(source, index, cond, taken)
-                body_exits = build_block(stmt.body, [(index, stmt.cond, True)])
-                for source, cond, taken in body_exits:  # the back edge
-                    link(source, index, cond, taken)
-                current = [(index, stmt.cond, False)]
-            elif isinstance(stmt, ast.Return):
-                index = new_node(stmt, "stmt")
-                for source, cond, taken in current:
-                    link(source, index, cond, taken)
-                link(index, graph.exit)
-                current = []  # anything after a return in this block is dead
-            else:
-                index = new_node(stmt, "stmt")
-                for source, cond, taken in current:
-                    link(source, index, cond, taken)
-                current = [(index, None, True)]
-        return current
-
-    exits = build_block(function.body, [(graph.entry, None, True)])
+    exits = _build_block(graph, function.body, [(graph.entry, None, True)])
     for source, cond, taken in exits:
-        link(source, graph.exit, cond, taken)
+        _link(graph, source, graph.exit, cond, taken)
     graph.finalize()
     return graph
+
+
+def _new_node(
+    graph: FunctionGraph, stmt: ast.Stmt, kind: str, loop_head: bool = False
+) -> int:
+    node = Node(index=len(graph.nodes), stmt=stmt, kind=kind, is_loop_head=loop_head)
+    graph.nodes.append(node)
+    return node.index
+
+
+def _link(
+    graph: FunctionGraph,
+    source: int,
+    target: int,
+    cond: Optional[ast.Expr] = None,
+    taken: bool = True,
+) -> None:
+    graph.edges.append(Edge(source=source, target=target, cond=cond, taken=taken))
+
+
+_Dangling = list[tuple[int, Optional[ast.Expr], bool]]
+
+
+def _build_block(
+    graph: FunctionGraph, statements: tuple[ast.Stmt, ...], preds: _Dangling
+) -> _Dangling:
+    """Wire a statement sequence; ``preds`` are dangling (source, cond,
+    taken) triples waiting to be connected to the next node.  Returns the
+    dangling exits of the block."""
+    current = preds
+    for stmt in statements:
+        if isinstance(stmt, ast.If):
+            index = _new_node(graph, stmt, "branch")
+            for source, cond, taken in current:
+                _link(graph, source, index, cond, taken)
+            then_exits = _build_block(graph, stmt.then_body, [(index, stmt.cond, True)])
+            else_exits = _build_block(
+                graph, stmt.else_body, [(index, stmt.cond, False)]
+            )
+            current = then_exits + else_exits
+        elif isinstance(stmt, ast.While):
+            index = _new_node(graph, stmt, "loop", loop_head=True)
+            for source, cond, taken in current:
+                _link(graph, source, index, cond, taken)
+            body_exits = _build_block(graph, stmt.body, [(index, stmt.cond, True)])
+            for source, cond, taken in body_exits:  # the back edge
+                _link(graph, source, index, cond, taken)
+            current = [(index, stmt.cond, False)]
+        elif isinstance(stmt, ast.Return):
+            index = _new_node(graph, stmt, "stmt")
+            for source, cond, taken in current:
+                _link(graph, source, index, cond, taken)
+            _link(graph, index, graph.exit)
+            current = []  # anything after a return in this block is dead
+        else:
+            index = _new_node(graph, stmt, "stmt")
+            for source, cond, taken in current:
+                _link(graph, source, index, cond, taken)
+            current = [(index, None, True)]
+    return current
 
 
 def build_program_graphs(program: ast.Program) -> dict[str, FunctionGraph]:

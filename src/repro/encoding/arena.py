@@ -1,16 +1,14 @@
 """Flat gate-arena storage behind the trace-formula encoder.
 
-The legacy :class:`~repro.encoding.context.EncodingContext` stores every
-clause as a ``list[int]``, every journal event as a tuple and the
-structure-hash gate cache as a Python dict — millions of small heap objects
-per compile.  The arena keeps the same information in a handful of flat
-``array('q')`` buffers instead:
+Every clause, journal event and structure-hash gate of an encode lives in
+a handful of flat ``array('q')`` buffers instead of millions of small heap
+objects:
 
 * ``lits``  — every clause's literals, concatenated (one literal pool);
 * ``cend``  — per-clause end offset into ``lits`` (start = previous end);
 * ``cgid``  — per-clause owning group id (``-1`` = hard set);
 * ``js``    — the emission journal as a flat integer event stream
-  (:data:`TAG_V` … :data:`TAG_GRP` below) instead of per-event tuples;
+  (:data:`TAG_V` … :data:`TAG_GRP` below);
 * ``gtab``  — the structure-hash gate cache as an open-addressed table of
   ``(op, k1, k2, out)`` int quadruples (linear probing, power-of-two size);
 * ``hdr``   — the mutable scalars (variable counter, pending-run length,
@@ -24,18 +22,14 @@ with C vector kernels freely, and both backends produce bit-identical
 results by construction of the shared layout (and by the differential test
 matrix for the C reimplementation of the fold rules).
 
-At the end of a whole-program compile
-:meth:`ArenaEncodingContext.finalize` materializes the exact legacy
-structures — ``hard``/``groups`` clause lists and the tuple journal, with
-clause lists shared between the two just as the legacy emitter produces
-them — so artifacts, the splice replay and every other consumer are
-byte-for-byte unaffected by which storage backed the encode.
-
-A concolic trace never journals and never materializes: the trace formula
-keeps the clause store itself (:meth:`GateArena.clause_store`), and
-:func:`gather_clauses` reorders it into the MaxSAT engine's load order in
-one pass, so no per-clause Python list exists between the encoder and the
-SAT kernel.
+The buffers are also the encoding's only representation downstream.  A
+whole-program artifact stores the filled clause store and journal
+(:meth:`GateArena.clause_store`, :meth:`GateArena.journal_store`), the
+splice replays that journal into a fresh arena, and :func:`gather_clauses`
+reorders a clause store into the MaxSAT engine's load order in one pass, so
+no per-clause Python list exists between the encoder and the SAT kernel.
+:meth:`GateArena.mark` / :meth:`GateArena.rewind` undo a journaled stretch
+of emission (the splice's abandoned span replays).
 
 String-bearing journal events (statements, call interfaces …) cannot live
 in an int stream; they are kept in a side list (``raw``) and referenced by
@@ -86,8 +80,21 @@ TAG_CE = 6  #: ``TAG_CE idx n v…`` — call-entry interface event.
 TAG_CX = 7  #: ``TAG_CX idx n v…`` — call-exit interface event.
 TAG_GRP = 8  #: ``TAG_GRP gid`` — statement-group registration.
 
-#: Opcodes of the packed-key gates (first key slot holds two literals).
-_PACKED_OPS = (3, 4, 5)
+#: Opcodes of the packed-key gates (first key slot holds two literals:
+#: ``x * 2**32 + y``): ITE, XOR3, MAJ.
+PACKED_OPS = frozenset((3, 4, 5))
+
+
+def record_end(js: array, position: int) -> int:
+    """The stream position just past the record starting at ``position``."""
+    tag = js[position]
+    if tag == TAG_C:
+        return position + 1
+    if tag == TAG_G:
+        return position + 6
+    if TAG_RAW <= tag <= TAG_CX:
+        return position + 3 + js[position + 2]
+    return position + 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -108,6 +115,24 @@ def _hash_key(op: int, k1: int, k2: int) -> int:
     h = (h * 0xBF58476D1CE4E5B9) & _M64
     h ^= h >> 32
     return h
+
+
+def _canonical_key(op: int, a: int, b: int, c: int = 0, tl: int = 0) -> bool:
+    """Is a gate key with literals ``a, b`` (``c``: the third of a packed
+    key) in the builder's canonical form, free of every constant fold for
+    the true literal ``tl``?  (Mirrored by ``canonical_key`` in encode.c.)"""
+    if op == 1:  # AND: value-sorted signed literals
+        return a < b and a != -b and a not in (tl, -tl) and b not in (tl, -tl)
+    if op == 2:  # XOR: ascending positive inputs
+        return a < b and tl not in (a, b)
+    if op == 3:  # ITE: cond, then, else
+        return a != tl and b not in (tl, -tl, c, -c) and c not in (tl, -tl)
+    if op == 4:  # XOR3: ascending positive inputs
+        return a < b < c and tl not in (a, b, c)
+    # MAJ: value-sorted, at most one negative in front
+    return (
+        a < b < c and a not in (-b, -c, tl, -tl) and b != tl and c != tl
+    )
 
 
 def _signed64(value: int) -> int:
@@ -286,12 +311,8 @@ class GateArena:
             js[jlen + 5] = nclauses
             hdr[HDR_JLEN] = jlen + 6
 
-    def gate_lookup(self, op: int, k1: int, k2: int) -> int:
-        """The cached output of a canonical gate key, or 0 (a miss).
-
-        A hit counts toward the gate-sharing statistic, mirroring the
-        legacy builder's ``gate_hits`` bookkeeping.
-        """
+    def gate_find(self, op: int, k1: int, k2: int) -> int:
+        """The cached output of a canonical gate key, or 0 (a miss)."""
         gtab, mask = self.gtab, self.hdr[HDR_GMASK]
         probe = _hash_key(op, k1, k2) & mask
         while True:
@@ -300,9 +321,15 @@ class GateArena:
             if not slot_op:
                 return 0
             if slot_op == op and gtab[base + 1] == k1 and gtab[base + 2] == k2:
-                self.hdr[HDR_HITS] += 1
                 return gtab[base + 3]
             probe = (probe + 1) & mask
+
+    def gate_lookup(self, op: int, k1: int, k2: int) -> int:
+        """:meth:`gate_find`, counting a hit toward the sharing statistic."""
+        out = self.gate_find(op, k1, k2)
+        if out:
+            self.hdr[HDR_HITS] += 1
+        return out
 
     def gate_insert(
         self, op: int, k1: int, k2: int, out: int, clauses: list[list[int]]
@@ -369,7 +396,189 @@ class GateArena:
         js[jlen + 1] = gid
         hdr[HDR_JLEN] = jlen + 2
 
-    # -------------------------------------------------------- materialization
+    # ----------------------------------------------------------------- copy
+
+    def copy_records(
+        self,
+        js: array,
+        lits: array,
+        ends: array,
+        gids: array,
+        gid_map: array,
+        cursor: array,
+        mu: Optional[array] = None,
+        check: bool = False,
+    ) -> int:
+        """Append the plain records of another arena's journal.
+
+        ``cursor`` is ``array("q")`` ``[position, clause, consumed,
+        unmapped]``: the copy starts at stream ``position`` of ``js``, at
+        clause ``clause`` of the store ``lits``/``ends``/``gids``, with
+        ``consumed`` source variables behind it, and stops at the first
+        record that is not TAG_V, TAG_C or TAG_G, updating the first three
+        words.  TAG_V runs allocate, TAG_C clauses are emitted under
+        ``gid_map[group]`` (-1 stays hard), TAG_G gates are inserted with
+        their definition clauses.
+
+        Without ``mu`` every literal is copied as it is.  With ``mu``
+        (source variable -> variable here, 0 = unmapped) every literal is
+        mapped, allocations extend ``mu``, and a gate whose mapped key the
+        table already holds is elided: ``mu`` takes the cached output, the
+        definition is skipped and the hit is counted.  With ``check`` a
+        mapped gate key must also keep the builder's canonical form and
+        fold nothing (:func:`_canonical_key`).
+
+        Returns 0 at a record that is not plain (or the end); 1 (no ``mu``)
+        at a gate already in the table; 2 at a clause whose group
+        ``gid_map`` does not know yet (an entry below -1); 3 (no ``mu``) at
+        a gate whose output is not the next variable; 5 at a literal whose
+        variable ``mu`` leaves unmapped (``unmapped`` names it); 6 (with
+        ``check``) at a non-canonical gate key.  Nothing of the stopping
+        record is done.  Every buffer is ``array("q")``.
+
+        One ``repro_enc_copy`` call per stop on the C backend; the
+        pure-Python mirror (:meth:`_copy_records_python`) does the same.
+        """
+        from repro.sat import _ccore
+
+        library = _ccore.encode_library()
+        if library is None:
+            return self._copy_records_python(
+                js, lits, ends, gids, gid_map, cursor, mu, check
+            )
+        while True:
+            caps = array("q", [len(self.lits), len(self.cend), len(self.js)])
+            status = library.repro_enc_copy(
+                *(
+                    buf.buffer_info()[0]
+                    for buf in (
+                        self.hdr,
+                        self.lits,
+                        self.cend,
+                        self.cgid,
+                        self.js,
+                        self.gtab,
+                        js,
+                    )
+                ),
+                len(js),
+                *(buf.buffer_info()[0] for buf in (lits, ends, gids, gid_map)),
+                None if mu is None else mu.buffer_info()[0],
+                1 if check else 0,
+                caps.buffer_info()[0],
+                cursor.buffer_info()[0],
+            )
+            if status != 4:
+                return status
+            # Room for the next record and then some; the largest record is
+            # a gate, whose definition spans at most 8 clauses.
+            clause = cursor[1]
+            start = ends[clause - 1] if clause else 0
+            need = ends[min(clause + 8, len(ends)) - 1] - start
+            self.ensure_clauses(1024, need + 8192)
+            self.ensure_journal(8192)
+            self.ensure_gates(1024)
+
+    def _copy_records_python(
+        self,
+        js: array,
+        lits: array,
+        ends: array,
+        gids: array,
+        gid_map: array,
+        cursor: array,
+        mu: Optional[array],
+        check: bool,
+    ) -> int:
+        """The pure-Python mirror of ``repro_enc_copy``."""
+        hdr = self.hdr
+        position, clause, consumed = cursor[0], cursor[1], cursor[2]
+        status = 0
+        while position < len(js):
+            tag = js[position]
+            if tag == TAG_V:
+                count = js[position + 1]
+                if mu is not None:
+                    for offset in range(1, count + 1):
+                        mu[consumed + offset] = hdr[HDR_NUM_VARS] + offset
+                hdr[HDR_NUM_VARS] += count
+                if hdr[HDR_JOURNAL]:
+                    hdr[HDR_PENDING] += count
+                consumed += count
+                position += 2
+            elif tag == TAG_C:
+                gid = gids[clause]
+                if gid >= 0:
+                    gid = gid_map[gid]
+                    if gid < -1:
+                        status = 2
+                        break
+                body = lits[ends[clause - 1] if clause else 0 : ends[clause]]
+                if mu is not None:
+                    mapped = [mu[lit] if lit > 0 else -mu[-lit] for lit in body]
+                    if 0 in mapped:
+                        cursor[3] = abs(body[mapped.index(0)])
+                        status = 5
+                        break
+                    body = mapped
+                self.emit(body, gid)
+                clause += 1
+                position += 1
+            elif tag == TAG_G:
+                op, k1, k2, out, count = js[position + 1 : position + 6]
+                if mu is not None:
+                    if op in PACKED_OPS:
+                        first = (k1 + (1 << 31)) >> 32
+                        key = (first, k1 - (first << 32), k2)
+                    else:
+                        key = (k1, k2)
+                    mapped = [mu[lit] if lit > 0 else -mu[-lit] for lit in key]
+                    if 0 in mapped:
+                        cursor[3] = abs(key[mapped.index(0)])
+                        status = 5
+                        break
+                    if check and not _canonical_key(op, *mapped, tl=hdr[HDR_TRUE]):
+                        status = 6
+                        break
+                    if len(mapped) == 3:
+                        k1, k2 = mapped[0] * (1 << 32) + mapped[1], mapped[2]
+                    else:
+                        k1, k2 = mapped
+                    cached = self.gate_lookup(op, k1, k2)
+                    if cached:
+                        mu[out] = cached
+                        consumed += 1
+                        clause += count
+                        position += 6
+                        continue
+                else:
+                    if self.gate_find(op, k1, k2):
+                        status = 1
+                        break
+                    if out != hdr[HDR_NUM_VARS] + 1:
+                        status = 3
+                        break
+                var = self.new_var()
+                definition = [
+                    lits[ends[index - 1] if index else 0 : ends[index]]
+                    for index in range(clause, clause + count)
+                ]
+                if mu is not None:
+                    mu[out] = var
+                    definition = [
+                        [mu[lit] if lit > 0 else -mu[-lit] for lit in body]
+                        for body in definition
+                    ]
+                self.gate_insert(op, k1, k2, var, definition)
+                consumed += 1
+                clause += count
+                position += 6
+            else:
+                break
+        cursor[0], cursor[1], cursor[2] = position, clause, consumed
+        return status
+
+    # --------------------------------------------------------------- stores
 
     def clause_store(self) -> tuple[array, array, array]:
         """Copies of the filled part of ``lits``, ``cend`` and ``cgid``."""
@@ -381,98 +590,107 @@ class GateArena:
             self.cgid[:nclauses],
         )
 
-    def materialize(
-        self, group_table: list
-    ) -> tuple[list, dict, Optional[list], Optional[int]]:
-        """Rebuild the legacy ``(hard, groups, journal, true_lit)`` view.
+    def journal_store(self) -> tuple[Optional[array], list]:
+        """A copy of the filled journal stream and of ``raw``.
 
-        Clause ``list`` objects are shared between ``hard``/``groups`` and
-        the tuple journal exactly as the legacy emitter shares them, so
-        artifact pickles are identical whichever storage ran the compile.
+        ``(None, [])`` when the arena never journaled.
         """
-        hdr = self.hdr
-        nclauses = hdr[HDR_NCLAUSES]
-        lits, cend, cgid = self.lits, self.cend, self.cgid
-        from repro.sat import _ccore
+        if not self.hdr[HDR_JOURNAL]:
+            return None, []
+        return self.js[: self.hdr[HDR_JLEN]], list(self.raw)
 
-        native = _ccore.materialize_function()
-        if native is not None:
-            _, hard, grouped, journal = native(
-                lits.buffer_info()[0],
-                cend.buffer_info()[0],
-                cgid.buffer_info()[0],
-                nclauses,
-                self.js.buffer_info()[0] if len(self.js) else 0,
-                hdr[HDR_JLEN],
-                self.raw,
-                len(group_table),
-                hdr[HDR_JOURNAL],
-            )
-            groups = dict(zip(group_table, grouped))
-            return hard, groups, journal, hdr[HDR_TRUE] or None
-        hard: list[list[int]] = []
-        groups: dict = {group: [] for group in group_table}
-        grouped: list[list] = [groups[group] for group in group_table]
-        clauses: list[list[int]] = []
-        start = 0
-        append_clause = clauses.append
-        for index in range(nclauses):
-            end = cend[index]
-            clause = lits[start:end].tolist()
-            start = end
-            append_clause(clause)
-            gid = cgid[index]
-            if gid < 0:
-                hard.append(clause)
-            else:
-                grouped[gid].append(clause)
-        true_lit = hdr[HDR_TRUE] or None
-        if not hdr[HDR_JOURNAL]:
-            return hard, groups, None, true_lit
-        journal: list[tuple] = []
-        append = journal.append
-        js, jlen = self.js, hdr[HDR_JLEN]
-        raw = self.raw
-        cursor = 0
-        position = 0
-        while position < jlen:
-            tag = js[position]
-            if tag == TAG_C:
-                append(("c", cgid[cursor], clauses[cursor]))
-                cursor += 1
-                position += 1
-            elif tag == TAG_G:
-                count = js[position + 5]
-                append(
-                    (
-                        "g",
-                        js[position + 1],
-                        js[position + 2],
-                        js[position + 3],
-                        js[position + 4],
-                        count,
-                    )
-                )
-                position += 6
-                for _ in range(count):
-                    append(("c", -1, clauses[cursor]))
-                    cursor += 1
-            elif tag == TAG_V:
-                append(("v", js[position + 1]))
-                position += 2
-            elif tag in (TAG_RAW, TAG_CE, TAG_CX):
-                append(raw[js[position + 1]])
-                position += 3 + js[position + 2]
-            elif tag == TAG_GRP:
-                append(("grp", js[position + 1]))
-                position += 2
-            elif tag == TAG_T:
-                append(("t", js[position + 1]))
-                cursor += 1  # the constant's hard unit occupies one slot
-                position += 2
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"corrupt journal stream tag {tag}")
-        return hard, groups, journal, true_lit
+    def copy(self) -> "GateArena":
+        """An independent arena holding the same state (no rehash hook)."""
+        clone = GateArena.__new__(GateArena)
+        for name in ("hdr", "lits", "cend", "cgid", "js", "gtab"):
+            setattr(clone, name, getattr(self, name)[:])
+        clone.raw = list(self.raw)
+        clone.rehash_hook = None
+        return clone
+
+    # --------------------------------------------------------------- rewind
+
+    def mark(self) -> tuple[array, int]:
+        """The current state, to return to with :meth:`rewind`."""
+        return self.hdr[:], len(self.raw)
+
+    def rewind(self, mark: tuple[array, int]) -> None:
+        """Undo every emission since ``mark`` (a journaling arena only).
+
+        The clause, journal and ``raw`` lengths and the header scalars go
+        back to their marked values.  The gates inserted since the mark are
+        exactly the TAG_G records after it; they leave the table newest
+        first by backward-shift deletion, which keeps every other lookup
+        intact even when a rehash happened in between.  The table size is
+        the one thing that is not rewound.
+        """
+        hdr_then, nraw = mark
+        hdr, js = self.hdr, self.js
+        if not hdr[HDR_JOURNAL]:  # pragma: no cover - defensive
+            raise RuntimeError("rewind() needs a journaling arena")
+        gates: list[int] = []
+        position, end = hdr_then[HDR_JLEN], hdr[HDR_JLEN]
+        while position < end:
+            if js[position] == TAG_G:
+                gates.append(position)
+            position = record_end(js, position)
+        for position in reversed(gates):
+            self._gate_delete(js[position + 1], js[position + 2], js[position + 3])
+        mask = hdr[HDR_GMASK]
+        hdr[:] = hdr_then
+        hdr[HDR_GMASK] = mask
+        del self.raw[nraw:]
+
+    def _gate_delete(self, op: int, k1: int, k2: int) -> None:
+        """Remove one gate key, shifting its probe run back over the hole."""
+        gtab, mask = self.gtab, self.hdr[HDR_GMASK]
+        hole = _hash_key(op, k1, k2) & mask
+        while not (
+            gtab[hole * 4] == op
+            and gtab[hole * 4 + 1] == k1
+            and gtab[hole * 4 + 2] == k2
+        ):
+            if not gtab[hole * 4]:  # pragma: no cover - defensive
+                raise KeyError((op, k1, k2))
+            hole = (hole + 1) & mask
+        probe = hole
+        while True:
+            probe = (probe + 1) & mask
+            base = probe * 4
+            slot_op = gtab[base]
+            if not slot_op:
+                break
+            home = _hash_key(slot_op, gtab[base + 1], gtab[base + 2]) & mask
+            # The entry may fill the hole unless its home lies strictly
+            # between the hole and its slot (it would become unreachable).
+            if (probe - home) & mask >= (probe - hole) & mask:
+                gtab[hole * 4 : hole * 4 + 4] = gtab[base : base + 4]
+                hole = probe
+        gtab[hole * 4 : hole * 4 + 4] = array("q", bytes(32))
+        self.hdr[HDR_GUSED] -= 1
+
+
+# ---------------------------------------------------------------- views
+
+
+def split_clauses(
+    lits: array, ends: array, gids: array, group_table: list
+) -> tuple[list[list[int]], dict]:
+    """The hard clauses and each group's clauses of a clause store, as
+    lists in emission order (``group_table`` gives the groups' order; a
+    group without clauses maps to ``[]``)."""
+    hard: list[list[int]] = []
+    groups: dict = {group: [] for group in group_table}
+    buckets = list(groups.values())
+    start = 0
+    for gid, end in zip(gids, ends):
+        clause = lits[start:end].tolist()
+        start = end
+        if gid < 0:
+            hard.append(clause)
+        else:
+            buckets[gid].append(clause)
+    return hard, groups
 
 
 # ------------------------------------------------------------------ gather

@@ -12,15 +12,15 @@ looks up a canonicalized ``(op, a, b)`` key in a gate cache before emitting
 Tseitin clauses, so a subterm that is re-encoded — the same ``rows * cols``
 guard on every loop iteration, the same comparison across statement groups —
 reuses the one existing gate instead of bit-blasting a fresh copy.  Gate
-*definitions* are emitted through :meth:`EncodingContext.emit_gate` (into
-the hard set): a Tseitin definition with a fresh output is total, so sharing
-it across statement groups never couples those groups' relaxation — the
-relaxable output bindings still go through :meth:`EncodingContext.emit` and
-stay owned by the active group.
+*definitions* go into the hard set (the arena's gate insertion): a Tseitin
+definition with a fresh output is total, so sharing it across statement
+groups never couples those groups' relaxation — the relaxable output
+bindings still go through :meth:`ArenaEncodingContext.emit` and stay owned
+by the active group.
 
 Statement-level clause emissions (:meth:`CircuitBuilder.assert_equal`,
 :meth:`CircuitBuilder.force_true`, :meth:`CircuitBuilder.fix_to_value`, and
-direct :meth:`EncodingContext.emit` calls) are unaffected: whatever
+direct :meth:`ArenaEncodingContext.emit` calls) are unaffected: whatever
 statement group is active when an operation is encoded owns those clauses.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.encoding.context import EncodingContext
+from repro.encoding.context import ArenaEncodingContext
 from repro.lang.semantics import to_unsigned
 from repro.sat import _ccore
 
@@ -48,7 +48,7 @@ _OP_MAJ = 5
 
 
 class CircuitBuilder:
-    """Builds bit-vector circuits over an :class:`EncodingContext`.
+    """Builds bit-vector circuits over an :class:`ArenaEncodingContext`.
 
     ``simplify`` enables the structure-hashed gate cache plus the
     constant-aware arithmetic rewrites (shift-add decomposition of
@@ -57,24 +57,21 @@ class CircuitBuilder:
     property-based equivalence suite uses as the reference.
     """
 
-    def __init__(self, context: EncodingContext, simplify: bool = True) -> None:
+    def __init__(self, context: ArenaEncodingContext, simplify: bool = True) -> None:
         self.context = context
         self.width = context.width
         self.simplify = simplify
-        self._gate_cache: dict[tuple[int, int, int], int] = {}
-        # Arena-backed contexts keep the gate cache in their open-addressed
-        # flat table instead of ``_gate_cache`` (the C emission core probes
-        # and fills the same table); list-backed contexts use the dict.
-        self._arena = getattr(context, "arena", None)
+        # The gate cache is the arena's open-addressed flat table; the C
+        # emission core probes and fills the same table.
+        self._arena = context.arena
         self._cenc = None
-        if simplify and self._arena is not None:
+        if simplify:
             library = _ccore.encode_library()
             if library is not None:
                 from repro.encoding.cbind import CEncoder
 
                 self._cenc = CEncoder(self._arena, library)
-            if hasattr(context, "encode_backend"):
-                context.encode_backend = "c" if self._cenc is not None else "python"
+            context.encode_backend = "c" if self._cenc is not None else "python"
         # The context's constant-true literal as a plain int once it exists
         # (0 before).  Allocation stays lazy: the first constant a fold or a
         # gate asks for allocates it, at the same point in emission order.
@@ -133,27 +130,11 @@ class CircuitBuilder:
         if a > b:
             a, b = b, a
         arena = self._arena
-        if arena is not None:
-            out = arena.gate_lookup(_OP_AND, a, b)
-            if out:
-                return out
-            out = context.new_var()
-            arena.gate_insert(
-                _OP_AND, a, b, out, ([-a, -b, out], [a, -out], [b, -out])
-            )
+        out = arena.gate_lookup(_OP_AND, a, b)
+        if out:
             return out
-        key = (_OP_AND, a, b)
-        cached = self._gate_cache.get(key)
-        if cached is not None:
-            context.gate_hits += 1
-            return cached
         out = context.new_var()
-        self._gate_cache[key] = out
-        context.gates_emitted += 1
-        context.observe_gate(_OP_AND, a, b, out, 3)
-        context.emit_gate([-a, -b, out])
-        context.emit_gate([a, -out])
-        context.emit_gate([b, -out])
+        arena.gate_insert(_OP_AND, a, b, out, ([-a, -b, out], [a, -out], [b, -out]))
         return out
 
     def bit_or(self, a: int, b: int) -> int:
@@ -189,31 +170,16 @@ class CircuitBuilder:
         if pa > pb:
             pa, pb = pb, pa
         arena = self._arena
-        if arena is not None:
-            out = arena.gate_lookup(_OP_XOR, pa, pb)
-            if not out:
-                out = context.new_var()
-                arena.gate_insert(
-                    _OP_XOR,
-                    pa,
-                    pb,
-                    out,
-                    ([-pa, -pb, -out], [pa, pb, -out], [-pa, pb, out], [pa, -pb, out]),
-                )
-            return -out if sign else out
-        key = (_OP_XOR, pa, pb)
-        cached = self._gate_cache.get(key)
-        if cached is not None:
-            context.gate_hits += 1
-            return -cached if sign else cached
-        out = context.new_var()
-        self._gate_cache[key] = out
-        context.gates_emitted += 1
-        context.observe_gate(_OP_XOR, pa, pb, out, 4)
-        context.emit_gate([-pa, -pb, -out])
-        context.emit_gate([pa, pb, -out])
-        context.emit_gate([-pa, pb, out])
-        context.emit_gate([pa, -pb, out])
+        out = arena.gate_lookup(_OP_XOR, pa, pb)
+        if not out:
+            out = context.new_var()
+            arena.gate_insert(
+                _OP_XOR,
+                pa,
+                pb,
+                out,
+                ([-pa, -pb, -out], [pa, pb, -out], [-pa, pb, out], [pa, -pb, out]),
+            )
         return -out if sign else out
 
     def bit_and_many(self, lits: Sequence[int]) -> int:
@@ -266,38 +232,23 @@ class CircuitBuilder:
         if cond < 0:
             cond, then_lit, else_lit = -cond, else_lit, then_lit
         arena = self._arena
-        if arena is not None:
-            packed = cond * (1 << 32) + then_lit
-            out = arena.gate_lookup(_OP_ITE, packed, else_lit)
-            if out:
-                return out
-            out = context.new_var()
-            arena.gate_insert(
-                _OP_ITE,
-                packed,
-                else_lit,
-                out,
-                (
-                    [-cond, -then_lit, out],
-                    [-cond, then_lit, -out],
-                    [cond, -else_lit, out],
-                    [cond, else_lit, -out],
-                ),
-            )
+        packed = cond * (1 << 32) + then_lit
+        out = arena.gate_lookup(_OP_ITE, packed, else_lit)
+        if out:
             return out
-        key = (_OP_ITE, cond * (1 << 32) + then_lit, else_lit)
-        cached = self._gate_cache.get(key)
-        if cached is not None:
-            context.gate_hits += 1
-            return cached
         out = context.new_var()
-        self._gate_cache[key] = out
-        context.gates_emitted += 1
-        context.observe_gate(_OP_ITE, cond * (1 << 32) + then_lit, else_lit, out, 4)
-        context.emit_gate([-cond, -then_lit, out])
-        context.emit_gate([-cond, then_lit, -out])
-        context.emit_gate([cond, -else_lit, out])
-        context.emit_gate([cond, else_lit, -out])
+        arena.gate_insert(
+            _OP_ITE,
+            packed,
+            else_lit,
+            out,
+            (
+                [-cond, -then_lit, out],
+                [-cond, then_lit, -out],
+                [cond, -else_lit, out],
+                [cond, else_lit, -out],
+            ),
+        )
         return out
 
     def bit_equal(self, a: int, b: int) -> int:
@@ -345,45 +296,26 @@ class CircuitBuilder:
         pa, pb, pc = reduced
         context = self.context
         arena = self._arena
-        if arena is not None:
-            packed = pa * (1 << 32) + pb
-            out = arena.gate_lookup(_OP_XOR3, packed, pc)
-            if not out:
-                out = context.new_var()
-                arena.gate_insert(
-                    _OP_XOR3,
-                    packed,
-                    pc,
-                    out,
-                    (
-                        [pa, pb, pc, -out],
-                        [pa, -pb, -pc, -out],
-                        [-pa, pb, -pc, -out],
-                        [-pa, -pb, pc, -out],
-                        [-pa, -pb, -pc, out],
-                        [-pa, pb, pc, out],
-                        [pa, -pb, pc, out],
-                        [pa, pb, -pc, out],
-                    ),
-                )
-            return -out if sign else out
-        key = (_OP_XOR3, pa * (1 << 32) + pb, pc)
-        cached = self._gate_cache.get(key)
-        if cached is not None:
-            context.gate_hits += 1
-            return -cached if sign else cached
-        out = context.new_var()
-        self._gate_cache[key] = out
-        context.gates_emitted += 1
-        context.observe_gate(_OP_XOR3, pa * (1 << 32) + pb, pc, out, 8)
-        context.emit_gate([pa, pb, pc, -out])
-        context.emit_gate([pa, -pb, -pc, -out])
-        context.emit_gate([-pa, pb, -pc, -out])
-        context.emit_gate([-pa, -pb, pc, -out])
-        context.emit_gate([-pa, -pb, -pc, out])
-        context.emit_gate([-pa, pb, pc, out])
-        context.emit_gate([pa, -pb, pc, out])
-        context.emit_gate([pa, pb, -pc, out])
+        packed = pa * (1 << 32) + pb
+        out = arena.gate_lookup(_OP_XOR3, packed, pc)
+        if not out:
+            out = context.new_var()
+            arena.gate_insert(
+                _OP_XOR3,
+                packed,
+                pc,
+                out,
+                (
+                    [pa, pb, pc, -out],
+                    [pa, -pb, -pc, -out],
+                    [-pa, pb, -pc, -out],
+                    [-pa, -pb, pc, -out],
+                    [-pa, -pb, -pc, out],
+                    [-pa, pb, pc, out],
+                    [pa, -pb, pc, out],
+                    [pa, pb, -pc, out],
+                ),
+            )
         return -out if sign else out
 
     def bit_majority(self, a: int, b: int, c: int) -> int:
@@ -419,41 +351,24 @@ class CircuitBuilder:
         pa, pb, pc = sorted(lits)
         context = self.context
         arena = self._arena
-        if arena is not None:
-            packed = pa * (1 << 32) + pb
-            out = arena.gate_lookup(_OP_MAJ, packed, pc)
-            if not out:
-                out = context.new_var()
-                arena.gate_insert(
-                    _OP_MAJ,
-                    packed,
-                    pc,
-                    out,
-                    (
-                        [-pa, -pb, out],
-                        [-pa, -pc, out],
-                        [-pb, -pc, out],
-                        [pa, pb, -out],
-                        [pa, pc, -out],
-                        [pb, pc, -out],
-                    ),
-                )
-            return -out if sign else out
-        key = (_OP_MAJ, pa * (1 << 32) + pb, pc)
-        cached = self._gate_cache.get(key)
-        if cached is not None:
-            context.gate_hits += 1
-            return -cached if sign else cached
-        out = context.new_var()
-        self._gate_cache[key] = out
-        context.gates_emitted += 1
-        context.observe_gate(_OP_MAJ, pa * (1 << 32) + pb, pc, out, 6)
-        context.emit_gate([-pa, -pb, out])
-        context.emit_gate([-pa, -pc, out])
-        context.emit_gate([-pb, -pc, out])
-        context.emit_gate([pa, pb, -out])
-        context.emit_gate([pa, pc, -out])
-        context.emit_gate([pb, pc, -out])
+        packed = pa * (1 << 32) + pb
+        out = arena.gate_lookup(_OP_MAJ, packed, pc)
+        if not out:
+            out = context.new_var()
+            arena.gate_insert(
+                _OP_MAJ,
+                packed,
+                pc,
+                out,
+                (
+                    [-pa, -pb, out],
+                    [-pa, -pc, out],
+                    [-pb, -pc, out],
+                    [pa, pb, -out],
+                    [pa, pc, -out],
+                    [pb, pc, -out],
+                ),
+            )
         return -out if sign else out
 
     def force_true(self, lit: int) -> None:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-from repro.encoding.arena import gather_clauses
+from repro.encoding.arena import gather_clauses, split_clauses
 from repro.encoding.context import ArenaEncodingContext, StatementGroup
 from repro.maxsat import WCNF
 
@@ -87,27 +86,15 @@ class TraceFormula:
 
     # ----------------------------------------------------------------- views
 
-    def _clauses(self) -> Iterator[tuple[int, list[int]]]:
-        lits = self.lits
-        for gid, start, end in zip(self.gids, chain((0,), self.ends), self.ends):
-            yield gid, lits[start:end].tolist()
-
     @property
     def hard(self) -> list[list[int]]:
         """The hard clauses in emission order (a view built on demand)."""
-        return [clause for gid, clause in self._clauses() if gid < 0]
+        return split_clauses(self.lits, self.ends, self.gids, self.group_table)[0]
 
     @property
     def groups(self) -> dict[StatementGroup, list[list[int]]]:
         """Each group's clauses in emission order (a view built on demand)."""
-        groups: dict[StatementGroup, list[list[int]]] = {
-            group: [] for group in self.group_table
-        }
-        buckets = list(groups.values())
-        for gid, clause in self._clauses():
-            if gid >= 0:
-                buckets[gid].append(clause)
-        return groups
+        return split_clauses(self.lits, self.ends, self.gids, self.group_table)[1]
 
     # --------------------------------------------------------- construction
 
@@ -134,26 +121,6 @@ class TraceFormula:
             assertion_description=assertion_description,
             gates_shared=context.gate_hits,
             narrowed_vars=narrowed_vars,
-        )
-
-    @classmethod
-    def from_clauses(
-        cls,
-        hard: list[list[int]],
-        groups: dict[StatementGroup, list[list[int]]],
-        **fields,
-    ) -> "TraceFormula":
-        """The formula of clause lists: ``hard``, then each group's clauses."""
-        clauses = list(chain(hard, *groups.values()))
-        gids = array("q", [-1]) * len(hard)
-        for gid, group in enumerate(groups.values()):
-            gids.extend(array("q", [gid]) * len(group))
-        return cls(
-            lits=array("q", list(chain.from_iterable(clauses))),
-            ends=array("q", list(accumulate(map(len, clauses)))),
-            gids=gids,
-            group_table=list(groups),
-            **fields,
         )
 
     # ------------------------------------------------------------ conversion

@@ -16,10 +16,9 @@ first use:
   ``Solver._cancel_until``) and ``repro_detach`` (batch watcher-list
   unlinking for layer pops and learnt-database reduction);
 * ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
-  the bit-vector kernels) and the gather that reorders a finished clause
-  store into the MaxSAT engine's load order;
-* ``encode_py.c`` — the CPython-API materialization of the legacy clause
-  lists and journal at the end of a compile.
+  the bit-vector kernels), the record copy the warm splice replays a base
+  journal with, and the gather that reorders a finished clause store into
+  the MaxSAT engine's load order.
 
 Each implements the same algorithms step for step as its Python fallback,
 so both backends produce identical assignments, conflicts, cores,
@@ -29,13 +28,9 @@ One environment variable, ``REPRO_BACKEND``, selects the backend for the
 whole process:
 
 * ``auto`` (default) uses each library that builds and loads, and falls
-  back to pure Python per library (no compiler, no ``Python.h``, a
-  sandboxed temp dir);
+  back to pure Python per library (no compiler, a sandboxed temp dir);
 * ``python`` compiles nothing;
 * ``c`` requires the compiled cores and raises when one fails to build.
-  The materialization companion is the exception: without ``Python.h`` it
-  cannot be built at all, and the pure-Python walk produces the identical
-  object graph.
 
 The per-layer variables it replaced (:data:`_RETIRED_ENV`) are rejected
 with a :class:`ValueError` rather than ignored, so a stale setting cannot
@@ -58,14 +53,12 @@ import hashlib
 import os
 import shutil
 import subprocess
-import sysconfig
 import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
 _SOURCE = Path(__file__).resolve().parent / "search.c"
 _ENCODE_SOURCE = Path(__file__).resolve().parent / "encode.c"
-_ENCODE_PY_SOURCE = Path(__file__).resolve().parent / "encode_py.c"
 
 BACKEND_ENV = "REPRO_BACKEND"
 _MODES = ("auto", "python", "c")
@@ -167,11 +160,9 @@ def _build_dir() -> Optional[Path]:
         return None
 
 
-def _compile_source(
-    source_path: Path, prefix: str, extra_flags: tuple[str, ...] = ()
-) -> Path:
+def _compile_source(source_path: Path, prefix: str) -> Path:
     source = source_path.read_bytes()
-    extra = sanitize_flags() + extra_flags
+    extra = sanitize_flags()
     # The sanitizer flags join the digest: a sanitized build lands in its
     # own cache slot and a later plain run never loads it by accident.
     digest = hashlib.sha256(source + b"\x00" + " ".join(extra).encode()).hexdigest()[:16]
@@ -206,14 +197,10 @@ def _compile_source(
     return out
 
 
-def _load(
-    name: str, build: Callable[[], Optional[ctypes.CDLL]]
-) -> Optional[ctypes.CDLL]:
+def _load(name: str, build: Callable[[], ctypes.CDLL]) -> Optional[ctypes.CDLL]:
     """Load library ``name`` once per process, honouring ``REPRO_BACKEND``.
 
-    ``build`` compiles and binds the library; it returns ``None`` when the
-    library cannot exist on this interpreter at all (no ``Python.h``).
-    Under ``auto`` any build failure falls back to pure Python; under ``c``
+    ``build`` compiles and binds the library.  Under ``auto`` any build failure falls back to pure Python; under ``c``
     it raises (again on every call, so a required core never degrades).
     """
     if name in _libraries:
@@ -225,7 +212,7 @@ def _load(
     else:
         try:
             library = build()
-            _reasons[name] = None if library is not None else "Python.h not found"
+            _reasons[name] = None
         except Exception as error:  # compiler missing, sandboxed tmpdir, ...
             reason = f"{type(error).__name__}: {error}"
             if mode == "c":
@@ -267,27 +254,12 @@ def _build_encode() -> ctypes.CDLL:
     _bind(library.repro_enc_mux, None, [ptr] * 6 + [num] + [ptr] * 3 + [num])
     _bind(library.repro_enc_rehash, None, [ptr, num, ptr, num])
     _bind(
+        library.repro_enc_copy, num, [ptr] * 6 + [ptr, num] + [ptr] * 5 + [num, ptr, ptr]
+    )
+    _bind(
         library.repro_enc_gather,
         num,
         [ptr] * 3 + [num, ptr, num, ptr, num] + [ptr] * 4,
-    )
-    return library
-
-
-def _build_materialize() -> Optional[ctypes.CDLL]:
-    # Built against the interpreter's own headers and loaded with PyDLL:
-    # the entry point manipulates Python objects under the GIL.
-    include = sysconfig.get_paths()["include"]
-    if not (Path(include) / "Python.h").exists():
-        return None
-    library = ctypes.PyDLL(
-        str(_compile_source(_ENCODE_PY_SOURCE, "encodepy", (f"-I{include}",)))
-    )
-    ptr, num = ctypes.c_void_p, ctypes.c_longlong
-    _bind(
-        library.repro_materialize,
-        ctypes.py_object,
-        [ptr, ptr, ptr, num, ptr, num, ctypes.py_object, num, num],
     )
     return library
 
@@ -302,19 +274,9 @@ def encode_library() -> Optional[ctypes.CDLL]:
     return _load("encode", _build_encode)
 
 
-def load_materialize_core() -> Optional[ctypes.CDLL]:
-    """The CPython-API materialization library (``encode_py.c``), or ``None``.
-
-    A missing ``Python.h`` only costs speed: the pure-Python
-    :meth:`GateArena.materialize` walk produces the identical object graph.
-    """
-    return _load("materialize", _build_materialize)
-
-
-def materialize_function():
-    """The raw ``repro_materialize`` entry point, or ``None``."""
-    library = load_materialize_core()
-    return None if library is None else library.repro_materialize
+#: The benchmark harness's set-up probe still loads the cores under this
+#: name; it once named a separate library and is kept for that probe only.
+load_materialize_core = encode_library
 
 
 def unavailable_reason() -> Optional[str]:

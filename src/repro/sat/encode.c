@@ -20,6 +20,8 @@
  *   repro_enc_equals   MSB-first equality AND chain.
  *   repro_enc_uless    unsigned less-than mux chain.
  *   repro_enc_mux      per-bit if-then-else.
+ *   repro_enc_copy     append the plain records of another journal verbatim
+ *                      (mirror: GateArena._copy_records_python).
  *   repro_enc_gather   reorder a finished clause store into the MaxSAT
  *                      engine's load order, tagging grouped clauses with
  *                      their selector (mirror: arena._gather_python).
@@ -119,7 +121,8 @@ static void put_clause(Enc *e, const i64 *clause, int n) {
     h[H_LITS] = off;
 }
 
-static i64 lookup(Enc *e, i64 op, i64 k1, i64 k2) {
+/* The cached output of a gate key, or 0 (mirror of GateArena.gate_find). */
+static i64 find(Enc *e, i64 op, i64 k1, i64 k2) {
     i64 mask = e->hdr[H_GMASK];
     i64 *t = e->gtab;
     u64 p = hash_key(op, k1, k2) & (u64)mask;
@@ -127,12 +130,18 @@ static i64 lookup(Enc *e, i64 op, i64 k1, i64 k2) {
         i64 *slot = t + p * 4;
         if (!slot[0])
             return 0;
-        if (slot[0] == op && slot[1] == k1 && slot[2] == k2) {
-            e->hdr[H_HITS] += 1;
+        if (slot[0] == op && slot[1] == k1 && slot[2] == k2)
             return slot[3];
-        }
         p = (p + 1) & (u64)mask;
     }
+}
+
+/* find() counting a hit (mirror of GateArena.gate_lookup). */
+static i64 lookup(Enc *e, i64 op, i64 k1, i64 k2) {
+    i64 out = find(e, op, k1, k2);
+    if (out)
+        e->hdr[H_HITS] += 1;
+    return out;
 }
 
 static void insert(Enc *e, i64 op, i64 k1, i64 k2, i64 out) {
@@ -535,6 +544,211 @@ void repro_enc_mux(ENC_ARGS, i64 cond, i64 *va, i64 *vb, i64 *vout, i64 n) {
     ENC_INIT;
     for (i64 i = 0; i < n; i++)
         vout[i] = enc_ite(&enc, cond, va[i], vb[i]);
+}
+
+/* A source literal under the variable map mu (0: its variable is unmapped). */
+static i64 map_lit(const i64 *mu, i64 lit) {
+    return lit > 0 ? mu[lit] : -mu[-lit];
+}
+
+/* floor(v / 2**32): splits a packed key word like Python's >> does. */
+static i64 high_word(i64 v) {
+    return v >= 0 ? v >> 32 : -((-v + 0xFFFFFFFFLL) >> 32);
+}
+
+/* Is a mapped gate key still in the builder's canonical form, and free of
+ * every constant fold (tl = the true literal)?  a, b, c are the mapped key
+ * literals (c unused for and/xor).  Mirror of arena._canonical_key. */
+static int canonical_key(i64 op, i64 a, i64 b, i64 c, i64 tl) {
+    switch (op) {
+    case OP_AND:
+        return a < b && a != -b && a != tl && a != -tl && b != tl && b != -tl;
+    case OP_XOR:
+        return a < b && a != tl && b != tl;
+    case OP_ITE:
+        return a != tl && b != tl && b != -tl && c != tl && c != -tl && b != c
+               && b != -c;
+    case OP_XOR3:
+        return a < b && b < c && a != tl && b != tl && c != tl;
+    case OP_MAJ:
+        return a < b && b < c && a != -b && a != -c && a != tl && a != -tl
+               && b != tl && c != tl;
+    }
+    return 0;
+}
+
+/* Copy the plain records of a source journal (sjs, slen) and its clause
+ * store (slits, sends, sgids) into the arena, from cursor[0] (stream
+ * position), cursor[1] (clause index) and cursor[2] (source variables
+ * consumed), stopping at the first other record.  TAG_V runs allocate,
+ * TAG_C clauses are emitted under gidmap[group] (-1 stays hard), TAG_G
+ * gates are inserted with their definition clauses — what the Python arena
+ * routines do for the same records.
+ *
+ * Without mu every literal is copied as it is.  With mu (source variable
+ * -> arena variable, 0 = unmapped) every literal is mapped, allocations
+ * extend mu, and a gate whose mapped key the table already holds is
+ * elided — mu takes the cached output, its definition is skipped, and the
+ * hit is counted in the header.  With check, a mapped
+ * gate key must also stay canonical.
+ *
+ * Returns 0 at a record that is not plain (or the end); 1 (no mu) at a
+ * gate the table already holds; 2 at a clause whose group gidmap does not
+ * know yet (< -1); 3 (no mu) at a gate whose output is not the next
+ * variable; 4 when caps (lits, clauses, journal words) or the gate table
+ * lack room; 5 at a literal whose variable mu leaves unmapped (cursor[3]
+ * = that variable); 6 (check) at a gate whose mapped key is not
+ * canonical.  Nothing of the stopping record is done. */
+i64 repro_enc_copy(ENC_ARGS, const i64 *sjs, i64 slen, const i64 *slits,
+                   const i64 *sends, const i64 *sgids, const i64 *gidmap,
+                   i64 *mu, i64 check, const i64 *caps, i64 *cursor) {
+    ENC_INIT;
+    i64 *h = hdr;
+    i64 p = cursor[0], c = cursor[1], bc = cursor[2];
+    i64 status = 0;
+    while (p < slen) {
+        i64 tag = sjs[p];
+        if (tag == TAG_V) {
+            i64 n = sjs[p + 1];
+            if (mu)
+                for (i64 k = 1; k <= n; k++)
+                    mu[bc + k] = h[H_NUM_VARS] + k;
+            h[H_NUM_VARS] += n;
+            if (h[H_JOURNAL])
+                h[H_PENDING] += n;
+            bc += n;
+            p += 2;
+        } else if (tag == TAG_C) {
+            i64 g = sgids[c];
+            if (g >= 0) {
+                g = gidmap[g];
+                if (g < -1) {
+                    status = 2;
+                    break;
+                }
+            }
+            i64 start = c ? sends[c - 1] : 0, end = sends[c];
+            if (mu) {
+                for (i64 k = start; k < end; k++)
+                    if (!map_lit(mu, slits[k])) {
+                        cursor[3] = slits[k] < 0 ? -slits[k] : slits[k];
+                        status = 5;
+                        break;
+                    }
+                if (status)
+                    break;
+            }
+            if (h[H_LITS] + end - start > caps[0] || h[H_NCLAUSES] + 1 > caps[1]
+                || (h[H_JOURNAL] && h[H_JLEN] + 3 > caps[2])) {
+                status = 4;
+                break;
+            }
+            i64 nc = h[H_NCLAUSES], off = h[H_LITS];
+            for (i64 k = start; k < end; k++)
+                lits[off++] = mu ? map_lit(mu, slits[k]) : slits[k];
+            cend[nc] = off;
+            cgid[nc] = g;
+            h[H_NCLAUSES] = nc + 1;
+            h[H_LITS] = off;
+            if (h[H_JOURNAL]) {
+                flush_vars(&enc);
+                js[h[H_JLEN]] = TAG_C;
+                h[H_JLEN] += 1;
+            }
+            c += 1;
+            p += 1;
+        } else if (tag == TAG_G) {
+            i64 op = sjs[p + 1], k1 = sjs[p + 2], k2 = sjs[p + 3];
+            i64 out = sjs[p + 4], n = sjs[p + 5];
+            if (mu) {
+                i64 key[3], mapped[3], nkey = 2;
+                if (op >= OP_ITE) {
+                    key[0] = high_word(k1 + ((i64)1 << 31));
+                    key[1] = k1 - key[0] * ((i64)1 << 32);
+                    key[2] = k2;
+                    nkey = 3;
+                } else {
+                    key[0] = k1;
+                    key[1] = k2;
+                }
+                for (i64 k = 0; k < nkey; k++) {
+                    mapped[k] = map_lit(mu, key[k]);
+                    if (!mapped[k]) {
+                        cursor[3] = key[k] < 0 ? -key[k] : key[k];
+                        status = 5;
+                        break;
+                    }
+                }
+                if (status)
+                    break;
+                if (nkey == 3) {
+                    if (check
+                        && !canonical_key(op, mapped[0], mapped[1], mapped[2],
+                                          h[H_TRUE])) {
+                        status = 6;
+                        break;
+                    }
+                    k1 = mapped[0] * ((i64)1 << 32) + mapped[1];
+                    k2 = mapped[2];
+                } else {
+                    if (check
+                        && !canonical_key(op, mapped[0], mapped[1], 0, h[H_TRUE])) {
+                        status = 6;
+                        break;
+                    }
+                    k1 = mapped[0];
+                    k2 = mapped[1];
+                }
+                i64 cached = find(&enc, op, k1, k2);
+                if (cached) {
+                    h[H_HITS] += 1;
+                    mu[out] = cached;
+                    bc += 1;
+                    c += n;
+                    p += 6;
+                    continue;
+                }
+            } else {
+                if (find(&enc, op, k1, k2)) {
+                    status = 1;
+                    break;
+                }
+                if (out != h[H_NUM_VARS] + 1) {
+                    status = 3;
+                    break;
+                }
+            }
+            i64 first = c ? sends[c - 1] : 0;
+            if (h[H_LITS] + sends[c + n - 1] - first > caps[0]
+                || h[H_NCLAUSES] + n > caps[1]
+                || (h[H_JOURNAL] && h[H_JLEN] + 8 > caps[2])
+                || (h[H_GUSED] + 1) * 2 > h[H_GMASK] + 1) {
+                status = 4;
+                break;
+            }
+            i64 var = new_var(&enc);
+            if (mu)
+                mu[out] = var;
+            insert(&enc, op, k1, k2, var);
+            observe(&enc, op, k1, k2, var, n);
+            for (i64 i = c; i < c + n; i++) {
+                i64 start = i ? sends[i - 1] : 0, len = sends[i] - start;
+                i64 clause[8];
+                for (i64 k = 0; k < len; k++)
+                    clause[k] = mu ? map_lit(mu, slits[start + k]) : slits[start + k];
+                put_clause(&enc, clause, (int)len);
+            }
+            bc += 1;
+            c += n;
+            p += 6;
+        } else {
+            break;
+        }
+    }
+    cursor[0] = p;
+    cursor[1] = c;
+    cursor[2] = bc;
+    return status;
 }
 
 /* Rehash the gate table into a fresh zeroed table (Python grew it).

@@ -39,10 +39,14 @@ class LargeBenchmark:
         return _parse(self.name, self.source_lines)
 
     def faulty_program(self) -> ast.Program:
+        return _parse(f"{self.name}-faulty", self.faulty_lines())
+
+    def faulty_lines(self) -> tuple[str, ...]:
+        """The source lines with the seeded faults patched in."""
         lines = list(self.source_lines)
         for line_number, replacement in self.patches:
             lines[line_number - 1] = replacement
-        return _parse(f"{self.name}-faulty", tuple(lines))
+        return tuple(lines)
 
     def golden_output(self, test: tuple[int, ...] | None = None) -> tuple[int, ...]:
         interpreter = Interpreter(self.reference_program())

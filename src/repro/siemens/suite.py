@@ -235,8 +235,7 @@ class LargeBenchmarkResult:
     #: Which emission backend filled the cold compile's buffers ("python"
     #: or "c"); both produce bit-identical artifacts.
     encode_backend: str = ""
-    #: Wall-clock seconds per cold-encode phase (analysis, gate emission,
-    #: clause/journal materialization).
+    #: Wall-clock seconds per cold-encode phase (analysis, gate emission).
     encode_phases: dict = field(default_factory=dict)
     #: Whether a declined warm compile failed a precondition up front
     #: (before paying for impact analysis or any journal replay).
@@ -302,6 +301,13 @@ def localize_large_input(benchmark, inputs, max_candidates: int = 8):
     return formula, localizer.localize_trace(formula, program_name=benchmark.name)
 
 
+def _parse_fresh(benchmark):
+    """A new parse of ``benchmark``'s faulty version (not the cached one)."""
+    from repro.siemens.programs import _parse
+
+    return _parse.__wrapped__(f"{benchmark.name}-faulty", benchmark.faulty_lines())
+
+
 def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult:
     from repro.concolic import ConcolicTracer
     from repro.core.localizer import BugAssistLocalizer
@@ -345,9 +351,12 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     }
     cold_signature = cold_compiled.signature
     # Per-loop unwind planning on the same whole-program encode: the clause
-    # gap is what proven loop bounds bought on this row.
+    # gap is what proven loop bounds bought on this row.  This compile and
+    # the warm one below run on fresh parses: ``faulty`` is cached and
+    # keeps the interval solves of every analysis run on it, which a
+    # daemon's warm compile of a newly parsed version never has.
     planned_compiled = BoundedModelChecker(
-        faulty, group_statements=True, unwind_planning=True
+        _parse_fresh(benchmark), group_statements=True, unwind_planning=True
     ).compile_program()
     result.unwind_pruned_clauses = (
         cold_compiled.num_clauses - planned_compiled.num_clauses
@@ -362,10 +371,11 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
     del cold_compiled
     gc.collect()
     splice_outcome: dict = {}
+    warm_program = _parse_fresh(benchmark)
     with obs.span("bench.encode_warm") as warm_span:
         warm_compiled = splice_compile(
             reference_compiled,
-            BoundedModelChecker(faulty, group_statements=True),
+            BoundedModelChecker(warm_program, group_statements=True),
             base_key=f"{benchmark.name}-reference",
             outcome=splice_outcome,
         )
@@ -375,7 +385,7 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
                 splice_outcome.get("declined_early")
             )
             warm_compiled = BoundedModelChecker(
-                faulty, group_statements=True
+                warm_program, group_statements=True
             ).compile_program()
         else:
             result.warm_spliced = True
@@ -385,7 +395,7 @@ def _run_large_benchmark(benchmark, max_candidates: int) -> LargeBenchmarkResult
         raise AssertionError(
             f"{benchmark.name}: warm encode diverged from cold"
         )
-    del warm_compiled, reference_compiled
+    del warm_compiled, warm_program, reference_compiled
     gc.collect()
 
     started = time.perf_counter()

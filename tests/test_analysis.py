@@ -457,3 +457,30 @@ def test_siemens_corpus_matches_golden_lint():
         cwd=str(REPO),
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_cfg_and_analysis_helpers_leave_no_reference_cycles():
+    """The recursive CFG and analysis helpers are plain functions: a call
+    leaves nothing for the cyclic collector (a recursive closure reaches
+    itself through its cell and would pin what it built until a GC pass)."""
+    import gc
+
+    from repro.analysis.domains import DefiniteInitDomain
+    from repro.analysis.incremental import function_reads
+    from repro.cfg.defuse import function_local_names
+    from repro.cfg.graph import build_function_graph
+    from repro.siemens.programs import LARGE_BENCHMARKS
+
+    case = next(b for b in LARGE_BENCHMARKS if b.name == "schedule2")
+    functions = list(case.faulty_program().functions.values())
+    gc.collect()
+    gc.disable()
+    try:
+        for function in functions:
+            function_local_names(function)
+            build_function_graph(function)
+            function_reads(function)
+            DefiniteInitDomain(function)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.circuits import CircuitBuilder
-from repro.encoding.context import EncodingContext
+from repro.encoding.context import ArenaEncodingContext
 from repro.encoding.symbolic import ExpressionEncoder
 from repro.lang import ast, parse_program
 from repro.lang.interp import Interpreter
@@ -112,7 +112,7 @@ class _VectorResolver:
 
 def encode_expression(expr: ast.Expr, simplify: bool):
     """Encode ``expr`` over fresh inputs; returns (context, builder, inputs, out)."""
-    context = EncodingContext(DEFAULT_WIDTH)
+    context = ArenaEncodingContext(DEFAULT_WIDTH)
     builder = CircuitBuilder(context, simplify=simplify)
     vectors = {name: builder.fresh() for name in VARIABLES}
     encoder = ExpressionEncoder(builder, _VectorResolver(vectors))

@@ -9,7 +9,7 @@ matrix over the five scalar gates, and seeded bit-vector kernel chains
 (add / multiply / equals / unsigned_less / mux), and require exact equality.
 
 The Python arm of each pair is produced in-process by pinning
-``_ccore.encode_library`` / ``_ccore.materialize_function`` to ``None`` —
+``_ccore.encode_library`` to ``None`` —
 exactly the state a ``REPRO_BACKEND=python`` process runs in — so a single
 process compares the two emitters over the same interned objects.  Separate
 subprocess tests cover the ``REPRO_BACKEND`` switch itself (``python`` and
@@ -38,11 +38,14 @@ from repro.bmc import BoundedModelChecker, dumps_artifact
 from repro.encoding import CircuitBuilder, encode_backend
 from repro.encoding.arena import (
     GateArena,
+    HDR_GMASK,
     HDR_GUSED,
     HDR_HITS,
     HDR_JLEN,
+    HDR_LITS,
     HDR_NCLAUSES,
     HDR_NUM_VARS,
+    TAG_C,
 )
 from repro.encoding.context import ArenaEncodingContext
 from repro.sat import _ccore
@@ -69,13 +72,12 @@ TABLE3_CASES = [
 @contextlib.contextmanager
 def python_pinned():
     """Encode in the body exactly as a ``REPRO_BACKEND=python`` process would."""
-    saved = (_ccore.encode_library, _ccore.materialize_function)
+    saved = _ccore.encode_library
     _ccore.encode_library = lambda: None
-    _ccore.materialize_function = lambda: None
     try:
         yield
     finally:
-        _ccore.encode_library, _ccore.materialize_function = saved
+        _ccore.encode_library = saved
 
 
 def compile_cold(program):
@@ -120,6 +122,32 @@ class TestDifferential:
             ), field.name
         assert dumps_artifact(c_artifact) == dumps_artifact(py_artifact)
 
+    def test_warm_splices_identical(self):
+        """The record copy behind the warm splice (``repro_enc_copy``) and
+        its Python mirror build the same artifacts, identity and mapped."""
+        from repro.bmc import loads_artifact
+        from repro.bmc.splice import splice_compile
+
+        base = compile_cold(tcas_faulty_program("v1"))
+        # One base object per backend: neither run restores the other's
+        # prefix checkpoint.
+        bases = {"c": base, "python": loads_artifact(dumps_artifact(base))}
+        for version in ("v2", "v16", "v37"):
+            program = tcas_faulty_program(version)
+            artifacts = {}
+            for backend, base_artifact in bases.items():
+                pin = python_pinned() if backend == "python" else contextlib.nullcontext()
+                with pin:
+                    artifacts[backend] = splice_compile(
+                        base_artifact,
+                        BoundedModelChecker(program, group_statements=True),
+                    )
+            assert artifacts["c"] is not None and artifacts["python"] is not None
+            for field in dataclasses.fields(artifacts["c"]):
+                assert getattr(artifacts["c"], field.name) == getattr(
+                    artifacts["python"], field.name
+                ), (version, field.name)
+
     def test_localization_reports_identical(self):
         from repro.core import LocalizationSession, Specification
         from repro.serve import canonical_report_bytes
@@ -145,15 +173,14 @@ class TestDifferential:
 
 
 def _context_fingerprint(context: ArenaEncodingContext) -> tuple:
-    context.finalize()
     return (
         context.gate_signature,
         context.num_vars,
         context.num_clauses,
         context.gates_emitted,
         context.gate_hits,
-        context.hard,
-        context.journal,
+        context.arena.clause_store(),
+        context.arena.journal_store(),
     )
 
 
@@ -330,18 +357,21 @@ class TestArenaHousekeeping:
                 rng.choice([-1, 1]) * rng.randint(1, 400)
                 for _ in range(rng.randint(1, 7))
             ]
-            expected.append(clause)
-            arena.emit(clause, -1 if index % 3 else index % 5)
+            gid = -1 if index % 3 else index % 5
+            expected.append((gid, clause))
+            arena.emit(clause, gid)
         assert arena.hdr[HDR_NCLAUSES] == len(expected)
-        hard, groups, journal, _ = arena.materialize(list(range(5)))
-        # The journal restores exact emission order; hard/groups partition
-        # the same clauses (as shared list objects) by owning group.
-        restored = [event[2] for event in journal if event[0] == "c"]
+        # The store keeps exact emission order with each clause's group;
+        # the journal holds one clause record per emission.
+        lits, ends, gids = arena.clause_store()
+        restored = [
+            (gid, lits[start:end].tolist())
+            for gid, start, end in zip(gids, [0, *ends], ends)
+        ]
         assert restored == expected
-        store = hard + [c for gid in range(5) for c in groups[gid]]
-        assert sorted(map(tuple, store)) == sorted(map(tuple, expected))
-        shared = {id(clause) for clause in store}
-        assert all(id(clause) in shared for clause in restored)
+        journal, raw = arena.journal_store()
+        assert journal.tolist() == [TAG_C] * len(expected)
+        assert raw == []
 
     def test_gate_table_rehash_preserves_lookups(self):
         arena = GateArena()
@@ -383,8 +413,7 @@ class TestArenaHousekeeping:
         assert arena.hdr[HDR_JLEN] == 0
         assert len(arena.js) == 0
         assert arena.raw == []
-        _, _, journal, _ = arena.materialize([])
-        assert journal is None
+        assert arena.journal_store() == (None, [])
         assert arena.hdr[HDR_NUM_VARS] == 50
 
     def test_context_record_skips_event_construction_when_off(self):
@@ -394,3 +423,82 @@ class TestArenaHousekeeping:
         context.record(("stmt", "line", 1, 2))
         assert context.arena.raw == []
         assert context.arena.hdr[HDR_JLEN] == 0
+
+
+# ------------------------------------------------------------- mark / rewind
+
+
+def _arena_state(arena: GateArena) -> tuple:
+    """Everything a rewind must restore: the filled clause store, journal and
+    side list, every header scalar but the table size, and the gate table as
+    its set of entries."""
+    hdr = arena.hdr
+    gtab = arena.gtab
+    gates = {
+        tuple(gtab[slot : slot + 4])
+        for slot in range(0, len(gtab), 4)
+        if gtab[slot]
+    }
+    scalars = [value for slot, value in enumerate(hdr) if slot != HDR_GMASK]
+    return arena.clause_store(), arena.journal_store(), scalars, gates
+
+
+def _drive(context: ArenaEncodingContext, builder: CircuitBuilder, seed: int, steps: int):
+    """A seeded mix of vector kernels, scalar gates, grouped clauses and
+    journal events."""
+    from repro.encoding.context import StatementGroup
+
+    rng = random.Random(seed)
+    vectors = [builder.fresh() for _ in range(2)]
+    for step in range(steps):
+        a = vectors[rng.randrange(len(vectors))]
+        b = vectors[rng.randrange(len(vectors))]
+        group = StatementGroup(line=seed * 1000 + step % 7)
+        with context.group(group):
+            if step % 3 == 0:
+                vectors.append(builder.add(a, b))
+            elif step % 3 == 1:
+                context.emit([builder.equals(a, b)])
+            else:
+                vectors.append(builder.mux(builder.bit_xor(a[0], b[1]), a, b))
+            context.record(("s", step, "main", "assign", None))
+        vectors.append(builder.fresh())
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("rehash", [False, True], ids=["same-table", "rehash"])
+def test_rewind_restores_the_marked_state(backend, rehash):
+    """`rewind` returns the arena to exactly its marked state, and the same
+    emissions after it rebuild exactly the state of the first attempt."""
+    pin = python_pinned() if backend == "python" else contextlib.nullcontext()
+    with pin:
+        context = ArenaEncodingContext(width=8)
+        context.begin_journal()
+        builder = CircuitBuilder(context)
+        assert context.encode_backend == backend
+        _drive(context, builder, seed=1, steps=6)
+        slots = context.arena.hdr[HDR_GMASK] + 1
+        mark = context.mark()
+        marked = _arena_state(context.arena)
+        marked_table = context.arena.gtab[:]
+        groups = list(context.group_table)
+
+        steps = 160 if rehash else 4
+        _drive(context, builder, seed=2, steps=steps)
+        first = _arena_state(context.arena)
+        grew = context.arena.hdr[HDR_GMASK] + 1 > slots
+        assert grew == rehash
+        assert context.arena.hdr[HDR_LITS] > 0
+
+        context.rewind(mark)
+        assert _arena_state(context.arena) == marked
+        assert context.group_table == groups
+        if not rehash:
+            # Newest-first deletion restores the very table layout.
+            assert context.arena.gtab == marked_table
+        # Every surviving gate is still found where lookups probe for it.
+        for op, k1, k2, out in marked[3]:
+            assert context.arena.gate_find(op, k1, k2) == out
+
+        _drive(context, builder, seed=2, steps=steps)
+        assert _arena_state(context.arena) == first

@@ -5,19 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding import CircuitBuilder, EncodingContext, StatementGroup
+from repro.encoding import CircuitBuilder, ArenaEncodingContext, StatementGroup
 from repro.lang.semantics import apply_binary, wrap
 from repro.sat import Solver
 
 WIDTH = 8
 
 
-def make_builder(width: int = WIDTH) -> tuple[EncodingContext, CircuitBuilder]:
-    context = EncodingContext(width)
+def make_builder(width: int = WIDTH) -> tuple[ArenaEncodingContext, CircuitBuilder]:
+    context = ArenaEncodingContext(width)
     return context, CircuitBuilder(context)
 
 
-def solve_with(context: EncodingContext) -> Solver:
+def solve_with(context: ArenaEncodingContext) -> Solver:
     solver = Solver()
     solver.ensure_vars(context.num_vars)
     for clause in context.hard:
@@ -28,7 +28,7 @@ def solve_with(context: EncodingContext) -> Solver:
     return solver
 
 
-def evaluate(builder: CircuitBuilder, context: EncodingContext, bits) -> int:
+def evaluate(builder: CircuitBuilder, context: ArenaEncodingContext, bits) -> int:
     solver = solve_with(context)
     assert solver.solve()
     return builder.decode(bits, solver.get_model())
@@ -36,7 +36,7 @@ def evaluate(builder: CircuitBuilder, context: EncodingContext, bits) -> int:
 
 class TestContext:
     def test_clause_routing(self):
-        context = EncodingContext(4)
+        context = ArenaEncodingContext(4)
         context.emit([1])
         group = StatementGroup(line=7, function="main")
         with context.group(group):
@@ -50,7 +50,7 @@ class TestContext:
         assert context.num_clauses == 4
 
     def test_true_literal_is_hard(self):
-        context = EncodingContext(4)
+        context = ArenaEncodingContext(4)
         group = StatementGroup(line=1)
         with context.group(group):
             lit = context.true_lit

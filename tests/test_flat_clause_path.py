@@ -212,7 +212,6 @@ class TestSiemensTrace:
         tracer = ConcolicTracer(parse_program(LOOP_PROGRAM), loop_iteration_groups=True)
         formula = tracer.trace([20], Specification.assertion())
         context = tracer._context
-        context.finalize()
         assert formula.hard == context.hard
         assert formula.groups == context.groups
         assert list(formula.groups) == context.group_table
@@ -230,11 +229,21 @@ class TestTcasBase:
 
 
 def small_formula(groups, hard=((1, -2), (3,)), num_vars=6) -> TraceFormula:
-    return TraceFormula.from_clauses(
-        [list(clause) for clause in hard],
-        {group: [list(c) for c in clauses] for group, clauses in groups.items()},
+    """A formula whose store holds ``hard``, then each group's clauses."""
+    clauses = [(-1, clause) for clause in hard]
+    for gid, group_clauses in enumerate(groups.values()):
+        clauses.extend((gid, clause) for clause in group_clauses)
+    lits, ends = array("q"), array("q")
+    for _, clause in clauses:
+        lits.extend(clause)
+        ends.append(len(lits))
+    return TraceFormula(
         width=4,
         num_vars=num_vars,
+        lits=lits,
+        ends=ends,
+        gids=array("q", [gid for gid, _ in clauses]),
+        group_table=list(groups),
     )
 
 

@@ -361,11 +361,7 @@ class TestSessionTracing:
             "analysis_solves",
             "analysis_solves_reused",
         }
-        assert set(encode_profile["encode_phases"]) >= {
-            "analysis",
-            "gates",
-            "materialize",
-        }
+        assert set(encode_profile["encode_phases"]) == {"analysis", "gates"}
         for key in (
             "sat_calls",
             "propagations",
@@ -373,7 +369,6 @@ class TestSessionTracing:
             "encode_backend",
             "encode_phase_analysis",
             "encode_phase_gates",
-            "encode_phase_materialize",
         ):
             assert key in profile, key
 

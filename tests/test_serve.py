@@ -85,6 +85,22 @@ class TestArtifactSerialization:
         with pytest.raises(ArtifactFormatError):
             loads_artifact(dumps_artifact(compiled)[:-20])
 
+    def test_rejects_format_5_blobs(self):
+        """Format 5 stored clause lists and a tuple journal, format 6 the
+        encoder's flat clause store and journal: a format-5 spill must be
+        recompiled, never unpickled."""
+        from repro.bmc.compiled import ARTIFACT_HEADER_BYTES, peek_artifact_version
+
+        assert ARTIFACT_FORMAT_VERSION == 6
+        program = parse_program(OTHER, name="other")
+        compiled = BoundedModelChecker(program, group_statements=True).compile_program()
+        blob = dumps_artifact(compiled)
+        magic = blob[: ARTIFACT_HEADER_BYTES - 4]
+        old = magic + (5).to_bytes(4, "big") + blob[ARTIFACT_HEADER_BYTES:]
+        assert peek_artifact_version(old) == 5
+        with pytest.raises(ArtifactFormatError, match="format 5 incompatible"):
+            loads_artifact(old)
+
     def test_key_is_stable_and_option_sensitive(self):
         base = artifact_key(CLASSIFY, normalize_compile_options({"name": "classify"}))
         again = artifact_key(CLASSIFY, normalize_compile_options({"name": "classify"}))

@@ -66,6 +66,18 @@ class TestSpliceEquivalence:
         if warm is not None:
             assert_encoding_identical(warm, cold_compile("v16"))
 
+    def test_identity_pairings_keep_the_map_explicit(self):
+        """A region re-encode may pair every interface bit with itself yet
+        leave region-internal base variables it did not rebuild unmapped;
+        a later record naming one must decline, not be copied as it is.
+        From v20's artifact that is the difference between declining and
+        a wrong encoding for v2, v23 and v37."""
+        base = cold_compile("v20")
+        for version in ("v2", "v23", "v37"):
+            warm = warm_compile(base, version)
+            if warm is not None:
+                assert_encoding_identical(warm, cold_compile(version))
+
     def test_identity_splice(self):
         base = cold_compile("v1")
         warm = warm_compile(base, "v1")
