@@ -233,6 +233,7 @@ class BoundedModelChecker:
             {
                 "encode_backend": getattr(context, "encode_backend", "python"),
                 "encode_phases": encode_phases,
+                "encode_kernel_calls": self._builder.kernel_calls,
                 "analysis_solves": analysis.solves if analysis is not None else 0,
                 "analysis_solves_reused": (
                     analysis.solves_reused if analysis is not None else 0
@@ -524,6 +525,7 @@ class BoundedModelChecker:
             self._run_function(function, frame, builder.true)
             if self._context.journaling:
                 self._context.record(("ret", frame.return_value))
+            timed.set(kernel_calls=builder.kernel_calls)
         phases["gates"] = timed.duration
         return input_bits, frame.return_value
 

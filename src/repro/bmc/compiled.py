@@ -144,8 +144,8 @@ def loads_artifact(data: bytes) -> "CompiledProgram":
 
 
 def _set_encode_profile(compiled: "CompiledProgram", profile: dict) -> None:
-    """Attach the encode profile (emission backend, phase wall times and
-    analysis solve counts).
+    """Attach the encode profile (emission backend, phase wall times,
+    C-core entries and analysis solve counts).
 
     Held in :mod:`repro.obs`'s id-keyed weakref side table and *never*
     pickled: timings differ run to run and backend to backend, while
@@ -248,12 +248,13 @@ class CompiledProgram:
     # ------------------------------------------------------------ statistics
 
     def encode_profile(self) -> dict:
-        """Emission backend, per-phase wall times and analysis solve counts
-        of the compile that produced this artifact: ``{"encode_backend":
-        ..., "encode_phases": {phase: seconds}, "analysis_solves": n,
-        "analysis_solves_reused": m}``.  Empty for unpickled or spliced
-        artifacts — timings are observability data, not content, and never
-        serialize."""
+        """Emission backend, per-phase wall times, C-core entries and
+        analysis solve counts of the compile that produced this artifact:
+        ``{"encode_backend": ..., "encode_phases": {phase: seconds},
+        "encode_kernel_calls": k, "analysis_solves": n,
+        "analysis_solves_reused": m}`` (``k`` is 0 on the Python backend).
+        Empty for unpickled or spliced artifacts — timings are
+        observability data, not content, and never serialize."""
         return obs.profile_of(self)
 
     @property
@@ -307,9 +308,10 @@ class CompiledProgram:
     def _fix_clauses(self, bits: Bits, value: int) -> list[list[int]]:
         """Unit clauses pinning ``bits`` to a concrete integer value.
 
-        Mirrors :meth:`repro.encoding.circuits.CircuitBuilder.fix_to_value`
-        without needing a builder: constant bits that disagree with the
-        wanted value yield a contradiction unit.
+        The clauses :meth:`repro.encoding.circuits.CircuitBuilder.fix_to_value`
+        emits — an ``assert_equal`` of ``bits`` against the constant vector
+        of ``value`` — without needing a builder: constant bits that
+        disagree with the wanted value yield a contradiction unit.
         """
         pattern = to_unsigned(value, len(bits))
         clauses: list[list[int]] = []

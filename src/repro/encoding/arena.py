@@ -59,7 +59,7 @@ HDR_LITS = 7  #: Logical length of the literal pool.
 HDR_JLEN = 8  #: Logical length of the journal stream.
 HDR_GMASK = 9  #: Gate-table slot mask (slot count - 1).
 HDR_GUSED = 10  #: Occupied gate-table slots.
-HDR_GID = 11  #: Active clause group id (-1 = hard set).
+# Slot 11 is reserved.
 HDR_JOURNAL = 12  #: 1 while the journal stream is recording.
 HDR_IFACE = 13  #: Total call-interface literal words in the stream.
 HDR_SLOTS = 16  #: Header size (room for growth without an ABI break).
@@ -145,7 +145,6 @@ class GateArena:
 
     def __init__(self, journal: bool = False) -> None:
         self.hdr = array("q", [0] * HDR_SLOTS)
-        self.hdr[HDR_GID] = -1
         self.hdr[HDR_SIG] = _signed64(_FNV_OFFSET)
         self.hdr[HDR_JOURNAL] = 1 if journal else 0
         self.lits = array("q", bytes(8 * 4096))
@@ -233,6 +232,15 @@ class GateArena:
         if hdr[HDR_JOURNAL]:
             hdr[HDR_PENDING] += 1
         return hdr[HDR_NUM_VARS]
+
+    def new_vars(self, count: int) -> range:
+        """Allocate a run of ``count`` fresh variables (one "v" run)."""
+        hdr = self.hdr
+        first = hdr[HDR_NUM_VARS] + 1
+        hdr[HDR_NUM_VARS] += count
+        if hdr[HDR_JOURNAL]:
+            hdr[HDR_PENDING] += count
+        return range(first, first + count)
 
     def flush_vars(self) -> None:
         hdr = self.hdr

@@ -9,9 +9,13 @@ buffer's length changed — ``array`` reallocation only happens on resize, so
 the (cheap) length tuple is a sound cache key for the pointer tuple.
 
 Granularity: the bit-vector operations (add / multiply / equals /
-unsigned-less / mux) cross into C once per *vector*, the residual scalar
-gate calls once per gate.  Both directions interleave freely with the
-pure-Python arena routines because all state lives in the shared buffers.
+unsigned-less / mux), the statement-level equations (``assign``, behind
+``CircuitBuilder.assert_equal`` and ``fix_to_value``) and the OR-reduction
+(``or_many``, behind ``is_nonzero``) cross into C once per *vector*, the
+residual scalar gate calls once per gate.  ``calls`` counts the crossings
+(deterministic for a given compile).  Both directions interleave freely
+with the pure-Python arena routines because all state lives in the shared
+buffers.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ class CEncoder:
         self._equals = library.repro_enc_equals
         self._uless = library.repro_enc_uless
         self._mux = library.repro_enc_mux
+        self._assign = library.repro_enc_assign
+        self._or_many = library.repro_enc_or_many
+        #: Entries into the C core so far (one per dispatch call).
+        self.calls = 0
         self._key: Optional[tuple[int, int, int, int]] = None
         self._ptrs: tuple = ()
         rehash = library.repro_enc_rehash
@@ -84,11 +92,13 @@ class CEncoder:
     # ------------------------------------------------------------- dispatch
 
     def gate(self, op: int, a: int, b: int, c: int = 0) -> int:
+        self.calls += 1
         self._reserve(1)
         return self._gate(*self._pointers(), op, a, b, c)
 
     def add(self, a: Sequence[int], b: Sequence[int], carry: int) -> tuple[int, ...]:
         n = len(a)
+        self.calls += 1
         self._reserve(2 * n)
         va, vb = array("q", a), array("q", b)
         vout = array("q", bytes(8 * n))
@@ -97,6 +107,7 @@ class CEncoder:
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         n = len(a)
+        self.calls += 1
         self._reserve(3 * n * n)
         va, vb = array("q", a), array("q", b)
         vout = array("q", bytes(8 * n))
@@ -105,6 +116,7 @@ class CEncoder:
 
     def equals(self, a: Sequence[int], b: Sequence[int]) -> int:
         n = len(a)
+        self.calls += 1
         self._reserve(2 * n)
         va, vb = array("q", a), array("q", b)
         scratch = array("q", bytes(8 * n))
@@ -114,6 +126,7 @@ class CEncoder:
 
     def unsigned_less(self, a: Sequence[int], b: Sequence[int]) -> int:
         n = len(a)
+        self.calls += 1
         self._reserve(2 * n)
         va, vb = array("q", a), array("q", b)
         return self._uless(*self._pointers(), _addr(va), _addr(vb), n)
@@ -122,8 +135,25 @@ class CEncoder:
         self, cond: int, a: Sequence[int], b: Sequence[int]
     ) -> tuple[int, ...]:
         n = len(a)
+        self.calls += 1
         self._reserve(n)
         va, vb = array("q", a), array("q", b)
         vout = array("q", bytes(8 * n))
         self._mux(*self._pointers(), cond, _addr(va), _addr(vb), _addr(vout), n)
         return tuple(vout)
+
+    def assign(self, target: Sequence[int], source: Sequence[int], gid: int) -> None:
+        n = len(target)
+        self.calls += 1
+        arena = self.arena
+        arena.ensure_clauses(2 * n, 4 * n)
+        arena.ensure_journal(2 * n + 2)
+        vt, vs = array("q", target), array("q", source)
+        self._assign(*self._pointers(), _addr(vt), _addr(vs), n, gid)
+
+    def or_many(self, a: Sequence[int]) -> int:
+        n = len(a)
+        self.calls += 1
+        self._reserve(n)
+        va = array("q", a)
+        return self._or_many(*self._pointers(), _addr(va), n)

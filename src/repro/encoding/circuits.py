@@ -22,6 +22,14 @@ Statement-level clause emissions (:meth:`CircuitBuilder.assert_equal`,
 :meth:`CircuitBuilder.force_true`, :meth:`CircuitBuilder.fix_to_value`, and
 direct :meth:`ArenaEncodingContext.emit` calls) are unaffected: whatever
 statement group is active when an operation is encoded owns those clauses.
+
+With the C emission core loaded (``src/repro/sat/encode.c``), every
+bit-vector operation of at most 64 bits crosses into C once per vector:
+``add``, ``multiply``, ``equals``, ``unsigned_less``, ``mux``, the
+OR-reduction behind ``is_nonzero`` and the equations of ``assert_equal``
+(``fix_to_value`` is an ``assert_equal`` against a constant).  The Python
+loops below are the ``REPRO_BACKEND=python`` reference, and the path for
+wider vectors; both fill the arena identically.
 """
 
 from __future__ import annotations
@@ -76,6 +84,11 @@ class CircuitBuilder:
         # (0 before).  Allocation stays lazy: the first constant a fold or a
         # gate asks for allocates it, at the same point in emission order.
         self._true = 0
+
+    @property
+    def kernel_calls(self) -> int:
+        """Entries into the C emission core so far (0 on the Python path)."""
+        return self._cenc.calls if self._cenc is not None else 0
 
     # ----------------------------------------------------------- bit helpers
 
@@ -189,6 +202,11 @@ class CircuitBuilder:
         return result
 
     def bit_or_many(self, lits: Sequence[int]) -> int:
+        cenc = self._cenc
+        if cenc is not None and 0 < len(lits) <= _MAX_VECTOR_BITS:
+            if not self._true:
+                self._allocate_true()
+            return cenc.or_many(lits)
         result = self.false
         for lit in lits:
             result = self.bit_or(result, lit)
@@ -383,14 +401,13 @@ class CircuitBuilder:
     def const(self, value: int, width: Optional[int] = None) -> Bits:
         width = width or self.width
         pattern = to_unsigned(value, width)
+        true = self._true or self._allocate_true()
         return tuple(
-            self.true if (pattern >> position) & 1 else self.false
-            for position in range(width)
+            true if (pattern >> position) & 1 else -true for position in range(width)
         )
 
     def fresh(self, width: Optional[int] = None) -> Bits:
-        width = width or self.width
-        return tuple(self.context.new_var() for _ in range(width))
+        return tuple(self._arena.new_vars(width or self.width))
 
     def fresh_narrowed(
         self, low_bits: int, signed: bool, width: Optional[int] = None
@@ -407,7 +424,7 @@ class CircuitBuilder:
         width = width or self.width
         if low_bits >= width:
             return self.fresh(width)
-        low = tuple(self.context.new_var() for _ in range(low_bits))
+        low = tuple(self._arena.new_vars(low_bits))
         high_bit = low[-1] if signed else self.false
         return low + (high_bit,) * (width - low_bits)
 
@@ -586,7 +603,7 @@ class CircuitBuilder:
         return -self.signed_less(b, a)
 
     def is_nonzero(self, a: Bits) -> int:
-        return self.bit_or_many(list(a))
+        return self.bit_or_many(a)
 
     # ------------------------------------------------------------- structure
 
@@ -603,6 +620,14 @@ class CircuitBuilder:
 
     def assert_equal(self, target: Bits, source: Bits) -> None:
         """Emit clauses forcing ``target == source`` (in the active group)."""
+        cenc = self._cenc
+        if cenc is not None and 0 < len(target) == len(source) <= _MAX_VECTOR_BITS:
+            gid = self.context.active_group_id()
+            if gid is not None:
+                if not self._true:
+                    self._allocate_true()
+                cenc.assign(target, source, gid)
+                return
         for target_bit, source_bit in zip(target, source):
             value = self._const_value(source_bit)
             target_value = self._const_value(target_bit)
@@ -623,16 +648,10 @@ class CircuitBuilder:
                 self.context.emit([target_bit, -source_bit])
 
     def fix_to_value(self, bits: Bits, value: int) -> None:
-        """Emit unit clauses pinning ``bits`` to a concrete integer value."""
-        pattern = to_unsigned(value, len(bits))
-        for position, lit in enumerate(bits):
-            wanted = bool((pattern >> position) & 1)
-            known = self._const_value(lit)
-            if known is None:
-                self.context.emit([lit if wanted else -lit])
-            elif known != wanted:
-                # Pinning a constant to a different value: emit a contradiction.
-                self.context.emit([self.false])
+        """Emit unit clauses pinning ``bits`` to a concrete integer value
+        (a constant bit that disagrees yields the contradiction unit)."""
+        if bits:
+            self.assert_equal(bits, self.const(value, len(bits)))
 
     def decode(self, bits: Bits, model: dict[int, bool]) -> int:
         """Read back a signed integer value of ``bits`` under a SAT model."""

@@ -198,6 +198,15 @@ class ArenaEncodingContext:
         group = self._current
         self.arena.emit(clause, -1 if group is None else self.group_id(group))
 
+    def active_group_id(self) -> Optional[int]:
+        """The group id :meth:`emit` routes to now: -1 for the hard set,
+        ``None`` while the active group is unregistered (its first
+        :meth:`emit` registers it)."""
+        group = self._current
+        if group is None:
+            return -1
+        return self._group_ids.get(group)
+
     def emit_hard(self, clause: list[int]) -> None:
         """Emit a clause into the hard set regardless of the active group."""
         self.arena.emit(clause, -1)

@@ -252,6 +252,8 @@ def _build_encode() -> ctypes.CDLL:
     _bind(library.repro_enc_equals, num, [ptr] * 9 + [num])
     _bind(library.repro_enc_uless, num, [ptr] * 8 + [num])
     _bind(library.repro_enc_mux, None, [ptr] * 6 + [num] + [ptr] * 3 + [num])
+    _bind(library.repro_enc_assign, None, [ptr] * 8 + [num] * 2)
+    _bind(library.repro_enc_or_many, num, [ptr] * 7 + [num])
     _bind(library.repro_enc_rehash, None, [ptr, num, ptr, num])
     _bind(
         library.repro_enc_copy, num, [ptr] * 6 + [ptr, num] + [ptr] * 5 + [num, ptr, ptr]

@@ -20,6 +20,11 @@
  *   repro_enc_equals   MSB-first equality AND chain.
  *   repro_enc_uless    unsigned less-than mux chain.
  *   repro_enc_mux      per-bit if-then-else.
+ *   repro_enc_assign   target == source equation clauses under one clause
+ *                      group, constant folds included (mirror:
+ *                      CircuitBuilder.assert_equal).
+ *   repro_enc_or_many  OR-reduction chain seeded with false (mirror:
+ *                      CircuitBuilder.bit_or_many).
  *   repro_enc_copy     append the plain records of another journal verbatim
  *                      (mirror: GateArena._copy_records_python).
  *   repro_enc_gather   reorder a finished clause store into the MaxSAT
@@ -50,7 +55,7 @@ enum {
     H_JLEN = 8,
     H_GMASK = 9,
     H_GUSED = 10,
-    H_GID = 11,
+    /* slot 11 is reserved */
     H_JOURNAL = 12,
     H_IFACE = 13
 };
@@ -544,6 +549,66 @@ void repro_enc_mux(ENC_ARGS, i64 cond, i64 *va, i64 *vb, i64 *vout, i64 n) {
     ENC_INIT;
     for (i64 i = 0; i < n; i++)
         vout[i] = enc_ite(&enc, cond, va[i], vb[i]);
+}
+
+/* One statement clause under group gid, journaled as a TAG_C record (mirror
+ * of GateArena.emit). */
+static void emit_clause(Enc *e, const i64 *clause, int n, i64 gid) {
+    i64 *h = e->hdr;
+    put_clause(e, clause, n);
+    e->cgid[h[H_NCLAUSES] - 1] = gid;
+    if (h[H_JOURNAL]) {
+        flush_vars(e);
+        e->js[h[H_JLEN]] = TAG_C;
+        h[H_JLEN] += 1;
+    }
+}
+
+/* The value of a constant literal (1 true, 0 false), -1 for any other. */
+static int const_value(i64 lit, i64 t) {
+    return lit == t ? 1 : lit == -t ? 0 : -1;
+}
+
+/* target == source, bit by bit, under group gid.  Mirrors
+ * CircuitBuilder.assert_equal: a constant target bit (narrowed high bits)
+ * pins the source bit, or contradicts ([-true]) a disagreeing constant; a
+ * constant source bit pins the target bit; otherwise the two binary
+ * clauses of the equivalence. */
+void repro_enc_assign(ENC_ARGS, i64 *vt, i64 *vs, i64 n, i64 gid) {
+    ENC_INIT;
+    i64 t = hdr[H_TRUE];
+    for (i64 i = 0; i < n; i++) {
+        i64 tb = vt[i], sb = vs[i];
+        int value = const_value(sb, t), target = const_value(tb, t);
+        i64 unit;
+        if (target >= 0) {
+            if (value < 0)
+                unit = target ? sb : -sb;
+            else if (value != target)
+                unit = -t;
+            else
+                continue;
+        } else if (value >= 0) {
+            unit = value ? tb : -tb;
+        } else {
+            i64 c1[2] = {-tb, sb};
+            i64 c2[2] = {tb, -sb};
+            emit_clause(&enc, c1, 2, gid);
+            emit_clause(&enc, c2, 2, gid);
+            continue;
+        }
+        emit_clause(&enc, &unit, 1, gid);
+    }
+}
+
+/* OR-reduction: the left-to-right chain acc = or(acc, bit) seeded with the
+ * false constant (mirror of CircuitBuilder.bit_or_many). */
+i64 repro_enc_or_many(ENC_ARGS, i64 *va, i64 n) {
+    ENC_INIT;
+    i64 acc = -hdr[H_TRUE];
+    for (i64 i = 0; i < n; i++)
+        acc = enc_or(&enc, acc, va[i]);
+    return acc;
 }
 
 /* A source literal under the variable map mu (0: its variable is unmapped). */

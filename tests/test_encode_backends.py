@@ -6,7 +6,8 @@ be bit-identical between them: same CNF, same gate signature, same journal,
 same pickled artifact bytes, same localization reports.  These tests drive
 matched compile pairs through every Table 3 program, a hypothesis gate-op
 matrix over the five scalar gates, and seeded bit-vector kernel chains
-(add / multiply / equals / unsigned_less / mux), and require exact equality.
+(add / multiply / equals / unsigned_less / mux / is_nonzero, and the
+assert_equal / fix_to_value equations), and require exact equality.
 
 The Python arm of each pair is produced in-process by pinning
 ``_ccore.encode_library`` to ``None`` —
@@ -241,19 +242,32 @@ def test_hypothesis_gate_matrix(ops):
     assert with_c == pure
 
 
-def _run_vector_ops(seed: int) -> tuple:
-    """A seeded chain of the hot bit-vector kernels, fingerprinted."""
+def _run_vector_ops(seed: int, journal: bool = True) -> tuple:
+    """A seeded chain of the bit-vector kernels and statement equations,
+    fingerprinted.
+
+    The vectors include narrowed targets (constant high bits) and a
+    constant; the equations run both hard and inside statement groups.  A
+    fixed tail adds two disagreeing constants and a 65-bit vector, which
+    takes the Python path on either backend.
+    """
+    from repro.encoding.context import StatementGroup
+
     rng = random.Random(seed)
     context = ArenaEncodingContext(width=8)
-    context.begin_journal()
+    if journal:
+        context.begin_journal()
     builder = CircuitBuilder(context)
     vectors = [builder.fresh() for _ in range(3)]
     vectors.append(builder.const(rng.randint(-128, 127)))
+    vectors.append(builder.fresh_narrowed(3, signed=False))
+    vectors.append(builder.fresh_narrowed(4, signed=True))
     bits = [builder.true]
-    for _ in range(12):
+    groups = [StatementGroup(line=1), StatementGroup(line=2, function="f")]
+    for _ in range(20):
         a = vectors[rng.randrange(len(vectors))]
         b = vectors[rng.randrange(len(vectors))]
-        choice = rng.randrange(5)
+        choice = rng.randrange(9)
         if choice == 0:
             vectors.append(builder.add(a, b))
         elif choice == 1:
@@ -262,18 +276,59 @@ def _run_vector_ops(seed: int) -> tuple:
             bits.append(builder.equals(a, b))
         elif choice == 3:
             bits.append(builder.unsigned_less(a, b))
-        else:
+        elif choice == 4:
             vectors.append(builder.mux(bits[rng.randrange(len(bits))], a, b))
-    return _context_fingerprint(context)
+        elif choice == 5:
+            bits.append(builder.is_nonzero(a))
+        elif choice == 6:
+            builder.assert_equal(a, b)
+        elif choice == 7:
+            with context.group(groups[rng.randrange(len(groups))]):
+                builder.assert_equal(a, b)
+        else:
+            with context.group(groups[rng.randrange(len(groups))]):
+                builder.fix_to_value(a, rng.randint(-128, 127))
+    with context.group(groups[0]):
+        builder.assert_equal(builder.const(3), builder.const(5))
+        builder.assert_equal(builder.const(3), builder.const(3))
+        builder.fix_to_value(vectors[3], 1 - builder.constant_of(vectors[3]))
+    wide = builder.fresh(65)
+    bits.append(builder.is_nonzero(wide))
+    builder.assert_equal(wide, builder.fresh(65))
+    with context.group(groups[1]):
+        builder.fix_to_value(wide, -1)
+    return _context_fingerprint(context) + (context.group_table, tuple(bits))
 
 
 @needs_c
 @pytest.mark.parametrize("seed", range(10))
 def test_vector_kernels_identical(seed):
-    with_c = _run_vector_ops(seed)
+    for journal in (True, False):
+        with_c = _run_vector_ops(seed, journal)
+        with python_pinned():
+            pure = _run_vector_ops(seed, journal)
+        assert with_c == pure, journal
+
+
+@needs_c
+def test_kernel_calls_reach_span_and_profile(monkeypatch):
+    """The ``encode.gates`` span and the encode profile count the C-core
+    entries of a compile: the same count on every compile of a program,
+    0 on the Python backend."""
+    from repro import obs
+
+    monkeypatch.setenv("REPRO_TRACE", "on")
+    counts = []
+    for _ in range(2):
+        with obs.trace("compile") as handle:
+            compiled = compile_cold(tcas_faulty_program("v1"))
+        spans = {span["name"]: span for span in handle.spans()}
+        counts.append(spans["encode.gates"]["attrs"]["kernel_calls"])
+        assert compiled.encode_profile()["encode_kernel_calls"] == counts[-1]
+    assert counts[0] == counts[1] > 0
     with python_pinned():
-        pure = _run_vector_ops(seed)
-    assert with_c == pure
+        compiled = compile_cold(tcas_faulty_program("v1"))
+    assert compiled.encode_profile()["encode_kernel_calls"] == 0
 
 
 # ------------------------------------------------------------- feature check

@@ -354,10 +354,12 @@ class TestSessionTracing:
             session.localize(*failing[0])
             profile = session.last_request_profile
             encode_profile = session.compiled.encode_profile()
-        # The analysis solve counts joined the schema as two more keys.
+        # The analysis solve counts joined the schema as two more keys,
+        # the C-core entry count as one more.
         assert set(encode_profile) == {
             "encode_backend",
             "encode_phases",
+            "encode_kernel_calls",
             "analysis_solves",
             "analysis_solves_reused",
         }
