@@ -201,67 +201,6 @@ def run_serial_path(protocol: dict, workload) -> dict:
     }
 
 
-def run_incremental_replay(versions: list[str] | None = None, rounds: int = 3) -> dict:
-    """Warm vs cold compile latency across the 9-version TCAS sequence.
-
-    Replays the protocol's version list against one store: each version
-    after the first is compiled warm (spliced from its nearest stored
-    ancestor) and, for comparison, cold against an empty store.  Timings
-    take the best of ``rounds`` runs of the compile function itself, so
-    admission and cache bookkeeping stay out of the measurement.  The warm
-    artifact's CNF signature must equal the cold one on every version —
-    byte-equivalent encodings are the contract, the speedup is the payoff.
-    """
-    from repro.serve.store import ArtifactStore, normalize_compile_options
-    from repro.siemens.tcas import tcas_faulty_source
-
-    versions = list(versions or FULL_PROTOCOL["versions"])
-    store = ArtifactStore()
-    rows = []
-    for version in versions:
-        source = tcas_faulty_source(version)
-        options = {"name": f"tcas_{version}"}
-        normalized = normalize_compile_options(options)
-        warm_seconds = []
-        warm_compiled = warm_from = None
-        for _ in range(rounds):
-            started = time.perf_counter()
-            warm_compiled, warm_from = store._compile(source, normalized)
-            warm_seconds.append(time.perf_counter() - started)
-        cold_seconds = []
-        cold_compiled = None
-        for _ in range(rounds):
-            cold_store = ArtifactStore()  # empty: no ancestor to splice
-            started = time.perf_counter()
-            cold_compiled, _ = cold_store._compile(source, normalized)
-            cold_seconds.append(time.perf_counter() - started)
-        if warm_compiled.signature != cold_compiled.signature:
-            raise AssertionError(f"{version}: warm encode diverged from cold")
-        store.get_or_compile(source, options)  # admit as the next ancestor
-        rows.append(
-            {
-                "version": version,
-                "cold_ms": round(1000 * min(cold_seconds), 2),
-                "warm_ms": round(1000 * min(warm_seconds), 2),
-                "spliced": warm_from is not None,
-                "impact_fraction": round(warm_compiled.impact_fraction, 4)
-                if warm_from is not None
-                else None,
-            }
-        )
-    warm_rows = [row for row in rows if row["spliced"]]
-    cold_total = sum(row["cold_ms"] for row in warm_rows)
-    warm_total = sum(row["warm_ms"] for row in warm_rows)
-    return {
-        "versions": len(rows),
-        "versions_spliced": len(warm_rows),
-        "cold_ms_total": round(cold_total, 2),
-        "warm_ms_total": round(warm_total, 2),
-        "speedup": round(cold_total / warm_total, 2) if warm_total else 0.0,
-        "replay": rows,
-    }
-
-
 def run_benchmark(protocol: dict = FULL_PROTOCOL) -> dict:
     workload = service_workload(
         versions=protocol["versions"],
@@ -282,9 +221,6 @@ def run_benchmark(protocol: dict = FULL_PROTOCOL) -> dict:
         "serial": {key: value for key, value in serial.items() if key != "lines"},
         "throughput_speedup": speedup,
         "lines_equal": lines_equal,
-        # Always measured over the full 9-version sequence, whatever the
-        # request protocol above was.
-        "incremental": run_incremental_replay(),
     }
     _print_table(payload)
     BENCH_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -316,13 +252,6 @@ def _print_table(payload: dict) -> None:
         f"{daemon['artifact_cache']['hit_rate']}, result cache hit rate "
         f"{daemon['result_cache']['hit_rate']}, lines_equal={payload['lines_equal']}"
     )
-    incremental = payload["incremental"]
-    print(
-        f"incremental replay: {incremental['versions_spliced']}/"
-        f"{incremental['versions'] - 1} follow-up versions spliced, "
-        f"cold {incremental['cold_ms_total']}ms vs warm "
-        f"{incremental['warm_ms_total']}ms ({incremental['speedup']}x)"
-    )
 
 
 @pytest.mark.slow
@@ -330,7 +259,7 @@ def test_service_throughput():
     """Daemon serving: identical line sets, N compiles, ≥2x throughput."""
     payload = run_benchmark()
     # Identical answers on every (pass, version, test) — the serving layer
-    # may cache and warm, never change a localization.
+    # may cache, never change a localization.
     assert payload["lines_equal"]
     # Compile-exactly-once: one compile per distinct version, regardless of
     # client passes and test count (the serial path recompiles every pass).

@@ -22,12 +22,9 @@ structure-hashed circuit cache deduplicated while encoding),
 narrowing removed from the reduced trace), plus the active ``propagation_backend`` and
 ``analysis_backend`` per row.
 
-The incremental-compilation fields track the warm path:
-``encode_time_cold`` / ``encode_time_warm`` (a warm number with
-``warm_spliced: false`` is the honest decline-check-plus-cold-re-run cost),
-``splice_declined_early`` (the decline was a cheap precondition check, not
-a paid-for partial replay), and ``impact_fraction``.  The emission-core
-fields say *which encoder* produced the row and where its time went:
+``encode_time_cold`` is the whole-program compile of the faulty version.
+The emission-core fields say *which encoder* produced the row and where its
+time went:
 ``encode_backend`` (``"c"`` when the C emission core ran, else
 ``"python"``) and ``encode_phase_analysis`` / ``encode_phase_gates``
 (interval analysis and the encode walk with gate emission, in seconds).
@@ -89,35 +86,6 @@ def test_table3_report():
         _write_bench_json()
 
 
-def test_journaling_off_encode_is_not_slower():
-    """Micro-assert: with no journal consumer attached, ``record`` is
-    zero-cost — the journal-less encode of a Table 3 program is never
-    slower than the journaled one, and leaves the journal stream untouched.
-    """
-    from repro.bmc import BoundedModelChecker
-    from repro.encoding.arena import HDR_JLEN
-
-    case = next(b for b in LARGE_BENCHMARKS if b.name == "schedule")
-    program = case.faulty_program()
-
-    def best_encode_seconds(journal: bool) -> float:
-        best = float("inf")
-        for _ in range(3):
-            checker = BoundedModelChecker(program, group_statements=True)
-            started = time.perf_counter()
-            checker._encode("main", journal=journal)
-            best = min(best, time.perf_counter() - started)
-            if not journal:
-                assert checker._context.arena.hdr[HDR_JLEN] == 0
-                assert checker._context.arena.journal_store() == (None, [])
-        return best
-
-    off = best_encode_seconds(False)
-    on = best_encode_seconds(True)
-    # Journaling-off is measurably faster; the slack absorbs timer noise.
-    assert off <= on * 1.15, (off, on)
-
-
 def test_disabled_tracing_overhead_is_negligible():
     """Micro-assert: with ``REPRO_TRACE=off`` a span is a bare timer.
 
@@ -146,8 +114,7 @@ def test_disabled_tracing_overhead_is_negligible():
             pass
     per_span = (time.perf_counter() - started) / iterations
 
-    # A real request, tracing off, best of 3 (same shape as the journal-off
-    # check above).
+    # A real request, tracing off, best of 3.
     case = next(b for b in LARGE_BENCHMARKS if b.name == "schedule")
     program = case.faulty_program()
     request_time = float("inf")
@@ -197,10 +164,6 @@ def _write_bench_json() -> None:
             "unwind_pruned_clauses": row.unwind_pruned_clauses,
             "planned_loops": row.planned_loops,
             "encode_time_cold": round(row.encode_time_cold, 4),
-            "encode_time_warm": round(row.encode_time_warm, 4),
-            "warm_spliced": row.warm_spliced,
-            "splice_declined_early": row.splice_declined_early,
-            "impact_fraction": round(row.impact_fraction, 4),
             "encode_backend": row.encode_backend,
             **{
                 f"encode_phase_{phase}": seconds

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro import obs
@@ -40,15 +40,13 @@ from repro.analysis.domains import (
 )
 from repro.analysis.framework import solve
 from repro.analysis.incremental import (
-    AnalysisCache,
-    FunctionProducts,
     RoundRecord,
     environment_matches,
     function_reads,
 )
 from repro.analysis.intervals import Interval
 from repro.analysis.loops import LoopBound, infer_loop_bounds, lint_loops
-from repro.cfg.graph import FunctionGraph, build_function_graph, build_program_graphs
+from repro.cfg.graph import FunctionGraph, build_program_graphs
 from repro.lang import ast
 from repro.lang.diagnostics import ERROR, WARNING, Diagnostic, has_errors
 from repro.lang.semantics import DEFAULT_WIDTH
@@ -91,9 +89,6 @@ class AnalysisResult:
     loop_bounds: dict[tuple[str, int], LoopBound] = field(default_factory=dict)
     graphs: dict[str, FunctionGraph] = field(default_factory=dict)
     states: dict[str, dict[int, IntervalState]] = field(default_factory=dict)
-    #: Round-trajectory cache recorded by this run (``record_cache=True``);
-    #: stored in compiled artifacts to seed later incremental runs.
-    cache: Optional[AnalysisCache] = None
     #: Interval solves this run performed, and those it skipped by reusing
     #: a kept solve (an earlier round's, or an earlier analysis's of the
     #: same program) made under the same environment.
@@ -165,10 +160,6 @@ def analyze_program(
     entry: str = "main",
     entry_inputs: Optional[Union[Mapping[str, int], Sequence[int]]] = None,
     width: int = DEFAULT_WIDTH,
-    record_cache: bool = False,
-    base_cache: Optional[AnalysisCache] = None,
-    reusable: Optional[Iterable[str]] = None,
-    line_map: Optional[Mapping[int, int]] = None,
     unwind: int = 16,
     unwind_planning: bool = False,
 ) -> AnalysisResult:
@@ -179,16 +170,6 @@ def analyze_program(
     ``unwind-insufficient`` lint compares proven trip counts against the
     unrollings that encoding would actually perform.
 
-    ``record_cache`` additionally captures the round trajectory (see
-    :mod:`repro.analysis.incremental`) in ``result.cache``.  ``base_cache``
-    plus ``reusable`` (the names hash-identical to the recording program)
-    and ``line_map`` (that program's lines mapped onto this one) make the
-    run *incremental*: a reusable function whose interprocedural
-    environment matches the recorded round is replayed from the cache
-    instead of re-solved.  A hit replays exactly what the live solve would
-    produce and a mismatch falls back to the live solve, so the result is
-    value-identical to a cold run either way.
-
     Every live solve goes through the program's solve table (one per
     program object and width, at most :data:`SOLVE_TABLE_CAP` solves per
     function, dropped when the program is garbage-collected): a function
@@ -196,33 +177,7 @@ def analyze_program(
     earlier analysis of the same program — reuses it.  ``solves`` and
     ``solves_reused`` on the result count both outcomes.
     """
-    reuse_names = frozenset(reusable) if reusable is not None else frozenset()
-    if entry_inputs is not None:
-        # Pinned-input runs (the concolic tracer) follow per-test round
-        # trajectories, so the round-indexed cache neither records nor
-        # replays them.  Their per-function solves still go through the
-        # program's solve table, where a later test's analysis reuses every
-        # solve whose environment matches one an earlier test made.
-        record_cache = False
-        base_cache = None
-    if base_cache is not None and not base_cache.usable_for(entry, width):
-        base_cache = None
-    if base_cache is not None and line_map is None:
-        line_map = {}
-
-    incremental = base_cache is not None
-    graphs: dict[str, FunctionGraph]
-    if incremental:
-        # Lazy graphs: reused functions never need their CFG built.
-        graphs = {}
-    else:
-        graphs = build_program_graphs(program)
-
-    def graph_of(name: str) -> FunctionGraph:
-        graph = graphs.get(name)
-        if graph is None:
-            graph = graphs[name] = build_function_graph(program.functions[name])
-        return graph
+    graphs = build_program_graphs(program)
 
     # ---- the flow-insensitive global invariant, seeded from initializers
     global_scalars: dict[str, Interval] = {}
@@ -249,12 +204,6 @@ def analyze_program(
             if isinstance(stmt, ast.ArrayDecl):
                 array_sizes[stmt.name] = stmt.size
 
-    if base_cache is not None and base_cache.array_sizes != array_sizes:
-        # A changed function's local array declarations shift sizes other
-        # functions' OOB lints observe — whole-cache invalidation is the
-        # simple sound answer.
-        base_cache = None
-
     entry_params = _entry_param_intervals(program, entry, entry_inputs, width)
 
     # ---- call-argument / return-summary / global-invariant fixpoint
@@ -269,21 +218,7 @@ def analyze_program(
     domains: dict[str, IntervalDomain] = {}
     states: dict[str, dict[int, IntervalState]] = {}
 
-    reads_table: dict[str, tuple[frozenset, frozenset]] = {}
-
-    def reads_of(name: str) -> tuple[frozenset, frozenset]:
-        reads = reads_table.get(name)
-        if reads is None:
-            reads = reads_table[name] = function_reads(program.functions[name])
-        return reads
-
-    cache = (
-        AnalysisCache(entry=entry, width=width, array_sizes=dict(array_sizes))
-        if record_cache
-        else None
-    )
-    last_params: dict[str, dict[str, Interval]] = {}
-    last_round: Optional[RoundRecord] = None
+    reads = {name: function_reads(fn) for name, fn in program.functions.items()}
     table = _solve_table(program, width)
     solved = reused = 0
 
@@ -292,14 +227,14 @@ def analyze_program(
         function: ast.Function,
         params: dict[str, Interval],
         returns: dict[str, Interval],
-        record: Optional[RoundRecord],
+        record: RoundRecord,
     ) -> tuple[IntervalDomain, dict, tuple]:
-        """The function's solve under the live environment: a matching
-        solve from the table, else a fresh one (kept in the table when
-        ``record`` describes the environment it ran under)."""
+        """The function's solve under the live environment (described by
+        ``record``): a matching solve from the table, else a fresh one,
+        kept in the table."""
         nonlocal solved, reused
         hit = table.lookup(
-            name, reads_of(name), params, returns, global_scalars, global_arrays
+            name, reads[name], params, returns, global_scalars, global_arrays
         )
         if hit is not None:
             reused += 1
@@ -317,7 +252,7 @@ def analyze_program(
             summaries,
             width,
         )
-        function_states = solve(graph_of(name), domain)
+        function_states = solve(graphs[name], domain)
         solved += 1
         out = (
             domain.returned,
@@ -325,55 +260,25 @@ def analyze_program(
             domain.global_scalar_writes,
             domain.global_array_writes,
         )
-        if record is not None:
-            table.add(name, _Solve(record, domain, function_states, out))
+        table.add(name, _Solve(record, domain, function_states, out))
         return domain, function_states, out
 
     for round_index in range(MAX_ROUNDS):
-        domains = {}
-        states = {}
         returns_now = {name: summaries[name].returns for name in summaries}
-        base_round = (
-            base_cache.rounds[round_index]
-            if base_cache is not None and round_index < len(base_cache.rounds)
-            else None
-        )
         record = RoundRecord(
             returns=returns_now,
             global_scalars=dict(global_scalars),
             global_arrays=dict(global_arrays),
         )
-        last_round = record
         outputs: dict[str, tuple] = {}
         for name, function in program.functions.items():
             params = _analysis_params(
                 name, function, entry, entry_params, call_args[name], width
             )
             record.params[name] = params
-            last_params[name] = params
-            out = None
-            if base_round is not None and name in reuse_names:
-                out = base_round.outputs.get(name)
-                if out is not None and not environment_matches(
-                    name,
-                    reads_of(name),
-                    params,
-                    returns_now,
-                    global_scalars,
-                    global_arrays,
-                    base_round,
-                ):
-                    out = None
-            if out is None:
-                domain, function_states, out = reuse_or_solve(
-                    name, function, params, returns_now, record
-                )
-                domains[name] = domain
-                states[name] = function_states
-            outputs[name] = out
-        record.outputs = outputs
-        if cache is not None:
-            cache.rounds.append(record)
+            domains[name], states[name], outputs[name] = reuse_or_solve(
+                name, function, params, returns_now, record
+            )
         changed = False
         widen = round_index >= WIDEN_ROUND
         for name, (returned, call_arguments, scalar_writes, array_writes) in outputs.items():
@@ -406,8 +311,6 @@ def analyze_program(
             summary.params = dict(call_args[name])
         if not changed:
             break
-    if cache is not None:
-        cache.final = last_round
 
     diagnostics: list[Diagnostic] = []
     write_intervals: dict[tuple[str, int], Interval] = {}
@@ -420,107 +323,28 @@ def analyze_program(
     for gname, interval in global_arrays.items():
         variable_intervals[("", f"{gname}[]")] = interval
 
-    final_returns = {name: summaries[name].returns for name in summaries}
-
     for name, function in program.functions.items():
-        products = None
-        if (
-            base_cache is not None
-            and base_cache.final is not None
-            and name in reuse_names
-        ):
-            products = base_cache.products.get(name)
-            if products is not None and not environment_matches(
-                name,
-                reads_of(name),
-                last_params[name],
-                final_returns,
-                global_scalars,
-                global_arrays,
-                base_cache.final,
-            ):
-                products = None
-        if products is not None:
-            # The recorded products are keyed by the recording program's
-            # lines; remap positionally (identical bodies, shifted lines).
-            products = FunctionProducts(
-                write_intervals={
-                    line_map.get(line, line): interval
-                    for line, interval in products.write_intervals.items()
-                }
-                if line_map is not None
-                else dict(products.write_intervals),
-                flow_write_intervals={
-                    line_map.get(line, line): interval
-                    for line, interval in products.flow_write_intervals.items()
-                }
-                if line_map is not None
-                else dict(products.flow_write_intervals),
-                variable_intervals=products.variable_intervals,
-                diagnostics=tuple(
-                    replace(d, line=line_map.get(d.line, d.line))
-                    for d in products.diagnostics
-                )
-                if line_map is not None
-                else products.diagnostics,
-                loop_bounds={
-                    line_map.get(line, line): replace(
-                        bound, line=line_map.get(line, line)
-                    )
-                    for line, bound in products.loop_bounds.items()
-                }
-                if line_map is not None
-                else dict(products.loop_bounds),
-            )
-        else:
-            domain = domains.get(name)
-            function_states = states.get(name)
-            if domain is None or function_states is None:
-                # Replayed in the final round, but the recorded products do
-                # not transfer (e.g. the two runs converged at different
-                # round counts): take a solve made under the fixpoint
-                # environment (which the last round left unchanged), or
-                # solve once more.
-                domain, function_states, _ = reuse_or_solve(
-                    name, function, last_params[name], final_returns, None
-                )
-                domains[name] = domain
-                states[name] = function_states
-            graph = graph_of(name)
-            observed = domain.observed_intervals(function_states)
-            local_writes: dict[tuple[str, int], Interval] = {}
-            local_flow: dict[tuple[str, int], Interval] = {}
-            _collect_write_intervals(
-                name, graph, function_states, domain, observed, local_writes
-            )
-            _collect_flow_write_intervals(
-                name, function, domain, observed, local_flow
-            )
-            products = FunctionProducts(
-                write_intervals={line: iv for (_, line), iv in local_writes.items()},
-                flow_write_intervals={line: iv for (_, line), iv in local_flow.items()},
-                variable_intervals=dict(observed),
-                diagnostics=tuple(
-                    _lint_function(name, function, graph, function_states, domain, width)
-                ),
-                loop_bounds=infer_loop_bounds(name, graph, function_states, domain),
-            )
-        for line, bound in products.loop_bounds.items():
-            loop_bounds[(name, line)] = bound
-        for line, interval in products.write_intervals.items():
-            write_intervals[(name, line)] = interval
-        for line, interval in products.flow_write_intervals.items():
-            flow_write_intervals[(name, line)] = interval
-        for var, interval in products.variable_intervals.items():
+        domain, function_states = domains[name], states[name]
+        graph = graphs[name]
+        observed = domain.observed_intervals(function_states)
+        _collect_write_intervals(
+            name, graph, function_states, domain, observed, write_intervals
+        )
+        _collect_flow_write_intervals(
+            name, function, domain, observed, flow_write_intervals
+        )
+        for var, interval in observed.items():
             variable_intervals[(name, var)] = interval
-        diagnostics.extend(products.diagnostics)
-        if cache is not None:
-            cache.products[name] = products
-            cache.reads[name] = reads_of(name)
+        diagnostics.extend(
+            _lint_function(name, function, graph, function_states, domain, width)
+        )
+        for line, bound in infer_loop_bounds(
+            name, graph, function_states, domain
+        ).items():
+            loop_bounds[(name, line)] = bound
 
-    # Loop lints are derived outside the cached products: the verdicts are
-    # unwind-independent (and reusable across versions), while the lint
-    # compares them against this caller's unwind parameters.
+    # Loop lints compare the (unwind-independent) verdicts against this
+    # caller's unwind parameters.
     diagnostics.extend(
         lint_loops(loop_bounds.values(), unwind=unwind, unwind_planning=unwind_planning)
     )
@@ -543,7 +367,6 @@ def analyze_program(
         loop_bounds=loop_bounds,
         graphs=graphs,
         states=states,
-        cache=cache,
         solves=solved,
         solves_reused=reused,
     )
@@ -569,8 +392,7 @@ class _SolveTable:
 
     A solve is a pure function of the function's body and its observable
     environment, so a lookup returns any kept solve whose environment
-    passes :func:`environment_matches` — the predicate cross-version
-    replay trusts.  Kept solves are read-only: a hit hands out the solve's
+    passes :func:`environment_matches`.  Kept solves are read-only: a hit hands out the solve's
     states and outputs as they are and a rebound copy of its domain.
     """
 

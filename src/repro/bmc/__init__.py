@@ -19,7 +19,6 @@ from repro.bmc.compiled import (
     dumps_artifact,
     loads_artifact,
 )
-from repro.bmc.splice import splice_compile
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
@@ -30,5 +29,4 @@ __all__ = [
     "artifact_key",
     "dumps_artifact",
     "loads_artifact",
-    "splice_compile",
 ]

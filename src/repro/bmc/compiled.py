@@ -43,7 +43,7 @@ Bits = tuple[int, ...]
 #: :class:`~repro.encoding.context.StatementGroup`) change incompatibly, so a
 #: content-addressed store never deserializes a stale on-disk spill into a
 #: newer process — it recompiles instead.
-ARTIFACT_FORMAT_VERSION = 6
+ARTIFACT_FORMAT_VERSION = 7
 
 #: Magic prefix of a serialized artifact (sanity check before unpickling).
 _ARTIFACT_MAGIC = b"repro-artifact\x00"
@@ -163,13 +163,12 @@ def _int_array() -> array:
 class CompiledProgram:
     """The invariant whole-program CNF of one entry function.
 
-    Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program` (or
-    the warm :func:`repro.bmc.splice.splice_compile`).  The clauses never
-    mention a concrete test.  They are kept as the encoder's flat clause
-    store — ``lits``/``ends``/``gids`` in emission order, group indexes
-    into ``group_table`` — and the flat emission journal, exactly as the
-    arena filled them: a session loads the store without a flatten pass,
-    and the splice replays the journal.  The read-only views ``hard`` (the
+    Produced by :meth:`repro.bmc.BoundedModelChecker.compile_program`.  The
+    clauses never mention a concrete test.  They are kept as the encoder's
+    flat clause store — ``lits``/``ends``/``gids`` in emission order, group
+    indexes into ``group_table`` — exactly as the arena filled them, so a
+    session loads the store without a flatten pass.  The read-only views
+    ``hard`` (the
     structural clauses: guards, multiplexers, unwinding assumptions) and
     ``groups`` (the per-statement transition clauses that become soft
     selector groups) are built on demand.  The bit-vector maps locate the
@@ -197,7 +196,7 @@ class CompiledProgram:
     #: Structure-hashing statistics of the compile (gate-cache hits).
     gates_shared: int = 0
     #: Structural gate-cache signature: equal signatures mean equal
-    #: encodings (warm splices are checked against cold compiles by it).
+    #: encodings (the backend differential suite compares compiles by it).
     signature: str = ""
     #: Static-analysis lint findings for the compiled program, as
     #: :class:`~repro.lang.diagnostics.Diagnostic` records.
@@ -208,42 +207,19 @@ class CompiledProgram:
     pruned_lines: tuple[int, ...] = ()
     #: Bits eliminated by analysis-guided range narrowing during compile.
     narrowed_vars: int = 0
-    #: Canonical per-function hashes of the compiled program
-    #: (:class:`~repro.analysis.impact.ProgramFingerprint`): the identity
-    #: the store's nearest-ancestor index and the change-impact diff use.
-    fingerprint: Optional[object] = None
-    #: Emission journal: the arena's flat event stream
-    #: (:mod:`repro.encoding.arena` tags; clause and gate records consume
-    #: the clause store in order).  ``None`` for artifacts built without
-    #: journaling.
-    journal: Optional[array] = None
-    #: The journal's string-bearing events, by the stream's side-list index.
-    raw: list = field(default_factory=list)
-    #: Every registered statement group, by the index ``gids`` and the
-    #: journal use (empty groups included).
+    #: Every registered statement group, by the index ``gids`` uses (empty
+    #: groups included).
     group_table: list = field(default_factory=list)
-    #: The checker options that produced this artifact (splice precondition).
+    #: The checker options that produced this artifact (read back by
+    #: :meth:`~repro.core.session.LocalizationSession.from_compiled`).
     compile_options: dict = field(default_factory=dict)
-    #: ``(function, line) -> (low_bits, signed)`` narrowing plans actually
-    #: applied during the compile; a replay must prove these identical for
-    #: every unchanged function before reusing the encoding.
-    narrowing_plans: dict = field(default_factory=dict)
     #: ``(function, guard line) -> (iterations, proven)`` per-loop unwind
-    #: plans applied during the compile (``repro.analysis.loops``); subject
-    #: to the same splice precondition as ``narrowing_plans``.
+    #: plans applied during the compile (``repro.analysis.loops``).
     unwind_plans: dict = field(default_factory=dict)
     #: Loops whose proven minimum trip count exceeds what this encoding
     #: unrolled: executions through them are truncated, and localization
     #: reports derived from this artifact carry ``unwind_truncated=True``.
     truncated_loops: tuple = ()
-    #: Key of the base artifact this one was warm-compiled from (``None``
-    #: for cold compiles) plus the fraction of statements re-encoded.
-    spliced_from: Optional[str] = None
-    impact_fraction: Optional[float] = None
-    #: Round-trajectory cache of the abstract interpretation that narrowed
-    #: this encoding (:class:`repro.analysis.incremental.AnalysisCache`);
-    #: seeds the incremental re-analysis of later program versions.
-    analysis_cache: Optional[object] = None
 
     # ------------------------------------------------------------ statistics
 
@@ -253,7 +229,7 @@ class CompiledProgram:
         ``{"encode_backend": ..., "encode_phases": {phase: seconds},
         "encode_kernel_calls": k, "analysis_solves": n,
         "analysis_solves_reused": m}`` (``k`` is 0 on the Python backend).
-        Empty for unpickled or spliced artifacts — timings are
+        Empty for unpickled artifacts — timings are
         observability data, not content, and never serialize."""
         return obs.profile_of(self)
 

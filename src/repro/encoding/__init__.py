@@ -6,11 +6,11 @@ The paper encodes the executed trace as a Boolean formula in CNF where
 behind a shared *selector variable* (Section 3.4, Equation 2).  This package
 provides exactly that machinery:
 
-* :class:`ArenaEncodingContext` — variable allocation, clause routing into
-  either the hard clause set or the current statement group, and the
-  emission journal, all in the flat buffers of a
-  :class:`~repro.encoding.arena.GateArena` (the one representation of an
-  encoding, from the encoder to artifacts, the splice and the SAT kernel).
+* :class:`ArenaEncodingContext` — variable allocation and clause routing
+  into either the hard clause set or the current statement group, all in
+  the flat buffers of a :class:`~repro.encoding.arena.GateArena` (the one
+  representation of an encoding, from the encoder to artifacts and the SAT
+  kernel).
 * :class:`CircuitBuilder` — gate-level circuits (Tseitin encoding) for the
   fixed-width arithmetic, comparison and multiplexer operations the language
   needs.

@@ -27,11 +27,9 @@ from typing import Optional, Sequence
 from repro.encoding.arena import GateArena
 
 #: Worst-case per-gate cost used for capacity reservations: the largest
-#: gate is XOR3 (8 clauses, 32 literals) and a journalled gate costs at
-#: most a TAG_V run (2 words) plus a TAG_G record (6 words).
+#: gate is XOR3 (8 clauses, 32 literals).
 _CLAUSES_PER_GATE = 8
 _LITS_PER_GATE = 32
-_JOURNAL_PER_GATE = 8
 
 #: The multiplier kernel keeps its accumulator rows in fixed C-local
 #: arrays; wider vectors fall back to the Python composition.
@@ -57,7 +55,7 @@ class CEncoder:
         self._or_many = library.repro_enc_or_many
         #: Entries into the C core so far (one per dispatch call).
         self.calls = 0
-        self._key: Optional[tuple[int, int, int, int]] = None
+        self._key: Optional[tuple[int, int, int]] = None
         self._ptrs: tuple = ()
         rehash = library.repro_enc_rehash
 
@@ -67,9 +65,9 @@ class CEncoder:
         arena.rehash_hook = rehash_hook
 
     def _pointers(self) -> tuple:
-        """The six buffer base addresses, refreshed after any growth."""
+        """The five buffer base addresses, refreshed after any growth."""
         arena = self.arena
-        key = (len(arena.lits), len(arena.cend), len(arena.js), len(arena.gtab))
+        key = (len(arena.lits), len(arena.cend), len(arena.gtab))
         if key != self._key:
             self._key = key
             self._ptrs = (
@@ -77,7 +75,6 @@ class CEncoder:
                 _addr(arena.lits),
                 _addr(arena.cend),
                 _addr(arena.cgid),
-                _addr(arena.js),
                 _addr(arena.gtab),
             )
         return self._ptrs
@@ -87,7 +84,6 @@ class CEncoder:
         arena = self.arena
         arena.ensure_gates(gates)
         arena.ensure_clauses(gates * _CLAUSES_PER_GATE, gates * _LITS_PER_GATE)
-        arena.ensure_journal(gates * _JOURNAL_PER_GATE)
 
     # ------------------------------------------------------------- dispatch
 
@@ -147,7 +143,6 @@ class CEncoder:
         self.calls += 1
         arena = self.arena
         arena.ensure_clauses(2 * n, 4 * n)
-        arena.ensure_journal(2 * n + 2)
         vt, vs = array("q", target), array("q", source)
         self._assign(*self._pointers(), _addr(vt), _addr(vs), n, gid)
 

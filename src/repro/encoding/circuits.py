@@ -96,10 +96,6 @@ class CircuitBuilder:
         self._true = self.context.true_lit
         return self._true
 
-    def forget_true(self) -> None:
-        """Drop the cached literal (the context's was rewound)."""
-        self._true = 0
-
     @property
     def true(self) -> int:
         return self._true or self._allocate_true()
@@ -120,8 +116,13 @@ class CircuitBuilder:
     def bit_and(self, a: int, b: int) -> int:
         cenc = self._cenc
         if cenc is not None:
-            if not self._true:  # the constant allocates first, as in the folds
-                self._allocate_true()
+            # The constant allocates first, as in the folds; the identity
+            # fold with it needs no crossing into C.
+            true = self._true or self._allocate_true()
+            if a == true:
+                return b
+            if b == true:
+                return a
             return cenc.gate(_OP_AND, a, b)
         for first, second in ((a, b), (b, a)):
             value = self._const_value(first)

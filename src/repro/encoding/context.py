@@ -1,8 +1,8 @@
 """Variable allocation and clause routing for the trace-formula encoding.
 
 :class:`ArenaEncodingContext` is the one encoding context: it allocates
-CNF variables, routes clauses into the hard set or the active statement
-group, and records the emission journal, all into the flat buffers of a
+CNF variables and routes clauses into the hard set or the active statement
+group, all into the flat buffers of a
 :class:`~repro.encoding.arena.GateArena`.
 """
 
@@ -40,48 +40,6 @@ class StatementGroup:
         return " ".join(parts)
 
 
-def _flatten_lits(value, out: list[int]) -> None:
-    """Collect the literals of a (possibly nested) bit-vector payload: a
-    bit-vector is a sequence of ints, anything else a sequence of payloads."""
-    if value and isinstance(value[0], int):
-        out.extend(value)
-    else:
-        for item in value:
-            _flatten_lits(item, out)
-
-
-def _event_refs(event: tuple) -> tuple[int, ...] | list[int]:
-    """The literals a journal event references (for the escape pre-scan)."""
-    tag = event[0]
-    if tag == "nd":
-        return event[1]
-    if tag == "in":
-        return event[2]
-    if tag == "ret":
-        return event[1] or ()
-    if tag == "viol":
-        return (event[2],)
-    return ()
-
-
-def _call_enter_refs(event: tuple) -> list[int]:
-    """The interface of a "ce" event: guard, arguments, global bindings."""
-    refs = [event[4]]
-    _flatten_lits(event[5], refs)
-    for _name, value in event[6]:
-        _flatten_lits(value, refs)
-    return refs
-
-
-def _call_exit_refs(event: tuple) -> list[int]:
-    """The interface of a "cx" event: result bits plus global bindings."""
-    refs: list[int] = []
-    _flatten_lits(event[2], refs)
-    for _name, value in event[3]:
-        _flatten_lits(value, refs)
-    return refs
-
-
 class ArenaEncodingContext:
     """Allocates CNF variables and routes emitted clauses into a
     :class:`GateArena`.
@@ -96,13 +54,8 @@ class ArenaEncodingContext:
     be referenced from several statement groups without tying their
     relaxation together.
 
-    With the journal on (:meth:`begin_journal`) every variable allocation,
-    clause emission, gate insertion, group registration and caller-defined
-    event (:meth:`record`) is appended, in emission order, to the arena's
-    flat stream; that journal is what lets :mod:`repro.bmc.splice` replay
-    this exact encoding against a later program version.  ``hard`` and
-    ``groups`` are read-only views of the clause store built on demand; a
-    compile or a trace takes the flat store itself.
+    ``hard`` and ``groups`` are read-only views of the clause store built on
+    demand; a compile or a trace takes the flat store itself.
     """
 
     def __init__(
@@ -124,34 +77,6 @@ class ArenaEncodingContext:
         #: Which emission backend filled the buffers ("python" or "c").
         self.encode_backend = "python"
 
-    # -------------------------------------------------------------- journal
-
-    def begin_journal(self) -> None:
-        """Start recording the emission journal (must precede any emission)."""
-        self.arena.begin_journal()
-
-    @property
-    def journaling(self) -> bool:
-        """True while emissions are being journaled.
-
-        Producers consult this before *constructing* an event tuple for
-        :meth:`record`: with the journal off the tuple would be pure waste.
-        """
-        return bool(self.arena.hdr[_arena.HDR_JOURNAL])
-
-    def record(self, event: tuple) -> None:
-        """Append a caller-defined event (no-op when the journal is off)."""
-        arena = self.arena
-        if not arena.hdr[_arena.HDR_JOURNAL]:
-            return
-        tag = event[0]
-        if tag == "ce":
-            arena.record_event(event, _arena.TAG_CE, _call_enter_refs(event))
-        elif tag == "cx":
-            arena.record_event(event, _arena.TAG_CX, _call_exit_refs(event))
-        else:
-            arena.record_event(event, _arena.TAG_RAW, _event_refs(event))
-
     def group_id(self, group: StatementGroup) -> int:
         """Index of ``group`` in the group table (registering it)."""
         index = self._group_ids.get(group)
@@ -165,20 +90,6 @@ class ArenaEncodingContext:
     def group_table(self) -> list[StatementGroup]:
         """Every registered statement group, in registration order."""
         return self._group_table
-
-    # ------------------------------------------------------------- rewind
-
-    def mark(self) -> tuple:
-        """The current state, to return to with :meth:`rewind`."""
-        return self.arena.mark(), len(self._group_table)
-
-    def rewind(self, mark: tuple) -> None:
-        """Undo every emission and group registration since ``mark``."""
-        arena_mark, ngroups = mark
-        self.arena.rewind(arena_mark)
-        for group in self._group_table[ngroups:]:
-            del self._group_ids[group]
-        del self._group_table[ngroups:]
 
     # ------------------------------------------------------------ variables
 
@@ -229,10 +140,10 @@ class ArenaEncodingContext:
         """Route clauses emitted inside the block to ``group`` (None = hard)."""
         previous = self._current
         self._current = group
-        if group is not None and group not in self._group_ids:
+        if group is not None:
             # Register the (possibly empty) group: the soft selector set
             # must not depend on whether any clause lands in it.
-            self.arena.record_group(self.group_id(group))
+            self.group_id(group)
         try:
             yield
         finally:

@@ -16,9 +16,8 @@ first use:
   ``Solver._cancel_until``) and ``repro_detach`` (batch watcher-list
   unlinking for layer pops and learnt-database reduction);
 * ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
-  the bit-vector kernels), the record copy the warm splice replays a base
-  journal with, and the gather that reorders a finished clause store into
-  the MaxSAT engine's load order.
+  the bit-vector kernels) and the gather that reorders a finished clause
+  store into the MaxSAT engine's load order.
 
 Each implements the same algorithms step for step as its Python fallback,
 so both backends produce identical assignments, conflicts, cores,
@@ -246,18 +245,16 @@ def _build_solver() -> ctypes.CDLL:
 def _build_encode() -> ctypes.CDLL:
     library = ctypes.CDLL(str(_compile_source(_ENCODE_SOURCE, "encode")))
     ptr, num = ctypes.c_void_p, ctypes.c_longlong
-    _bind(library.repro_enc_gate, num, [ptr] * 6 + [num] * 4)
-    _bind(library.repro_enc_add, None, [ptr] * 9 + [num] * 2)
-    _bind(library.repro_enc_mul, None, [ptr] * 9 + [num])
-    _bind(library.repro_enc_equals, num, [ptr] * 9 + [num])
-    _bind(library.repro_enc_uless, num, [ptr] * 8 + [num])
-    _bind(library.repro_enc_mux, None, [ptr] * 6 + [num] + [ptr] * 3 + [num])
-    _bind(library.repro_enc_assign, None, [ptr] * 8 + [num] * 2)
-    _bind(library.repro_enc_or_many, num, [ptr] * 7 + [num])
+    # Every emission entry takes the five arena buffers first.
+    _bind(library.repro_enc_gate, num, [ptr] * 5 + [num] * 4)
+    _bind(library.repro_enc_add, None, [ptr] * 8 + [num] * 2)
+    _bind(library.repro_enc_mul, None, [ptr] * 8 + [num])
+    _bind(library.repro_enc_equals, num, [ptr] * 8 + [num])
+    _bind(library.repro_enc_uless, num, [ptr] * 7 + [num])
+    _bind(library.repro_enc_mux, None, [ptr] * 5 + [num] + [ptr] * 3 + [num])
+    _bind(library.repro_enc_assign, None, [ptr] * 7 + [num] * 2)
+    _bind(library.repro_enc_or_many, num, [ptr] * 6 + [num])
     _bind(library.repro_enc_rehash, None, [ptr, num, ptr, num])
-    _bind(
-        library.repro_enc_copy, num, [ptr] * 6 + [ptr, num] + [ptr] * 5 + [num, ptr, ptr]
-    )
     _bind(
         library.repro_enc_gather,
         num,

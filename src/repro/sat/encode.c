@@ -2,13 +2,12 @@
  *
  * Operates on the same flat int64 buffers as the pure-Python arena
  * (repro/encoding/arena.py): the header scalar block, the clause literal
- * pool + end-offset/group-id indexes, the flat journal stream and the
- * open-addressed structure-hash gate table.  Every routine implements
- * exactly the same canonicalization, constant folding, clause order,
- * journal order and signature arithmetic as the Python mirror
- * (CircuitBuilder + GateArena), so a compile may interleave Python and C
- * emission freely and both backends produce bit-identical CNF, journals
- * and gate signatures.  Any divergence is a bug; the differential suite
+ * pool + end-offset/group-id indexes and the open-addressed structure-hash
+ * gate table.  Every routine implements exactly the same canonicalization,
+ * constant folding, clause order and signature arithmetic as the Python
+ * mirror (CircuitBuilder + GateArena), so a compile may interleave Python
+ * and C emission freely and both backends produce bit-identical CNF and
+ * gate signatures.  Any divergence is a bug; the differential suite
  * (tests/test_encode_backends.py) compares whole compiles across backends.
  *
  * Exported entry points (buffers first, then operands):
@@ -25,14 +24,12 @@
  *                      CircuitBuilder.assert_equal).
  *   repro_enc_or_many  OR-reduction chain seeded with false (mirror:
  *                      CircuitBuilder.bit_or_many).
- *   repro_enc_copy     append the plain records of another journal verbatim
- *                      (mirror: GateArena._copy_records_python).
  *   repro_enc_gather   reorder a finished clause store into the MaxSAT
  *                      engine's load order, tagging grouped clauses with
  *                      their selector (mirror: arena._gather_python).
  *
  * Capacity contract: the Python caller reserves worst-case room (gates,
- * clauses, literals, journal words, gate-table load factor < 1/2) before
+ * clauses, literals, gate-table load factor < 1/2) before
  * every call; the kernels never grow a buffer.  Vector lengths are capped
  * at 64 bits by the caller.
  */
@@ -45,31 +42,14 @@ typedef uint64_t u64;
 /* Header slots — keep in sync with repro/encoding/arena.py. */
 enum {
     H_NUM_VARS = 0,
-    H_PENDING = 1,
-    H_GATES = 2,
-    H_HITS = 3,
-    H_SIG = 4,
-    H_TRUE = 5,
-    H_NCLAUSES = 6,
-    H_LITS = 7,
-    H_JLEN = 8,
-    H_GMASK = 9,
-    H_GUSED = 10,
-    /* slot 11 is reserved */
-    H_JOURNAL = 12,
-    H_IFACE = 13
-};
-
-/* Flat journal tags — keep in sync with repro/encoding/arena.py. */
-enum {
-    TAG_V = 1,
-    TAG_C = 2,
-    TAG_G = 3,
-    TAG_T = 4,
-    TAG_RAW = 5,
-    TAG_CE = 6,
-    TAG_CX = 7,
-    TAG_GRP = 8
+    H_GATES = 1,
+    H_HITS = 2,
+    H_SIG = 3,
+    H_TRUE = 4,
+    H_NCLAUSES = 5,
+    H_LITS = 6,
+    H_GMASK = 7,
+    H_GUSED = 8
 };
 
 /* Gate opcodes — keep in sync with repro/encoding/circuits.py. */
@@ -80,7 +60,6 @@ typedef struct {
     i64 *lits;
     i64 *cend;
     i64 *cgid;
-    i64 *js;
     i64 *gtab;
 } Enc;
 
@@ -95,23 +74,8 @@ static u64 hash_key(i64 op, i64 k1, i64 k2) {
     return h;
 }
 
-static void flush_vars(Enc *e) {
-    i64 *h = e->hdr;
-    if (h[H_PENDING]) {
-        i64 j = h[H_JLEN];
-        e->js[j] = TAG_V;
-        e->js[j + 1] = h[H_PENDING];
-        h[H_JLEN] = j + 2;
-        h[H_PENDING] = 0;
-    }
-}
-
 static i64 new_var(Enc *e) {
-    i64 *h = e->hdr;
-    h[H_NUM_VARS] += 1;
-    if (h[H_JOURNAL])
-        h[H_PENDING] += 1;
-    return h[H_NUM_VARS];
+    return ++e->hdr[H_NUM_VARS];
 }
 
 /* One gate-definition clause (always hard, group id -1). */
@@ -163,9 +127,8 @@ static void insert(Enc *e, i64 op, i64 k1, i64 k2, i64 out) {
     e->hdr[H_GUSED] += 1;
 }
 
-/* Signature fold + "g" journal record for a fresh gate (mirror of
- * arena._observe: the gate owns its freshly allocated output variable). */
-static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out, i64 ncl) {
+/* Signature fold for a fresh gate (mirror of GateArena.gate_insert). */
+static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out) {
     i64 *h = e->hdr;
     u64 sig = (u64)h[H_SIG];
     sig = (sig ^ (u64)(uint32_t)op) * 0x100000001B3ULL;
@@ -174,18 +137,6 @@ static void observe(Enc *e, i64 op, i64 k1, i64 k2, i64 out, i64 ncl) {
     sig = (sig ^ (u64)(uint32_t)out) * 0x100000001B3ULL;
     h[H_SIG] = (i64)sig;
     h[H_GATES] += 1;
-    if (h[H_JOURNAL]) {
-        h[H_PENDING] -= 1;
-        flush_vars(e);
-        i64 j = h[H_JLEN];
-        e->js[j] = TAG_G;
-        e->js[j + 1] = op;
-        e->js[j + 2] = k1;
-        e->js[j + 3] = k2;
-        e->js[j + 4] = out;
-        e->js[j + 5] = ncl;
-        h[H_JLEN] = j + 6;
-    }
 }
 
 /* ------------------------------------------------------------ scalar gates
@@ -220,7 +171,7 @@ static i64 enc_and(Enc *e, i64 a, i64 b) {
         return out;
     out = new_var(e);
     insert(e, OP_AND, a, b, out);
-    observe(e, OP_AND, a, b, out, 3);
+    observe(e, OP_AND, a, b, out);
     {
         i64 c1[3] = {-a, -b, out};
         i64 c2[2] = {a, -out};
@@ -262,7 +213,7 @@ static i64 enc_xor(Enc *e, i64 a, i64 b) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_XOR, pa, pb, out);
-        observe(e, OP_XOR, pa, pb, out, 4);
+        observe(e, OP_XOR, pa, pb, out);
         {
             i64 c1[3] = {-pa, -pb, -out};
             i64 c2[3] = {pa, pb, -out};
@@ -308,7 +259,7 @@ static i64 enc_ite(Enc *e, i64 cond, i64 tl, i64 el) {
         return out;
     out = new_var(e);
     insert(e, OP_ITE, k1, el, out);
-    observe(e, OP_ITE, k1, el, out, 4);
+    observe(e, OP_ITE, k1, el, out);
     {
         i64 c1[3] = {-cond, -tl, out};
         i64 c2[3] = {-cond, tl, -out};
@@ -378,7 +329,7 @@ static i64 enc_xor3(Enc *e, i64 a, i64 b, i64 c) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_XOR3, k1, pc, out);
-        observe(e, OP_XOR3, k1, pc, out, 8);
+        observe(e, OP_XOR3, k1, pc, out);
         {
             i64 c1[4] = {pa, pb, pc, -out};
             i64 c2[4] = {pa, -pb, -pc, -out};
@@ -436,7 +387,7 @@ static i64 enc_maj(Enc *e, i64 a, i64 b, i64 c) {
     if (!out) {
         out = new_var(e);
         insert(e, OP_MAJ, k1, pc, out);
-        observe(e, OP_MAJ, k1, pc, out, 6);
+        observe(e, OP_MAJ, k1, pc, out);
         {
             i64 c1[3] = {-pa, -pb, out};
             i64 c2[3] = {-pa, -pc, out};
@@ -473,8 +424,8 @@ static i64 gate_dispatch(Enc *e, i64 op, i64 a, i64 b, i64 c) {
 
 /* ----------------------------------------------------------- entry points */
 
-#define ENC_ARGS i64 *hdr, i64 *lits, i64 *cend, i64 *cgid, i64 *js, i64 *gtab
-#define ENC_INIT Enc enc = {hdr, lits, cend, cgid, js, gtab}
+#define ENC_ARGS i64 *hdr, i64 *lits, i64 *cend, i64 *cgid, i64 *gtab
+#define ENC_INIT Enc enc = {hdr, lits, cend, cgid, gtab}
 
 i64 repro_enc_gate(ENC_ARGS, i64 op, i64 a, i64 b, i64 c) {
     ENC_INIT;
@@ -551,17 +502,10 @@ void repro_enc_mux(ENC_ARGS, i64 cond, i64 *va, i64 *vb, i64 *vout, i64 n) {
         vout[i] = enc_ite(&enc, cond, va[i], vb[i]);
 }
 
-/* One statement clause under group gid, journaled as a TAG_C record (mirror
- * of GateArena.emit). */
+/* One statement clause under group gid (mirror of GateArena.emit). */
 static void emit_clause(Enc *e, const i64 *clause, int n, i64 gid) {
-    i64 *h = e->hdr;
     put_clause(e, clause, n);
-    e->cgid[h[H_NCLAUSES] - 1] = gid;
-    if (h[H_JOURNAL]) {
-        flush_vars(e);
-        e->js[h[H_JLEN]] = TAG_C;
-        h[H_JLEN] += 1;
-    }
+    e->cgid[e->hdr[H_NCLAUSES] - 1] = gid;
 }
 
 /* The value of a constant literal (1 true, 0 false), -1 for any other. */
@@ -609,211 +553,6 @@ i64 repro_enc_or_many(ENC_ARGS, i64 *va, i64 n) {
     for (i64 i = 0; i < n; i++)
         acc = enc_or(&enc, acc, va[i]);
     return acc;
-}
-
-/* A source literal under the variable map mu (0: its variable is unmapped). */
-static i64 map_lit(const i64 *mu, i64 lit) {
-    return lit > 0 ? mu[lit] : -mu[-lit];
-}
-
-/* floor(v / 2**32): splits a packed key word like Python's >> does. */
-static i64 high_word(i64 v) {
-    return v >= 0 ? v >> 32 : -((-v + 0xFFFFFFFFLL) >> 32);
-}
-
-/* Is a mapped gate key still in the builder's canonical form, and free of
- * every constant fold (tl = the true literal)?  a, b, c are the mapped key
- * literals (c unused for and/xor).  Mirror of arena._canonical_key. */
-static int canonical_key(i64 op, i64 a, i64 b, i64 c, i64 tl) {
-    switch (op) {
-    case OP_AND:
-        return a < b && a != -b && a != tl && a != -tl && b != tl && b != -tl;
-    case OP_XOR:
-        return a < b && a != tl && b != tl;
-    case OP_ITE:
-        return a != tl && b != tl && b != -tl && c != tl && c != -tl && b != c
-               && b != -c;
-    case OP_XOR3:
-        return a < b && b < c && a != tl && b != tl && c != tl;
-    case OP_MAJ:
-        return a < b && b < c && a != -b && a != -c && a != tl && a != -tl
-               && b != tl && c != tl;
-    }
-    return 0;
-}
-
-/* Copy the plain records of a source journal (sjs, slen) and its clause
- * store (slits, sends, sgids) into the arena, from cursor[0] (stream
- * position), cursor[1] (clause index) and cursor[2] (source variables
- * consumed), stopping at the first other record.  TAG_V runs allocate,
- * TAG_C clauses are emitted under gidmap[group] (-1 stays hard), TAG_G
- * gates are inserted with their definition clauses — what the Python arena
- * routines do for the same records.
- *
- * Without mu every literal is copied as it is.  With mu (source variable
- * -> arena variable, 0 = unmapped) every literal is mapped, allocations
- * extend mu, and a gate whose mapped key the table already holds is
- * elided — mu takes the cached output, its definition is skipped, and the
- * hit is counted in the header.  With check, a mapped
- * gate key must also stay canonical.
- *
- * Returns 0 at a record that is not plain (or the end); 1 (no mu) at a
- * gate the table already holds; 2 at a clause whose group gidmap does not
- * know yet (< -1); 3 (no mu) at a gate whose output is not the next
- * variable; 4 when caps (lits, clauses, journal words) or the gate table
- * lack room; 5 at a literal whose variable mu leaves unmapped (cursor[3]
- * = that variable); 6 (check) at a gate whose mapped key is not
- * canonical.  Nothing of the stopping record is done. */
-i64 repro_enc_copy(ENC_ARGS, const i64 *sjs, i64 slen, const i64 *slits,
-                   const i64 *sends, const i64 *sgids, const i64 *gidmap,
-                   i64 *mu, i64 check, const i64 *caps, i64 *cursor) {
-    ENC_INIT;
-    i64 *h = hdr;
-    i64 p = cursor[0], c = cursor[1], bc = cursor[2];
-    i64 status = 0;
-    while (p < slen) {
-        i64 tag = sjs[p];
-        if (tag == TAG_V) {
-            i64 n = sjs[p + 1];
-            if (mu)
-                for (i64 k = 1; k <= n; k++)
-                    mu[bc + k] = h[H_NUM_VARS] + k;
-            h[H_NUM_VARS] += n;
-            if (h[H_JOURNAL])
-                h[H_PENDING] += n;
-            bc += n;
-            p += 2;
-        } else if (tag == TAG_C) {
-            i64 g = sgids[c];
-            if (g >= 0) {
-                g = gidmap[g];
-                if (g < -1) {
-                    status = 2;
-                    break;
-                }
-            }
-            i64 start = c ? sends[c - 1] : 0, end = sends[c];
-            if (mu) {
-                for (i64 k = start; k < end; k++)
-                    if (!map_lit(mu, slits[k])) {
-                        cursor[3] = slits[k] < 0 ? -slits[k] : slits[k];
-                        status = 5;
-                        break;
-                    }
-                if (status)
-                    break;
-            }
-            if (h[H_LITS] + end - start > caps[0] || h[H_NCLAUSES] + 1 > caps[1]
-                || (h[H_JOURNAL] && h[H_JLEN] + 3 > caps[2])) {
-                status = 4;
-                break;
-            }
-            i64 nc = h[H_NCLAUSES], off = h[H_LITS];
-            for (i64 k = start; k < end; k++)
-                lits[off++] = mu ? map_lit(mu, slits[k]) : slits[k];
-            cend[nc] = off;
-            cgid[nc] = g;
-            h[H_NCLAUSES] = nc + 1;
-            h[H_LITS] = off;
-            if (h[H_JOURNAL]) {
-                flush_vars(&enc);
-                js[h[H_JLEN]] = TAG_C;
-                h[H_JLEN] += 1;
-            }
-            c += 1;
-            p += 1;
-        } else if (tag == TAG_G) {
-            i64 op = sjs[p + 1], k1 = sjs[p + 2], k2 = sjs[p + 3];
-            i64 out = sjs[p + 4], n = sjs[p + 5];
-            if (mu) {
-                i64 key[3], mapped[3], nkey = 2;
-                if (op >= OP_ITE) {
-                    key[0] = high_word(k1 + ((i64)1 << 31));
-                    key[1] = k1 - key[0] * ((i64)1 << 32);
-                    key[2] = k2;
-                    nkey = 3;
-                } else {
-                    key[0] = k1;
-                    key[1] = k2;
-                }
-                for (i64 k = 0; k < nkey; k++) {
-                    mapped[k] = map_lit(mu, key[k]);
-                    if (!mapped[k]) {
-                        cursor[3] = key[k] < 0 ? -key[k] : key[k];
-                        status = 5;
-                        break;
-                    }
-                }
-                if (status)
-                    break;
-                if (nkey == 3) {
-                    if (check
-                        && !canonical_key(op, mapped[0], mapped[1], mapped[2],
-                                          h[H_TRUE])) {
-                        status = 6;
-                        break;
-                    }
-                    k1 = mapped[0] * ((i64)1 << 32) + mapped[1];
-                    k2 = mapped[2];
-                } else {
-                    if (check
-                        && !canonical_key(op, mapped[0], mapped[1], 0, h[H_TRUE])) {
-                        status = 6;
-                        break;
-                    }
-                    k1 = mapped[0];
-                    k2 = mapped[1];
-                }
-                i64 cached = find(&enc, op, k1, k2);
-                if (cached) {
-                    h[H_HITS] += 1;
-                    mu[out] = cached;
-                    bc += 1;
-                    c += n;
-                    p += 6;
-                    continue;
-                }
-            } else {
-                if (find(&enc, op, k1, k2)) {
-                    status = 1;
-                    break;
-                }
-                if (out != h[H_NUM_VARS] + 1) {
-                    status = 3;
-                    break;
-                }
-            }
-            i64 first = c ? sends[c - 1] : 0;
-            if (h[H_LITS] + sends[c + n - 1] - first > caps[0]
-                || h[H_NCLAUSES] + n > caps[1]
-                || (h[H_JOURNAL] && h[H_JLEN] + 8 > caps[2])
-                || (h[H_GUSED] + 1) * 2 > h[H_GMASK] + 1) {
-                status = 4;
-                break;
-            }
-            i64 var = new_var(&enc);
-            if (mu)
-                mu[out] = var;
-            insert(&enc, op, k1, k2, var);
-            observe(&enc, op, k1, k2, var, n);
-            for (i64 i = c; i < c + n; i++) {
-                i64 start = i ? sends[i - 1] : 0, len = sends[i] - start;
-                i64 clause[8];
-                for (i64 k = 0; k < len; k++)
-                    clause[k] = mu ? map_lit(mu, slits[start + k]) : slits[start + k];
-                put_clause(&enc, clause, (int)len);
-            }
-            bc += 1;
-            c += n;
-            p += 6;
-        } else {
-            break;
-        }
-    }
-    cursor[0] = p;
-    cursor[1] = c;
-    cursor[2] = bc;
-    return status;
 }
 
 /* Rehash the gate table into a fresh zeroed table (Python grew it).

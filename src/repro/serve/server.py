@@ -71,6 +71,16 @@ def _split_options(options: Optional[Mapping[str, Any]]) -> tuple[dict, dict]:
     return normalize_compile_options(compile_options), session_options
 
 
+def _reject_retired_fields(request: Mapping[str, Any]) -> None:
+    """Refuse, by name, a request field the daemon no longer honours rather
+    than serve the request as if the field were absent."""
+    if "base_artifact" in request:
+        raise ValueError(
+            "request field 'base_artifact' is no longer supported; "
+            "every compile is cold"
+        )
+
+
 class LocalizationServer:
     """The daemon: artifact store + result cache + worker pool + sockets."""
 
@@ -317,12 +327,10 @@ class LocalizationServer:
         memory-only store admits later entries of the same batch, which may
         evict earlier ones before their shards are serialized).
         """
+        _reject_retired_fields(request)
         if "program" in request:
-            base = request.get("base_artifact")
             key, compiled, _ = self.store.get_or_compile(
-                str(request["program"]),
-                compile_options,
-                base_artifact=str(base) if base is not None else None,
+                str(request["program"]), compile_options
             )
             return key, compiled
         key = request.get("artifact")
@@ -340,16 +348,14 @@ class LocalizationServer:
     ) -> dict:
         if "program" not in request:
             raise ValueError("compile needs 'program' source text")
+        _reject_retired_fields(request)
         compile_options, _ = _split_options(request.get("options"))
-        base = request.get("base_artifact")
         loop = asyncio.get_running_loop()
 
         def compile_bound():
             with obs.bind_trace(trace_ctx):
                 return self.store.get_or_compile(
-                    str(request["program"]),
-                    compile_options,
-                    base_artifact=str(base) if base is not None else None,
+                    str(request["program"]), compile_options
                 )
 
         key, compiled, source = await loop.run_in_executor(
@@ -360,8 +366,6 @@ class LocalizationServer:
             "artifact": key,
             "cached": source in ("memory", "disk"),
             "source": source,
-            "spliced_from": compiled.spliced_from,
-            "impact_fraction": compiled.impact_fraction,
             "program_name": compiled.program_name,
             "num_vars": compiled.num_vars,
             "num_clauses": compiled.num_clauses,
@@ -397,6 +401,7 @@ class LocalizationServer:
     async def _op_localize(
         self, request: Mapping[str, Any], trace_ctx: Optional[tuple] = None
     ) -> dict:
+        _reject_retired_fields(request)
         entry = {
             k: request[k]
             for k in ("program", "artifact", "options")

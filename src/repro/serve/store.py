@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from repro import obs
-from repro.analysis.impact import fingerprint_program
 from repro.bmc import BoundedModelChecker, CompiledProgram
 from repro.bmc.compiled import (
     ARTIFACT_FORMAT_VERSION,
@@ -43,7 +42,6 @@ from repro.bmc.compiled import (
     loads_artifact,
     peek_artifact_version,
 )
-from repro.bmc.splice import splice_compile
 from repro.lang import check_program, parse_program
 from repro.lang.diagnostics import ERROR, Diagnostic, has_errors
 
@@ -119,13 +117,10 @@ class StoreStats:
     disk_hits: int = 0
     misses: int = 0
     compiles: int = 0
-    warm_compiles: int = 0
     evictions: int = 0
     spills: int = 0
     corrupt_recovered: int = 0
     stale_swept: int = 0
-    splice_declines: int = 0
-    splice_declined_early: int = 0
 
     @property
     def requests(self) -> int:
@@ -142,13 +137,13 @@ class StoreStats:
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "compiles": self.compiles,
-            "warm_compiles": self.warm_compiles,
+            # Every compile is cold; the key stays for stats readers that
+            # predate the removal of warm compiles.
+            "warm_compiles": 0,
             "evictions": self.evictions,
             "spills": self.spills,
             "corrupt_recovered": self.corrupt_recovered,
             "stale_swept": self.stale_swept,
-            "splice_declines": self.splice_declines,
-            "splice_declined_early": self.splice_declined_early,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -177,16 +172,6 @@ class ArtifactStore:
         self.max_memory_entries = max_memory_entries
         self.stats = StoreStats()
         self._memory: OrderedDict[str, CompiledProgram] = OrderedDict()
-        #: Per-function exact-hash index over resident artifacts: maps a
-        #: function hash to the keys of artifacts containing that exact
-        #: function.  This is the nearest-ancestor lookup behind warm
-        #: compiles — a new program version shares most function hashes
-        #: with its predecessor, so the candidate set is found without
-        #: diffing against every stored artifact.  Populated as artifacts
-        #: pass through :meth:`_admit` (cold spills from earlier processes
-        #: join the index once first loaded).
-        self._fn_index: dict[str, set[str]] = {}
-        self._key_hashes: dict[str, frozenset[str]] = {}
         self._lock = threading.RLock()
         #: Per-key compile-in-flight events: a second client asking for a
         #: key being compiled waits on its event instead of recompiling,
@@ -224,19 +209,11 @@ class ArtifactStore:
         self,
         program_text: str,
         options: Optional[Mapping[str, object]] = None,
-        base_artifact: Optional[str] = None,
     ) -> tuple[str, CompiledProgram, str]:
         """Resolve (and, on a full miss, compile) one program version.
 
         Returns ``(key, compiled, source)`` where ``source`` is one of
-        ``"memory"``, ``"disk"``, ``"warm"`` or ``"compiled"``.  On a full
-        miss the store first looks for a nearest ancestor — ``base_artifact``
-        if given (and resident), else the stored artifact sharing the most
-        statements with the new program by per-function exact hash — and
-        splices its emission journal instead of compiling cold
-        (:func:`repro.bmc.splice.splice_compile`).  A successful splice is
-        reported as ``"warm"`` and is byte-equivalent to the cold compile;
-        a declined splice falls back to ``"compiled"`` silently.
+        ``"memory"``, ``"disk"`` or ``"compiled"``.
         """
         normalized = normalize_compile_options(options)
         key = artifact_key(program_text, normalized)
@@ -262,17 +239,12 @@ class ArtifactStore:
                 pending.wait()
                 continue
             try:
-                with obs.span("store.compile", key=key[:12]) as compile_span:
-                    compiled, warm_from = self._compile(
-                        program_text, normalized, base_artifact
-                    )
-                    compile_span.set(warm=warm_from is not None)
+                with obs.span("store.compile", key=key[:12]):
+                    compiled = self._compile(program_text, normalized)
                 with self._lock:
                     self.stats.compiles += 1
-                    if warm_from is not None:
-                        self.stats.warm_compiles += 1
                     self._admit(key, compiled, spill=True)
-                return key, compiled, "warm" if warm_from is not None else "compiled"
+                return key, compiled, "compiled"
             finally:
                 with self._lock:
                     self._in_flight.pop(key, None)
@@ -289,69 +261,10 @@ class ArtifactStore:
         with self._lock:
             return len(self._memory)
 
-    # ------------------------------------------------------- nearest ancestor
-
-    def _peek(self, key: str) -> Optional[CompiledProgram]:
-        """Resolve a key for internal use without touching hit/miss stats."""
-        compiled = self._memory.get(key)
-        if compiled is not None:
-            self._memory.move_to_end(key)
-            return compiled
-        compiled = self._load_spill(key)
-        if compiled is not None:
-            self._admit(key, compiled, spill=False)
-        return compiled
-
-    def _pick_base(
-        self,
-        new_fingerprint,
-        expected_options: dict,
-        base_artifact: Optional[str],
-    ) -> Optional[tuple[str, CompiledProgram]]:
-        """The stored artifact to splice from, or ``None`` to compile cold.
-
-        An explicit ``base_artifact`` hint wins when resident.  Otherwise
-        candidates come from the per-function hash index, scored by
-        :meth:`~repro.analysis.impact.ProgramFingerprint.shared_statements`
-        — the artifact sharing the most statements with the new program
-        leaves the least to re-encode.  Candidates compiled under different
-        options are skipped (a splice between them would be declined).
-        """
-        with self._lock:
-            if base_artifact is not None:
-                compiled = self._peek(base_artifact)
-                if compiled is not None and compiled.fingerprint is not None:
-                    return base_artifact, compiled
-                return None
-            candidate_keys: set[str] = set()
-            for fn_hash in new_fingerprint.function_hashes().values():
-                candidate_keys.update(self._fn_index.get(fn_hash, ()))
-            best: Optional[tuple[str, CompiledProgram]] = None
-            best_score = 0
-            for key in sorted(candidate_keys):  # deterministic tie-break
-                compiled = self._peek(key)
-                if compiled is None or compiled.fingerprint is None:
-                    continue
-                if dict(compiled.compile_options) != expected_options:
-                    continue
-                score = new_fingerprint.shared_statements(compiled.fingerprint)
-                if score > best_score:
-                    best, best_score = (key, compiled), score
-            return best
-
     # ----------------------------------------------------------------- fill
 
-    def _compile(
-        self,
-        program_text: str,
-        normalized: dict,
-        base_artifact: Optional[str] = None,
-    ) -> tuple[CompiledProgram, Optional[str]]:
-        """Compile one program version, warm if a usable ancestor is stored.
-
-        Returns ``(compiled, spliced_from)`` where ``spliced_from`` is the
-        base artifact key on a warm compile and ``None`` on a cold one.
-        """
+    def _compile(self, program_text: str, normalized: dict) -> CompiledProgram:
+        """Compile one program version, rejecting ERROR diagnostics."""
         from repro.lang.parser import ParseError
         from repro.lang.typecheck import TypeError_
 
@@ -368,72 +281,22 @@ class ArtifactStore:
             if name not in ("name", "entry") and value is not None
         }
         checker_kwargs["group_statements"] = True
-        compiled: Optional[CompiledProgram] = None
-        warm_from: Optional[str] = None
-        entry = normalized["entry"]
-        # The splice mutates its checker's encoder state, so the cold
-        # fallback below must build a fresh one.
         checker = BoundedModelChecker(program, **checker_kwargs)
-        new_fingerprint = fingerprint_program(program)
-        base = self._pick_base(
-            new_fingerprint, checker.compile_options(entry), base_artifact
-        )
-        if base is not None:
-            base_key, base_compiled = base
-            outcome: dict = {}
-            compiled = splice_compile(
-                base_compiled,
-                checker,
-                entry=entry,
-                base_key=base_key,
-                new_fingerprint=new_fingerprint,
-                outcome=outcome,
-            )
-            if compiled is not None:
-                warm_from = base_key
-            elif outcome.get("declined"):
-                with self._lock:
-                    self.stats.splice_declines += 1
-                    if outcome.get("declined_early"):
-                        self.stats.splice_declined_early += 1
-        if compiled is None:
-            checker = BoundedModelChecker(program, **checker_kwargs)
-            compiled = checker.compile_program(entry=entry)
+        compiled = checker.compile_program(entry=normalized["entry"])
         if has_errors(compiled.diagnostics):
             raise CompileRejectedError(
                 tuple(d for d in compiled.diagnostics if d.severity == ERROR)
             )
-        return compiled, warm_from
+        return compiled
 
     def _admit(self, key: str, compiled: CompiledProgram, spill: bool) -> None:
         self._memory[key] = compiled
         self._memory.move_to_end(key)
-        self._index(key, compiled)
         if spill:
             self._write_spill(key, compiled)
         while len(self._memory) > self.max_memory_entries:
-            evicted_key, _ = self._memory.popitem(last=False)
+            self._memory.popitem(last=False)
             self.stats.evictions += 1
-            if self.root is None or not self._spill_path(evicted_key).exists():
-                # Without a disk copy the artifact is unrecoverable, so it
-                # can no longer serve as a splice base.
-                self._unindex(evicted_key)
-
-    def _index(self, key: str, compiled: CompiledProgram) -> None:
-        if key in self._key_hashes or compiled.fingerprint is None:
-            return
-        hashes = frozenset(compiled.fingerprint.function_hashes().values())
-        self._key_hashes[key] = hashes
-        for fn_hash in hashes:
-            self._fn_index.setdefault(fn_hash, set()).add(key)
-
-    def _unindex(self, key: str) -> None:
-        for fn_hash in self._key_hashes.pop(key, ()):
-            keys = self._fn_index.get(fn_hash)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._fn_index[fn_hash]
 
     # ----------------------------------------------------------------- spill
 

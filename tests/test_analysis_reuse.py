@@ -18,8 +18,8 @@ re-solve-everything fixpoint:
   per-function cap keeps the most recently used solves;
 * every TCAS compile keeps the signature, variable count and clause lists
   recorded from the re-solve-everything fixpoint
-  (``golden_tcas_compile.json``), and a warm splice compile still equals
-  its cold compile;
+  (``golden_tcas_compile.json``), and a compile's artifact bytes do not
+  depend on the analyses run on its program before;
 * the solve counts reach the ``encode.analysis`` span (of a compile and of
   a concolic trace), the ``repro_analysis_solves`` counter and the encode
   profile;
@@ -32,7 +32,6 @@ re-solve-everything fixpoint:
 from __future__ import annotations
 
 import copy
-import dataclasses
 import gc
 import hashlib
 import json
@@ -47,8 +46,7 @@ import repro.analysis
 import repro.analysis.analyzer as analyzer
 from repro import obs
 from repro.analysis import Interval, analyze_program
-from repro.bmc import BoundedModelChecker, dumps_artifact, loads_artifact
-from repro.bmc.splice import splice_compile
+from repro.bmc import BoundedModelChecker, dumps_artifact
 from repro.concolic import ConcolicTracer
 from repro.core import LocalizationSession
 from repro.lang import check_program, parse_program
@@ -128,7 +126,6 @@ PRODUCTS = (
     "loop_bounds",
     "summaries",
     "states",
-    "cache",
 )
 
 
@@ -189,16 +186,22 @@ def clause_digest(compiled) -> str:
 
 
 def test_mutual_recursion_reaches_widening():
-    result = analyze_program(mutual_recursion_program(), record_cache=True)
-    assert len(result.cache.rounds) > analyzer.WIDEN_ROUND + 1
+    program = mutual_recursion_program()
+    result = analyze_program(program)
+    # Every round solves or reuses each function exactly once.
+    rounds, rest = divmod(
+        result.solves + result.solves_reused, len(program.functions)
+    )
+    assert rest == 0
+    assert rounds > analyzer.WIDEN_ROUND + 1
     assert result.solves_reused > 0
 
 
 def test_products_equal_the_resolving_fixpoint(monkeypatch):
     programs = corpus()
-    reused = [analyze_program(program, record_cache=True) for program in programs]
+    reused = [analyze_program(program) for program in programs]
     resolve_every_round(monkeypatch)
-    reference = [analyze_program(program, record_cache=True) for program in programs]
+    reference = [analyze_program(program) for program in programs]
     for program, got, want in zip(programs, reused, reference):
         assert want.solves_reused == 0
         assert got.solves + got.solves_reused == want.solves, program.name
@@ -273,12 +276,12 @@ def test_a_reused_solve_reads_the_reusing_run_s_environment():
 
 def test_earlier_results_survive_later_analyses():
     """Later analyses share an earlier one's solves but never write to
-    them: its products (round outputs included) stay as they were."""
+    them: its products stay as they were."""
     benchmark = BENCHMARKS["schedule2"]
     program = copy.deepcopy(benchmark.faulty_program())
     test = list(benchmark.failing_test)
     earlier = [
-        analyze_program(program, record_cache=True),
+        analyze_program(program),
         analyze_program(program, entry_inputs=test),
     ]
     snapshots = [
@@ -308,9 +311,7 @@ def test_artifact_bytes_do_not_depend_on_analysis_history():
     for value in range(5):
         analyze_program(program, entry_inputs=[value, *benchmark.failing_test[1:]])
     warm = compile_once()
-    assert warm.analysis_cache == cold.analysis_cache
     assert dumps_artifact(warm) == dumps_artifact(cold)
-    assert loads_artifact(dumps_artifact(warm)).analysis_cache == cold.analysis_cache
 
 
 def test_concurrent_analyses_of_one_program_share_its_table(monkeypatch):
@@ -397,21 +398,6 @@ def test_tcas_compiles_match_the_recorded_goldens():
         assert clause_digest(compiled) == recorded["clauses"], version
 
 
-@pytest.mark.parametrize("version", ["v2", "v16", "v40"])
-def test_warm_splice_equals_cold(version):
-    base = BoundedModelChecker(
-        tcas_faulty_program("v1"), group_statements=True
-    ).compile_program()
-    program = tcas_faulty_program(version)
-    warm = splice_compile(base, BoundedModelChecker(program, group_statements=True))
-    assert warm is not None
-    cold = BoundedModelChecker(program, group_statements=True).compile_program()
-    for field in dataclasses.fields(cold):
-        if field.name in ("spliced_from", "impact_fraction", "gates_shared"):
-            continue
-        assert getattr(warm, field.name) == getattr(cold, field.name), field.name
-
-
 def counter_value(name: str, **labels) -> float:
     return obs.REGISTRY.counter(name, labels=labels or None).value
 
@@ -463,10 +449,9 @@ def test_analysis_crash_is_counted_and_the_compile_goes_on(monkeypatch):
     assert spans["encode.analysis"]["attrs"] == {
         "error": "RuntimeError: analysis exploded"
     }
-    # Unnarrowed but complete: no diagnostics, no analysis cache.
+    # Unnarrowed but complete: no diagnostics.
     assert compiled.num_clauses > 0
     assert compiled.diagnostics == ()
-    assert compiled.analysis_cache is None
     assert compiled.narrowed_vars == 0
 
 

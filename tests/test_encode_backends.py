@@ -2,8 +2,8 @@
 
 Both backends fill the identical flat :class:`~repro.encoding.arena.GateArena`
 buffers with the identical fold rules and hash mixing, so whole compiles must
-be bit-identical between them: same CNF, same gate signature, same journal,
-same pickled artifact bytes, same localization reports.  These tests drive
+be bit-identical between them: same CNF, same gate signature, same pickled
+artifact bytes, same localization reports.  These tests drive
 matched compile pairs through every Table 3 program, a hypothesis gate-op
 matrix over the five scalar gates, and seeded bit-vector kernel chains
 (add / multiply / equals / unsigned_less / mux / is_nonzero, and the
@@ -37,17 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bmc import BoundedModelChecker, dumps_artifact
 from repro.encoding import CircuitBuilder, encode_backend
-from repro.encoding.arena import (
-    GateArena,
-    HDR_GMASK,
-    HDR_GUSED,
-    HDR_HITS,
-    HDR_JLEN,
-    HDR_LITS,
-    HDR_NCLAUSES,
-    HDR_NUM_VARS,
-    TAG_C,
-)
+from repro.encoding.arena import GateArena, HDR_GUSED, HDR_HITS, HDR_NCLAUSES
 from repro.encoding.context import ArenaEncodingContext
 from repro.sat import _ccore
 from repro.siemens import tcas_faulty_program
@@ -123,32 +113,6 @@ class TestDifferential:
             ), field.name
         assert dumps_artifact(c_artifact) == dumps_artifact(py_artifact)
 
-    def test_warm_splices_identical(self):
-        """The record copy behind the warm splice (``repro_enc_copy``) and
-        its Python mirror build the same artifacts, identity and mapped."""
-        from repro.bmc import loads_artifact
-        from repro.bmc.splice import splice_compile
-
-        base = compile_cold(tcas_faulty_program("v1"))
-        # One base object per backend: neither run restores the other's
-        # prefix checkpoint.
-        bases = {"c": base, "python": loads_artifact(dumps_artifact(base))}
-        for version in ("v2", "v16", "v37"):
-            program = tcas_faulty_program(version)
-            artifacts = {}
-            for backend, base_artifact in bases.items():
-                pin = python_pinned() if backend == "python" else contextlib.nullcontext()
-                with pin:
-                    artifacts[backend] = splice_compile(
-                        base_artifact,
-                        BoundedModelChecker(program, group_statements=True),
-                    )
-            assert artifacts["c"] is not None and artifacts["python"] is not None
-            for field in dataclasses.fields(artifacts["c"]):
-                assert getattr(artifacts["c"], field.name) == getattr(
-                    artifacts["python"], field.name
-                ), (version, field.name)
-
     def test_localization_reports_identical(self):
         from repro.core import LocalizationSession, Specification
         from repro.serve import canonical_report_bytes
@@ -181,7 +145,6 @@ def _context_fingerprint(context: ArenaEncodingContext) -> tuple:
         context.gates_emitted,
         context.gate_hits,
         context.arena.clause_store(),
-        context.arena.journal_store(),
     )
 
 
@@ -194,7 +157,6 @@ def _run_scalar_ops(ops: list[tuple[int, int, int, int, int]]) -> tuple:
     drives the exact same call sequence on either backend.
     """
     context = ArenaEncodingContext(width=8)
-    context.begin_journal()
     builder = CircuitBuilder(context)
     pool = [context.new_var() for _ in range(4)]
     pool.append(builder.true)  # the constant feeds the fold rules
@@ -242,7 +204,7 @@ def test_hypothesis_gate_matrix(ops):
     assert with_c == pure
 
 
-def _run_vector_ops(seed: int, journal: bool = True) -> tuple:
+def _run_vector_ops(seed: int) -> tuple:
     """A seeded chain of the bit-vector kernels and statement equations,
     fingerprinted.
 
@@ -255,8 +217,6 @@ def _run_vector_ops(seed: int, journal: bool = True) -> tuple:
 
     rng = random.Random(seed)
     context = ArenaEncodingContext(width=8)
-    if journal:
-        context.begin_journal()
     builder = CircuitBuilder(context)
     vectors = [builder.fresh() for _ in range(3)]
     vectors.append(builder.const(rng.randint(-128, 127)))
@@ -303,11 +263,28 @@ def _run_vector_ops(seed: int, journal: bool = True) -> tuple:
 @needs_c
 @pytest.mark.parametrize("seed", range(10))
 def test_vector_kernels_identical(seed):
-    for journal in (True, False):
-        with_c = _run_vector_ops(seed, journal)
-        with python_pinned():
-            pure = _run_vector_ops(seed, journal)
-        assert with_c == pure, journal
+    with_c = _run_vector_ops(seed)
+    with python_pinned():
+        pure = _run_vector_ops(seed)
+    assert with_c == pure
+
+
+@needs_c
+def test_and_with_the_true_constant_stays_in_python():
+    """``bit_and`` folds the constant-true operand before the C crossing:
+    the other operand comes back with no ``CEncoder`` call."""
+    context = ArenaEncodingContext(width=8)
+    builder = CircuitBuilder(context)
+    x = context.new_var()
+    true = builder.true
+    calls = builder.kernel_calls
+    assert builder.bit_and(x, true) == x
+    assert builder.bit_and(true, -x) == -x
+    assert builder.bit_and(true, true) == true
+    assert builder.kernel_calls == calls
+    # Every other operand pair still crosses once.
+    builder.bit_and(x, -true)
+    assert builder.kernel_calls == calls + 1
 
 
 @needs_c
@@ -404,7 +381,7 @@ class TestArenaHousekeeping:
     """Flat-buffer growth and rehashing, on the always-on Python routines."""
 
     def test_clause_buffer_growth_preserves_contents(self):
-        arena = GateArena(journal=True)
+        arena = GateArena()
         rng = random.Random(11)
         expected = []
         for index in range(6000):  # far past the 1024-clause / 4096-lit seeds
@@ -416,17 +393,13 @@ class TestArenaHousekeeping:
             expected.append((gid, clause))
             arena.emit(clause, gid)
         assert arena.hdr[HDR_NCLAUSES] == len(expected)
-        # The store keeps exact emission order with each clause's group;
-        # the journal holds one clause record per emission.
+        # The store keeps exact emission order with each clause's group.
         lits, ends, gids = arena.clause_store()
         restored = [
             (gid, lits[start:end].tolist())
             for gid, start, end in zip(gids, [0, *ends], ends)
         ]
         assert restored == expected
-        journal, raw = arena.journal_store()
-        assert journal.tolist() == [TAG_C] * len(expected)
-        assert raw == []
 
     def test_gate_table_rehash_preserves_lookups(self):
         arena = GateArena()
@@ -456,104 +429,3 @@ class TestArenaHousekeeping:
             hooked.gate_insert(op, k1, k2, i + 1, [[i + 1]])
         assert plain.hdr[HDR_GUSED] == hooked.hdr[HDR_GUSED]
         assert plain.gtab == hooked.gtab
-
-    def test_journaling_off_is_structurally_silent(self):
-        """With journaling off the stream stays empty — no deferred work."""
-        arena = GateArena()  # journal=False
-        for _ in range(50):
-            arena.new_var()
-        arena.emit([1, -2], -1)
-        arena.record_event(("stmt", 1), 5, (1, 2))
-        arena.record_group(0)
-        assert arena.hdr[HDR_JLEN] == 0
-        assert len(arena.js) == 0
-        assert arena.raw == []
-        assert arena.journal_store() == (None, [])
-        assert arena.hdr[HDR_NUM_VARS] == 50
-
-    def test_context_record_skips_event_construction_when_off(self):
-        """`record` with journaling off never touches the side list."""
-        context = ArenaEncodingContext(width=8)
-        assert not context.journaling
-        context.record(("stmt", "line", 1, 2))
-        assert context.arena.raw == []
-        assert context.arena.hdr[HDR_JLEN] == 0
-
-
-# ------------------------------------------------------------- mark / rewind
-
-
-def _arena_state(arena: GateArena) -> tuple:
-    """Everything a rewind must restore: the filled clause store, journal and
-    side list, every header scalar but the table size, and the gate table as
-    its set of entries."""
-    hdr = arena.hdr
-    gtab = arena.gtab
-    gates = {
-        tuple(gtab[slot : slot + 4])
-        for slot in range(0, len(gtab), 4)
-        if gtab[slot]
-    }
-    scalars = [value for slot, value in enumerate(hdr) if slot != HDR_GMASK]
-    return arena.clause_store(), arena.journal_store(), scalars, gates
-
-
-def _drive(context: ArenaEncodingContext, builder: CircuitBuilder, seed: int, steps: int):
-    """A seeded mix of vector kernels, scalar gates, grouped clauses and
-    journal events."""
-    from repro.encoding.context import StatementGroup
-
-    rng = random.Random(seed)
-    vectors = [builder.fresh() for _ in range(2)]
-    for step in range(steps):
-        a = vectors[rng.randrange(len(vectors))]
-        b = vectors[rng.randrange(len(vectors))]
-        group = StatementGroup(line=seed * 1000 + step % 7)
-        with context.group(group):
-            if step % 3 == 0:
-                vectors.append(builder.add(a, b))
-            elif step % 3 == 1:
-                context.emit([builder.equals(a, b)])
-            else:
-                vectors.append(builder.mux(builder.bit_xor(a[0], b[1]), a, b))
-            context.record(("s", step, "main", "assign", None))
-        vectors.append(builder.fresh())
-
-
-@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
-@pytest.mark.parametrize("rehash", [False, True], ids=["same-table", "rehash"])
-def test_rewind_restores_the_marked_state(backend, rehash):
-    """`rewind` returns the arena to exactly its marked state, and the same
-    emissions after it rebuild exactly the state of the first attempt."""
-    pin = python_pinned() if backend == "python" else contextlib.nullcontext()
-    with pin:
-        context = ArenaEncodingContext(width=8)
-        context.begin_journal()
-        builder = CircuitBuilder(context)
-        assert context.encode_backend == backend
-        _drive(context, builder, seed=1, steps=6)
-        slots = context.arena.hdr[HDR_GMASK] + 1
-        mark = context.mark()
-        marked = _arena_state(context.arena)
-        marked_table = context.arena.gtab[:]
-        groups = list(context.group_table)
-
-        steps = 160 if rehash else 4
-        _drive(context, builder, seed=2, steps=steps)
-        first = _arena_state(context.arena)
-        grew = context.arena.hdr[HDR_GMASK] + 1 > slots
-        assert grew == rehash
-        assert context.arena.hdr[HDR_LITS] > 0
-
-        context.rewind(mark)
-        assert _arena_state(context.arena) == marked
-        assert context.group_table == groups
-        if not rehash:
-            # Newest-first deletion restores the very table layout.
-            assert context.arena.gtab == marked_table
-        # Every surviving gate is still found where lookups probe for it.
-        for op, k1, k2, out in marked[3]:
-            assert context.arena.gate_find(op, k1, k2) == out
-
-        _drive(context, builder, seed=2, steps=steps)
-        assert _arena_state(context.arena) == first

@@ -1,7 +1,7 @@
 """Loop-bound analysis, per-loop unwind planning, and iteration-aware
 localization: verdict inference, the loop lints, the planned encoding's
 differential discipline, unwinding-assumption hardness, unwind-exhaustion
-reporting, and the serve/splice plumbing for the new options."""
+reporting, and the serve plumbing for the new options."""
 
 from __future__ import annotations
 
@@ -240,9 +240,9 @@ class TestLoopLints:
         assert plan_unwinds(capped.loop_bounds, 16) == {}
 
     def test_lints_survive_incremental_replay(self):
-        # Loop bounds are cached per function and unwind-dependent lints
-        # re-derived: a warm re-analysis of the same source must reproduce
-        # the unwind-insufficient error.
+        # The unwind-dependent lints are re-derived from the (unwind-free)
+        # loop bounds: linting the bounds again must reproduce the
+        # unwind-insufficient error.
         cold = analyze_source(self.DEEP, unwind=16)
         warm = lint_loops(cold.loop_bounds.values(), unwind=16)
         assert any(d.code == "unwind-insufficient" for d in warm)
@@ -501,133 +501,6 @@ class TestIterationGroups:
         assert concolic_keys == {(fault_line, k) for k in range(1, 7)}
         # The BMC unrolls to the global bound, so its keys are a superset.
         assert concolic_keys <= bmc_keys
-
-
-# ------------------------------------------------------------ splice with loops
-
-
-class TestSpliceWithLoops:
-    BASE = (
-        "int pad(int v) {\n"
-        "    return v + 2;\n"
-        "}\n"
-        "int main(int x) {\n"
-        "    int i = 0;\n"
-        "    int s = 0;\n"
-        "    while (i < 5) {\n"
-        "        s = s + x;\n"
-        "        i = i + 1;\n"
-        "    }\n"
-        "    assert(s + pad(x) < 100);\n"
-        "    return s;\n"
-        "}\n"
-    )
-
-    @staticmethod
-    def compile_planned(source: str, name: str, **kwargs):
-        program = parse_program(source, name=name)
-        return BoundedModelChecker(
-            program, group_statements=True, unwind_planning=True, **kwargs
-        ).compile_program()
-
-    def test_unchanged_plans_splice_and_match_cold(self):
-        from repro.bmc.splice import splice_compile
-
-        base = self.compile_planned(self.BASE, "loops-v1")
-        edited = self.BASE.replace("v + 2", "v + 3")
-        program = parse_program(edited, name="loops-v2")
-        warm = splice_compile(
-            base,
-            BoundedModelChecker(
-                program, group_statements=True, unwind_planning=True
-            ),
-        )
-        assert warm is not None
-        cold = self.compile_planned(edited, "loops-v2")
-        assert warm.signature == cold.signature
-        assert warm.unwind_plans == cold.unwind_plans == {("main", 7): (5, True)}
-
-    def test_changed_loop_function_reencodes_with_its_new_plan(self):
-        from repro.bmc.splice import splice_compile
-
-        source = (
-            "int burst(int x) {\n"
-            "    int k = 0;\n"
-            "    int t = 0;\n"
-            "    while (k < 6) {\n"
-            "        t = t + x;\n"
-            "        k = k + 1;\n"
-            "    }\n"
-            "    return t;\n"
-            "}\n"
-            "int main(int x) {\n"
-            "    assert(burst(x) < 50);\n"
-            "    return 0;\n"
-            "}\n"
-        )
-        base = self.compile_planned(source, "burst-v1")
-        assert base.unwind_plans == {("burst", 4): (6, True)}
-        edited = source.replace("k < 6", "k < 3")
-        program = parse_program(edited, name="burst-v2")
-        warm = splice_compile(
-            base,
-            BoundedModelChecker(
-                program, group_statements=True, unwind_planning=True
-            ),
-        )
-        cold = self.compile_planned(edited, "burst-v2")
-        if warm is not None:
-            assert warm.signature == cold.signature
-            assert warm.unwind_plans == cold.unwind_plans
-        assert cold.unwind_plans == {("burst", 4): (3, True)}
-
-    def test_plan_ripple_into_unchanged_function_declines(self):
-        # The loop lives in an *unchanged* function but its bound flows
-        # from a changed callee: replaying the recorded unrolling would be
-        # unsound, so the unwind-plan precondition must decline.  Narrowing
-        # is off to prove the decline comes from the unwind-plan check.
-        from repro.bmc.splice import splice_compile
-
-        source = (
-            "int limit() {\n"
-            "    return 6;\n"
-            "}\n"
-            "int walk(int x) {\n"
-            "    int i = 0;\n"
-            "    int n = limit();\n"
-            "    int s = 0;\n"
-            "    while (i < n) {\n"
-            "        s = s + x;\n"
-            "        i = i + 1;\n"
-            "    }\n"
-            "    return s;\n"
-            "}\n"
-            "int main(int x) {\n"
-            "    assert(walk(x) < 100);\n"
-            "    return 0;\n"
-            "}\n"
-        )
-        base = self.compile_planned(
-            source, "walk-v1", analysis_narrowing=False
-        )
-        assert base.unwind_plans == {("walk", 8): (6, True)}
-        edited = source.replace("return 6;", "return 9;")
-        program = parse_program(edited, name="walk-v2")
-        outcome: dict = {}
-        warm = splice_compile(
-            base,
-            BoundedModelChecker(
-                program,
-                group_statements=True,
-                unwind_planning=True,
-                analysis_narrowing=False,
-            ),
-            outcome=outcome,
-        )
-        assert warm is None
-        assert outcome.get("declined")
-        cold = self.compile_planned(edited, "walk-v2", analysis_narrowing=False)
-        assert cold.unwind_plans == {("walk", 8): (9, True)}
 
 
 # ----------------------------------------------------------- serve round trip

@@ -87,19 +87,23 @@ class TestArtifactSerialization:
 
     def test_rejects_format_5_blobs(self):
         """Format 5 stored clause lists and a tuple journal, format 6 the
-        encoder's flat clause store and journal: a format-5 spill must be
+        flat clause store plus the flat emission journal, format 7 the
+        clause store alone: a format-5 or format-6 spill must be
         recompiled, never unpickled."""
         from repro.bmc.compiled import ARTIFACT_HEADER_BYTES, peek_artifact_version
 
-        assert ARTIFACT_FORMAT_VERSION == 6
+        assert ARTIFACT_FORMAT_VERSION == 7
         program = parse_program(OTHER, name="other")
         compiled = BoundedModelChecker(program, group_statements=True).compile_program()
         blob = dumps_artifact(compiled)
         magic = blob[: ARTIFACT_HEADER_BYTES - 4]
-        old = magic + (5).to_bytes(4, "big") + blob[ARTIFACT_HEADER_BYTES:]
-        assert peek_artifact_version(old) == 5
-        with pytest.raises(ArtifactFormatError, match="format 5 incompatible"):
-            loads_artifact(old)
+        for version in (5, 6):
+            old = magic + version.to_bytes(4, "big") + blob[ARTIFACT_HEADER_BYTES:]
+            assert peek_artifact_version(old) == version
+            with pytest.raises(
+                ArtifactFormatError, match=f"format {version} incompatible"
+            ):
+                loads_artifact(old)
 
     def test_key_is_stable_and_option_sensitive(self):
         base = artifact_key(CLASSIFY, normalize_compile_options({"name": "classify"}))
@@ -201,106 +205,6 @@ class TestArtifactStore:
         assert source == "compiled"
         assert fresh.stats.corrupt_recovered == 0
         assert fresh.stats.compiles == 1
-
-
-CLASSIFY_FIXED = CLASSIFY.replace("x > 7", "x > 10")
-
-
-class TestWarmCompile:
-    def test_nearest_ancestor_is_spliced(self):
-        store = ArtifactStore()
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        key, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert key != base_key
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
-        assert 0.0 < compiled.impact_fraction < 1.0
-        assert store.stats.warm_compiles == 1
-        # Byte-equivalent encoding: a store with no ancestor compiles the
-        # same program cold and lands on the same CNF signature.
-        cold_store = ArtifactStore()
-        _, cold, cold_source = cold_store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert cold_source == "compiled"
-        assert cold.signature == compiled.signature
-        assert cold.num_clauses == compiled.num_clauses
-
-    def test_explicit_base_artifact_hint(self):
-        store = ArtifactStore()
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}, base_artifact=base_key
-        )
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
-
-    def test_unknown_hint_falls_back_to_cold(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}, base_artifact="no-such-key"
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-
-    def test_dissimilar_program_compiles_cold(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        _, compiled, source = store.get_or_compile(OTHER, {"name": "other"})
-        assert source == "compiled"
-        assert store.stats.warm_compiles == 0
-
-    def test_option_mismatch_is_not_a_splice_base(self):
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify", "unwind": 8})
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify", "unwind": 16}
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-
-    def test_decline_stats_distinguish_early(self, monkeypatch):
-        """A declined splice is counted, split by early (precondition) vs
-        late (mid-replay); both fields travel through ``as_dict``."""
-        import repro.bmc.splice as splice_mod
-
-        store = ArtifactStore()
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-
-        def abort(self, *args, **kwargs):
-            raise splice_mod.SpliceDecline
-
-        monkeypatch.setattr(splice_mod._Replay, "run", abort)
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert source == "compiled"
-        assert compiled.spliced_from is None
-        assert store.stats.splice_declines == 1
-        assert store.stats.splice_declined_early == 0
-        stats = store.stats.as_dict()
-        assert stats["splice_declines"] == 1
-        assert stats["splice_declined_early"] == 0
-
-    def test_evicted_memory_only_base_is_unindexed(self):
-        store = ArtifactStore(root=None, max_memory_entries=1)
-        store.get_or_compile(CLASSIFY, {"name": "classify"})
-        store.get_or_compile(OTHER, {"name": "other"})  # evicts the base
-        _, _, source = store.get_or_compile(CLASSIFY_FIXED, {"name": "classify"})
-        assert source == "compiled"
-
-    def test_spilled_base_survives_eviction_as_ancestor(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, max_memory_entries=1)
-        base_key, _, _ = store.get_or_compile(CLASSIFY, {"name": "classify"})
-        store.get_or_compile(OTHER, {"name": "other"})  # evicts to disk
-        _, compiled, source = store.get_or_compile(
-            CLASSIFY_FIXED, {"name": "classify"}
-        )
-        assert source == "warm"
-        assert compiled.spliced_from == base_key
 
 
 class TestResultCache:
@@ -518,6 +422,8 @@ class TestDaemon:
             stats = client.stats()
         assert stats["server"]["requests_served"] > 0
         assert set(stats["store"]) >= {"compiles", "hit_rate", "corrupt_recovered"}
+        # Every compile is cold; the key stays for the stats readers.
+        assert stats["store"]["warm_compiles"] == 0
         assert set(stats["pool"]) >= {"shards_dispatched", "worker_restarts"}
 
 
@@ -723,6 +629,27 @@ class TestOptionChecks:
                 client.localize(
                     test=[8], spec=SPEC_ZERO, program=CLASSIFY, options={name: True}
                 )
+
+    @pytest.mark.parametrize("op", ["compile", "localize"])
+    def test_retired_base_artifact_field_is_refused_by_name(self, daemon, op):
+        """A request still carrying ``base_artifact`` (the warm-compile hint)
+        is refused by name instead of being compiled cold without a word."""
+        payload = {
+            "op": op,
+            "program": CLASSIFY,
+            "options": {"name": "classify-retired"},
+            "base_artifact": "f" * 64,
+        }
+        if op == "localize":
+            payload.update(test=[8], spec=SPEC_ZERO)
+        host, port = daemon.tcp_address
+        with socket.create_connection((host, port), timeout=30) as sock:
+            protocol.send_frame(sock, payload)
+            response = protocol.recv_frame(sock)
+        assert response["ok"] is False
+        assert "'base_artifact'" in response["error"]
+        with Client(tcp=daemon.tcp_address) as client:
+            assert client.stats()["ok"] is True
 
     @pytest.mark.parametrize(
         "name, value",

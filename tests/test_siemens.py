@@ -147,10 +147,10 @@ class TestLargeBenchmarks:
         assert row.fault_candidates >= 1
 
     def test_side_experiments_are_not_timed(self, monkeypatch):
-        # Delay every side experiment (the four whole-program compiles and
+        # Delay every side experiment (the two whole-program compiles and
         # the unnarrowed re-trace) by ``delay``: none of it may show up in
         # the row's ``time_seconds``.
-        from repro.bmc import BoundedModelChecker, splice
+        from repro.bmc import BoundedModelChecker
 
         delay = 0.5
         delayed: list[str] = []
@@ -168,9 +168,6 @@ class TestLargeBenchmarks:
             "compile_program",
             slowed("compile", BoundedModelChecker.compile_program),
         )
-        monkeypatch.setattr(
-            splice, "splice_compile", slowed("splice", splice.splice_compile)
-        )
         original_trace = ConcolicTracer.trace
 
         def trace(tracer, *args, **kwargs):
@@ -181,8 +178,8 @@ class TestLargeBenchmarks:
 
         monkeypatch.setattr(ConcolicTracer, "trace", trace)
         row = run_large_benchmark(SCHEDULE2)
-        assert delayed.count("compile") >= 3
-        assert "splice" in delayed and "unnarrowed" in delayed
+        assert delayed.count("compile") >= 2
+        assert "unnarrowed" in delayed
         assert row.time_seconds < delay
 
 
