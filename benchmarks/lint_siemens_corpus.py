@@ -4,7 +4,10 @@ Writes every corpus program (the TCAS reference, all seeded-fault TCAS
 versions, the four Table 3 programs with their injected faults, and the
 strncat example) to a scratch directory, lints the whole set through the
 real CLI in one invocation, and compares the JSON diagnostics against the
-checked-in golden file ``tests/golden_siemens_lint.json``.
+checked-in golden file ``tests/golden_siemens_lint.json``.  One invocation
+lints every program after the ones before it, on the analysis solve table
+they warmed; ``--per-file`` runs one process per program instead, so each
+lint starts on an empty table.
 
 The corpus is all *working* benchmark programs — seeded faults are wrong
 answers, not crashes — so the golden expectation doubles as a
@@ -13,8 +16,9 @@ false-positive regression gate: the analyzer must never start rejecting
 
 Usage::
 
-    python benchmarks/lint_siemens_corpus.py            # check against golden
-    python benchmarks/lint_siemens_corpus.py --update   # regenerate golden
+    python benchmarks/lint_siemens_corpus.py              # check against golden
+    python benchmarks/lint_siemens_corpus.py --per-file   # same, one process each
+    python benchmarks/lint_siemens_corpus.py --update     # regenerate golden
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ def corpus_sources() -> dict[str, str]:
     return sources
 
 
-def lint_corpus() -> dict[str, list[dict]]:
-    """Run the CLI over the corpus; ``{file name: wire diagnostics}``."""
+def lint_corpus(per_file: bool = False) -> dict[str, list[dict]]:
+    """Run the CLI over the corpus, in one process or in one per file;
+    ``{file name: wire diagnostics}``."""
     sources = corpus_sources()
     with tempfile.TemporaryDirectory(prefix="repro-lint-") as scratch:
         root = Path(scratch)
@@ -64,16 +69,19 @@ def lint_corpus() -> dict[str, list[dict]]:
             (root / name).write_text(sources[name])
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--json", *names],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=str(root),
-        )
-    if completed.returncode not in (0, 1):
-        raise RuntimeError(f"linter crashed: {completed.stderr}")
-    payload = json.loads(completed.stdout)
+        batches = [[name] for name in names] if per_file else [names]
+        payload = []
+        for batch in batches:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.analysis", "--json", *batch],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=str(root),
+            )
+            if completed.returncode not in (0, 1):
+                raise RuntimeError(f"linter crashed: {completed.stderr}")
+            payload += json.loads(completed.stdout)
     return {entry["file"]: entry["diagnostics"] for entry in payload}
 
 
@@ -82,9 +90,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--update", action="store_true", help="rewrite the golden file"
     )
+    parser.add_argument(
+        "--per-file",
+        action="store_true",
+        help="lint each program in its own process (an empty solve table each)",
+    )
     args = parser.parse_args(argv)
 
-    actual = lint_corpus()
+    actual = lint_corpus(per_file=args.per_file)
     rendered = json.dumps(actual, indent=2, sort_keys=True) + "\n"
     if args.update:
         GOLDEN_PATH.write_text(rendered)

@@ -14,9 +14,12 @@ domains per function for the lints:
 * the entry function's parameters can be pinned to concrete values
   (``entry_inputs``), which is how the concolic tracer obtains ranges that
   hold on the specific failing test it encodes;
-* every interval solve of a function is kept in its program's solve table
-  and reused by any later round or later analysis of the same program
-  object whose environment for that function matches.
+* every interval solve of a function is kept in one process-wide solve
+  table, keyed by the function's content, and reused by any later round
+  or later analysis — of this program or of another one carrying the same
+  function — whose environment for that function matches; a solve of a
+  converged analysis also keeps the function's finished products (its
+  narrowing entries, observed intervals, lints and loop verdicts).
 
 The result carries structured :class:`~repro.lang.diagnostics.Diagnostic`
 records (the lint output) and per-write-site value intervals (the narrowing
@@ -25,8 +28,9 @@ table consumed by the range-guided encoder).
 
 from __future__ import annotations
 
+import hashlib
 import threading
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -42,11 +46,12 @@ from repro.analysis.framework import solve
 from repro.analysis.incremental import (
     RoundRecord,
     environment_matches,
+    environment_slice,
     function_reads,
 )
 from repro.analysis.intervals import Interval
 from repro.analysis.loops import LoopBound, infer_loop_bounds, lint_loops
-from repro.cfg.graph import FunctionGraph, build_program_graphs
+from repro.cfg.graph import FunctionGraph, build_function_graph
 from repro.lang import ast
 from repro.lang.diagnostics import ERROR, WARNING, Diagnostic, has_errors
 from repro.lang.semantics import DEFAULT_WIDTH
@@ -56,9 +61,9 @@ from repro.lang.semantics import DEFAULT_WIDTH
 WIDEN_ROUND = 3
 MAX_ROUNDS = 12
 
-#: Solves kept per function in a program's solve table; the least recently
-#: used one is dropped beyond this.
-SOLVE_TABLE_CAP = 32
+#: Solves kept in the process-wide solve table, over all functions of all
+#: programs; the least recently used one is dropped beyond this.
+SOLVE_TABLE_CAP = 1024
 
 
 @dataclass
@@ -90,10 +95,14 @@ class AnalysisResult:
     graphs: dict[str, FunctionGraph] = field(default_factory=dict)
     states: dict[str, dict[int, IntervalState]] = field(default_factory=dict)
     #: Interval solves this run performed, and those it skipped by reusing
-    #: a kept solve (an earlier round's, or an earlier analysis's of the
-    #: same program) made under the same environment.
+    #: a kept solve (an earlier round's, or an earlier analysis's of a
+    #: function with the same content) made under the same environment.
     solves: int = 0
     solves_reused: int = 0
+    #: Functions whose products (narrowing entries, observed intervals,
+    #: lints, loop verdicts) came from a kept solve instead of being
+    #: recomputed.
+    products_reused: int = 0
 
     @property
     def has_errors(self) -> bool:
@@ -170,15 +179,19 @@ def analyze_program(
     ``unwind-insufficient`` lint compares proven trip counts against the
     unrollings that encoding would actually perform.
 
-    Every live solve goes through the program's solve table (one per
-    program object and width, at most :data:`SOLVE_TABLE_CAP` solves per
-    function, dropped when the program is garbage-collected): a function
-    whose environment matches a kept solve — from an earlier round or an
-    earlier analysis of the same program — reuses it.  ``solves`` and
-    ``solves_reused`` on the result count both outcomes.
+    Every live solve goes through the process-wide solve table.  Its key
+    is the function's content digest, the width, the program's array-size
+    table and each callee's parameter names; a function whose key and
+    environment match a kept solve — from an earlier round, an earlier
+    analysis of this program, or an analysis of another program carrying
+    the same function — reuses it.  A converged analysis keeps each
+    function's products on the solve it ended with, and a later converged
+    analysis that ends on that solve takes them as they are; only the loop
+    lints, which read ``unwind``, run every time.  The table keeps at most
+    :data:`SOLVE_TABLE_CAP` solves, dropping the least recently used.
+    ``solves``, ``solves_reused`` and ``products_reused`` on the result
+    count the outcomes.
     """
-    graphs = build_program_graphs(program)
-
     # ---- the flow-insensitive global invariant, seeded from initializers
     global_scalars: dict[str, Interval] = {}
     global_arrays: dict[str, Interval] = {}
@@ -215,11 +228,11 @@ def analyze_program(
         name: FunctionSummary(params={param: Interval.bottom() for param in fn.params})
         for name, fn in program.functions.items()
     }
-    domains: dict[str, IntervalDomain] = {}
-    states: dict[str, dict[int, IntervalState]] = {}
+    kept: dict[str, _Solve] = {}
 
     reads = {name: function_reads(fn) for name, fn in program.functions.items()}
-    table = _solve_table(program, width)
+    keys = _solve_keys(program, reads, array_sizes, width)
+    table = _SOLVES
     solved = reused = 0
 
     def reuse_or_solve(
@@ -227,22 +240,18 @@ def analyze_program(
         function: ast.Function,
         params: dict[str, Interval],
         returns: dict[str, Interval],
-        record: RoundRecord,
-    ) -> tuple[IntervalDomain, dict, tuple]:
-        """The function's solve under the live environment (described by
-        ``record``): a matching solve from the table, else a fresh one,
-        kept in the table."""
+    ) -> _Solve:
+        """The function's solve under the live environment: a matching solve
+        from the table, else a fresh one, kept in the table.  (Solves write
+        only their own output tables, so the invariant and the summaries
+        stay at their round-start values all round.)"""
         nonlocal solved, reused
-        hit = table.lookup(
-            name, reads[name], params, returns, global_scalars, global_arrays
-        )
+        args = (name, reads[name], params, returns, global_scalars, global_arrays)
+        hit = table.lookup(keys[name], *args)
         if hit is not None:
             reused += 1
-            return (
-                hit.domain.rebound(global_scalars, global_arrays, summaries),
-                hit.states,
-                hit.outputs,
-            )
+            return hit
+        graph = build_function_graph(function)
         domain = IntervalDomain(
             function,
             params,
@@ -252,7 +261,7 @@ def analyze_program(
             summaries,
             width,
         )
-        function_states = solve(graphs[name], domain)
+        function_states = solve(graph, domain)
         solved += 1
         out = (
             domain.returned,
@@ -260,28 +269,22 @@ def analyze_program(
             domain.global_scalar_writes,
             domain.global_array_writes,
         )
-        table.add(name, _Solve(record, domain, function_states, out))
-        return domain, function_states, out
+        fresh = _Solve(keys[name], environment_slice(*args), graph, function_states, out)
+        table.add(fresh)
+        return fresh
 
+    converged = False
     for round_index in range(MAX_ROUNDS):
         returns_now = {name: summaries[name].returns for name in summaries}
-        record = RoundRecord(
-            returns=returns_now,
-            global_scalars=dict(global_scalars),
-            global_arrays=dict(global_arrays),
-        )
-        outputs: dict[str, tuple] = {}
         for name, function in program.functions.items():
             params = _analysis_params(
                 name, function, entry, entry_params, call_args[name], width
             )
-            record.params[name] = params
-            domains[name], states[name], outputs[name] = reuse_or_solve(
-                name, function, params, returns_now, record
-            )
+            kept[name] = reuse_or_solve(name, function, params, returns_now)
         changed = False
         widen = round_index >= WIDEN_ROUND
-        for name, (returned, call_arguments, scalar_writes, array_writes) in outputs.items():
+        for name, solve_ in kept.items():
+            returned, call_arguments, scalar_writes, array_writes = solve_.outputs
             summary = summaries[name]
             new_returns = _combine(summary.returns, returned, widen, width)
             if new_returns != summary.returns:
@@ -310,6 +313,7 @@ def analyze_program(
         for name, summary in summaries.items():
             summary.params = dict(call_args[name])
         if not changed:
+            converged = True
             break
 
     diagnostics: list[Diagnostic] = []
@@ -317,6 +321,7 @@ def analyze_program(
     flow_write_intervals: dict[tuple[str, int], Interval] = {}
     variable_intervals: dict[tuple[str, str], Interval] = {}
     loop_bounds: dict[tuple[str, int], LoopBound] = {}
+    products_reused = 0
 
     for gname, interval in global_scalars.items():
         variable_intervals[("", gname)] = interval
@@ -324,23 +329,37 @@ def analyze_program(
         variable_intervals[("", f"{gname}[]")] = interval
 
     for name, function in program.functions.items():
-        domain, function_states = domains[name], states[name]
-        graph = graphs[name]
-        observed = domain.observed_intervals(function_states)
-        _collect_write_intervals(
-            name, graph, function_states, domain, observed, write_intervals
-        )
-        _collect_flow_write_intervals(
-            name, function, domain, observed, flow_write_intervals
-        )
-        for var, interval in observed.items():
+        solve_ = kept[name]
+        # A converged run ends in the environment its last round's solves
+        # ran under, so products kept on a solve hold for every converged
+        # run that ends on it.  A run cut at MAX_ROUNDS ends elsewhere: its
+        # products are computed, but neither taken nor kept.
+        products = solve_.products if converged else None
+        if products is not None:
+            products_reused += 1
+        else:
+            # The collectors and lints evaluate over this run's invariant
+            # and summaries.
+            domain = IntervalDomain(
+                function,
+                solve_.record.params[name],
+                global_scalars,
+                global_arrays,
+                array_sizes,
+                summaries,
+                width,
+            )
+            products = _function_products(
+                name, function, solve_.graph, solve_.states, domain, width
+            )
+            if converged:
+                solve_.products = products
+        write_intervals.update(products.write_intervals)
+        flow_write_intervals.update(products.flow_write_intervals)
+        for var, interval in products.observed.items():
             variable_intervals[(name, var)] = interval
-        diagnostics.extend(
-            _lint_function(name, function, graph, function_states, domain, width)
-        )
-        for line, bound in infer_loop_bounds(
-            name, graph, function_states, domain
-        ).items():
+        diagnostics.extend(products.diagnostics)
+        for line, bound in products.loop_bounds.items():
             loop_bounds[(name, line)] = bound
 
     # Loop lints compare the (unwind-independent) verdicts against this
@@ -365,44 +384,121 @@ def analyze_program(
         variable_intervals=variable_intervals,
         summaries=summaries,
         loop_bounds=loop_bounds,
-        graphs=graphs,
-        states=states,
+        graphs={name: solve_.graph for name, solve_ in kept.items()},
+        states={name: solve_.states for name, solve_ in kept.items()},
         solves=solved,
         solves_reused=reused,
+        products_reused=products_reused,
     )
 
 
 # --------------------------------------------------------------- driver bits
 
 
-@dataclass
-class _Solve:
-    """One interval solve of a function and the round environment it ran
-    under (only the function's own slice of it matters)."""
+@dataclass(frozen=True)
+class _Products:
+    """What the post-fixpoint pass derives from one function's solve."""
 
+    observed: dict[str, Interval]
+    write_intervals: dict[tuple[str, int], Interval]
+    flow_write_intervals: dict[tuple[str, int], Interval]
+    diagnostics: tuple[Diagnostic, ...]
+    loop_bounds: dict[int, LoopBound]
+
+
+def _function_products(
+    name: str,
+    function: ast.Function,
+    graph: FunctionGraph,
+    function_states: dict[int, IntervalState],
+    domain: IntervalDomain,
+    width: int,
+) -> _Products:
+    observed = domain.observed_intervals(function_states)
+    write_intervals: dict[tuple[str, int], Interval] = {}
+    _collect_write_intervals(
+        name, graph, function_states, domain, observed, write_intervals
+    )
+    flow_write_intervals: dict[tuple[str, int], Interval] = {}
+    _collect_flow_write_intervals(
+        name, function, domain, observed, flow_write_intervals
+    )
+    return _Products(
+        observed=observed,
+        write_intervals=write_intervals,
+        flow_write_intervals=flow_write_intervals,
+        diagnostics=tuple(
+            _lint_function(name, function, graph, function_states, domain, width)
+        ),
+        loop_bounds=infer_loop_bounds(name, graph, function_states, domain),
+    )
+
+
+@dataclass(eq=False)
+class _Solve:
+    """One interval solve of a function, the slice of the environment it
+    ran under and, once a converged analysis ended on it, the function's
+    products."""
+
+    key: tuple
     record: RoundRecord
-    domain: IntervalDomain
+    graph: FunctionGraph
     states: dict[int, IntervalState]
     outputs: tuple
+    products: Optional[_Products] = None
+
+
+def _solve_keys(
+    program: ast.Program,
+    reads: dict[str, tuple[frozenset, frozenset]],
+    array_sizes: dict[str, int],
+    width: int,
+) -> dict[str, tuple]:
+    """The solve-table key of every function of ``program``.
+
+    Beyond the body (one sha256 of its ``repr``, which also carries the
+    name, parameters and line numbers), a solve reads the width, the
+    program-wide array-size table and, through the summaries, each
+    callee's parameter names — the environment match covers the rest.
+    """
+    functions = program.functions
+    sizes = tuple(sorted(array_sizes.items()))
+    keys: dict[str, tuple] = {}
+    for name, function in functions.items():
+        callees = tuple(
+            (callee, functions[callee].params if callee in functions else None)
+            for callee in sorted(reads[name][0])
+        )
+        digest = hashlib.sha256(repr(function).encode()).digest()
+        keys[name] = (digest, width, sizes, callees)
+    return keys
 
 
 class _SolveTable:
-    """The interval solves of one program's functions, shared by every
-    round of every analysis of that program object.
+    """The kept interval solves of every function analyzed in the process.
 
-    A solve is a pure function of the function's body and its observable
-    environment, so a lookup returns any kept solve whose environment
-    passes :func:`environment_matches`.  Kept solves are read-only: a hit hands out the solve's
-    states and outputs as they are and a rebound copy of its domain.
+    A solve is a pure function of its key (the function's content and the
+    program facts its evaluation reads) and its observable environment, so
+    a lookup returns any kept solve under the same key whose environment
+    passes :func:`environment_matches`.  Kept solves are read-only apart
+    from their products, which a converged analysis sets (to the same value
+    whichever one does): a hit hands out the solve's states and outputs as
+    they are.
     """
 
     def __init__(self) -> None:
-        self._solves: dict[str, list[_Solve]] = {}
-        # One program object may be analyzed on several threads at once.
+        self._solves: dict[tuple, list[_Solve]] = {}
+        #: Every kept solve, least recently used first.
+        self._order: OrderedDict[_Solve, None] = OrderedDict()
+        # Analyses may run on several threads at once.
         self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._order)
 
     def lookup(
         self,
+        key: tuple,
         name: str,
         reads: tuple[frozenset, frozenset],
         params: dict[str, Interval],
@@ -411,7 +507,7 @@ class _SolveTable:
         global_arrays: dict[str, Interval],
     ) -> Optional[_Solve]:
         with self._lock:
-            solves = self._solves.get(name, ())
+            solves = self._solves.get(key, ())
             # Most recently used last, and likeliest to match.
             for index in range(len(solves) - 1, -1, -1):
                 hit = solves[index]
@@ -419,30 +515,29 @@ class _SolveTable:
                     name, reads, params, returns, global_scalars, global_arrays, hit.record
                 ):
                     solves.append(solves.pop(index))
+                    self._order.move_to_end(hit)
                     return hit
         return None
 
-    def add(self, name: str, entry: _Solve) -> None:
+    def add(self, entry: _Solve) -> None:
         with self._lock:
-            solves = self._solves.setdefault(name, [])
-            solves.append(entry)
-            if len(solves) > SOLVE_TABLE_CAP:
-                del solves[0]
+            self._solves.setdefault(entry.key, []).append(entry)
+            self._order[entry] = None
+            while len(self._order) > SOLVE_TABLE_CAP:
+                dropped, _ = self._order.popitem(last=False)
+                solves = self._solves[dropped.key]
+                solves.remove(dropped)
+                if not solves:
+                    del self._solves[dropped.key]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._solves.clear()
+            self._order.clear()
 
 
-#: One solve table per ``(id(program), width)``, dropped with its program.
-_SOLVE_TABLES: dict[tuple[int, int], _SolveTable] = {}
-
-
-def _solve_table(program: ast.Program, width: int) -> _SolveTable:
-    key = (id(program), width)
-    table = _SOLVE_TABLES.get(key)
-    if table is None:
-        fresh = _SolveTable()
-        table = _SOLVE_TABLES.setdefault(key, fresh)
-        if table is fresh:
-            weakref.finalize(program, _SOLVE_TABLES.pop, key, None)
-    return table
+#: The process-wide solve table.
+_SOLVES = _SolveTable()
 
 
 def _combine(old: Interval, new: Interval, widen: bool, width: int) -> Interval:

@@ -97,31 +97,6 @@ class IntervalDomain:
         #: Joined return-value interval.
         self.returned = Interval.bottom()
 
-    def rebound(
-        self,
-        global_scalars: dict[str, Interval],
-        global_arrays: dict[str, Interval],
-        summaries: dict[str, FunctionSummary],
-    ) -> "IntervalDomain":
-        """A copy of this solved domain that reads another run's global
-        invariant and summaries, with its own output tables — later
-        evaluations (the collectors and lints) then leave this one as it
-        is."""
-        clone = object.__new__(IntervalDomain)
-        clone.__dict__.update(
-            self.__dict__,
-            global_scalars=global_scalars,
-            global_arrays=global_arrays,
-            summaries=summaries,
-            call_arguments={
-                callee: dict(arguments)
-                for callee, arguments in self.call_arguments.items()
-            },
-            global_scalar_writes=dict(self.global_scalar_writes),
-            global_array_writes=dict(self.global_array_writes),
-        )
-        return clone
-
     # ------------------------------------------------------- domain protocol
 
     def entry_state(self) -> IntervalState:

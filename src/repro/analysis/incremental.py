@@ -7,13 +7,17 @@ environment (its parameter intervals, its callees' return summaries, the
 global invariant and the array-size table).  The solve is a pure function
 of that environment plus the function's body.
 
-The analyzer's solve table rests on that: every live solve is kept per
-program object together with the :class:`RoundRecord` of the round it ran
-under, and a function whose environment passes
+The analyzer's solve table rests on that: every live solve is kept in one
+process-wide table, under a key naming the function's content and the
+program facts its evaluation reads (width, array sizes, callee parameter
+names), together with a :class:`RoundRecord` holding the slice of the
+round's environment it ran under (:func:`environment_slice`).  A function
+whose key is found and whose environment passes
 :func:`environment_matches` against a kept solve's record — in a later
-round of the same run or in a later analysis of the same program — reuses
-that solve instead of re-solving.  :func:`function_reads` names the slice
-of the environment a function can observe, so the comparison ignores
+round of the same run, in a later analysis of the same program, or in an
+analysis of another program carrying the same function — reuses that
+solve instead of re-solving.  :func:`function_reads` names the slice of
+the environment a function can observe, so the comparison ignores
 everything else.
 """
 
@@ -29,12 +33,13 @@ from repro.lang import ast
 
 @dataclass
 class RoundRecord:
-    """The environment of one fixpoint round, as the solves saw it."""
+    """The environment of a fixpoint round, as a solve saw it: the slice
+    :func:`environment_slice` keeps for one function."""
 
-    #: Parameter intervals each function was solved under.
+    #: Parameter intervals the function was solved under.
     params: dict[str, dict[str, Interval]] = field(default_factory=dict)
-    #: Return-summary interval of every function at the round's start
-    #: (the values callee evaluation reads during the solve).
+    #: Return-summary intervals at the round's start (the values callee
+    #: evaluation reads during the solve).
     returns: dict[str, Interval] = field(default_factory=dict)
     #: Global invariant at the round's start.
     global_scalars: dict[str, Interval] = field(default_factory=dict)
@@ -147,8 +152,33 @@ def environment_matches(
     return True
 
 
+def environment_slice(
+    name: str,
+    reads: tuple[frozenset, frozenset],
+    params: dict[str, Interval],
+    returns: dict[str, Interval],
+    global_scalars: dict[str, Interval],
+    global_arrays: dict[str, Interval],
+) -> RoundRecord:
+    """The part of the live environment :func:`environment_matches`
+    compares for ``name``, copied into a record (entries missing from the
+    live environment stay missing)."""
+    callees, nonlocals = reads
+    return RoundRecord(
+        params={name: params},
+        returns={callee: returns[callee] for callee in callees if callee in returns},
+        global_scalars={
+            var: global_scalars[var] for var in nonlocals if var in global_scalars
+        },
+        global_arrays={
+            var: global_arrays[var] for var in nonlocals if var in global_arrays
+        },
+    )
+
+
 __all__ = [
     "RoundRecord",
     "environment_matches",
+    "environment_slice",
     "function_reads",
 ]

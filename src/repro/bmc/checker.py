@@ -226,6 +226,9 @@ class BoundedModelChecker:
                 "analysis_solves_reused": (
                     analysis.solves_reused if analysis is not None else 0
                 ),
+                "analysis_products_reused": (
+                    analysis.products_reused if analysis is not None else 0
+                ),
             },
         )
         obs.REGISTRY.counter(
@@ -337,7 +340,9 @@ class BoundedModelChecker:
             else:
                 if timed is not None:
                     timed.set(
-                        solves=result.solves, solves_reused=result.solves_reused
+                        solves=result.solves,
+                        solves_reused=result.solves_reused,
+                        products_reused=result.products_reused,
                     )
             cache[entry] = result
         return cache[entry]

@@ -228,7 +228,8 @@ class CompiledProgram:
         analysis solve counts of the compile that produced this artifact:
         ``{"encode_backend": ..., "encode_phases": {phase: seconds},
         "encode_kernel_calls": k, "analysis_solves": n,
-        "analysis_solves_reused": m}`` (``k`` is 0 on the Python backend).
+        "analysis_solves_reused": m, "analysis_products_reused": p}``
+        (``k`` is 0 on the Python backend).
         Empty for unpickled artifacts — timings are
         observability data, not content, and never serialize."""
         return obs.profile_of(self)

@@ -20,7 +20,6 @@ from repro.cfg.graph import (
     FunctionGraph,
     Node,
     build_function_graph,
-    build_program_graphs,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "FunctionGraph",
     "Node",
     "build_function_graph",
-    "build_program_graphs",
 ]

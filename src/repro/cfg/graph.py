@@ -234,8 +234,3 @@ def _build_block(
                 _link(graph, source, index, cond, taken)
             current = [(index, None, True)]
     return current
-
-
-def build_program_graphs(program: ast.Program) -> dict[str, FunctionGraph]:
-    """CFGs for every function of the program."""
-    return {name: build_function_graph(fn) for name, fn in program.functions.items()}

@@ -224,7 +224,11 @@ class ConcolicTracer:
                 ).inc()
                 timed.set(error=f"{type(exc).__name__}: {exc}")
                 return None
-            timed.set(solves=analysis.solves, solves_reused=analysis.solves_reused)
+            timed.set(
+                solves=analysis.solves,
+                solves_reused=analysis.solves_reused,
+                products_reused=analysis.products_reused,
+            )
         if any(d.code != "unwind-insufficient" for d in analysis.errors()):
             return None
         return analysis.write_intervals

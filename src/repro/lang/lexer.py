@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,49 +71,67 @@ def tokenize(source: str) -> list[Token]:
     return list(_tokens(source))
 
 
+#: Blanks, then one alternative per token class, tried in this order;
+#: ``other`` takes whatever the others leave (a word starting with a
+#: non-ASCII character, an int running into one, a stray character), so
+#: the matches tile the source.  :func:`_other_tokens` lexes those pieces
+#: with the ``str`` predicates.  (``\w`` is exactly ``str.isalnum()`` plus
+#: ``_``, so an identifier's tail never needs the fallback.)
+_TOKEN = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<newline>\n)
+    | (?P<comment>//[^\n]*)
+    | (?P<block>/\*.*?\*/)
+    | (?P<unterminated>/\*)
+    | (?P<int>[0-9]+)(?![0-9\x80-\U0010ffff])
+    | (?P<name>[A-Za-z_]\w*)
+    | (?P<symbol>"""
+    + "|".join(re.escape(symbol) for symbol in SYMBOLS)
+    + r""")
+    | (?P<other>\w+|[^ \t\r])
+    )
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+
+
 def _tokens(source: str) -> Iterator[Token]:
     line = 1
-    position = 0
-    length = len(source)
-    while position < length:
-        char = source[position]
-        if char == "\n":
+    for found in _TOKEN.finditer(source):
+        kind = found.lastgroup
+        if kind == "name":
+            text = found["name"]
+            yield Token("keyword" if text in KEYWORDS else "ident", text, line)
+        elif kind == "symbol" or kind == "int":
+            yield Token(kind, found[kind], line)
+        elif kind == "newline":
             line += 1
-            position += 1
-            continue
-        if char in " \t\r":
-            position += 1
-            continue
-        if source.startswith("//", position):
-            end = source.find("\n", position)
-            position = length if end == -1 else end
-            continue
-        if source.startswith("/*", position):
-            end = source.find("*/", position + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line)
-            line += source.count("\n", position, end)
-            position = end + 2
-            continue
+        elif kind == "block":
+            line += found["block"].count("\n")
+        elif kind == "other":
+            yield from _other_tokens(found["other"], line)
+        elif kind == "unterminated":
+            raise LexError("unterminated block comment", line)
+    yield Token("eof", "", line)
+
+
+def _other_tokens(text: str, line: int) -> Iterator[Token]:
+    """Int and identifier tokens of a piece holding no newline, under the
+    ``str`` predicates; any other character is a :class:`LexError`."""
+    position = 0
+    while position < len(text):
+        char = text[position]
+        start = position
+        position += 1
         if char.isdigit():
-            start = position
-            while position < length and source[position].isdigit():
+            while position < len(text) and text[position].isdigit():
                 position += 1
-            yield Token("int", source[start:position], line)
-            continue
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum() or source[position] == "_"):
-                position += 1
-            text = source[start:position]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, line)
-            continue
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, position):
-                yield Token("symbol", symbol, line)
-                position += len(symbol)
-                break
+            yield Token("int", text[start:position], line)
+        elif char.isalpha() or char == "_":
+            position = len(text)  # the piece is one word
+            word = text[start:]
+            yield Token("keyword" if word in KEYWORDS else "ident", word, line)
         else:
             raise LexError(f"unexpected character {char!r}", line)
-    yield Token("eof", "", line)

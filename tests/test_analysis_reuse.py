@@ -4,40 +4,50 @@ Every fixpoint round of :func:`repro.analysis.analyze_program` used to
 re-solve every function.  A function whose environment (parameter
 intervals, callee return summaries, the global-invariant entries it
 mentions) matches the one a kept solve ran under now reuses that solve.
-Solves are kept in one table per program object and width, so a later
-analysis of the same program — the concolic tracer's next failing test, a
-second compile — reuses them too.  These tests pin the reuse to the
-re-solve-everything fixpoint:
+Solves are kept in one process-wide table keyed by function content (plus
+the width, the array-size table and the callees' parameter names), so any
+later analysis carrying the same function — the concolic tracer's next
+failing test, a second compile, the next version of an edited program —
+reuses them too, along with the products a converged analysis kept on
+them.  These tests pin the reuse to the re-solve-everything fixpoint:
 
 * the analysis products equal a reference run with the reuse predicate
   forced to ``False``, on every TCAS version, the four Table 3 programs and
   a mutually recursive program that reaches the widening rounds;
 * a pinned analysis of every seed-7 ``siemens-trace`` request on a warm
   table equals a cold one, an earlier result stays as it was however many
-  later analyses share its solves, a program's table dies with it, and the
-  per-function cap keeps the most recently used solves;
+  later analyses share its solves, and the table's total bound keeps the
+  most recently used solves of any program;
+* a second program analyzed after a first equals its cold analysis when
+  the two differ in a callee's parameter names, another function's local
+  array size, a global initializer or the entry, and after a first
+  analysis cut at ``MAX_ROUNDS``;
+* every TCAS version, the Table 3 programs and the loop corpus analyzed
+  and compiled on a warm table, in forward and in reverse order, equal
+  their cold analyses field by field and their cold artifacts byte by byte
+  (a subset in tier 1, all of them with ``--runslow``);
 * every TCAS compile keeps the signature, variable count and clause lists
   recorded from the re-solve-everything fixpoint
   (``golden_tcas_compile.json``), and a compile's artifact bytes do not
-  depend on the analyses run on its program before;
-* the solve counts reach the ``encode.analysis`` span (of a compile and of
-  a concolic trace), the ``repro_analysis_solves`` counter and the encode
-  profile;
+  depend on the analyses run before it;
+* the solve and product counts reach the ``encode.analysis`` span (of a
+  compile and of a concolic trace), the ``repro_analysis_solves`` counter
+  and the encode profile;
 * an analysis that raises is counted and named on the span, and the
   compile or trace goes on without narrowing;
 * with ``--runslow``: the ordered candidates and trace-formula clause
   stores of every ``siemens-trace`` request of seeds 7, 1, 3 and 11 equal
-  a run whose solve tables are cleared before each request.
+  a run whose solve table is cleared before each request.
 """
 from __future__ import annotations
 
 import copy
-import gc
+import dataclasses
 import hashlib
 import json
 import sys
 import threading
-import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -45,15 +55,15 @@ import pytest
 import repro.analysis
 import repro.analysis.analyzer as analyzer
 from repro import obs
-from repro.analysis import Interval, analyze_program
+from repro.analysis import AnalysisResult, Interval, analyze_program
 from repro.bmc import BoundedModelChecker, dumps_artifact
 from repro.concolic import ConcolicTracer
 from repro.core import LocalizationSession
 from repro.lang import check_program, parse_program
-from repro.lang.semantics import DEFAULT_WIDTH
 from repro.reduction import minimize_failing_input
 from repro.sat import search_backend
 from repro.siemens import tcas_faulty_program, tcas_faulty_source
+from repro.siemens.loop_corpus import LOOP_BENCHMARKS
 from repro.siemens.programs import LARGE_BENCHMARKS
 from repro.siemens.suite import TCAS_HARNESS_LINES, localize_large_input
 from repro.siemens.tcas import tcas_versions
@@ -135,17 +145,63 @@ def mutual_recursion_program():
     return program
 
 
-def fresh_tcas(version: str):
-    """A newly parsed TCAS version, with an empty solve table of its own
-    (the lru-cached ``tcas_faulty_program`` objects share theirs across
-    tests)."""
-    program = parse_program(tcas_faulty_source(version), name=f"tcas-{version}")
+def parsed(source: str, name: str):
+    program = parse_program(source, name=name)
     check_program(program)
     return program
 
 
-def solve_table(program):
-    return analyzer._SOLVE_TABLES[(id(program), DEFAULT_WIDTH)]
+def fresh_tcas(version: str):
+    """A newly parsed TCAS version (not the lru-cached object)."""
+    return parsed(tcas_faulty_source(version), f"tcas-{version}")
+
+
+@pytest.fixture
+def table(monkeypatch):
+    """An empty solve table, in place of the process-wide one for the
+    test."""
+    fresh = analyzer._SolveTable()
+    monkeypatch.setattr(analyzer, "_SOLVES", fresh)
+    return fresh
+
+
+@contextmanager
+def empty_table():
+    """An empty solve table in place of the process-wide one, which is
+    left as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "_SOLVES", analyzer._SolveTable())
+        yield
+
+
+def cold_analysis(program, **options):
+    with empty_table():
+        return analyze_program(program, **options)
+
+
+def cold_compile(program):
+    with empty_table():
+        return compile_program(program)
+
+
+def compile_program(program):
+    return BoundedModelChecker(program, group_statements=True).compile_program()
+
+
+#: The counters that differ between a warm and a cold analysis by design.
+COUNTS = ("solves", "solves_reused", "products_reused")
+
+
+def assert_equal_analyses(warm, cold, context=None):
+    """Every :class:`AnalysisResult` field but the reuse counters is equal,
+    and both runs went through the same number of rounds."""
+    for field_ in dataclasses.fields(AnalysisResult):
+        if field_.name not in COUNTS:
+            assert getattr(warm, field_.name) == getattr(cold, field_.name), (
+                context,
+                field_.name,
+            )
+    assert warm.solves + warm.solves_reused == cold.solves + cold.solves_reused
 
 
 def siemens_trace_tests(seed: int):
@@ -224,54 +280,58 @@ def test_pinned_entry_inputs_equal_the_resolving_fixpoint(monkeypatch):
             assert getattr(got, name) == getattr(want, name), (program.name, name)
 
 
-def test_tcas_reuse_fires():
+def test_tcas_reuse_fires(table):
     solved = reused = 0
     for version in tcas_versions():
         program = fresh_tcas(version)
         result = analyze_program(program)
         solved += result.solves
         reused += result.solves_reused
-        # A second analysis of the same program solves nothing.
+        # A second analysis of the same program solves nothing and takes
+        # every function's products from the kept solves.
         again = analyze_program(program)
         assert again.solves == 0, version
         assert again.solves_reused == result.solves + result.solves_reused, version
+        assert again.products_reused == len(program.functions), version
     assert reused > 0
     assert solved > 0
 
 
+def test_tcas_versions_reuse_each_other_s_solves(table):
+    """A version shares all but its faulty function with an earlier one,
+    so a pass over every version solves a small fraction of what cold
+    analyses would."""
+    warm = [analyze_program(fresh_tcas(version)) for version in tcas_versions()]
+    cold = [cold_analysis(fresh_tcas(version)) for version in tcas_versions()]
+    assert sum(r.solves for r in warm) * 4 < sum(r.solves for r in cold)
+    assert sum(r.products_reused for r in warm) > 0
+    assert all(r.products_reused == 0 for r in cold)
+
+
 def test_pinned_analyses_on_a_warm_table_equal_cold_ones():
     """The tracer's analysis of every seed-7 ``siemens-trace`` request, on
-    the table the earlier requests left, equals one on a fresh copy of the
-    program (a new object, so an empty table)."""
+    the table the earlier requests left, equals one on an empty table."""
     warm_reused = cold_reused = 0
     for benchmark, test in siemens_trace_tests(7):
         program = benchmark.faulty_program()
         warm = analyze_program(program, entry_inputs=test)
-        cold = analyze_program(copy.deepcopy(program), entry_inputs=test)
-        assert warm.solves + warm.solves_reused == cold.solves + cold.solves_reused
+        cold = cold_analysis(program, entry_inputs=test)
         warm_reused += warm.solves_reused
         cold_reused += cold.solves_reused
-        for name in PRODUCTS:
-            assert getattr(warm, name) == getattr(cold, name), (
-                benchmark.name,
-                test,
-                name,
-            )
+        assert_equal_analyses(warm, cold, (benchmark.name, test))
     assert warm_reused > cold_reused
 
 
 def test_a_reused_solve_reads_the_reusing_run_s_environment():
     """The collectors evaluate a reused solve against this run's global
     invariant, not the one its solving run ended with."""
-    program = parse_program(SUPERSEDED, name="superseded")
-    check_program(program)
+    program = parsed(SUPERSEDED, "superseded")
     analyze_program(program, entry_inputs=[5])
     warm = analyze_program(program, entry_inputs=[0])
-    cold = analyze_program(copy.deepcopy(program), entry_inputs=[0])
+    cold = cold_analysis(program, entry_inputs=[0])
     assert warm.solves_reused > cold.solves_reused
     assert warm.write_interval("f", 4) == Interval.const(1)
-    for name in PRODUCTS:
-        assert getattr(warm, name) == getattr(cold, name), name
+    assert_equal_analyses(warm, cold)
 
 
 def test_earlier_results_survive_later_analyses():
@@ -303,28 +363,22 @@ def test_artifact_bytes_do_not_depend_on_analysis_history():
     same bytes as a cold one (artifact keys hash those bytes)."""
     benchmark = BENCHMARKS["schedule2"]
     program = copy.deepcopy(benchmark.faulty_program())
-
-    def compile_once():
-        return BoundedModelChecker(program, group_statements=True).compile_program()
-
-    cold = compile_once()
+    cold = cold_compile(program)
     for value in range(5):
         analyze_program(program, entry_inputs=[value, *benchmark.failing_test[1:]])
-    warm = compile_once()
+    warm = compile_program(program)
     assert dumps_artifact(warm) == dumps_artifact(cold)
 
 
-def test_concurrent_analyses_of_one_program_share_its_table(monkeypatch):
+def test_concurrent_analyses_of_one_program_share_its_table(monkeypatch, table):
     """Threads analysing one program object at once, with a short switch
-    interval and a cap small enough to evict all the time, get the cold
-    results and leave every list within the cap."""
-    monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 3)
+    interval and a bound small enough to evict all the time, get the cold
+    results and leave the table within its bound."""
     benchmark = BENCHMARKS["schedule2"]
     program = copy.deepcopy(benchmark.faulty_program())
     tests = [[value, *benchmark.failing_test[1:]] for value in range(12)]
-    expected = [
-        analyze_program(copy.deepcopy(program), entry_inputs=test) for test in tests
-    ]
+    expected = [cold_analysis(program, entry_inputs=test) for test in tests]
+    monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 3)
     failures: list = []
 
     def worker(offset: int) -> None:
@@ -350,28 +404,13 @@ def test_concurrent_analyses_of_one_program_share_its_table(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert all(
-        len(solves) <= analyzer.SOLVE_TABLE_CAP
-        for solves in solve_table(program)._solves.values()
-    )
+    assert len(table) <= analyzer.SOLVE_TABLE_CAP
+    assert sum(len(solves) for solves in table._solves.values()) == len(table)
 
 
-def test_a_table_is_dropped_with_its_program():
-    program = mutual_recursion_program()
-    analyze_program(program, entry_inputs=[3])
-    key = (id(program), DEFAULT_WIDTH)
-    assert key in analyzer._SOLVE_TABLES
-    alive = weakref.ref(program)
-    del program
-    gc.collect()
-    assert alive() is None
-    assert key not in analyzer._SOLVE_TABLES
-
-
-def test_the_cap_keeps_the_most_recently_used_solves(monkeypatch):
+def test_the_cap_keeps_the_most_recently_used_solves(monkeypatch, table):
     monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 2)
-    program = parse_program(STRAIGHT_LINE, name="straight-line")
-    check_program(program)
+    program = parsed(STRAIGHT_LINE, "straight-line")
     assert [analyze_program(program, entry_inputs=[x]).solves for x in (1, 2, 1, 3)] == [
         1,
         1,
@@ -379,10 +418,220 @@ def test_the_cap_keeps_the_most_recently_used_solves(monkeypatch):
         1,
     ]
     # x=1 was used after x=2, so x=2's solve is the one x=3 displaced.
-    assert len(solve_table(program)._solves["main"]) == 2
+    assert len(table) == 2
     assert analyze_program(program, entry_inputs=[1]).solves == 0
     assert analyze_program(program, entry_inputs=[2]).solves == 1
-    assert len(solve_table(program)._solves["main"]) == 2
+    assert len(table) == 2
+
+
+def test_the_bound_drops_the_least_recently_used_solve_of_any_program(
+    monkeypatch, table
+):
+    """The bound counts the solves of every program together: a third
+    program's solve displaces whichever of the two kept ones was used
+    least recently, whatever program it came from."""
+    monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 2)
+    first, second, third = (
+        parsed(STRAIGHT_LINE.replace("x + 1", f"x + {k}"), f"straight-{k}")
+        for k in (1, 2, 3)
+    )
+    assert [analyze_program(program).solves for program in (first, second)] == [1, 1]
+    # A newly parsed copy of the first program is a hit: same content.
+    assert analyze_program(parsed(STRAIGHT_LINE, "copy")).solves == 0
+    assert analyze_program(third).solves == 1
+    assert len(table) == 2
+    assert analyze_program(first).solves == 0
+    assert analyze_program(second).solves == 1
+    assert len(table) == 2
+
+
+# ------------------------------------------------ cross-program hazards
+#
+# Each pair differs outside one function's body in something that function's
+# solve or products read; the second program analyzed after the first must
+# equal its cold analysis.
+
+#: ``f`` is byte-identical in both; ``g`` swaps its parameter names, so the
+#: same call ``g(x, 1)`` binds ``p`` to 1 instead of ``x``.
+RENAMED_CALLEE = """
+int g(int {first}, int {second}) {{
+    return p - q;
+}}
+int f(int x) {{
+    int r = g(x, 1);
+    return r;
+}}
+int main(int x) {{
+    assume(x >= 10);
+    assume(x < 20);
+    return f(x);
+}}
+"""
+
+#: ``f`` indexes its local ``buf`` at 5; ``g``'s local ``buf``, declared
+#: later, sets the size the program-wide array table holds for the name.
+OTHER_LOCAL_ARRAY = """
+int f(int i) {{
+    int buf[8];
+    buf[5] = i;
+    return buf[5];
+}}
+int g(int i) {{
+    int buf[{size}];
+    buf[0] = i;
+    return buf[0];
+}}
+int main(int x) {{
+    return f(x) + g(x);
+}}
+"""
+
+GLOBAL_INITIALIZER = """
+int limit = {limit};
+int f(int v) {{
+    int r = limit * 2;
+    return r + v;
+}}
+int main(int x) {{
+    assume(x >= 0);
+    assume(x < 4);
+    return f(x);
+}}
+"""
+
+TWO_ENTRIES = """
+int f(int v) {
+    int r = v * 2;
+    return r;
+}
+int main(int x) {
+    assume(x >= 0);
+    assume(x < 4);
+    return f(x);
+}
+"""
+
+#: ``h`` writes the global ``f`` reads only in the first program.  One
+#: round is not enough for that program to converge, so its products of
+#: ``f`` see ``g`` widened by ``h``'s write; the second program converges
+#: with ``g`` at its initializer and must not take them.
+UNCONVERGED = """
+int g = 0;
+int f(int v) {{
+    int r = g + 1;
+    return r;
+}}
+int h(int v) {{
+    {write}
+    return 0;
+}}
+int main(int x) {{
+    int a = h(x);
+    return f(x) + a;
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "first, second, options",
+    [
+        pytest.param(
+            RENAMED_CALLEE.format(first="p", second="q"),
+            RENAMED_CALLEE.format(first="q", second="p"),
+            {},
+            id="callee-parameters-renamed",
+        ),
+        pytest.param(
+            OTHER_LOCAL_ARRAY.format(size=4),
+            OTHER_LOCAL_ARRAY.format(size=16),
+            {},
+            id="other-function-s-local-array-size",
+        ),
+        pytest.param(
+            GLOBAL_INITIALIZER.format(limit=3),
+            GLOBAL_INITIALIZER.format(limit=7),
+            {},
+            id="global-initializer",
+        ),
+        # ``f`` as the pinned entry first, then as ``main``'s callee.
+        pytest.param(
+            TWO_ENTRIES,
+            TWO_ENTRIES,
+            {"entry": "f", "entry_inputs": [2]},
+            id="entry",
+        ),
+    ],
+)
+def test_a_second_program_equals_its_cold_analysis(table, first, second, options):
+    analyze_program(parsed(first, "first"), **options)
+    program = parsed(second, "second")
+    assert_equal_analyses(analyze_program(program), cold_analysis(program))
+
+
+def test_an_unconverged_analysis_keeps_no_products(monkeypatch, table):
+    monkeypatch.setattr(analyzer, "MAX_ROUNDS", 1)
+    first = parsed(UNCONVERGED.format(write="g = 5;"), "first")
+    assert_equal_analyses(analyze_program(first), cold_analysis(first))
+    monkeypatch.undo()
+    monkeypatch.setattr(analyzer, "_SOLVES", table)
+    second = parsed(UNCONVERGED.format(write="g = g;"), "second")
+    warm = analyze_program(second)
+    cold = cold_analysis(second)
+    assert warm.solves_reused > cold.solves_reused
+    assert warm.write_interval("f", 4) == Interval.const(1)
+    assert_equal_analyses(warm, cold)
+
+
+# ------------------------------------------------- warm versus cold, at scale
+
+
+def differential_corpus(full: bool) -> list[tuple[str, str]]:
+    """``(name, source)`` per program: every TCAS version (every fourth
+    without ``full``), the four Table 3 programs and the loop corpus."""
+    versions = tcas_versions() if full else tcas_versions()[::4]
+    sources = [(f"tcas-{v}", tcas_faulty_source(v)) for v in versions]
+    sources += [
+        (benchmark.name, "\n".join(benchmark.faulty_lines()) + "\n")
+        for benchmark in LARGE_BENCHMARKS
+        if full or benchmark.name == "schedule2"
+    ]
+    sources += [(benchmark.name, benchmark.source) for benchmark in LOOP_BENCHMARKS]
+    return sources
+
+
+#: tot_info's whole-program compile takes over a second on the C encoder;
+#: its artifact is compared with ``--runslow`` only.
+SLOW_COMPILES = {"tot_info"}
+
+
+def run_differential(full: bool) -> None:
+    corpus = differential_corpus(full)
+    cold = {}
+    for name, source in corpus:
+        compiled = None if name in SLOW_COMPILES and not full else cold_compile(
+            parsed(source, name)
+        )
+        cold[name] = (
+            cold_analysis(parsed(source, name)),
+            compiled and dumps_artifact(compiled),
+        )
+    with empty_table():
+        for order in (corpus, corpus[::-1]):
+            for name, source in order:
+                want, artifact = cold[name]
+                assert_equal_analyses(analyze_program(parsed(source, name)), want, name)
+                if artifact is not None:
+                    got = dumps_artifact(compile_program(parsed(source, name)))
+                    assert got == artifact, name
+
+
+def test_warm_analyses_and_artifacts_equal_cold_ones():
+    run_differential(full=False)
+
+
+@pytest.mark.slow
+def test_warm_analyses_and_artifacts_equal_cold_ones_on_the_whole_corpus():
+    run_differential(full=True)
 
 
 def test_tcas_compiles_match_the_recorded_goldens():
@@ -402,34 +651,39 @@ def counter_value(name: str, **labels) -> float:
     return obs.REGISTRY.counter(name, labels=labels or None).value
 
 
-def test_solve_counts_reach_span_counter_and_profile(monkeypatch):
+def test_solve_counts_reach_span_counter_and_profile(monkeypatch, table):
     monkeypatch.setenv("REPRO_TRACE", "on")
     solved_before = counter_value("repro_analysis_solves", outcome="solved")
     reused_before = counter_value("repro_analysis_solves", outcome="reused")
-    # Both runs start cold: each on its own freshly parsed program.
+    # Both runs start cold: each on an empty table.
     with obs.trace("compile") as handle:
-        compiled = BoundedModelChecker(
-            fresh_tcas("v1"), group_statements=True
-        ).compile_program()
-    reference = analyze_program(fresh_tcas("v1"))
+        compiled = compile_program(fresh_tcas("v1"))
+    reference = cold_analysis(fresh_tcas("v1"))
     spans = {span["name"]: span for span in handle.spans()}
     attrs = spans["encode.analysis"]["attrs"]
     assert attrs == {
         "solves": reference.solves,
         "solves_reused": reference.solves_reused,
+        "products_reused": 0,
     }
     assert reference.solves_reused > 0
     profile = compiled.encode_profile()
     assert profile["analysis_solves"] == reference.solves
     assert profile["analysis_solves_reused"] == reference.solves_reused
-    # The compile's analysis and the reference run both counted.
+    assert profile["analysis_products_reused"] == 0
+    # A second compile of the version takes every function's products.
+    again = compile_program(fresh_tcas("v1"))
+    assert again.encode_profile()["analysis_products_reused"] == len(
+        tcas_faulty_program("v1").functions
+    )
+    # The compiles' analyses and the reference run all counted.
     assert (
         counter_value("repro_analysis_solves", outcome="solved") - solved_before
         == 2 * reference.solves
     )
     assert (
         counter_value("repro_analysis_solves", outcome="reused") - reused_before
-        == 2 * reference.solves_reused
+        == 3 * reference.solves_reused + reference.solves
     )
 
 
@@ -455,7 +709,7 @@ def test_analysis_crash_is_counted_and_the_compile_goes_on(monkeypatch):
     assert compiled.narrowed_vars == 0
 
 
-def test_trace_analysis_reports_solves_and_reuses_earlier_ones(monkeypatch):
+def test_trace_analysis_reports_solves_and_reuses_earlier_ones(monkeypatch, table):
     monkeypatch.setenv("REPRO_TRACE", "on")
     program = mutual_recursion_program()
     spec = Specification.return_value(0)
@@ -468,8 +722,14 @@ def test_trace_analysis_reports_solves_and_reuses_earlier_ones(monkeypatch):
         attrs.append(spans["encode.analysis"]["attrs"])
     cold, warm = attrs
     assert cold["solves"] > 0
-    # The second trace of the same test reuses every solve of the first.
-    assert warm == {"solves": 0, "solves_reused": cold["solves"] + cold["solves_reused"]}
+    assert cold["products_reused"] == 0
+    # The second trace of the same test reuses every solve and every
+    # function's products of the first.
+    assert warm == {
+        "solves": 0,
+        "solves_reused": cold["solves"] + cold["solves_reused"],
+        "products_reused": len(program.functions),
+    }
     assert (
         counter_value("repro_analysis_solves", outcome="reused") - reused_before
         == cold["solves_reused"] + warm["solves_reused"]
@@ -516,8 +776,8 @@ def ordered_candidates(report) -> list:
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [7, 1, 3, 11])
 def test_siemens_trace_equals_the_table_cleared_run(seed):
-    """The whole trace-mode protocol with the tables kept across requests
-    equals the run that clears them before each request."""
+    """The whole trace-mode protocol with the solve table kept across
+    requests equals the run that clears it before each request."""
     from perfbench.generate import siemens_requests
 
     requests = [
@@ -530,7 +790,7 @@ def test_siemens_trace_equals_the_table_cleared_run(seed):
         for request in requests
     ]
     for request, (warm_formula, warm_report) in zip(requests, warm):
-        analyzer._SOLVE_TABLES.clear()
+        analyzer._SOLVES.clear()
         formula, report = localize_large_input(
             BENCHMARKS[request.program], request.inputs
         )

@@ -14,7 +14,7 @@ from repro.lang import (
     parse_program,
 )
 from repro.lang import ast
-from repro.lang.lexer import LexError, tokenize
+from repro.lang.lexer import LexError, Token, tokenize
 from repro.lang.pretty import format_program
 from repro.lang.semantics import apply_binary, apply_unary, wrap
 from repro.lang.transform import (
@@ -79,6 +79,127 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("int x = @;")
+
+
+def reference_tokens(source: str) -> list[Token]:
+    """The character-by-character lexer the regex one replaced, kept as the
+    reference its token streams and errors must equal."""
+    keywords = {"int", "void", "if", "else", "while", "return", "assert", "assume", "true", "false"}
+    symbols = ["<=", ">=", "==", "!=", "&&", "||", *"<>=!+-*/%(){}[];,?:"]
+    tokens = []
+    line, position, length = 1, 0, len(source)
+    while position < length:
+        char = source[position]
+        if char == "\n":
+            line += 1
+            position += 1
+        elif char in " \t\r":
+            position += 1
+        elif source.startswith("//", position):
+            end = source.find("\n", position)
+            position = length if end == -1 else end
+        elif source.startswith("/*", position):
+            end = source.find("*/", position + 2)
+            if end == -1:
+                raise LexError("unterminated block comment", line)
+            line += source.count("\n", position, end)
+            position = end + 2
+        elif char.isdigit():
+            start = position
+            while position < length and source[position].isdigit():
+                position += 1
+            tokens.append(Token("int", source[start:position], line))
+        elif char.isalpha() or char == "_":
+            start = position
+            while position < length and (
+                source[position].isalnum() or source[position] == "_"
+            ):
+                position += 1
+            text = source[start:position]
+            tokens.append(Token("keyword" if text in keywords else "ident", text, line))
+        else:
+            for symbol in symbols:
+                if source.startswith(symbol, position):
+                    tokens.append(Token("symbol", symbol, line))
+                    position += len(symbol)
+                    break
+            else:
+                raise LexError(f"unexpected character {char!r}", line)
+    tokens.append(Token("eof", "", line))
+    return tokens
+
+
+def lexed(lex, source: str):
+    """The token list, or the LexError's message and line."""
+    try:
+        return lex(source)
+    except LexError as exc:
+        return (str(exc), exc.line)
+
+
+def lexer_corpus() -> dict[str, str]:
+    from pathlib import Path
+
+    from repro.siemens import TCAS_SOURCE, tcas_faulty_source
+    from repro.siemens.loop_corpus import LOOP_BENCHMARKS
+    from repro.siemens.programs import LARGE_BENCHMARKS
+    from repro.siemens.tcas import tcas_versions
+
+    sources = {"tcas": TCAS_SOURCE}
+    for version in tcas_versions():
+        sources[f"tcas-{version}"] = tcas_faulty_source(version)
+    for benchmark in LARGE_BENCHMARKS:
+        sources[benchmark.name] = "\n".join(benchmark.source_lines) + "\n"
+        sources[f"{benchmark.name}-faulty"] = "\n".join(benchmark.faulty_lines()) + "\n"
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    for example in sorted(examples.glob("*.mc")):
+        sources[example.name] = example.read_text()
+    for benchmark in LOOP_BENCHMARKS:
+        sources[benchmark.name] = benchmark.source
+    return sources
+
+
+class TestLexerMatchesTheReference:
+    def test_corpus_token_streams(self):
+        corpus = lexer_corpus()
+        assert len(corpus) > 50
+        for name, source in corpus.items():
+            assert lexed(tokenize, source) == lexed(reference_tokens, source), name
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "int x = @;",
+            "int x;\n\n  y = 1 # 2;",
+            "int a;\n/* never\nclosed",
+            "/*/ still open */ x /*/",
+            "a\t\r\n",
+            "x\fy",
+            "\u00a0",
+        ],
+    )
+    def test_errors_and_edge_cases(self, source):
+        assert lexed(tokenize, source) == lexed(reference_tokens, source)
+
+    @pytest.mark.parametrize(
+        "source", ["int x\u00b2 = 12\u00b2;", "12\u00e9 \u00e9 \u0663\u0664 _\u00e9 \u00bd"]
+    )
+    def test_non_ascii_words_follow_the_str_predicates(self, source):
+        assert lexed(tokenize, source) == lexed(reference_tokens, source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                list("ab_19 \n\t\r/*+-<>=!&|;(){}[]?:,.%@\u00e9\u00b2")
+                + ["int", "while", "//", "/*", "*/"]
+            ),
+            max_size=40,
+        )
+    )
+    def test_random_sources(self, pieces):
+        source = "".join(pieces)
+        assert lexed(tokenize, source) == lexed(reference_tokens, source)
 
 
 class TestParser:

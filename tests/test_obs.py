@@ -355,13 +355,15 @@ class TestSessionTracing:
             profile = session.last_request_profile
             encode_profile = session.compiled.encode_profile()
         # The analysis solve counts joined the schema as two more keys,
-        # the C-core entry count as one more.
+        # the C-core entry count as one more, the reused products as one
+        # more.
         assert set(encode_profile) == {
             "encode_backend",
             "encode_phases",
             "encode_kernel_calls",
             "analysis_solves",
             "analysis_solves_reused",
+            "analysis_products_reused",
         }
         assert set(encode_profile["encode_phases"]) == {"analysis", "gates"}
         for key in (
