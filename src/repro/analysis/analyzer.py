@@ -15,11 +15,13 @@ domains per function for the lints:
   (``entry_inputs``), which is how the concolic tracer obtains ranges that
   hold on the specific failing test it encodes;
 * every interval solve of a function is kept in one process-wide solve
-  table, keyed by the function's content, and reused by any later round
-  or later analysis — of this program or of another one carrying the same
-  function — whose environment for that function matches; a solve of a
-  converged analysis also keeps the function's finished products (its
-  narrowing entries, observed intervals, lints and loop verdicts).
+  table, keyed by the function's content and the fingerprint of the
+  environment it ran under, and reused by any later round or later
+  analysis — of this program or of another one carrying the same
+  function — whose environment for that function has the same
+  fingerprint; a solve of a converged analysis also keeps the function's
+  finished products (its narrowing entries, observed intervals, lints and
+  loop verdicts).
 
 The result carries structured :class:`~repro.lang.diagnostics.Diagnostic`
 records (the lint output) and per-write-site value intervals (the narrowing
@@ -43,12 +45,7 @@ from repro.analysis.domains import (
     LiveLocalsDomain,
 )
 from repro.analysis.framework import solve
-from repro.analysis.incremental import (
-    RoundRecord,
-    environment_matches,
-    environment_slice,
-    function_reads,
-)
+from repro.analysis.incremental import environment_fingerprint, function_reads
 from repro.analysis.intervals import Interval
 from repro.analysis.loops import LoopBound, infer_loop_bounds, lint_loops
 from repro.cfg.graph import FunctionGraph, build_function_graph
@@ -103,6 +100,8 @@ class AnalysisResult:
     #: lints, loop verdicts) came from a kept solve instead of being
     #: recomputed.
     products_reused: int = 0
+    #: Solves kept in the process-wide solve table when the run ended.
+    table_solves: int = 0
 
     @property
     def has_errors(self) -> bool:
@@ -181,16 +180,20 @@ def analyze_program(
 
     Every live solve goes through the process-wide solve table.  Its key
     is the function's content digest, the width, the program's array-size
-    table and each callee's parameter names; a function whose key and
-    environment match a kept solve — from an earlier round, an earlier
+    table and each callee's parameter names, plus the fingerprint of the
+    environment slice the function observes; a function whose key and
+    fingerprint find a kept solve — from an earlier round, an earlier
     analysis of this program, or an analysis of another program carrying
-    the same function — reuses it.  A converged analysis keeps each
-    function's products on the solve it ended with, and a later converged
-    analysis that ends on that solve takes them as they are; only the loop
-    lints, which read ``unwind``, run every time.  The table keeps at most
+    the same function — reuses it after one dict lookup.  The digest and
+    the function's reads are computed once per ``Function`` object.  A
+    converged analysis keeps each function's products on the solve it
+    ended with, and a later converged analysis that ends on that solve
+    takes them as they are; only the loop lints, which read ``unwind``,
+    run every time.  The table keeps at most
     :data:`SOLVE_TABLE_CAP` solves, dropping the least recently used.
     ``solves``, ``solves_reused`` and ``products_reused`` on the result
-    count the outcomes.
+    count the outcomes, and ``table_solves`` is the table's size after the
+    run.
     """
     # ---- the flow-insensitive global invariant, seeded from initializers
     global_scalars: dict[str, Interval] = {}
@@ -230,8 +233,9 @@ def analyze_program(
     }
     kept: dict[str, _Solve] = {}
 
-    reads = {name: function_reads(fn) for name, fn in program.functions.items()}
-    keys = _solve_keys(program, reads, array_sizes, width)
+    facts = {name: _function_facts(fn) for name, fn in program.functions.items()}
+    keys = _solve_keys(program, facts, array_sizes, width)
+    reads = {name: fact[1] for name, fact in facts.items()}
     table = _SOLVES
     solved = reused = 0
 
@@ -246,8 +250,13 @@ def analyze_program(
         only their own output tables, so the invariant and the summaries
         stay at their round-start values all round.)"""
         nonlocal solved, reused
-        args = (name, reads[name], params, returns, global_scalars, global_arrays)
-        hit = table.lookup(keys[name], *args)
+        key = (
+            keys[name],
+            environment_fingerprint(
+                reads[name], params, returns, global_scalars, global_arrays
+            ),
+        )
+        hit = table.lookup(key)
         if hit is not None:
             reused += 1
             return hit
@@ -269,7 +278,7 @@ def analyze_program(
             domain.global_scalar_writes,
             domain.global_array_writes,
         )
-        fresh = _Solve(keys[name], environment_slice(*args), graph, function_states, out)
+        fresh = _Solve(key, params, graph, function_states, out)
         table.add(fresh)
         return fresh
 
@@ -342,7 +351,7 @@ def analyze_program(
             # and summaries.
             domain = IntervalDomain(
                 function,
-                solve_.record.params[name],
+                solve_.params,
                 global_scalars,
                 global_arrays,
                 array_sizes,
@@ -374,6 +383,11 @@ def analyze_program(
             "Per-function interval solves of the analysis fixpoint",
             labels={"outcome": outcome},
         ).inc(count)
+    table_solves = len(table)
+    obs.REGISTRY.gauge(
+        "repro_analysis_solve_table_solves",
+        "Interval solves kept in the process-wide analysis solve table",
+    ).set(table_solves)
 
     return AnalysisResult(
         program=program,
@@ -389,6 +403,7 @@ def analyze_program(
         solves=solved,
         solves_reused=reused,
         products_reused=products_reused,
+        table_solves=table_solves,
     )
 
 
@@ -436,41 +451,69 @@ def _function_products(
 
 @dataclass(eq=False)
 class _Solve:
-    """One interval solve of a function, the slice of the environment it
-    ran under and, once a converged analysis ended on it, the function's
+    """One interval solve of a function, the parameter intervals it ran
+    under and, once a converged analysis ended on it, the function's
     products."""
 
+    #: ``(solve key, environment fingerprint)``: where the table files it.
     key: tuple
-    record: RoundRecord
+    params: dict[str, Interval]
     graph: FunctionGraph
     states: dict[int, IntervalState]
     outputs: tuple
     products: Optional[_Products] = None
 
 
+#: ``(content digest, (callees, non-local names))`` of a function, the
+#: names sorted.
+_Facts = tuple[bytes, tuple[tuple[str, ...], tuple[str, ...]]]
+
+#: Attribute under which :func:`_function_facts` memoizes on a function.
+_FACTS = "_analysis_facts"
+
+
+def _function_facts(function: ast.Function) -> _Facts:
+    """A function's content digest and :func:`function_reads` as sorted
+    tuples, computed once per :class:`~repro.lang.ast.Function` object.
+
+    The digest is one sha256 of the function's ``repr``, which also carries
+    its name, parameters and line numbers.  ``Function`` is frozen and
+    nothing rewrites one in place (``dataclasses.replace`` builds a new
+    object, which carries no memo), so the facts are kept on the object.
+    """
+    facts = function.__dict__.get(_FACTS)
+    if facts is None:
+        callees, nonlocals = function_reads(function)
+        facts = (
+            hashlib.sha256(repr(function).encode()).digest(),
+            (tuple(sorted(callees)), tuple(sorted(nonlocals))),
+        )
+        object.__setattr__(function, _FACTS, facts)
+    return facts
+
+
 def _solve_keys(
     program: ast.Program,
-    reads: dict[str, tuple[frozenset, frozenset]],
+    facts: dict[str, _Facts],
     array_sizes: dict[str, int],
     width: int,
 ) -> dict[str, tuple]:
     """The solve-table key of every function of ``program``.
 
-    Beyond the body (one sha256 of its ``repr``, which also carries the
-    name, parameters and line numbers), a solve reads the width, the
+    Beyond the body (its content digest), a solve reads the width, the
     program-wide array-size table and, through the summaries, each
-    callee's parameter names — the environment match covers the rest.
+    callee's parameter names — the environment fingerprint covers the
+    rest.
     """
     functions = program.functions
     sizes = tuple(sorted(array_sizes.items()))
     keys: dict[str, tuple] = {}
-    for name, function in functions.items():
-        callees = tuple(
+    for name, (digest, (callees, _)) in facts.items():
+        keyed_callees = tuple(
             (callee, functions[callee].params if callee in functions else None)
-            for callee in sorted(reads[name][0])
+            for callee in callees
         )
-        digest = hashlib.sha256(repr(function).encode()).digest()
-        keys[name] = (digest, width, sizes, callees)
+        keys[name] = (digest, width, sizes, keyed_callees)
     return keys
 
 
@@ -478,62 +521,42 @@ class _SolveTable:
     """The kept interval solves of every function analyzed in the process.
 
     A solve is a pure function of its key (the function's content and the
-    program facts its evaluation reads) and its observable environment, so
-    a lookup returns any kept solve under the same key whose environment
-    passes :func:`environment_matches`.  Kept solves are read-only apart
-    from their products, which a converged analysis sets (to the same value
-    whichever one does): a hit hands out the solve's states and outputs as
-    they are.
+    program facts its evaluation reads) and of the environment slice the
+    function observes, so the table files each solve under ``(key,
+    fingerprint)`` (:func:`environment_fingerprint`) and a lookup is one
+    dict probe, however many solves a key holds.  Kept solves are
+    read-only apart from their products, which a converged analysis sets
+    (to the same value whichever one does): a hit hands out the solve's
+    states and outputs as they are.
     """
 
     def __init__(self) -> None:
-        self._solves: dict[tuple, list[_Solve]] = {}
-        #: Every kept solve, least recently used first.
-        self._order: OrderedDict[_Solve, None] = OrderedDict()
+        #: Every kept solve by ``(key, fingerprint)``, least recently used
+        #: first.
+        self._solves: OrderedDict[tuple, _Solve] = OrderedDict()
         # Analyses may run on several threads at once.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._solves)
 
-    def lookup(
-        self,
-        key: tuple,
-        name: str,
-        reads: tuple[frozenset, frozenset],
-        params: dict[str, Interval],
-        returns: dict[str, Interval],
-        global_scalars: dict[str, Interval],
-        global_arrays: dict[str, Interval],
-    ) -> Optional[_Solve]:
+    def lookup(self, key: tuple) -> Optional[_Solve]:
         with self._lock:
-            solves = self._solves.get(key, ())
-            # Most recently used last, and likeliest to match.
-            for index in range(len(solves) - 1, -1, -1):
-                hit = solves[index]
-                if environment_matches(
-                    name, reads, params, returns, global_scalars, global_arrays, hit.record
-                ):
-                    solves.append(solves.pop(index))
-                    self._order.move_to_end(hit)
-                    return hit
-        return None
+            hit = self._solves.get(key)
+            if hit is not None:
+                self._solves.move_to_end(key)
+        return hit
 
     def add(self, entry: _Solve) -> None:
         with self._lock:
-            self._solves.setdefault(entry.key, []).append(entry)
-            self._order[entry] = None
-            while len(self._order) > SOLVE_TABLE_CAP:
-                dropped, _ = self._order.popitem(last=False)
-                solves = self._solves[dropped.key]
-                solves.remove(dropped)
-                if not solves:
-                    del self._solves[dropped.key]
+            self._solves[entry.key] = entry
+            self._solves.move_to_end(entry.key)
+            while len(self._solves) > SOLVE_TABLE_CAP:
+                self._solves.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
             self._solves.clear()
-            self._order.clear()
 
 
 #: The process-wide solve table.

@@ -8,42 +8,26 @@ global invariant and the array-size table).  The solve is a pure function
 of that environment plus the function's body.
 
 The analyzer's solve table rests on that: every live solve is kept in one
-process-wide table, under a key naming the function's content and the
-program facts its evaluation reads (width, array sizes, callee parameter
-names), together with a :class:`RoundRecord` holding the slice of the
-round's environment it ran under (:func:`environment_slice`).  A function
-whose key is found and whose environment passes
-:func:`environment_matches` against a kept solve's record — in a later
-round of the same run, in a later analysis of the same program, or in an
-analysis of another program carrying the same function — reuses that
-solve instead of re-solving.  :func:`function_reads` names the slice of
-the environment a function can observe, so the comparison ignores
-everything else.
+process-wide table under its key, which names the function's content and
+the program facts its evaluation reads (width, array sizes, callee
+parameter names), together with the fingerprint of the slice of the
+round's environment the function can observe
+(:func:`environment_fingerprint`).  A function whose key and fingerprint
+are found — in a later round of the same run, in a later analysis of the
+same program, or in an analysis of another program carrying the same
+function — reuses that solve instead of re-solving, after one dict lookup
+however many solves its key holds.  :func:`function_reads` names the slice
+of the environment a function can observe, so the fingerprint leaves
+everything else out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.analysis.intervals import Interval
 from repro.cfg.defuse import function_local_names
 from repro.lang import ast
-
-
-@dataclass
-class RoundRecord:
-    """The environment of a fixpoint round, as a solve saw it: the slice
-    :func:`environment_slice` keeps for one function."""
-
-    #: Parameter intervals the function was solved under.
-    params: dict[str, dict[str, Interval]] = field(default_factory=dict)
-    #: Return-summary intervals at the round's start (the values callee
-    #: evaluation reads during the solve).
-    returns: dict[str, Interval] = field(default_factory=dict)
-    #: Global invariant at the round's start.
-    global_scalars: dict[str, Interval] = field(default_factory=dict)
-    global_arrays: dict[str, Interval] = field(default_factory=dict)
 
 
 def function_reads(function: ast.Function) -> tuple[frozenset, frozenset]:
@@ -119,66 +103,47 @@ def _add_statement_reads(
             _add_expression_reads(stmt.expr, callees, names)
 
 
-def environment_matches(
-    name: str,
-    reads: tuple[frozenset, frozenset],
-    params: dict[str, Interval],
-    returns: dict[str, Interval],
-    global_scalars: dict[str, Interval],
-    global_arrays: dict[str, Interval],
-    record: RoundRecord,
-) -> bool:
-    """Does the live environment match ``record``'s, as seen by ``name``?
+def environment_fingerprint(
+    reads: tuple[tuple[str, ...], tuple[str, ...]],
+    params: Mapping[str, Interval],
+    returns: Mapping[str, Interval],
+    global_scalars: Mapping[str, Interval],
+    global_arrays: Mapping[str, Interval],
+) -> tuple:
+    """The slice of an environment a function observes, as a hashable value.
 
-    Compares only the slice the function can observe: its own parameter
-    intervals, its callees' return summaries, and the global-invariant
-    entries for names it mentions.  Missing entries on both sides count as
-    equal (both reads would see the same default).
+    ``reads`` is :func:`function_reads` as sorted tuples.  The fingerprint
+    holds the function's parameter intervals sorted by name, then each
+    callee's return summary, each non-local name's global scalar interval
+    and each non-local name's global array interval; an entry missing from
+    the environment is ``None``, so entries missing on both sides count as
+    equal (both reads would see the same default).  ``reads`` fixes every
+    entry's position after the parameters, so one flat tuple tells the
+    parts apart.  Intervals enter as plain ``(lo, hi, empty)`` tuples,
+    which compare exactly as :class:`Interval` does and hash without a
+    Python-level ``__hash__``.  Two environments give equal fingerprints
+    under the same ``reads`` exactly when the function's solve would read
+    the same values in both.
     """
-    if record.params.get(name) != params:
-        return False
     callees, nonlocals = reads
-    record_returns = record.returns
-    for callee in callees:
-        if record_returns.get(callee) != returns.get(callee):
-            return False
-    record_scalars = record.global_scalars
-    record_arrays = record.global_arrays
-    for var in nonlocals:
-        if record_scalars.get(var) != global_scalars.get(var):
-            return False
-        if record_arrays.get(var) != global_arrays.get(var):
-            return False
-    return True
-
-
-def environment_slice(
-    name: str,
-    reads: tuple[frozenset, frozenset],
-    params: dict[str, Interval],
-    returns: dict[str, Interval],
-    global_scalars: dict[str, Interval],
-    global_arrays: dict[str, Interval],
-) -> RoundRecord:
-    """The part of the live environment :func:`environment_matches`
-    compares for ``name``, copied into a record (entries missing from the
-    live environment stay missing)."""
-    callees, nonlocals = reads
-    return RoundRecord(
-        params={name: params},
-        returns={callee: returns[callee] for callee in callees if callee in returns},
-        global_scalars={
-            var: global_scalars[var] for var in nonlocals if var in global_scalars
-        },
-        global_arrays={
-            var: global_arrays[var] for var in nonlocals if var in global_arrays
-        },
-    )
+    fingerprint: list = []
+    for param in sorted(params):
+        interval = params[param]
+        fingerprint.append((param, interval.lo, interval.hi, interval.empty))
+    for entries, names in (
+        (returns, callees),
+        (global_scalars, nonlocals),
+        (global_arrays, nonlocals),
+    ):
+        for name in names:
+            interval = entries.get(name)
+            fingerprint.append(
+                None if interval is None else (interval.lo, interval.hi, interval.empty)
+            )
+    return tuple(fingerprint)
 
 
 __all__ = [
-    "RoundRecord",
-    "environment_matches",
-    "environment_slice",
+    "environment_fingerprint",
     "function_reads",
 ]

@@ -343,6 +343,7 @@ class BoundedModelChecker:
                         solves=result.solves,
                         solves_reused=result.solves_reused,
                         products_reused=result.products_reused,
+                        table_solves=result.table_solves,
                     )
             cache[entry] = result
         return cache[entry]

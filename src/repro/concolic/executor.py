@@ -206,9 +206,10 @@ class ConcolicTracer:
 
         Narrowing is an optimization: a failure is counted in
         ``repro_analysis_failures`` and named on the ``encode.analysis``
-        span, which otherwise carries the run's solve counts.  The
-        ``unwind-insufficient`` lint does not gate: it judges the BMC's
-        unrolling, and a concolic trace runs every iteration concretely.
+        span, which otherwise carries the run's solve counts and the solve
+        table's size.  The ``unwind-insufficient`` lint does not gate: it
+        judges the BMC's unrolling, and a concolic trace runs every
+        iteration concretely.
         """
         from repro.analysis import analyze_program
 
@@ -228,6 +229,7 @@ class ConcolicTracer:
                 solves=analysis.solves,
                 solves_reused=analysis.solves_reused,
                 products_reused=analysis.products_reused,
+                table_solves=analysis.table_solves,
             )
         if any(d.code != "unwind-insufficient" for d in analysis.errors()):
             return None

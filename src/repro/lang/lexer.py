@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 KEYWORDS = {
     "int",
@@ -49,9 +48,12 @@ SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    """A lexical token with its source line."""
+class Token(NamedTuple):
+    """A lexical token with its source line.
+
+    A named tuple rather than a frozen dataclass: the lexer builds one per
+    token, and a frozen dataclass sets each field through
+    ``object.__setattr__``."""
 
     kind: str  # "int", "ident", "keyword", "symbol", "eof"
     text: str

@@ -5,19 +5,24 @@ re-solve every function.  A function whose environment (parameter
 intervals, callee return summaries, the global-invariant entries it
 mentions) matches the one a kept solve ran under now reuses that solve.
 Solves are kept in one process-wide table keyed by function content (plus
-the width, the array-size table and the callees' parameter names), so any
-later analysis carrying the same function — the concolic tracer's next
-failing test, a second compile, the next version of an edited program —
-reuses them too, along with the products a converged analysis kept on
-them.  These tests pin the reuse to the re-solve-everything fixpoint:
+the width, the array-size table and the callees' parameter names) and a
+fingerprint of that environment, so any later analysis carrying the same
+function — the concolic tracer's next failing test, a second compile, the
+next version of an edited program — reuses them too, along with the
+products a converged analysis kept on them.  These tests pin the reuse to the re-solve-everything fixpoint:
 
-* the analysis products equal a reference run with the reuse predicate
-  forced to ``False``, on every TCAS version, the four Table 3 programs and
+* the analysis products equal a reference run with every table lookup
+  forced to miss, on every TCAS version, the four Table 3 programs and
   a mutually recursive program that reaches the widening rounds;
 * a pinned analysis of every seed-7 ``siemens-trace`` request on a warm
   table equals a cold one, an earlier result stays as it was however many
   later analyses share its solves, and the table's total bound keeps the
   most recently used solves of any program;
+* a lookup hits exactly when the scan it replaced would have
+  (``environment_matches`` over the kept slice, kept here as the
+  reference), makes as many key comparisons with a thousand environments
+  under one key as with one, and a function's key and reads are computed
+  once per ``Function`` object;
 * a second program analyzed after a first equals its cold analysis when
   the two differ in a callee's parameter names, another function's local
   array size, a global initializer or the entry, and after a first
@@ -48,14 +53,17 @@ import json
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.analysis
 import repro.analysis.analyzer as analyzer
 from repro import obs
 from repro.analysis import AnalysisResult, Interval, analyze_program
+from repro.analysis.incremental import environment_fingerprint
 from repro.bmc import BoundedModelChecker, dumps_artifact
 from repro.concolic import ConcolicTracer
 from repro.core import LocalizationSession
@@ -189,7 +197,7 @@ def compile_program(program):
 
 
 #: The counters that differ between a warm and a cold analysis by design.
-COUNTS = ("solves", "solves_reused", "products_reused")
+COUNTS = ("solves", "solves_reused", "products_reused", "table_solves")
 
 
 def assert_equal_analyses(warm, cold, context=None):
@@ -228,7 +236,7 @@ def corpus():
 
 def resolve_every_round(monkeypatch):
     """Turn reuse off: every round re-solves every function."""
-    monkeypatch.setattr(analyzer, "environment_matches", lambda *args: False)
+    monkeypatch.setattr(analyzer._SolveTable, "lookup", lambda self, key: None)
 
 
 def clause_digest(compiled) -> str:
@@ -405,7 +413,8 @@ def test_concurrent_analyses_of_one_program_share_its_table(monkeypatch, table):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert len(table) <= analyzer.SOLVE_TABLE_CAP
-    assert sum(len(solves) for solves in table._solves.values()) == len(table)
+    # Every kept solve is filed under its own key and fingerprint.
+    assert all(key == solve_.key for key, solve_ in table._solves.items())
 
 
 def test_the_cap_keeps_the_most_recently_used_solves(monkeypatch, table):
@@ -582,6 +591,286 @@ def test_an_unconverged_analysis_keeps_no_products(monkeypatch, table):
     assert_equal_analyses(warm, cold)
 
 
+# ------------------------------------------- fingerprint lookup and the memo
+#
+# The table used to scan every kept solve under a key with
+# ``environment_matches`` against the slice of the environment the solve
+# kept.  Both live on here as the reference the fingerprint lookup must
+# agree with.
+
+
+@dataclass
+class RoundRecord:
+    """The slice of a round's environment one function observes."""
+
+    params: dict = field(default_factory=dict)
+    returns: dict = field(default_factory=dict)
+    global_scalars: dict = field(default_factory=dict)
+    global_arrays: dict = field(default_factory=dict)
+
+
+def environment_slice(
+    name, reads, params, returns, global_scalars, global_arrays
+) -> RoundRecord:
+    """The part of the live environment :func:`environment_matches`
+    compares for ``name`` (entries missing from it stay missing)."""
+    callees, nonlocals = reads
+    return RoundRecord(
+        params={name: params},
+        returns={callee: returns[callee] for callee in callees if callee in returns},
+        global_scalars={
+            var: global_scalars[var] for var in nonlocals if var in global_scalars
+        },
+        global_arrays={
+            var: global_arrays[var] for var in nonlocals if var in global_arrays
+        },
+    )
+
+
+def environment_matches(
+    name, reads, params, returns, global_scalars, global_arrays, record
+) -> bool:
+    """Does the live environment match ``record``'s, as seen by ``name``?
+    Missing entries on both sides count as equal."""
+    if record.params.get(name) != params:
+        return False
+    callees, nonlocals = reads
+    for callee in callees:
+        if record.returns.get(callee) != returns.get(callee):
+            return False
+    for var in nonlocals:
+        if record.global_scalars.get(var) != global_scalars.get(var):
+            return False
+        if record.global_arrays.get(var) != global_arrays.get(var):
+            return False
+    return True
+
+
+def kept_solve(key, fingerprint) -> "analyzer._Solve":
+    return analyzer._Solve((key, fingerprint), {}, None, {}, ())
+
+
+#: A small pool, so that an edit often sets an entry to the value it had;
+#: two empty intervals with different bounds compare unequal, as
+#: ``Interval`` equality has them.
+INTERVALS = st.sampled_from(
+    [
+        Interval.bottom(),
+        Interval(1, 0, empty=True),
+        Interval.const(0),
+        Interval.const(1),
+        Interval(0, 1),
+        Interval.top(),
+    ]
+)
+
+
+def interval_maps(names):
+    """Dicts over a subset of ``names``, in a drawn insertion order."""
+    return st.lists(
+        st.tuples(st.sampled_from(names), INTERVALS), unique_by=lambda kv: kv[0]
+    ).map(dict)
+
+
+#: The names each part of an environment draws from: parameters, callees
+#: (return summaries), and non-locals (global scalars, global arrays).
+NAMES = (("a", "b", "c"), ("f", "g", "h"), ("u", "v", "w"), ("u", "v", "w"))
+
+ENVIRONMENTS = st.tuples(*(interval_maps(list(names)) for names in NAMES))
+
+#: Changes that turn the kept environment into the live one: set an entry
+#: to an interval, or drop it (``None``).
+EDITS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2), st.none() | INTERVALS),
+    max_size=3,
+)
+
+
+def edited(environment, edits, reverse: bool):
+    maps = [dict(part) for part in environment]
+    for part, position, interval in edits:
+        name = NAMES[part][position]
+        if interval is None:
+            maps[part].pop(name, None)
+        else:
+            maps[part][name] = interval
+    if reverse:
+        maps = [dict(reversed(part.items())) for part in maps]
+    return tuple(maps)
+
+
+def case(callees=(), nonlocals=(), kept=({}, {}, {}, {}), edits=(), reverse=False):
+    return example(
+        callees=frozenset(callees),
+        nonlocals=frozenset(nonlocals),
+        kept=kept,
+        edits=list(edits),
+        reverse=reverse,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+# An empty interval against a constant with the same bounds.
+@case(kept=({"a": Interval.bottom()}, {}, {}, {}), edits=[(0, 0, Interval.const(0))])
+@case(
+    callees="f",
+    kept=({}, {"f": Interval.bottom()}, {}, {}),
+    edits=[(1, 0, Interval.const(0))],
+)
+# Two empty intervals with different bounds.
+@case(
+    nonlocals="u",
+    kept=({}, {}, {"u": Interval.bottom()}, {}),
+    edits=[(2, 0, Interval(1, 0, empty=True))],
+)
+# A summary missing on one side only, then on both.
+@case(callees="f", edits=[(1, 0, Interval.bottom())])
+@case(callees="fg", nonlocals="uv", kept=({}, {"g": Interval.top()}, {}, {}))
+# The same parameters inserted in another order.
+@case(kept=({"a": Interval.const(1), "b": Interval.top()}, {}, {}, {}), reverse=True)
+@given(
+    callees=st.frozensets(st.sampled_from(NAMES[1])),
+    nonlocals=st.frozensets(st.sampled_from(NAMES[2])),
+    kept=ENVIRONMENTS,
+    edits=EDITS,
+    reverse=st.booleans(),
+)
+def test_a_lookup_hits_exactly_when_the_environments_match(
+    callees, nonlocals, kept, edits, reverse
+):
+    """The fingerprint lookup agrees with ``environment_matches`` over the
+    kept slice, with entries missing on one or both sides, dicts in any
+    insertion order and empty intervals."""
+    live = edited(kept, edits, reverse)
+    reads = (callees, nonlocals)
+    sorted_reads = (tuple(sorted(callees)), tuple(sorted(nonlocals)))
+    record = environment_slice("fn", reads, *kept)
+    # The fingerprint of the kept slice is the fingerprint of the whole
+    # environment it was cut from.
+    kept_fingerprint = environment_fingerprint(
+        sorted_reads,
+        record.params["fn"],
+        record.returns,
+        record.global_scalars,
+        record.global_arrays,
+    )
+    assert kept_fingerprint == environment_fingerprint(sorted_reads, *kept)
+    table = analyzer._SolveTable()
+    entry = kept_solve("key", kept_fingerprint)
+    table.add(entry)
+    hit = table.lookup(("key", environment_fingerprint(sorted_reads, *live)))
+    assert (hit is entry) == environment_matches("fn", reads, *live, record)
+    if not edits:
+        assert hit is entry
+
+
+class CountingKey:
+    """A solve key that counts how often the table compares it."""
+
+    compares = 0
+
+    def __hash__(self) -> int:
+        return 7
+
+    def __eq__(self, other) -> bool:
+        CountingKey.compares += 1
+        return isinstance(other, CountingKey)
+
+
+def compares_per_lookup(kept: int) -> float:
+    """Key comparisons per lookup on a table holding ``kept`` solves under
+    one key, one per environment; each lookup must find its own solve."""
+    reads = ((), ("g",))
+    environments = [
+        ({"x": Interval.const(value)}, {}, {"g": Interval.const(-value)}, {})
+        for value in range(kept)
+    ]
+    table = analyzer._SolveTable()
+    solves = [
+        kept_solve(CountingKey(), environment_fingerprint(reads, *environment))
+        for environment in environments
+    ]
+    for solve_ in solves:
+        table.add(solve_)
+    assert len(table) == kept
+    CountingKey.compares = 0
+    for environment, solve_ in zip(environments, solves):
+        fingerprint = environment_fingerprint(reads, *environment)
+        assert table.lookup((CountingKey(), fingerprint)) is solve_
+    compares = CountingKey.compares
+    missing = ({"x": Interval.const(kept)}, {}, {"g": Interval.const(0)}, {})
+    assert table.lookup((CountingKey(), environment_fingerprint(reads, *missing))) is None
+    return compares / kept
+
+
+def test_a_lookup_never_scans_the_solves_of_its_key(monkeypatch):
+    """Many environments under one key: each lookup returns its own solve,
+    and compares as many kept keys with one solve under the key as with a
+    thousand."""
+    monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 1000)
+    one = compares_per_lookup(1)
+    assert 1 <= one <= 2
+    assert compares_per_lookup(1000) == one
+
+
+def test_each_pinned_input_reuses_its_own_solve(monkeypatch, table):
+    """Inputs analyzed oldest first — the last place a scan newest first
+    would look — each reuse their own solve, and equal cold analyses."""
+    monkeypatch.setattr(analyzer, "SOLVE_TABLE_CAP", 200)
+    program = parsed(STRAIGHT_LINE, "straight-line")
+    inputs = range(-100, 100)
+    first = [analyze_program(program, entry_inputs=[x]) for x in inputs]
+    assert [result.solves for result in first] == [1] * len(inputs)
+    assert len(table) == len(inputs)
+    for x, earlier in zip(inputs, first):
+        again = analyze_program(program, entry_inputs=[x])
+        assert again.solves == 0
+        assert again.products_reused == 1
+        assert again.write_interval("main", 3) == Interval.const(x + 1)
+        assert_equal_analyses(again, earlier)
+
+
+def test_a_function_s_key_and_reads_are_computed_once(monkeypatch, table):
+    """A second analysis of the same program reprints and rereads no
+    function; a function rebuilt by ``dataclasses.replace`` is keyed
+    afresh."""
+    from repro.lang import ast
+
+    calls = {"repr": 0, "reads": 0}
+    reprint = ast.Function.__repr__
+    reread = analyzer.function_reads
+
+    def counted_repr(function):
+        calls["repr"] += 1
+        return reprint(function)
+
+    def counted_reads(function):
+        calls["reads"] += 1
+        return reread(function)
+
+    monkeypatch.setattr(ast.Function, "__repr__", counted_repr)
+    monkeypatch.setattr(analyzer, "function_reads", counted_reads)
+    program = fresh_tcas("v1")
+    analyze_program(program)
+    functions = len(program.functions)
+    assert calls == {"repr": functions, "reads": functions}
+    again = analyze_program(program)
+    assert calls == {"repr": functions, "reads": functions}
+    assert again.solves == 0
+    # A rebuilt function is a new object: it is keyed again, and an edit
+    # that changes its content misses the table.
+    main = program.functions["main"]
+    program.functions["main"] = dataclasses.replace(main)
+    assert analyze_program(program).solves == 0
+    assert calls == {"repr": functions + 1, "reads": functions + 1}
+    program.functions["main"] = dataclasses.replace(main, line=main.line + 100)
+    changed = analyze_program(program)
+    assert changed.solves > 0
+    assert calls == {"repr": functions + 2, "reads": functions + 2}
+    assert_equal_analyses(changed, cold_analysis(program))
+
+
+
 # ------------------------------------------------- warm versus cold, at scale
 
 
@@ -665,6 +954,7 @@ def test_solve_counts_reach_span_counter_and_profile(monkeypatch, table):
         "solves": reference.solves,
         "solves_reused": reference.solves_reused,
         "products_reused": 0,
+        "table_solves": reference.solves,
     }
     assert reference.solves_reused > 0
     profile = compiled.encode_profile()
@@ -676,6 +966,8 @@ def test_solve_counts_reach_span_counter_and_profile(monkeypatch, table):
     assert again.encode_profile()["analysis_products_reused"] == len(
         tcas_faulty_program("v1").functions
     )
+    gauge = obs.REGISTRY.gauge("repro_analysis_solve_table_solves")
+    assert gauge.value == len(table) == reference.solves
     # The compiles' analyses and the reference run all counted.
     assert (
         counter_value("repro_analysis_solves", outcome="solved") - solved_before
@@ -723,12 +1015,14 @@ def test_trace_analysis_reports_solves_and_reuses_earlier_ones(monkeypatch, tabl
     cold, warm = attrs
     assert cold["solves"] > 0
     assert cold["products_reused"] == 0
+    assert cold["table_solves"] == cold["solves"] == len(table)
     # The second trace of the same test reuses every solve and every
     # function's products of the first.
     assert warm == {
         "solves": 0,
         "solves_reused": cold["solves"] + cold["solves_reused"],
         "products_reused": len(program.functions),
+        "table_solves": cold["solves"],
     }
     assert (
         counter_value("repro_analysis_solves", outcome="reused") - reused_before
