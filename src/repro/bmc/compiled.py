@@ -10,10 +10,11 @@ bit-vectors of the entry function's inputs,
 ``nondet()`` results and return value, and the assertion-violation
 literals.
 
-The per-test part is *data*, not encoding: :meth:`CompiledProgram.test_clauses`
+The per-test part is *data*, not encoding: :meth:`CompiledProgram.test_units`
 derives the handful of unit clauses pinning the inputs and asserting the
-specification, which a :class:`~repro.core.session.LocalizationSession`
-asserts as a retractable layer on a persistent MaxSAT engine.  The artifact
+specification, straight from the compiled bit-vectors into one literal
+array, which a :class:`~repro.core.session.LocalizationSession` asserts as
+a retractable layer on a persistent MaxSAT engine.  The artifact
 is a plain picklable value, so a process pool can ship it to each worker
 once and shard failing tests across workers.
 """
@@ -25,7 +26,6 @@ import json
 import pickle
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 from typing import Mapping, Optional, Sequence
 
 from repro import obs
@@ -266,42 +266,25 @@ class CompiledProgram:
             1 for step in self.steps if step.kind in ("assign", "array-assign", "decl")
         )
 
-    # -------------------------------------------------------- constant bits
+    # ------------------------------------------------------------ per-test
 
-    def _const_value(self, lit: int) -> Optional[bool]:
-        if self.true_lit is None:
-            return None
-        if lit == self.true_lit:
-            return True
-        if lit == -self.true_lit:
-            return False
-        return None
+    def _fix_units(self, bits: Bits, value: int, units: list[int]) -> None:
+        """Append the unit literals pinning ``bits`` to a concrete value.
 
-    def _false_clause(self) -> list[int]:
-        if self.true_lit is None:  # pragma: no cover - defensive
-            raise ValueError("encoding has no constant-true literal")
-        return [-self.true_lit]
-
-    def _fix_clauses(self, bits: Bits, value: int) -> list[list[int]]:
-        """Unit clauses pinning ``bits`` to a concrete integer value.
-
-        The clauses :meth:`repro.encoding.circuits.CircuitBuilder.fix_to_value`
+        The units :meth:`repro.encoding.circuits.CircuitBuilder.fix_to_value`
         emits — an ``assert_equal`` of ``bits`` against the constant vector
         of ``value`` — without needing a builder: constant bits that
         disagree with the wanted value yield a contradiction unit.
         """
         pattern = to_unsigned(value, len(bits))
-        clauses: list[list[int]] = []
-        for position, lit in enumerate(bits):
-            wanted = bool((pattern >> position) & 1)
-            known = self._const_value(lit)
-            if known is None:
-                clauses.append([lit if wanted else -lit])
-            elif known != wanted:
-                clauses.append(self._false_clause())
-        return clauses
-
-    # ------------------------------------------------------------- per-test
+        true_lit = self.true_lit or 0  # a literal is never 0
+        for lit in bits:
+            wanted = pattern & 1
+            pattern >>= 1
+            if lit != true_lit and lit != -true_lit:
+                units.append(lit if wanted else -lit)
+            elif (lit == true_lit) != wanted:
+                units.append(-true_lit)
 
     def input_values(self, inputs: Sequence[int] | Mapping[str, int]) -> dict[str, int]:
         """Normalize a test case to entry-parameter name/value pairs."""
@@ -320,46 +303,47 @@ class CompiledProgram:
             for name, value in zip(self.params, values)
         }
 
-    def test_clauses(
+    def test_units(
         self,
         inputs: Sequence[int] | Mapping[str, int],
         spec: Specification,
         nondet_values: Sequence[int] = (),
-    ) -> tuple[list[list[int]], dict[str, int]]:
+    ) -> tuple[array, dict[str, int]]:
         """The retractable per-test units: input equalities plus the spec.
 
-        Returns ``(clauses, test_inputs)`` where ``clauses`` are the unit
-        clauses to assert on top of the invariant encoding and
-        ``test_inputs`` is the report-facing name/value map (including
-        ``nondet#i`` entries).
+        Every per-test clause is a unit over an input, nondet or return bit
+        (or a violation literal), so they come back as one literal array:
+        ``(units, test_inputs)`` where ``units`` is an ``array('l')`` with
+        one unit clause per literal, to assert on top of the invariant
+        encoding, and ``test_inputs`` is the report-facing name/value map
+        (including ``nondet#i`` entries).
         """
-        clauses: list[list[int]] = []
+        units: list[int] = []
         test_inputs: dict[str, int] = {}
         values = self.input_values(inputs)
         for name, bits in self.input_bits.items():
             value = values[name]
-            clauses.extend(self._fix_clauses(bits, value))
+            self._fix_units(bits, value, units)
             test_inputs[name] = value
         for index, bits in enumerate(self.nondet_bits):
             value = wrap(
                 nondet_values[index] if index < len(nondet_values) else 0, self.width
             )
-            clauses.extend(self._fix_clauses(bits, value))
+            self._fix_units(bits, value, units)
             test_inputs[f"nondet#{index}"] = value
 
         if spec.kind == "assertion":
-            for _, violation in self.violations:
-                clauses.append([-violation])
+            units.extend(-violation for _, violation in self.violations)
         elif spec.kind in ("return-value", "golden-output"):
             if self.return_bits is None:
                 raise ValueError(
                     f"entry function {self.entry!r} does not return a value"
                 )
             expected = spec.expected[-1] if spec.expected else 0
-            clauses.extend(self._fix_clauses(self.return_bits, expected))
+            self._fix_units(self.return_bits, expected, units)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unsupported specification kind {spec.kind!r}")
-        return clauses, test_inputs
+        return array("l", units), test_inputs
 
     def phase_hints(self, test_inputs: Mapping[str, int]) -> dict[int, bool]:
         """Warm-start phases from the concrete failing test (ROADMAP item).
@@ -368,23 +352,28 @@ class CompiledProgram:
         its concrete value so the solver's first descent into the circuit
         re-traces the failing execution instead of a cold default.
         """
-        hints: dict[int, bool] = {}
-        named = dict(test_inputs)
-        vectors: list[tuple[Bits, int]] = []
-        for name, bits in self.input_bits.items():
-            if name in named:
-                vectors.append((bits, named[name]))
+        vectors: list[tuple[Bits, int]] = [
+            (bits, test_inputs[name])
+            for name, bits in self.input_bits.items()
+            if name in test_inputs
+        ]
         for index, bits in enumerate(self.nondet_bits):
             key = f"nondet#{index}"
-            if key in named:
-                vectors.append((bits, named[key]))
+            if key in test_inputs:
+                vectors.append((bits, test_inputs[key]))
+        hints: dict[int, bool] = {}
+        true_lit = self.true_lit or 0  # a literal is never 0
         for bits, value in vectors:
             pattern = to_unsigned(value, len(bits))
-            for position, lit in enumerate(bits):
-                if self._const_value(lit) is not None:
-                    continue
-                wanted = bool((pattern >> position) & 1)
-                hints[abs(lit)] = wanted if lit > 0 else not wanted
+            for lit in bits:
+                wanted = pattern & 1
+                pattern >>= 1
+                if lit == true_lit or lit == -true_lit:
+                    continue  # a constant bit has no phase
+                if lit > 0:
+                    hints[lit] = wanted == 1
+                else:
+                    hints[-lit] = wanted == 0
         return hints
 
     # ----------------------------------------------------------- conversion
@@ -401,15 +390,14 @@ class CompiledProgram:
         :meth:`~repro.bmc.BoundedModelChecker.encode_program_formula`
         output: the invariant hard clauses followed by the per-test units.
         """
-        clauses, test_inputs = self.test_clauses(inputs, spec, nondet_values)
+        units, test_inputs = self.test_units(inputs, spec, nondet_values)
         formula = self.base_formula()
         # The test units join the store as hard clauses after the invariant
         # ones; the artifact's own buffers are not touched.
-        formula.lits = self.lits + array("q", chain.from_iterable(clauses))
-        formula.ends = self.ends + array(
-            "q", accumulate(map(len, clauses), initial=len(self.lits))
-        )[1:]
-        formula.gids = self.gids + array("q", [-1]) * len(clauses)
+        start = len(self.lits)
+        formula.lits = self.lits + array("q", units)
+        formula.ends = self.ends + array("q", range(start + 1, start + len(units) + 1))
+        formula.gids = self.gids + array("q", [-1]) * len(units)
         formula.test_inputs = test_inputs
         formula.assertion_description = spec.describe()
         return formula

@@ -238,11 +238,18 @@ class LocalizationSession:
         shared instance — plus whatever the solver learnt.
         """
         compiled = self.compiled
-        engine = self._ensure_engine()
+        # The engine's first load happens inside the request span, so the
+        # first report's time covers it.  ``kernel_ms``, ``glue_ms`` and
+        # ``kernel_calls`` on the span cover the whole request: engine load,
+        # layer load, CoMSS loop and pop.
+        seconds_before, calls_before = (
+            (0.0, 0) if self._engine is None else self._engine.kernel_totals()
+        )
         with obs.span(
             "session.localize", program=program_name or compiled.program_name
         ) as request_span:
-            clauses, test_inputs = compiled.test_clauses(
+            engine = self._ensure_engine()
+            units, test_inputs = compiled.test_units(
                 failing_test, spec, nondet_values=nondet_values
             )
             report = LocalizationReport(
@@ -251,13 +258,13 @@ class LocalizationSession:
                 specification=spec.describe(),
                 trace_assignments=compiled.num_assignments,
                 trace_variables=compiled.num_vars,
-                trace_clauses=compiled.num_clauses + len(clauses),
+                trace_clauses=compiled.num_clauses + len(units),
                 unwind_truncated=compiled.unwind_truncated,
             )
             sat_calls_before = engine.sat_calls
             engine.push_layer()
             try:
-                engine.add_hard_clauses(clauses)
+                engine.add_hard_units(units)
                 engine.set_phases(compiled.phase_hints(test_inputs))
                 with obs.span("solve.comss") as solve_span:
                     run_comss_loop(engine, report, self.max_candidates)
@@ -289,6 +296,13 @@ class LocalizationSession:
             finally:
                 engine.pop_layer()
             report.sat_calls = engine.sat_calls - sat_calls_before
+        seconds, calls = engine.kernel_totals()
+        request_kernel_ms = (seconds - seconds_before) * 1000.0
+        request_span.set(
+            kernel_ms=request_kernel_ms,
+            glue_ms=request_span.duration * 1000.0 - request_kernel_ms,
+            kernel_calls=calls - calls_before,
+        )
         report.time_seconds = request_span.duration
         _record_localize_metrics(report, layer_stats)
         self.stats.tests_localized += 1

@@ -34,6 +34,7 @@ instance and run the CoMSS enumeration of many failing tests against it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -90,6 +91,8 @@ class MaxSatEngine:
         self._solver: Optional[Solver] = None
         self._bindings: list[_SoftBinding] = []
         self._assumption_to_binding: dict[int, _SoftBinding] = {}
+        #: ``wcnf.soft`` position -> the binding standing for it.
+        self._binding_of_soft: dict[int, _SoftBinding] = {}
         self._hard_checked = False
         self._hard_ok = False
         self._layers: list[_EngineLayer] = []
@@ -135,6 +138,9 @@ class MaxSatEngine:
         self._solver = solver
         self._bindings = bindings
         self._assumption_to_binding = {b.assumption: b for b in bindings}
+        self._binding_of_soft = {
+            index: binding for binding in bindings for index in binding.indices
+        }
         self._hard_checked = False
         self._hard_ok = False
         self._layers = []
@@ -257,6 +263,18 @@ class MaxSatEngine:
                 # selector.
                 self._layer_forced.add(lits[0])
 
+    def add_hard_units(self, lits: array) -> None:
+        """Add one unit hard clause per literal of ``lits`` (an ``array('l')``).
+
+        :meth:`add_hard_clauses` over ``[[lit] for lit in lits]``, without
+        the per-clause lists (:meth:`Solver.add_units`).  This is how the
+        session asserts a test's input and specification units.
+        """
+        if self._solver is None:
+            raise RuntimeError("no instance loaded; call load() first")
+        self._solver.add_units(lits)
+        self._layer_forced.update(lits)
+
     def set_phases(self, phases: Mapping[int, bool]) -> None:
         """Seed solver phases (warm start from a concrete failing trace)."""
         if self._solver is None:
@@ -317,6 +335,14 @@ class MaxSatEngine:
         if not self._layers:
             return seconds
         return seconds - self._layers[-1].kernel_seconds_mark
+
+    def kernel_totals(self) -> tuple[float, int]:
+        """Seconds inside the C search kernel and calls into the compiled
+        library, cumulative over the loaded solver (zero before a load and
+        on the Python backend)."""
+        if self._solver is None:
+            return 0.0, 0
+        return self._solver.kernel_seconds, self._solver.kernel_calls
 
     def layer_profile(self) -> dict[str, int]:
         """Per-request solver-effort profile of the innermost layer.
@@ -382,11 +408,16 @@ class MaxSatEngine:
             self._layer_forced.add(beta[0])
         if not retire:
             return
-        retired: list[_SoftBinding] = []
-        for binding in self._bindings:
-            if binding.active and blocked.intersection(binding.indices):
-                binding.active = False
-                retired.append(binding)
+        # The active bindings standing for a blocked soft, in binding order.
+        binding_of = self._binding_of_soft
+        by_position = {
+            binding.position: binding
+            for binding in map(binding_of.get, blocked)
+            if binding is not None and binding.active
+        }
+        retired = [by_position[position] for position in sorted(by_position)]
+        for binding in retired:
+            binding.active = False
         if self._layers:
             self._layers[-1].retired.extend(retired)
         self._on_block(retired)

@@ -13,8 +13,10 @@ first use:
   assumption-core extraction, returning to Python only for rare control
   events), ``repro_add_clauses`` (the root-level bulk clause load behind
   :meth:`Solver.add_clauses`), ``repro_cancel`` (the backtrack behind
-  ``Solver._cancel_until``) and ``repro_detach`` (batch watcher-list
-  unlinking for layer pops and learnt-database reduction);
+  ``Solver._cancel_until``) and ``repro_sweep`` (retracting a batch of
+  clauses in one pass over the affected watcher lists, for layer pops and
+  learnt-database reduction).  Each takes the solver's buffer table, one
+  array of buffer addresses, instead of one argument per buffer;
 * ``encode.c`` — the CNF emission core (gate hashing, Tseitin clauses and
   the bit-vector kernels) and the gather that reorders a finished clause
   store into the MaxSAT engine's load order.
@@ -230,15 +232,13 @@ def _bind(function, restype, argtypes) -> None:
 
 def _build_solver() -> ctypes.CDLL:
     library = ctypes.CDLL(str(_compile_source(_SOURCE, "search")))
-    _bind(library.repro_propagate, ctypes.c_long, [ctypes.c_void_p] * 7)
-    _bind(library.repro_search, ctypes.c_long, [ctypes.c_void_p] * 18)
-    _bind(library.repro_add_clauses, ctypes.c_long, [ctypes.c_void_p] * 11)
-    _bind(
-        library.repro_cancel,
-        ctypes.c_long,
-        [ctypes.c_void_p] * 7 + [ctypes.c_long] * 3,
-    )
-    _bind(library.repro_detach, None, [ctypes.c_void_p] * 3 + [ctypes.c_long])
+    ptr, num = ctypes.c_void_p, ctypes.c_long
+    # Every entry takes the solver's buffer table first.
+    _bind(library.repro_propagate, num, [ptr] * 2)
+    _bind(library.repro_search, num, [ptr] * 3)
+    _bind(library.repro_add_clauses, num, [ptr] * 5)
+    _bind(library.repro_cancel, num, [ptr] + [num] * 3)
+    _bind(library.repro_sweep, None, [ptr] * 5)
     return library
 
 

@@ -19,17 +19,25 @@
  *   repro_cancel        the backtrack outside the search loop: unassign the
  *                       trail above a bound, saving phases and reinserting
  *                       the variables into the order heap;
- *   repro_detach        unlink a batch of clauses from the watcher lists
- *                       (layer pops and learnt-database reduction).
+ *   repro_sweep         retract a batch of clauses in one pass: mark them
+ *                       (and, on a layer pop, every learnt clause naming the
+ *                       dead selector literal) dead, unlink them from every
+ *                       affected watcher list and clear root reasons naming
+ *                       them (layer pops and learnt-database reduction).
  *
  * Each implements exactly the same algorithm, over exactly the same data
  * layout, as its pure-Python mirror (Solver._propagate_python,
  * Solver._search_python with Solver._analyze_final, the per-clause
  * Solver.add_clause loop, the Python loops of Solver._cancel_until and
- * Solver._detach_all).  Any behavioural divergence between the two is a
+ * Solver._sweep).  Any behavioural divergence between the two is a
  * bug; the differential suites (tests/test_propagation_backends.py,
  * tests/test_search_backends.py) compare models, conflicts, cores,
  * statistics and the loaded solver state of python/c solver pairs.
+ *
+ * Every entry point takes the solver's *buffer table* first: an array of
+ * B_SLOTS pointers (see the B_* slots below) that the Python side keeps
+ * current and refreshes only when a buffer is grown or replaced, so a call
+ * marshals one address instead of one per buffer.
  *
  * Data layout (all "long" words unless noted):
  *
@@ -53,7 +61,8 @@
  *   trail_lim   per-decision-level trail bounds (capacity provisioned by the
  *            driver: one slot per variable plus one per assumption).
  *   polarity per-variable saved phase (signed char 0/1).
- *   seen     per-variable conflict-analysis marker (signed char 0/1).
+ *   seen     per-variable marker (signed char), all zero between calls:
+ *            conflict analysis, the bulk load and the sweep use it.
  *   activity per-variable VSIDS activity (double).
  *   heap / heap_pos   the activity order heap and its position index
  *            (heap_pos[var] is -1 when var is not in the heap).
@@ -72,8 +81,8 @@
  *            On EXIT_ASSUMPTION the first words hold the core's decision
  *            literals instead (their count in state[30]).
  *   state    the 31-word bookkeeping block of repro_search (see _S_* in
- *            solver.py); repro_propagate and repro_add_clauses take the
- *            short blocks documented at their definitions.
+ *            solver.py); the other entry points take the short blocks
+ *            documented at their definitions.
  *   fp       [var_inc, var_decay] (doubles, var_inc written back).
  *
  * repro_search returns (and stores in state) one of the EXIT_* codes;
@@ -82,6 +91,28 @@
 
 #define HDR 5
 #define FLAG_LEARNT 1
+#define FLAG_DEAD 2
+
+/* Slots of the buffer table (mirrored by _B_* in solver.py). */
+enum {
+    B_ARENA,
+    B_HEADS,
+    B_ASSIGNS,
+    B_LEVELS,
+    B_REASONS,
+    B_TRAIL,
+    B_TRAIL_LIM,
+    B_POLARITY,
+    B_SEEN,
+    B_ACTIVITY,
+    B_HEAP,
+    B_HEAP_POS,
+    B_ASSUMPTIONS,
+    B_SCRATCH,
+    B_BUMPLOG,
+    B_TMP,
+    B_SLOTS
+};
 
 #define EXIT_SAT 1
 #define EXIT_UNSAT 2
@@ -183,12 +214,12 @@ done:
 /* state: [0] qhead, [1] trail length (both in/out), [2] current decision
  * level, [3] propagations (accumulated).  Returns a conflicting clause ref,
  * or 0. */
-long repro_propagate(long *arena, long *heads, signed char *assigns,
-                     long *levels, long *reasons, long *trail, long *state)
+long repro_propagate(void *const *buf, long *state)
 {
     long qhead = state[0];
     long trail_len = state[1];
-    long conflict = propagate(arena, heads, assigns, levels, reasons, trail,
+    long conflict = propagate(buf[B_ARENA], buf[B_HEADS], buf[B_ASSIGNS],
+                              buf[B_LEVELS], buf[B_REASONS], buf[B_TRAIL],
                               &qhead, &trail_len, state[2], &state[3]);
     state[0] = qhead;
     state[1] = trail_len;
@@ -341,12 +372,11 @@ static void cancel_until(long *trail, long *trail_lim, signed char *assigns,
 /* The backtrack of Solver._cancel_until outside the search loop: unassign
  * trail[bound..trail_len) exactly as the kernel's own backjumps do.  The
  * driver truncates its trail bookkeeping; returns the new heap size. */
-long repro_cancel(long *trail, signed char *assigns, signed char *polarity,
-                  long *reasons, double *activity, long *heap, long *heap_pos,
-                  long trail_len, long bound, long heap_size)
+long repro_cancel(void *const *buf, long trail_len, long bound, long heap_size)
 {
-    unassign(trail, bound, trail_len, assigns, polarity, reasons,
-             heap, heap_pos, activity, &heap_size);
+    unassign(buf[B_TRAIL], bound, trail_len, buf[B_ASSIGNS], buf[B_POLARITY],
+             buf[B_REASONS], buf[B_HEAP], buf[B_HEAP_POS], buf[B_ACTIVITY],
+             &heap_size);
     return heap_size;
 }
 
@@ -507,13 +537,27 @@ static long analyze_final(long *arena, long *levels, long *reasons,
 
 /* ------------------------------------------------------------ the kernel */
 
-long repro_search(long *arena, long *heads, signed char *assigns, long *levels,
-                  long *reasons, long *trail, long *trail_lim,
-                  signed char *polarity, signed char *seen, double *activity,
-                  long *heap, long *heap_pos, long *assumptions,
-                  long *scratch, long *bumplog, long *tmp,
-                  long *state, double *fp)
+/* The driver zeroes the per-solve counters (state[3] and state[19..25])
+ * once per solve and the scratch and log lengths once per call; the kernel
+ * accumulates into them across the calls of one solve. */
+long repro_search(void *const *buf, long *state, double *fp)
 {
+    long *arena = buf[B_ARENA];
+    long *heads = buf[B_HEADS];
+    signed char *assigns = buf[B_ASSIGNS];
+    long *levels = buf[B_LEVELS];
+    long *reasons = buf[B_REASONS];
+    long *trail = buf[B_TRAIL];
+    long *trail_lim = buf[B_TRAIL_LIM];
+    signed char *polarity = buf[B_POLARITY];
+    signed char *seen = buf[B_SEEN];
+    double *activity = buf[B_ACTIVITY];
+    long *heap = buf[B_HEAP];
+    long *heap_pos = buf[B_HEAP_POS];
+    long *assumptions = buf[B_ASSUMPTIONS];
+    long *scratch = buf[B_SCRATCH];
+    long *bumplog = buf[B_BUMPLOG];
+    long *tmp = buf[B_TMP];
     long qhead = state[0];
     long trail_len = state[1];
     long level_count = state[2];
@@ -713,11 +757,16 @@ out:
  * a root conflict stops it with ADD_UNSAT (later clauses would be no-ops on
  * an unsatisfiable solver).
  */
-long repro_add_clauses(long *arena, long *heads, signed char *assigns,
-                       long *levels, long *reasons, long *trail,
-                       signed char *seen, const long *lits, const long *ends,
+long repro_add_clauses(void *const *buf, const long *lits, const long *ends,
                        long *refs, long *state)
 {
+    long *arena = buf[B_ARENA];
+    long *heads = buf[B_HEADS];
+    signed char *assigns = buf[B_ASSIGNS];
+    long *levels = buf[B_LEVELS];
+    long *reasons = buf[B_REASONS];
+    long *trail = buf[B_TRAIL];
+    signed char *seen = buf[B_SEEN];
     long qhead = state[0];
     long trail_len = state[1];
     long arena_len = state[2];
@@ -796,21 +845,108 @@ long repro_add_clauses(long *arena, long *heads, signed char *assigns,
     return status;
 }
 
-/* ----------------------------------------------------------- batch detach */
+/* ------------------------------------------------------------ the sweep */
 
-/* Unlink both watch slots of each of the `count` clauses in refs[] from
- * the watcher lists, in order (mirror of Solver._detach_all). */
-void repro_detach(long *arena, long *heads, const long *refs, long count)
+/* Mark an attached clause dead, add its span to *garbage and flag the
+ * variables of its two watched literals for the unlink pass. */
+static void kill_clause(long *arena, signed char *seen, long ref, long *garbage)
+{
+    arena[ref] |= FLAG_DEAD;
+    *garbage += (arena[ref] >> 2) + HDR;
+    seen[arena[ref + HDR] >> 1] = 1;
+    seen[arena[ref + HDR + 1] >> 1] = 1;
+}
+
+/* Drop every dead clause from the watcher list of `lit`, keeping the order
+ * of the live watchers (the links of the dead clauses are left as they are). */
+static void unlink_dead(long *arena, long *heads, long lit)
+{
+    long *prev = &heads[lit];
+    long ptr = *prev;
+    while (ptr) {
+        long ref = ptr >> 1;
+        long *link = &arena[ref + 1 + (ptr & 1)];
+        if (arena[ref] & FLAG_DEAD)
+            *prev = *link;
+        else
+            prev = link;
+        ptr = *link;
+    }
+}
+
+static void unlink_flagged(long *arena, long *heads, signed char *seen,
+                           const long *refs, long count)
 {
     for (long i = 0; i < count; i++) {
-        long ref = refs[i];
         for (long slot = 0; slot < 2; slot++) {
-            long target = (ref << 1) | slot;
-            long *link = &heads[arena[ref + HDR + slot]];
-            while (*link && *link != target)
-                link = &arena[(*link >> 1) + 1 + (*link & 1)];
-            if (*link)
-                *link = arena[ref + 1 + slot];
+            long var = arena[refs[i] + HDR + slot] >> 1;
+            if (seen[var]) {
+                seen[var] = 0;
+                unlink_dead(arena, heads, 2 * var);
+                unlink_dead(arena, heads, 2 * var + 1);
+            }
         }
     }
+}
+
+/* Retract a batch of attached clauses (mirror of Solver._sweep).
+ *
+ *   kill     the refs of the clauses to retract;
+ *   learnts  the learnt clause refs (in/out): with a dead literal, every
+ *            learnt naming it is retracted too and the rest are compacted
+ *            to the front in order;
+ *   stale    out-buffer receiving the refs of those retracted learnts;
+ *   state    [0] kill count, [1] learnt count (in) / kept learnts (out),
+ *            [2] the dead literal (0: none, learnts are left alone),
+ *            [3] trail entries whose reasons are checked, [4] garbage words
+ *            of the retracted clauses (out), [5] stale count (out).
+ *
+ * Both watcher lists of each affected variable are walked once, so a batch
+ * sharing a watched literal (every clause of a layer watches -selector)
+ * costs one pass over that list instead of one per clause.  A trail
+ * variable whose reason was retracted gets reason 0.
+ */
+void repro_sweep(void *const *buf, const long *kill, long *learnts,
+                 long *stale, long *state)
+{
+    long *arena = buf[B_ARENA];
+    long *heads = buf[B_HEADS];
+    long *reasons = buf[B_REASONS];
+    const long *trail = buf[B_TRAIL];
+    signed char *seen = buf[B_SEEN];
+    long count = state[0];
+    long dead_lit = state[2];
+    long garbage = 0;
+    long kept = 0;
+    long nstale = 0;
+
+    for (long i = 0; i < count; i++)
+        kill_clause(arena, seen, kill[i], &garbage);
+    if (dead_lit) {
+        for (long i = 0; i < state[1]; i++) {
+            long ref = learnts[i];
+            long base = ref + HDR;
+            long size = arena[ref] >> 2;
+            long k = 0;
+            while (k < size && arena[base + k] != dead_lit)
+                k++;
+            if (k < size) {
+                kill_clause(arena, seen, ref, &garbage);
+                stale[nstale++] = ref;
+            } else {
+                learnts[kept++] = ref;
+            }
+        }
+        state[1] = kept;
+    }
+    unlink_flagged(arena, heads, seen, kill, count);
+    unlink_flagged(arena, heads, seen, stale, nstale);
+    for (long i = 0; i < state[3]; i++) {
+        long var = trail[i] >> 1;
+        long reason = reasons[var];
+        if (reason && (arena[reason] & FLAG_DEAD))
+            reasons[var] = 0;
+    }
+    state[4] = garbage;
+    state[5] = nstale;
 }

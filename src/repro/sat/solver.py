@@ -54,7 +54,9 @@ the ``"c"`` backend the whole search state — arena, watch heads,
 assignments, levels, reasons, trail, saved phases, VSIDS activities, the
 analysis ``seen`` buffer and the order heap — is held in flat
 ``array``-backed buffers, and five compiled entry points operate over that
-memory:
+memory.  Each takes the solver's *buffer table* (one array holding every
+buffer's address, refreshed only when a buffer grows or is replaced; see
+:meth:`Solver._buffers`) instead of one argument per buffer:
 
 * ``repro_propagate`` — the unit-propagation core, used for root-level
   propagation outside the search loop (:meth:`Solver.add_clause`);
@@ -75,9 +77,12 @@ memory:
 * ``repro_cancel`` — every backtrack outside the search loop
   (:meth:`Solver._cancel_until`): unassigning the trail, saving phases and
   reinserting variables into the order heap;
-* ``repro_detach`` — unlinking a batch of clauses from the watcher lists
-  when :meth:`Solver.pop` retracts a layer and when the learnt database
-  is reduced.
+* ``repro_sweep`` — retracting a batch of clauses in one pass
+  (:meth:`Solver._sweep`): when :meth:`Solver.pop` retracts a layer it
+  marks the layer's clauses and every learnt clause naming the dead
+  selector dead, unlinks them from each affected watcher list in one walk
+  and clears the root reasons that named them; learnt-database reduction
+  retracts its victims the same way.
 
 With the ``"python"`` backend the same state lives in plain lists and the
 pure-Python loops implement the identical algorithm (the per-clause
@@ -111,6 +116,25 @@ _HDR = 5
 #: Arena header flag bits.
 _FLAG_LEARNT = 1
 _FLAG_DEAD = 2
+
+#: Slots of the buffer table the C entry points take (``B_*`` in search.c).
+_B_ARENA = 0
+_B_HEADS = 1
+_B_ASSIGNS = 2
+_B_LEVELS = 3
+_B_REASONS = 4
+_B_TRAIL = 5
+_B_TRAIL_LIM = 6
+_B_POLARITY = 7
+_B_SEEN = 8
+_B_ACTIVITY = 9
+_B_HEAP = 10
+_B_HEAP_POS = 11
+_B_ASSUMPTIONS = 12
+_B_SCRATCH = 13
+_B_BUMPLOG = 14
+_B_TMP = 15
+_B_SLOTS = 16
 
 #: Exit reasons the C search kernel reports back through its state buffer.
 #: They mirror the control points where the pure-Python loop leaves its
@@ -170,6 +194,9 @@ _S_LOG_LEN = 28
 _S_LOG_CAP = 29
 _S_CORE_LEN = 30  # literals of the assumption core the kernel wrote to tmp
 _S_WORDS = 31
+
+#: What the per-solve counters ``_S_D_CONFLICTS.._S_D_BACKJUMPED`` start at.
+_ZERO_DELTAS = array("l", [0] * (_S_D_BACKJUMPED - _S_D_CONFLICTS + 1))
 
 
 @dataclass
@@ -288,7 +315,14 @@ class Solver:
             self._csearch = library.repro_search
             self._cadd = library.repro_add_clauses
             self._ccancel = library.repro_cancel
-            self._cdetach = library.repro_detach
+            self._csweep = library.repro_sweep
+            # The buffer table ("L": one C pointer per slot) and what its
+            # slots were last filled from; see _buffers.
+            self._btable = array("L", [0] * _B_SLOTS)
+            self._btable_addr = self._btable.buffer_info()[0]
+            self._btable_arena: Optional[array] = None
+            self._btable_arena_len = -1
+            self._btable_vars = -1
         else:
             self._arena = [0]
             self._heads = [0, 0]
@@ -339,6 +373,9 @@ class Solver:
         #: Wall seconds spent inside ``repro_search`` calls (zero on the
         #: Python backend); like :attr:`kernel_exits`, outside :attr:`stats`.
         self.kernel_seconds = 0.0
+        #: Calls into the compiled library, every entry point counted (zero
+        #: on the Python backend).
+        self.kernel_calls = 0
         self.max_conflicts: Optional[int] = None
 
     # ------------------------------------------------------------------ API
@@ -412,22 +449,26 @@ class Solver:
             return False
         layer = self._layers[-1] if self._layers else None
         if layer is not None:
-            lits = list(lits) + [-layer.selector]
+            lits = [*lits, -layer.selector]
         seen: set[int] = set()
         internal: list[int] = []
+        assigns = self._assigns  # grown in place by ensure_vars
+        levels = self._level
         for lit in lits:
             if lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self.ensure_vars(abs(lit))
-            ilit = self._to_internal(lit)
+            var = lit if lit > 0 else -lit
+            if var > self._num_vars:
+                self.ensure_vars(var)
+            ilit = 2 * var + (lit < 0)
             if ilit ^ 1 in seen:
                 return True  # tautology: trivially satisfied
             if ilit in seen:
                 continue
-            value = self._lit_value(ilit)
-            if value == _TRUE and self._level[ilit >> 1] == 0:
-                return True  # already satisfied at top level
-            if value == _FALSE and self._level[ilit >> 1] == 0:
+            value = assigns[var]
+            if value != _UNDEF and levels[var] == 0:
+                if value ^ (ilit & 1) == _TRUE:
+                    return True  # already satisfied at top level
                 continue  # falsified at top level: drop the literal
             seen.add(ilit)
             internal.append(ilit)
@@ -467,6 +508,8 @@ class Solver:
         0 in a way the simplification has not already removed).
         """
         arena = self._arena
+        assigns = self._assigns
+        levels = self._level
         base = ref + _HDR
         size = arena[ref] >> 2
         while True:
@@ -474,8 +517,9 @@ class Solver:
             max_level = 0
             for position in range(size):
                 ilit = arena[base + position]
-                if self._lit_value(ilit) == _FALSE:
-                    level = self._level[ilit >> 1]
+                # False: assigned, to the opposite of the literal's sign.
+                if assigns[ilit >> 1] == ilit & 1:
+                    level = levels[ilit >> 1]
                     if level > max_level:
                         max_level = level
                 elif first < 0:
@@ -549,6 +593,23 @@ class Solver:
         ends = array("l", accumulate(map(len, batch)))
         return self.add_flat(flat, ends)
 
+    def add_units(self, lits: array) -> bool:
+        """Add one unit clause per literal of ``lits`` (an ``array('l')``).
+
+        :meth:`add_clauses` over ``[[lit] for lit in lits]`` without the
+        per-clause lists: with a layer open on the C backend the kernel's
+        batch — each literal paired with the layer's ``-selector`` — is
+        built by two array operations.
+        """
+        count = len(lits)
+        if not count:
+            return True
+        if self._layers and self._kernel_ready():
+            flat = array("l", [-self._layers[-1].selector]) * (2 * count)
+            flat[0::2] = lits
+            return self._add_clauses_c(flat, array("l", range(2, 2 * count + 1, 2)))
+        return self.add_flat(lits, array("l", range(1, count + 1)))
+
     def add_flat(self, flat: array, ends: array) -> bool:
         """Add clauses given flat: clause ``i`` is ``flat[ends[i-1]:ends[i]]``.
 
@@ -600,14 +661,9 @@ class Solver:
         )
         while True:
             state[6] = self._num_vars
+            self.kernel_calls += 1
             status = self._cadd(
-                arena.buffer_info()[0],
-                self._heads.buffer_info()[0],
-                self._assigns.buffer_info()[0],
-                self._level.buffer_info()[0],
-                self._reason.buffer_info()[0],
-                self._trail.buffer_info()[0],
-                self._seen.buffer_info()[0],
+                self._buffers(),
                 flat.buffer_info()[0],
                 ends.buffer_info()[0],
                 refs.buffer_info()[0],
@@ -649,10 +705,10 @@ class Solver:
             self._kept_assumptions = []
             self._core = []
             return False
-        for lit in assumptions:
-            if lit == 0:
+        if assumptions:
+            if 0 in assumptions:
                 raise ValueError("0 is not a valid assumption literal")
-            self.ensure_vars(abs(lit))
+            self.ensure_vars(max(max(assumptions), -min(assumptions)))
         all_assumptions = [layer.selector for layer in self._layers]
         all_assumptions.extend(assumptions)
         # Trail keeping: reuse the decision levels of the longest assumption
@@ -671,24 +727,28 @@ class Solver:
         # every current assumption (a backjump may unassign a changed slot
         # that no decision level re-pins); anything else is re-derived
         # conservatively from the true shared prefix.
+        count = len(all_assumptions)
         optimistic = False
-        if keep < len(all_assumptions) and len(kept) == len(all_assumptions):
+        if keep < count and len(kept) == count:
             optimistic = True
-            for index in range(keep, len(all_assumptions)):
-                if kept[index] != all_assumptions[index]:
-                    ilit = self._to_internal(all_assumptions[index])
-                    if self._lit_value(ilit) != _TRUE:
-                        optimistic = False
-                        break
+            assigns = self._assigns
+            for index in range(keep, count):
+                lit = all_assumptions[index]
+                # True on the trail: the variable is assigned lit's sign.
+                if kept[index] != lit and assigns[abs(lit)] != (lit > 0):
+                    optimistic = False
+                    break
         self._kept_assumptions = []
         resumed_full = False
-        if keep == limit and len(kept) == len(all_assumptions) == keep:
+        if keep == limit and len(kept) == count == keep:
             pass  # identical assumptions: resume with the full trail
         elif optimistic:
             resumed_full = True  # changed slots satisfied: resume in place
         else:
             self._cancel_until(keep)
-        internal_assumptions = [self._to_internal(lit) for lit in all_assumptions]
+        internal_assumptions = [
+            2 * lit if lit > 0 else 1 - 2 * lit for lit in all_assumptions
+        ]
         self._search_floor = self._decision_level()
         result = self._search(internal_assumptions)
         if resumed_full and (
@@ -705,7 +765,6 @@ class Solver:
             self._cancel_until(keep)
             self._search_floor = self._decision_level()
             result = self._search(internal_assumptions)
-        count = len(all_assumptions)
         if result:
             level = self._decision_level()
         else:
@@ -861,44 +920,21 @@ class Solver:
             raise RuntimeError("no layer to pop")
         self._cancel_to_root()
         layer = self._layers.pop()
-        removed = set(layer.clauses)
-        self._detach_all(layer.clauses)
-        for ref in layer.clauses:
-            self._free(ref)
         # Every problem clause added since the layer opened belongs to it
         # (add_clause tags them all), so the layer's clauses are exactly the
         # tail of the clause list.
         del self._clauses[layer.clause_mark:]
         # Learnt clauses mentioning the dead selector are permanently
-        # satisfied once ``-selector`` is fixed; drop them so the watch
-        # lists do not silt up over a long session.
-        dead_lit = self._to_internal(-layer.selector)
-        arena = self._arena
-        stale: list[int] = []
-        for ref in self._learnts:
-            base = ref + _HDR
-            for index in range(base, base + (arena[ref] >> 2)):
-                if arena[index] == dead_lit:
-                    stale.append(ref)
-                    break
-        if stale:
-            self._detach_all(stale)
-            for ref in stale:
-                self._free(ref)
-                removed.add(ref)
-            self._learnts = [ref for ref in self._learnts if ref not in removed]
-        if removed:
-            # Level-0 propagations may still name a retracted clause as their
-            # reason; those reasons are never resolved against again, but the
-            # dangling references are cleared so compaction cannot remap them
-            # to a recycled slot.  Only trail variables have a reason, and
-            # the trail is at the root here.
-            reason = self._reason
-            trail = self._trail
-            for index in range(self._trail_len):
-                var = trail[index] >> 1
-                if reason[var] in removed:
-                    reason[var] = 0
+        # satisfied once ``-selector`` is fixed; the sweep drops them with
+        # the layer so the watch lists do not silt up over a long session.
+        # Level-0 propagations may still name a retracted clause as their
+        # reason; those reasons are never resolved against again, but the
+        # sweep clears them so compaction cannot remap them to a recycled
+        # slot (only trail variables have a reason, and the trail is at the
+        # root here).
+        activity_of = self._activity_of
+        for ref in self._sweep(layer.clauses, 2 * layer.selector + 1, self._trail_len):
+            activity_of.pop(ref, None)
         self._maybe_compact()
         # The retraction unit is permanent even when outer layers are still
         # open (a popped layer can never be re-entered), so it must bypass
@@ -991,43 +1027,94 @@ class Solver:
         arena[ref + 2] = heads[lit1]
         heads[lit1] = (ref << 1) | 1
 
-    def _detach_all(self, refs: Sequence[int]) -> None:
-        """Unlink both watch slots of each clause, in order, from the
-        watcher lists (one ``repro_detach`` call on the C backend)."""
+    def _sweep(
+        self, kill: Sequence[int], dead_lit: int = 0, trail_count: int = 0
+    ) -> list[int]:
+        """Retract the attached clauses ``kill`` in one pass; returns the
+        learnt clauses retracted with them.
+
+        Each clause is marked dead (its arena span becomes garbage) and both
+        watcher lists of every variable it watches are walked once, dropping
+        the dead watchers and keeping the live ones in order — the lists a
+        clause-by-clause unlink leaves.  A non-zero internal ``dead_lit``
+        also retracts every learnt clause naming it, and a trail variable
+        among the first ``trail_count`` whose reason was retracted gets
+        reason 0.  One ``repro_sweep`` call on the C backend; the loops
+        below are its mirror.  Clause activities are the caller's.
+        """
+        if self._use_c:
+            kill = array("l", kill)
+            learnts = array("l", self._learnts if dead_lit else ())
+            stale = array("l", bytes(len(learnts) * learnts.itemsize))
+            state = array("l", [len(kill), len(learnts), dead_lit, trail_count, 0, 0])
+            self.kernel_calls += 1
+            self._csweep(
+                self._buffers(),
+                kill.buffer_info()[0],
+                learnts.buffer_info()[0],
+                stale.buffer_info()[0],
+                state.buffer_info()[0],
+            )
+            self._garbage += state[4]
+            if not dead_lit:
+                return []
+            self._learnts = learnts[: state[1]].tolist()
+            return stale[: state[5]].tolist()
         arena = self._arena
         heads = self._heads
-        if self._use_c:
-            batch = array("l", refs)
-            self._cdetach(
-                arena.buffer_info()[0],
-                heads.buffer_info()[0],
-                batch.buffer_info()[0],
-                len(batch),
-            )
-            return
-        for ref in refs:
-            base = ref + _HDR
-            for slot in (0, 1):
-                lit = arena[base + slot]
-                target = (ref << 1) | slot
-                current = heads[lit]
-                if current == target:
-                    heads[lit] = arena[ref + 1 + slot]
-                    continue
-                while current:
-                    link = (current >> 1) + 1 + (current & 1)
-                    following = arena[link]
-                    if following == target:
-                        arena[link] = arena[ref + 1 + slot]
-                        break
-                    current = following
+        seen = self._seen
+        garbage = 0
 
-    def _free(self, ref: int) -> None:
-        """Mark a detached clause dead; its arena span becomes garbage."""
-        header = self._arena[ref]
-        self._arena[ref] = header | _FLAG_DEAD
-        self._activity_of.pop(ref, None)
-        self._garbage += (header >> 2) + _HDR
+        def kill_clause(ref: int) -> None:
+            nonlocal garbage
+            header = arena[ref]
+            arena[ref] = header | _FLAG_DEAD
+            garbage += (header >> 2) + _HDR
+            seen[arena[ref + _HDR] >> 1] = 1
+            seen[arena[ref + _HDR + 1] >> 1] = 1
+
+        for ref in kill:
+            kill_clause(ref)
+        stale: list[int] = []
+        if dead_lit:
+            kept: list[int] = []
+            for ref in self._learnts:
+                base = ref + _HDR
+                if dead_lit in arena[base : base + (arena[ref] >> 2)]:
+                    kill_clause(ref)
+                    stale.append(ref)
+                else:
+                    kept.append(ref)
+            self._learnts = kept
+        for refs in (kill, stale):
+            for ref in refs:
+                for slot in (0, 1):
+                    var = arena[ref + _HDR + slot] >> 1
+                    if not seen[var]:
+                        continue
+                    seen[var] = 0
+                    for lit in (2 * var, 2 * var + 1):
+                        prev = -1  # -1: the list head; otherwise an arena index
+                        current = heads[lit]
+                        while current:
+                            link = (current >> 1) + 1 + (current & 1)
+                            following = arena[link]
+                            if arena[current >> 1] & _FLAG_DEAD:
+                                if prev < 0:
+                                    heads[lit] = following
+                                else:
+                                    arena[prev] = following
+                            else:
+                                prev = link
+                            current = following
+        reason = self._reason
+        trail = self._trail
+        for index in range(trail_count):
+            var = trail[index] >> 1
+            if reason[var] and arena[reason[var]] & _FLAG_DEAD:
+                reason[var] = 0
+        self._garbage += garbage
+        return stale
 
     def _maybe_compact(self) -> None:
         """Compact the arena when dead clauses dominate it.
@@ -1256,15 +1343,8 @@ class Solver:
             state[1] = self._trail_len
             state[2] = len(self._trail_lim)
             state[3] = 0
-            conflict = self._cfn(
-                self._arena.buffer_info()[0],
-                self._heads.buffer_info()[0],
-                self._assigns.buffer_info()[0],
-                self._level.buffer_info()[0],
-                self._reason.buffer_info()[0],
-                self._trail.buffer_info()[0],
-                state.buffer_info()[0],
-            )
+            self.kernel_calls += 1
+            conflict = self._cfn(self._buffers(), state.buffer_info()[0])
             self._qhead = state[0]
             self._trail_len = state[1]
             self.stats.propagations += state[3]
@@ -1373,19 +1453,9 @@ class Solver:
         bound = self._trail_lim[level]
         if self._use_c:
             order = self._order
+            self.kernel_calls += 1
             order.set_size(
-                self._ccancel(
-                    self._trail.buffer_info()[0],
-                    self._assigns.buffer_info()[0],
-                    self._polarity.buffer_info()[0],
-                    self._reason.buffer_info()[0],
-                    self._activity.buffer_info()[0],
-                    order.heap_buffer().buffer_info()[0],
-                    order.positions_buffer().buffer_info()[0],
-                    self._trail_len,
-                    bound,
-                    order.size,
-                )
+                self._ccancel(self._buffers(), self._trail_len, bound, order.size)
             )
         else:
             trail = self._trail
@@ -1565,9 +1635,9 @@ class Solver:
                 removed.append(ref)
             else:
                 keep.append(ref)
-        self._detach_all(removed)
+        self._sweep(removed)
         for ref in removed:
-            self._free(ref)
+            activity_of.pop(ref, None)
         self._learnts = keep
         self.stats.deleted_clauses += len(removed)
         self._maybe_compact()
@@ -1665,19 +1735,61 @@ class Solver:
             if next_lit is None:
                 next_lit = self._pick_branch_literal()
                 if next_lit is None:
-                    self._model = list(self._assigns)
+                    self._model = self._assigns[:]
                     return True
             self._new_decision_level()
             self._enqueue(next_lit, 0)
 
     # ------------------------------------------------------- C search kernel
 
-    def _ensure_buf(self, name: str, size: int) -> array:
-        """A cached ``array('l')`` scratch buffer of at least ``size`` slots."""
+    def _buffers(self) -> int:
+        """The address of the buffer table every C entry point takes.
+
+        A slot is refilled only when its buffer may have moved.  The
+        solver's buffers only ever grow, so an unchanged length means an
+        unchanged address: the arena slot follows the arena's identity and
+        length (compaction replaces it), the per-variable and order-heap
+        slots follow the variable count (every per-variable buffer grows
+        with it), and :meth:`_ensure_buf` refills the search scratch slots.
+        """
+        table = self._btable
+        arena = self._arena
+        if arena is not self._btable_arena or len(arena) != self._btable_arena_len:
+            table[_B_ARENA] = arena.buffer_info()[0]
+            self._btable_arena = arena
+            self._btable_arena_len = len(arena)
+        if self._num_vars != self._btable_vars:
+            order = self._order
+            order.grow_to(self._num_vars)
+            for slot, buffer in (
+                (_B_HEADS, self._heads),
+                (_B_ASSIGNS, self._assigns),
+                (_B_LEVELS, self._level),
+                (_B_REASONS, self._reason),
+                (_B_TRAIL, self._trail),
+                (_B_POLARITY, self._polarity),
+                (_B_SEEN, self._seen),
+                (_B_ACTIVITY, self._activity),
+                (_B_HEAP, order.heap_buffer()),
+                (_B_HEAP_POS, order.positions_buffer()),
+            ):
+                table[slot] = buffer.buffer_info()[0]
+            self._btable_vars = self._num_vars
+        return self._btable_addr
+
+    def _ensure_buf(self, name: str, slot: int, size: int) -> array:
+        """A cached ``array('l')`` scratch buffer of at least ``size`` slots,
+        entered in buffer-table slot ``slot``.
+
+        A buffer too small is replaced by one with half again the room, so
+        a solver whose variable count creeps up does not reallocate on
+        every solve.
+        """
         buf = getattr(self, name)
         if buf is None or len(buf) < size:
-            buf = array("l", [0]) * max(size, 16)
+            buf = array("l", [0]) * max(size + (size >> 1), 16)
             setattr(self, name, buf)
+            self._btable[slot] = buf.buffer_info()[0]
         return buf
 
     def _search_c(self, assumptions: list[int]) -> bool:
@@ -1686,167 +1798,138 @@ class Solver:
         The kernel runs the entire inner CDCL loop — propagation, analysis,
         learning, backjumping, VSIDS, restarts, decisions — over the shared
         flat buffers and returns only for control events.  This driver
-        provisions buffer capacity, marshals the per-search bookkeeping in
-        and out through the state array, drains the refs of newly learnt
+        provisions buffer capacity, marshals the search bookkeeping in and
+        out through the state array, drains the refs of newly learnt
         clauses, and replays the clause-activity bump log (clause activities
         only influence Python-side database reduction, so the kernel records
         *which* learnt clauses were bumped and Python applies the
         bump/decay/rescale arithmetic — bit-identically, since the log
         preserves execution order).
+
+        Between the calls of one solve only the learnt-database reduction
+        runs in Python, and it touches neither the trail nor the order heap
+        nor the restart schedule, so those words are written once per solve
+        and read back once, at the final exit; per call the driver writes
+        only the arena and learnt-database words.
         """
         stats = self.stats
+        num_vars = self._num_vars
         n_assumptions = len(assumptions)
-        restart_index = 0
-        conflict_budget = 100 * self._luby(restart_index)
-        conflicts_since_restart = 0
         max_learnts = max(len(self._clauses) // 3, 2000)
-        total_conflicts = 0
         state = self._sstate
         floats = self._sfloat
-        assump_buf = self._ensure_buf("_assump_buf", n_assumptions)
-        for index, ilit in enumerate(assumptions):
-            assump_buf[index] = ilit
+        # A single conflict analysis may allocate one learnt clause of up to
+        # num_vars literals, log one bump per resolved clause plus the
+        # learnt ref and a decay sentinel, and push one scratch ref.  The
+        # kernel re-checks this margin before every analysis and exits with
+        # _EXIT_CAPACITY instead of overflowing.
+        scratch = self._ensure_buf("_scratch_buf", _B_SCRATCH, max(num_vars, 8192))
+        bump_log = self._ensure_buf(
+            "_bump_log", _B_BUMPLOG, max(2 * num_vars + 4096, 16384)
+        )
+        analyze_buf = self._ensure_buf("_analyze_buf", _B_TMP, 2 * num_vars + 4)
+        lim_buf = self._ensure_buf(
+            "_lim_buf", _B_TRAIL_LIM, num_vars + n_assumptions + 2
+        )
+        assump_buf = self._ensure_buf("_assump_buf", _B_ASSUMPTIONS, n_assumptions)
+        assump_buf[:n_assumptions] = array("l", assumptions)
+        levels = len(self._trail_lim)
+        lim_buf[:levels] = array("l", self._trail_lim)
+        state[_S_QHEAD] = self._qhead
+        state[_S_TRAIL_LEN] = self._trail_len
+        state[_S_LEVELS] = levels
+        state[_S_HEAP_SIZE] = self._order.size
+        state[_S_NUM_VARS] = num_vars
+        state[_S_NUM_ASSUMPTIONS] = n_assumptions
+        state[_S_RESTART_INDEX] = 0
+        state[_S_CONFLICT_BUDGET] = 100 * self._luby(0)
+        state[_S_CONFLICTS_SINCE_RESTART] = 0
+        state[_S_TOTAL_CONFLICTS] = 0
+        state[_S_MAX_CONFLICTS] = -1 if self.max_conflicts is None else self.max_conflicts
+        state[_S_SEARCH_FLOOR] = self._search_floor
+        state[_S_PROPAGATIONS] = 0
+        state[_S_D_CONFLICTS : _S_D_BACKJUMPED + 1] = _ZERO_DELTAS
+        state[_S_SCRATCH_CAP] = len(scratch)
+        state[_S_LOG_CAP] = len(bump_log)
+        floats[0] = self._var_inc
+        floats[1] = self._var_decay
+        state_addr = state.buffer_info()[0]
+        floats_addr = floats.buffer_info()[0]
 
         while True:
-            num_vars = self._num_vars
             arena = self._arena
-            # A single conflict analysis may allocate one learnt clause of
-            # up to num_vars literals, log one bump per resolved clause plus
-            # the learnt ref and a decay sentinel, and push one scratch ref.
-            # The kernel re-checks this margin before every analysis and
-            # exits with _EXIT_CAPACITY instead of overflowing.
             needed = self._arena_len + num_vars + _HDR + 2
             if len(arena) < needed:
-                target = max(
-                    needed,
-                    len(arena) + (len(arena) >> 1),
-                    self._arena_len + 65536,
-                )
+                target = max(needed, len(arena) + (len(arena) >> 1))
                 arena.frombytes(bytes((target - len(arena)) * arena.itemsize))
-            scratch = self._ensure_buf("_scratch_buf", max(num_vars, 8192))
-            bump_log = self._ensure_buf(
-                "_bump_log", max(2 * num_vars + 4096, 16384)
-            )
-            analyze_buf = self._ensure_buf("_analyze_buf", 2 * num_vars + 4)
-            lim_buf = self._ensure_buf(
-                "_lim_buf", num_vars + n_assumptions + 2
-            )
-            for index, bound in enumerate(self._trail_lim):
-                lim_buf[index] = bound
-            order = self._order
-            order.grow_to(num_vars)
-            state[_S_QHEAD] = self._qhead
-            state[_S_TRAIL_LEN] = self._trail_len
-            state[_S_LEVELS] = len(self._trail_lim)
-            state[_S_PROPAGATIONS] = 0
             state[_S_ARENA_LEN] = self._arena_len
             state[_S_ARENA_CAP] = len(arena)
-            state[_S_HEAP_SIZE] = order.size
-            state[_S_NUM_VARS] = num_vars
-            state[_S_NUM_ASSUMPTIONS] = n_assumptions
             state[_S_LEARNT_COUNT] = len(self._learnts)
             state[_S_MAX_LEARNTS] = max_learnts
-            state[_S_RESTART_INDEX] = restart_index
-            state[_S_CONFLICT_BUDGET] = conflict_budget
-            state[_S_CONFLICTS_SINCE_RESTART] = conflicts_since_restart
-            state[_S_TOTAL_CONFLICTS] = total_conflicts
-            state[_S_MAX_CONFLICTS] = (
-                -1 if self.max_conflicts is None else self.max_conflicts
-            )
-            state[_S_SEARCH_FLOOR] = self._search_floor
-            state[_S_EXIT_REASON] = 0
-            state[_S_EXIT_PAYLOAD] = 0
-            for index in range(_S_D_CONFLICTS, _S_D_BACKJUMPED + 1):
-                state[index] = 0
             state[_S_SCRATCH_LEN] = 0
-            state[_S_SCRATCH_CAP] = len(scratch)
             state[_S_LOG_LEN] = 0
-            state[_S_LOG_CAP] = len(bump_log)
-            floats[0] = self._var_inc
-            floats[1] = self._var_decay
+            table = self._buffers()
+            self.kernel_calls += 1
             started = perf_counter()
-            self._csearch(
-                arena.buffer_info()[0],
-                self._heads.buffer_info()[0],
-                self._assigns.buffer_info()[0],
-                self._level.buffer_info()[0],
-                self._reason.buffer_info()[0],
-                self._trail.buffer_info()[0],
-                lim_buf.buffer_info()[0],
-                self._polarity.buffer_info()[0],
-                self._seen.buffer_info()[0],
-                self._activity.buffer_info()[0],
-                order.heap_buffer().buffer_info()[0],
-                order.positions_buffer().buffer_info()[0],
-                assump_buf.buffer_info()[0],
-                scratch.buffer_info()[0],
-                bump_log.buffer_info()[0],
-                analyze_buf.buffer_info()[0],
-                state.buffer_info()[0],
-                floats.buffer_info()[0],
-            )
+            reason = self._csearch(table, state_addr, floats_addr)
             self.kernel_seconds += perf_counter() - started
-            # Marshal the kernel's bookkeeping back out.
-            self._qhead = state[_S_QHEAD]
-            self._trail_len = state[_S_TRAIL_LEN]
-            self._trail_lim = list(lim_buf[: state[_S_LEVELS]])
-            stats.propagations += state[_S_PROPAGATIONS]
             self._arena_len = state[_S_ARENA_LEN]
-            order.set_size(state[_S_HEAP_SIZE])
-            restart_index = state[_S_RESTART_INDEX]
-            conflict_budget = state[_S_CONFLICT_BUDGET]
-            conflicts_since_restart = state[_S_CONFLICTS_SINCE_RESTART]
-            total_conflicts = state[_S_TOTAL_CONFLICTS]
-            self._search_floor = state[_S_SEARCH_FLOOR]
-            stats.conflicts += state[_S_D_CONFLICTS]
-            stats.decisions += state[_S_D_DECISIONS]
-            stats.restarts += state[_S_D_RESTARTS]
-            stats.learnt_clauses += state[_S_D_LEARNTS]
-            stats.analyses += state[_S_D_ANALYSES]
-            stats.minimized_literals += state[_S_D_MINIMIZED]
-            stats.backjumped_levels += state[_S_D_BACKJUMPED]
-            self._var_inc = floats[0]
-            learnts = self._learnts
-            for index in range(state[_S_SCRATCH_LEN]):
-                learnts.append(scratch[index])
-            for index in range(state[_S_LOG_LEN]):
-                entry = bump_log[index]
+            learnt = state[_S_SCRATCH_LEN]
+            if learnt:
+                self._learnts.extend(scratch[:learnt])
+            for entry in bump_log[: state[_S_LOG_LEN]]:
                 if entry:
                     self._clause_bump(entry)
                 else:
                     self._cla_inc /= self._cla_decay
-            reason = state[_S_EXIT_REASON]
             if reason in _EXIT_NAMES:
                 self.kernel_exits[_EXIT_NAMES[reason]] += 1
-            if reason == _EXIT_SAT:
-                self._model = list(self._assigns)
-                return True
-            if reason == _EXIT_UNSAT:
-                self._ok = False
-                self._core = []
-                return False
-            if reason == _EXIT_ASSUMPTION:
-                # The kernel extracted the core: the falsified assumption,
-                # then the decisions it wrote to the analysis buffer, added
-                # in _analyze_final's order.
-                core = {state[_S_EXIT_PAYLOAD]}
-                core.update(analyze_buf[: state[_S_CORE_LEN]])
-                self._core = [self._to_external(lit) for lit in core]
-                return False
             if reason == _EXIT_REDUCE:
                 self._reduce_db()
                 max_learnts = int(max_learnts * 1.3)
-            elif reason == _EXIT_CONFLICT_BUDGET:
-                self._core = []
-                self._cancel_until(0)
-                raise ConflictBudgetExceeded(
-                    f"exceeded conflict budget of {self.max_conflicts}"
-                )
-            elif reason != _EXIT_CAPACITY:  # pragma: no cover
-                raise RuntimeError(f"C search kernel returned bad exit {reason}")
+            elif reason != _EXIT_CAPACITY:
+                break
             # _EXIT_REDUCE and _EXIT_CAPACITY re-enter: the next iteration
             # re-provisions capacity and resumes at the loop top, where an
             # empty propagation queue makes re-entry a no-op.
+
+        # Marshal the kernel's bookkeeping back out.
+        self._qhead = state[_S_QHEAD]
+        self._trail_len = state[_S_TRAIL_LEN]
+        self._trail_lim = lim_buf[: state[_S_LEVELS]].tolist()
+        self._order.set_size(state[_S_HEAP_SIZE])
+        self._search_floor = state[_S_SEARCH_FLOOR]
+        self._var_inc = floats[0]
+        stats.propagations += state[_S_PROPAGATIONS]
+        stats.conflicts += state[_S_D_CONFLICTS]
+        stats.decisions += state[_S_D_DECISIONS]
+        stats.restarts += state[_S_D_RESTARTS]
+        stats.learnt_clauses += state[_S_D_LEARNTS]
+        stats.analyses += state[_S_D_ANALYSES]
+        stats.minimized_literals += state[_S_D_MINIMIZED]
+        stats.backjumped_levels += state[_S_D_BACKJUMPED]
+        if reason == _EXIT_SAT:
+            self._model = self._assigns[:]
+            return True
+        if reason == _EXIT_UNSAT:
+            self._ok = False
+            self._core = []
+            return False
+        if reason == _EXIT_ASSUMPTION:
+            # The kernel extracted the core: the falsified assumption,
+            # then the decisions it wrote to the analysis buffer, added
+            # in _analyze_final's order.
+            core = {state[_S_EXIT_PAYLOAD]}
+            core.update(analyze_buf[: state[_S_CORE_LEN]])
+            self._core = [self._to_external(lit) for lit in core]
+            return False
+        if reason == _EXIT_CONFLICT_BUDGET:
+            self._core = []
+            self._cancel_until(0)
+            raise ConflictBudgetExceeded(
+                f"exceeded conflict budget of {self.max_conflicts}"
+            )
+        raise RuntimeError(f"C search kernel returned bad exit {reason}")  # pragma: no cover
 
 
 def model_from_assignment(assigns: Sequence[int]) -> dict[int, bool]:

@@ -465,6 +465,66 @@ class TestSessionTracing:
         else:
             assert kernel_ms == 0
 
+    @pytest.mark.parametrize("backend", ["default", "python"])
+    def test_kernel_split_on_localize_span(self, backend, monkeypatch):
+        """The request span carries the split for the whole request — engine
+        and layer load, CoMSS loop and pop: ``kernel_ms`` inside the search
+        kernel, ``glue_ms`` the rest, and ``kernel_calls`` crossings into
+        the compiled library (zero on the Python backend)."""
+        from repro.sat import _ccore
+        from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+        if backend == "python":
+            monkeypatch.setattr(_ccore, "backend", lambda: "python")
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        failing, _ = classify_tcas_tests("v1", count=200)
+        with obs.trace("request") as handle:
+            with LocalizationSession(tcas_faulty_program("v1")) as session:
+                vector, expected = failing[0]
+                for _ in range(2):  # the first request loads the engine
+                    session.localize(
+                        vector.as_list(), Specification.return_value(expected)
+                    )
+                solver = session._engine._solver
+        requests = [s for s in handle.spans() if s["name"] == "session.localize"]
+        solves = [s for s in handle.spans() if s["name"] == "solve.comss"]
+        assert len(requests) == len(solves) == 2
+        for request, solve in zip(requests, solves):
+            attrs = request["attrs"]
+            assert abs(attrs["kernel_ms"] + attrs["glue_ms"] - request["dur_us"] / 1000) <= 0.001
+            # The solve's kernel time is part of the request's.
+            assert attrs["kernel_ms"] >= solve["attrs"]["kernel_ms"] - 1e-9
+            assert attrs["glue_ms"] > solve["attrs"]["glue_ms"] - 0.001
+            if solver.backend == "c":
+                # At least the layer load, the searches, and the pop's sweep.
+                assert attrs["kernel_calls"] >= solve["attrs"]["sat_calls"] + 2
+                assert attrs["kernel_ms"] > 0
+            else:
+                assert attrs["kernel_calls"] == 0 and attrs["kernel_ms"] == 0
+        if solver.backend == "c":
+            total = sum(request["attrs"]["kernel_calls"] for request in requests)
+            assert total == solver.kernel_calls
+
+    def test_first_load_inside_the_request_span(self, monkeypatch):
+        """The session's engine load is part of its first request: the
+        ``maxsat.load`` span is a child of that ``session.localize`` span
+        and the report's time covers it."""
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        program, failing = classify_failing_tests()
+        with obs.trace("request") as handle:
+            with LocalizationSession(program) as session:
+                report = session.localize(*failing[0])
+        spans = handle.spans()
+        by_id = {s["span_id"]: s for s in spans}
+        (load,) = [s for s in spans if s["name"] == "maxsat.load"]
+        (request,) = [s for s in spans if s["name"] == "session.localize"]
+        parent = by_id[load["parent_id"]]
+        while parent["name"] != "session.localize":
+            parent = by_id[parent["parent_id"]]
+        assert parent is request
+        assert report.time_seconds * 1e6 >= load["dur_us"]
+        assert report.time_seconds * 1e6 >= request["dur_us"] - 1
+
     def test_engine_load_span(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "on")
         program, failing = classify_failing_tests()

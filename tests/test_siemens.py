@@ -237,6 +237,73 @@ class TestReductions:
         assert minimized[2] == 9
         assert minimized.count(0) >= 2
 
+    def test_slice_memo_hits_and_misses(self, monkeypatch):
+        """The slice is memoized on the program's frozen objects: a program
+        sharing them hits, replacing a function or a global misses, and
+        every answer equals a cold slice."""
+        import dataclasses
+        from collections import OrderedDict
+
+        from repro.reduction import slicing
+
+        monkeypatch.setattr(slicing, "_slice_memo", OrderedDict())
+        slices = []
+        backward = slicing.backward_slice_lines
+
+        def counting(*args):
+            slices.append(args)
+            return backward(*args)
+
+        monkeypatch.setattr(slicing, "backward_slice_lines", counting)
+
+        def cold(program, **options):
+            saved = slicing._slice_memo
+            slicing._slice_memo = OrderedDict()
+            try:
+                return sliced_tracer_settings(program, **options)
+            finally:
+                slicing._slice_memo = saved
+
+        cached = TOT_INFO.faulty_program()
+        program = dataclasses.replace(
+            cached, functions=dict(cached.functions), globals=list(cached.globals)
+        )
+        first = sliced_tracer_settings(cached)
+        again = sliced_tracer_settings(program)  # same objects: a hit
+        assert len(slices) == 1
+        assert again == first and again["relevant_lines"] is not first["relevant_lines"]
+        assert "scratch_statistics" in first["concrete_functions"]
+
+        # Replacing a function (here: emptying it) misses.
+        statistics = program.functions["scratch_statistics"]
+        program.functions["scratch_statistics"] = dataclasses.replace(
+            statistics, body=()
+        )
+        emptied = sliced_tracer_settings(program)
+        assert len(slices) == 2
+        assert emptied == cold(program)
+        assert "scratch_statistics" not in emptied["concrete_functions"]
+
+        # Replacing a global, even by an equal one, misses.
+        program.globals[0] = dataclasses.replace(program.globals[0])
+        regloballed = sliced_tracer_settings(program)
+        assert len(slices) == 4
+        assert regloballed == cold(program) == emptied
+
+        # The criterion and the protected functions are part of the key.
+        program.functions["scratch_statistics"] = statistics
+        protected = sliced_tracer_settings(
+            program, protected_functions=["scratch_statistics"]
+        )
+        assert "scratch_statistics" not in protected["concrete_functions"]
+        assert protected == cold(program, protected_functions=["scratch_statistics"])
+        narrowed = sliced_tracer_settings(program, criterion_variables=["info"])
+        assert narrowed == cold(program, criterion_variables=["info"])
+        # The original functions with the replaced global: a miss, and the
+        # original slice again.
+        assert sliced_tracer_settings(program) == first
+        assert len(slices) == 10
+
     def test_sliced_trace_still_localizes_schedule2(self):
         benchmark = LARGE_BENCHMARKS[3]
         faulty = benchmark.faulty_program()
