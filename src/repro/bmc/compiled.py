@@ -308,15 +308,21 @@ class CompiledProgram:
         inputs: Sequence[int] | Mapping[str, int],
         spec: Specification,
         nondet_values: Sequence[int] = (),
-    ) -> tuple[array, dict[str, int]]:
+    ) -> tuple[array, dict[str, int], int]:
         """The retractable per-test units: input equalities plus the spec.
 
         Every per-test clause is a unit over an input, nondet or return bit
         (or a violation literal), so they come back as one literal array:
-        ``(units, test_inputs)`` where ``units`` is an ``array('l')`` with
-        one unit clause per literal, to assert on top of the invariant
-        encoding, and ``test_inputs`` is the report-facing name/value map
-        (including ``nondet#i`` entries).
+        ``(units, test_inputs, pinned)`` where ``units`` is an
+        ``array('l')`` with one unit clause per literal, to assert on top of
+        the invariant encoding, ``test_inputs`` is the report-facing
+        name/value map (including ``nondet#i`` entries), and the first
+        ``pinned`` units fix the input and nondet bits to the test's
+        concrete values.  Those bits are fresh variables, never the constant
+        literal, so each has its own unit, and the units carry the
+        warm-start phases (ROADMAP item): seeding each bit's saved phase
+        with its unit's sign makes the solver's first descent into the
+        circuit re-trace the failing execution.
         """
         units: list[int] = []
         test_inputs: dict[str, int] = {}
@@ -331,6 +337,7 @@ class CompiledProgram:
             )
             self._fix_units(bits, value, units)
             test_inputs[f"nondet#{index}"] = value
+        pinned = len(units)
 
         if spec.kind == "assertion":
             units.extend(-violation for _, violation in self.violations)
@@ -343,38 +350,7 @@ class CompiledProgram:
             self._fix_units(self.return_bits, expected, units)
         else:  # pragma: no cover - defensive
             raise ValueError(f"unsupported specification kind {spec.kind!r}")
-        return array("l", units), test_inputs
-
-    def phase_hints(self, test_inputs: Mapping[str, int]) -> dict[int, bool]:
-        """Warm-start phases from the concrete failing test (ROADMAP item).
-
-        Seeds the saved phase of every input and nondet bit variable with
-        its concrete value so the solver's first descent into the circuit
-        re-traces the failing execution instead of a cold default.
-        """
-        vectors: list[tuple[Bits, int]] = [
-            (bits, test_inputs[name])
-            for name, bits in self.input_bits.items()
-            if name in test_inputs
-        ]
-        for index, bits in enumerate(self.nondet_bits):
-            key = f"nondet#{index}"
-            if key in test_inputs:
-                vectors.append((bits, test_inputs[key]))
-        hints: dict[int, bool] = {}
-        true_lit = self.true_lit or 0  # a literal is never 0
-        for bits, value in vectors:
-            pattern = to_unsigned(value, len(bits))
-            for lit in bits:
-                wanted = pattern & 1
-                pattern >>= 1
-                if lit == true_lit or lit == -true_lit:
-                    continue  # a constant bit has no phase
-                if lit > 0:
-                    hints[lit] = wanted == 1
-                else:
-                    hints[-lit] = wanted == 0
-        return hints
+        return array("l", units), test_inputs, pinned
 
     # ----------------------------------------------------------- conversion
 
@@ -390,7 +366,7 @@ class CompiledProgram:
         :meth:`~repro.bmc.BoundedModelChecker.encode_program_formula`
         output: the invariant hard clauses followed by the per-test units.
         """
-        units, test_inputs = self.test_units(inputs, spec, nondet_values)
+        units, test_inputs, _ = self.test_units(inputs, spec, nondet_values)
         formula = self.base_formula()
         # The test units join the store as hard clauses after the invariant
         # ones; the artifact's own buffers are not touched.

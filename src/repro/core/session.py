@@ -249,7 +249,7 @@ class LocalizationSession:
             "session.localize", program=program_name or compiled.program_name
         ) as request_span:
             engine = self._ensure_engine()
-            units, test_inputs = compiled.test_units(
+            units, test_inputs, pinned = compiled.test_units(
                 failing_test, spec, nondet_values=nondet_values
             )
             report = LocalizationReport(
@@ -265,9 +265,15 @@ class LocalizationSession:
             engine.push_layer()
             try:
                 engine.add_hard_units(units)
-                engine.set_phases(compiled.phase_hints(test_inputs))
+                # Warm start: the input and nondet units carry the failing
+                # test's concrete bits (see CompiledProgram.test_units).
+                engine.set_phases(units[:pinned])
+                loop_calls = engine.kernel_totals()[1]
+                cores = engine.cores_found
                 with obs.span("solve.comss") as solve_span:
                     run_comss_loop(engine, report, self.max_candidates)
+                loop_calls = engine.kernel_totals()[1] - loop_calls
+                cores = engine.cores_found - cores
                 layer_stats = engine.layer_stats()
                 report.propagations = layer_stats.propagations
                 report.conflicts = layer_stats.conflicts
@@ -283,6 +289,12 @@ class LocalizationSession:
                     kernel_ms=kernel_ms,
                     # The Python around the kernel: engine, CoMSS loop, glue.
                     glue_ms=solve_span.duration * 1000.0 - kernel_ms,
+                    # Calls into the compiled library during the loop, the
+                    # engine's solve_current calls, and the UNSAT answers
+                    # whose cores fed its hitting set.
+                    kernel_calls=loop_calls,
+                    iterations=report.maxsat_calls,
+                    cores=cores,
                 )
                 encode_profile = compiled.encode_profile()
                 if encode_profile:

@@ -87,6 +87,9 @@ class MaxSatEngine:
 
     def __init__(self) -> None:
         self.sat_calls = 0
+        #: UNSAT answers whose cores the engine's strategy kept (the
+        #: hitting-set engine's cores); cumulative, zero for other engines.
+        self.cores_found = 0
         self._wcnf: Optional[WCNF] = None
         self._solver: Optional[Solver] = None
         self._bindings: list[_SoftBinding] = []
@@ -275,11 +278,12 @@ class MaxSatEngine:
         self._solver.add_units(lits)
         self._layer_forced.update(lits)
 
-    def set_phases(self, phases: Mapping[int, bool]) -> None:
-        """Seed solver phases (warm start from a concrete failing trace)."""
+    def set_phases(self, lits: Iterable[int]) -> None:
+        """Seed solver phases from literals (warm start from a concrete
+        failing trace): see :meth:`Solver.set_phases`."""
         if self._solver is None:
             raise RuntimeError("no instance loaded; call load() first")
-        self._solver.set_phases(phases)
+        self._solver.set_phases(lits)
 
     # -- statistics ----------------------------------------------------------
 
@@ -396,10 +400,12 @@ class MaxSatEngine:
         # the solver back to level 0 (a unit ``beta`` would).  One selector
         # is shared by every blocking clause of the current layer — blocks
         # are only ever retracted together, and a single reusable selector
-        # keeps the assumption layout constant across the CoMSS loop.
+        # keeps the assumption layout constant across the CoMSS loop.  On the
+        # C backend the clause is placed under the kept trail by one
+        # ``repro_add_clauses`` call.
         if self._block_selector is None:
             self._block_selector = self._solver.new_var()
-        self._solver.add_clause(beta + [-self._block_selector])
+        self._solver.add_clauses([beta + [-self._block_selector]])
         self._blocks += 1
         if len(beta) == 1:
             # A singleton blocking clause (CoMSS of one unit soft) forces the
@@ -479,20 +485,26 @@ class MaxSatEngine:
             self._hard_checked = True
         return self._hard_ok
 
+    def _readout_bindings(self, model: Sequence[int]) -> list[_SoftBinding]:
+        """The bindings whose soft clauses the readout of ``model`` (a
+        :meth:`Solver.model_snapshot`) evaluates, in binding order: every
+        active one, unless the engine knows which of them can be falsified."""
+        return [binding for binding in self._bindings if binding.active]
+
     def _result_from_model(self) -> MaxSatResult:
         wcnf = self._wcnf
         solver = self._solver
-        active = [binding for binding in self._bindings if binding.active]
+        readout = self._readout_bindings(solver.model_snapshot())
         # Don't-care variables stay unassigned in the partial model; a
         # clause that is still open gets completed in its favour instead
         # of over-counting the cost, and later clauses see the completion.
         completions: dict[int, bool] = {}
         falsified: list[int] = []
         for position in solver.falsified_clauses(
-            (wcnf.soft[binding.indices[0]].lits for binding in active),
+            (wcnf.soft[binding.indices[0]].lits for binding in readout),
             completions,
         ):
-            falsified.extend(active[position].indices)
+            falsified.extend(readout[position].indices)
         falsified.sort()
         cost = sum(wcnf.soft[index].weight for index in falsified)
         labels = [

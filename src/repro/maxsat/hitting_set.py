@@ -15,9 +15,10 @@ loop-iteration localization of Section 5.2 needs.
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional, Sequence
 
-from repro.maxsat.engine import MaxSatEngine
+from repro.maxsat.engine import MaxSatEngine, _SoftBinding
 from repro.maxsat.result import MaxSatResult
 
 
@@ -120,6 +121,25 @@ class HittingSetMaxSat(MaxSatEngine):
                 strengthened.append(reduced)
         self.cores = strengthened
 
+    def _readout_bindings(self, model: Sequence[int]) -> list[_SoftBinding]:
+        """Only the hitting set's bindings can be falsified.
+
+        Every other active binding was assumed, and an assumed binding's
+        soft clause is satisfied by an assigned literal (its assumption, or
+        through its hard selector clause), so the full scan would find it
+        neither falsified nor open.  That holds on a total model, which
+        every SAT answer is; a snapshot with unassigned variables takes the
+        full scan.
+        """
+        if not _is_total(model):
+            return super()._readout_bindings(model)
+        bindings = self._bindings
+        return [
+            bindings[position]
+            for position in sorted(self._last_hitting_set)
+            if bindings[position].active
+        ]
+
     def solve_current(self) -> MaxSatResult:
         # No upfront hard-clause SAT check: the mining loop subsumes it.  An
         # unsatisfiable hard set surfaces as an UNSAT call whose core
@@ -157,6 +177,7 @@ class HittingSetMaxSat(MaxSatEngine):
                 # inconsistent, so no correction set exists.
                 return self._unsatisfiable_result()
             self.cores.append(core)
+            self.cores_found += 1
             self._mark_volatile(core)
         raise RuntimeError("hitting-set MaxSAT did not converge within the iteration budget")
 
@@ -178,34 +199,58 @@ def minimum_cost_hitting_set(
     a previous hitting set: optima are often non-unique, and a stable choice
     keeps the SAT solver's assumption trail (which flips one slot per
     hitting-set member) reusable between engine iterations.
+
+    The search is depth-first over the cores from the smallest, trying each
+    core's members cheapest first (ties by ``prefer``, then index), and
+    keeps the first optimum it meets.  No hitting set costs less than the
+    dearest of the cores' cheapest members, so the first set of that cost
+    ends the search; a single core is answered by its first member.
     """
     if not cores:
         return set()
-    ordered = sorted(cores, key=len)
-    best_cost = [sum(weights[index] for core in ordered for index in core) + 1]
-    best_set: list[set[int]] = [set()]
-    found = [False]
     prefer = prefer or set()
 
-    def search(core_position: int, chosen: set[int], cost: int) -> None:
-        if cost >= best_cost[0] and found[0]:
-            return
+    def rank(index: int) -> tuple:
+        return (weights[index], index not in prefer, index)
+
+    if len(cores) == 1:
+        return {min(cores[0], key=rank)}
+    ordered = sorted(cores, key=len)
+    candidates = [sorted(core, key=rank) for core in ordered]
+    lower_bound = max(weights[members[0]] for members in candidates)
+    best_cost = sum(weights[index] for core in ordered for index in core) + 1
+    best_set: set[int] = set()
+    found = False
+
+    def search(core_position: int, chosen: set[int], cost: int) -> bool:
+        """Extend ``chosen``; ``True`` once a set reaches the lower bound."""
+        nonlocal best_cost, best_set, found
+        if cost >= best_cost and found:
+            return False
         while core_position < len(ordered) and ordered[core_position] & chosen:
             core_position += 1
         if core_position == len(ordered):
-            if not found[0] or cost < best_cost[0]:
-                best_cost[0] = cost
-                best_set[0] = set(chosen)
-                found[0] = True
-            return
-        candidates = sorted(
-            ordered[core_position],
-            key=lambda index: (weights[index], index not in prefer, index),
-        )
-        for index in candidates:
+            if not found or cost < best_cost:
+                best_cost = cost
+                best_set = set(chosen)
+                found = True
+            return cost == lower_bound
+        for index in candidates[core_position]:
+            if found and cost + weights[index] >= best_cost:
+                break  # cheapest first: no later member does better
             chosen.add(index)
-            search(core_position + 1, chosen, cost + weights[index])
+            done = search(core_position + 1, chosen, cost + weights[index])
             chosen.discard(index)
+            if done:
+                return True
+        return False
 
     search(0, set(), 0)
-    return best_set[0]
+    return best_set
+
+
+def _is_total(model: Sequence[int]) -> bool:
+    """Whether a model snapshot assigns every variable (entry 0 is unused)."""
+    if isinstance(model, array):  # the C backend's signed-char buffer
+        return model.tobytes().find(b"\xff", 1) < 0
+    return -1 not in model[1:]

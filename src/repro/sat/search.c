@@ -5,16 +5,25 @@
  *
  *   repro_propagate     two-watched-literal unit propagation, used for
  *                       root-level propagation outside the search loop;
- *   repro_search        the full CDCL search kernel: propagation, first-UIP
- *                       conflict analysis with clause learning and local
- *                       minimization, backjumping, VSIDS bump/decay/rescale,
- *                       the activity order heap, phase saving, assumption
- *                       decisions, Luby restarts and, when an assumption is
- *                       falsified, the extraction of the assumption core;
- *   repro_add_clauses   the root-level bulk clause load: one call simplifies,
- *                       stores and attaches a whole batch of clauses (units
- *                       are enqueued and propagated on the spot); clauses of
- *                       an open layer arrive already tagged with the layer's
+ *   repro_search        one whole solve: the trail keeping against the
+ *                       previous solve's assumptions (the shared-prefix
+ *                       compare, the optimistic full-trail resume and its
+ *                       re-check, the backtracks before the search and after
+ *                       an assumption core), and the full CDCL search
+ *                       kernel: propagation, first-UIP conflict analysis with
+ *                       clause learning and local minimization, backjumping,
+ *                       VSIDS bump/decay/rescale, the activity order heap,
+ *                       phase saving, assumption decisions, Luby restarts
+ *                       and, when an assumption is falsified, the extraction
+ *                       of the assumption core;
+ *   repro_add_clauses   the bulk clause load: one call simplifies, stores and
+ *                       attaches a whole batch of clauses (units are enqueued
+ *                       and propagated at the root on the spot); under a kept
+ *                       assumption trail each longer clause is placed as
+ *                       Solver._place_under_trail places it, backjumping just
+ *                       far enough, and the call reports the decision levels
+ *                       and kept assumptions it left; clauses of an open
+ *                       layer arrive already tagged with the layer's
  *                       -selector literal;
  *   repro_cancel        the backtrack outside the search loop: unassign the
  *                       trail above a bound, saving phases and reinserting
@@ -27,12 +36,14 @@
  *
  * Each implements exactly the same algorithm, over exactly the same data
  * layout, as its pure-Python mirror (Solver._propagate_python,
- * Solver._search_python with Solver._analyze_final, the per-clause
- * Solver.add_clause loop, the Python loops of Solver._cancel_until and
+ * Solver._solve_python around Solver._search_python with
+ * Solver._analyze_final, the per-clause Solver.add_clause loop with
+ * Solver._place_under_trail, the Python loops of Solver._cancel_until and
  * Solver._sweep).  Any behavioural divergence between the two is a
  * bug; the differential suites (tests/test_propagation_backends.py,
- * tests/test_search_backends.py) compare models, conflicts, cores,
- * statistics and the loaded solver state of python/c solver pairs.
+ * tests/test_search_backends.py, tests/test_comss_iteration.py) compare
+ * models, conflicts, cores, statistics and the solver state of python/c
+ * solver pairs.
  *
  * Every entry point takes the solver's *buffer table* first: an array of
  * B_SLOTS pointers (see the B_* slots below) that the Python side keeps
@@ -66,7 +77,9 @@
  *   activity per-variable VSIDS activity (double).
  *   heap / heap_pos   the activity order heap and its position index
  *            (heap_pos[var] is -1 when var is not in the heap).
- *   assumptions   the solve call's assumption literals (internal encoding).
+ *   assumptions   the solve call's assumption literals, written by the
+ *            driver as DIMACS literals and converted to the internal
+ *            encoding in place when the solve starts.
  *   scratch  out-buffer receiving the refs of newly learnt clauses; the
  *            driver drains it into Solver._learnts after every call.
  *   bumplog  out-buffer recording clause-activity events in execution
@@ -80,7 +93,12 @@
  *            learnt clause, the second num_vars+2 words the minimized one.
  *            On EXIT_ASSUMPTION the first words hold the core's decision
  *            literals instead (their count in state[30]).
- *   state    the 31-word bookkeeping block of repro_search (see _S_* in
+ *   kept     the assumption literals (internal encoding) whose decision
+ *            levels the trail keeps from the previous solve; their count
+ *            is state[31] of repro_search and state[9] of
+ *            repro_add_clauses.  Both rewrite it; between calls the driver
+ *            only truncates it.
+ *   state    the 36-word bookkeeping block of repro_search (see _S_* in
  *            solver.py); the other entry points take the short blocks
  *            documented at their definitions.
  *   fp       [var_inc, var_decay] (doubles, var_inc written back).
@@ -111,6 +129,7 @@ enum {
     B_SCRATCH,
     B_BUMPLOG,
     B_TMP,
+    B_KEPT,
     B_SLOTS
 };
 
@@ -537,9 +556,37 @@ static long analyze_final(long *arena, long *levels, long *reasons,
 
 /* ------------------------------------------------------------ the kernel */
 
-/* The driver zeroes the per-solve counters (state[3] and state[19..25])
- * once per solve and the scratch and log lengths once per call; the kernel
- * accumulates into them across the calls of one solve. */
+/* Phases of one solve, kept in state[33] across the kernel's calls. */
+#define PHASE_START 0   /* the driver's value: run the trail-keeping prologue */
+#define PHASE_PLAIN 1   /* searching from the shared assumption prefix */
+#define PHASE_RESUMED 2 /* searching on the whole kept trail (optimistic) */
+
+static int lit_true(const signed char *assigns, long ilit)
+{
+    signed char value = assigns[ilit >> 1];
+    return value >= 0 && (value ^ (ilit & 1)) == 1;
+}
+
+/* One solve under the assumption list, with the trail keeping of the
+ * previous solve's assumption decision levels (mirror of Solver._solve_python
+ * around Solver._search_python).
+ *
+ * On PHASE_START the driver has written the assumptions as DIMACS literals;
+ * the prologue converts them in place, takes the longest prefix shared with
+ * the kept assumptions (state[31] literals in buf[B_KEPT]) and either keeps
+ * the whole trail (identical lists, or an optimistic resume when every
+ * changed slot already holds) or backtracks to the shared prefix.  An
+ * optimistic answer that is not SAT, or a model that dropped an assumption,
+ * is re-derived from the shared prefix inside the same solve, with fresh
+ * restart and learnt-database budgets.  At the answer the epilogue
+ * backtracks an UNSAT answer to the assumption levels and writes the
+ * assumption literals left on the trail back to buf[B_KEPT] and state[31].
+ *
+ * The driver zeroes the scratch and log lengths once per call; the kernel
+ * zeroes the per-solve counters (state[3] and state[19..25]) in the
+ * prologue and accumulates into them across the calls of one solve.  The
+ * other exits (EXIT_REDUCE, EXIT_CAPACITY) return mid-solve; the next call
+ * resumes in the phase state[33] holds. */
 long repro_search(void *const *buf, long *state, double *fp)
 {
     long *arena = buf[B_ARENA];
@@ -558,6 +605,7 @@ long repro_search(void *const *buf, long *state, double *fp)
     long *scratch = buf[B_SCRATCH];
     long *bumplog = buf[B_BUMPLOG];
     long *tmp = buf[B_TMP];
+    long *kept = buf[B_KEPT];
     long qhead = state[0];
     long trail_len = state[1];
     long level_count = state[2];
@@ -578,8 +626,52 @@ long repro_search(void *const *buf, long *state, double *fp)
     long scratch_cap = state[27];
     long log_len = state[28];
     long log_cap = state[29];
+    long keep = state[32];
+    long phase = state[33];
     long exit_reason = 0;
     long exit_payload = 0;
+
+    if (phase == PHASE_START) {
+        long kept_len = state[31];
+        long limit = kept_len < n_assumptions ? kept_len : n_assumptions;
+        for (long i = 0; i < n_assumptions; i++) {
+            long lit = assumptions[i];
+            assumptions[i] = lit > 0 ? 2 * lit : 1 - 2 * lit;
+        }
+        /* Reuse the decision levels of the longest assumption prefix shared
+         * with the previous solve: their propagations are still on the
+         * trail. */
+        keep = 0;
+        while (keep < limit && kept[keep] == assumptions[keep])
+            keep++;
+        /* Optimistic full-trail resume: the list has the same layout and
+         * every changed assumption already holds on the kept trail. */
+        phase = PHASE_PLAIN;
+        if (keep < n_assumptions && kept_len == n_assumptions) {
+            phase = PHASE_RESUMED;
+            for (long i = keep; i < n_assumptions; i++) {
+                if (kept[i] != assumptions[i] && !lit_true(assigns, assumptions[i])) {
+                    phase = PHASE_PLAIN;
+                    break;
+                }
+            }
+        }
+        /* Identical lists resume on the full trail as well. */
+        if (phase == PHASE_PLAIN && !(keep == n_assumptions && kept_len == keep))
+            cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                         heap, heap_pos, activity, &heap_size,
+                         &trail_len, &qhead, &level_count, &search_floor, keep);
+        search_floor = level_count;
+        max_learnts = state[35];
+        restart_index = 0;
+        conflict_budget = 100 * luby(0);
+        conflicts_since_restart = 0;
+        total_conflicts = 0;
+        state[3] = 0;
+        for (long i = 19; i <= 25; i++)
+            state[i] = 0;
+        state[34] = 0;
+    }
 
     for (;;) {
         /* One conflict analysis may allocate a learnt clause of up to
@@ -590,7 +682,7 @@ long repro_search(void *const *buf, long *state, double *fp)
             scratch_len >= scratch_cap ||
             log_cap - log_len < num_vars + 3) {
             exit_reason = EXIT_CAPACITY;
-            break;
+            goto out;
         }
 
         long conflict = propagate(arena, heads, assigns, levels, reasons,
@@ -601,12 +693,16 @@ long repro_search(void *const *buf, long *state, double *fp)
             conflicts_since_restart++;
             total_conflicts++;
             if (max_conflicts >= 0 && total_conflicts > max_conflicts) {
+                cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                             heap, heap_pos, activity, &heap_size,
+                             &trail_len, &qhead, &level_count, &search_floor, 0);
+                state[31] = 0;
                 exit_reason = EXIT_CONFLICT_BUDGET;
-                break;
+                goto out;
             }
             if (level_count == 0) {
                 exit_reason = EXIT_UNSAT;
-                break;
+                goto answer;
             }
             long mlen = 0;
             long backjump = analyze(arena, levels, reasons, trail, seen,
@@ -665,7 +761,7 @@ long repro_search(void *const *buf, long *state, double *fp)
 
         if (learnt_count >= max_learnts + trail_len) {
             exit_reason = EXIT_REDUCE;
-            break;
+            goto out;
         }
 
         long next_lit = -1;
@@ -681,7 +777,7 @@ long repro_search(void *const *buf, long *state, double *fp)
                 state[30] = analyze_final(arena, levels, reasons, trail,
                                           trail_lim, seen, trail_len,
                                           level_count, assumption, tmp);
-                goto out;
+                goto answer;
             } else {
                 next_lit = assumption;
                 break;
@@ -698,12 +794,65 @@ long repro_search(void *const *buf, long *state, double *fp)
             }
             if (next_lit < 0) {
                 exit_reason = EXIT_SAT;
-                break;
+                goto answer;
             }
         }
         trail_lim[level_count++] = trail_len;
         enqueue(assigns, levels, reasons, trail, &trail_len, level_count,
                 next_lit, 0);
+        continue;
+
+    answer:
+        if (phase == PHASE_RESUMED) {
+            /* The optimistic answer may rest on stale decisions kept from
+             * the previous assumption list (not SAT) or on a model that
+             * dropped a changed assumption: redo from the shared prefix. */
+            int redo = exit_reason != EXIT_SAT;
+            for (long i = 0; !redo && i < n_assumptions; i++)
+                redo = !lit_true(assigns, assumptions[i]);
+            if (redo) {
+                if (exit_reason == EXIT_UNSAT)
+                    state[34] = 1;
+                phase = PHASE_PLAIN;
+                cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                             heap, heap_pos, activity, &heap_size,
+                             &trail_len, &qhead, &level_count, &search_floor,
+                             keep);
+                search_floor = level_count;
+                max_learnts = state[35];
+                restart_index = 0;
+                conflict_budget = 100 * luby(0);
+                conflicts_since_restart = 0;
+                total_conflicts = 0;
+                exit_reason = 0;
+                exit_payload = 0;
+                continue;
+            }
+        }
+        break;
+    }
+
+    /* The answer: an UNSAT answer keeps at most the assumption levels, and
+     * the assumption literals left on the trail become the kept prefix.
+     * After an optimistic resume the levels below the search's lowest
+     * backtrack point still hold the previous list's decisions. */
+    {
+        long level = level_count;
+        if (exit_reason != EXIT_SAT) {
+            if (level > n_assumptions)
+                level = n_assumptions;
+            cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                         heap, heap_pos, activity, &heap_size,
+                         &trail_len, &qhead, &level_count, &search_floor,
+                         level);
+        }
+        long kept_len = level < n_assumptions ? level : n_assumptions;
+        long from = 0;
+        if (phase == PHASE_RESUMED)
+            from = search_floor < n_assumptions ? search_floor : n_assumptions;
+        for (long i = from; i < kept_len; i++)
+            kept[i] = assumptions[i];
+        state[31] = kept_len;
     }
 out:
     state[0] = qhead;
@@ -712,6 +861,7 @@ out:
     state[4] = arena_len;
     state[6] = heap_size;
     state[9] = learnt_count;
+    state[10] = max_learnts;
     state[11] = restart_index;
     state[12] = conflict_budget;
     state[13] = conflicts_since_restart;
@@ -721,6 +871,8 @@ out:
     state[18] = exit_payload;
     state[26] = scratch_len;
     state[28] = log_len;
+    state[32] = keep;
+    state[33] = phase;
     return exit_reason;
 }
 
@@ -731,12 +883,80 @@ out:
 #define ADD_BAD_LITERAL 2
 #define ADD_GROW 3
 
-/* Root-level bulk clause load: the mirror of Solver.add_clause applied to
- * every clause of a batch in order, when no decision level is open
- * (Solver.add_clauses falls back to the per-clause loop otherwise).  Under
- * an open layer the driver has already appended -selector to every clause,
- * so a layered clause is loaded like any other; the driver registers the
- * returned refs on the layer.
+/* Place a stored clause of `size` literals at arena[ref] under the kept
+ * trail (mirror of Solver._place_under_trail): backjump just far enough that
+ * the clause is not conflicting.  With two non-false literals they become
+ * its watches; a clause unit after the backjump has its literal enqueued
+ * (the next propagation processes it) and watches it and a deepest false
+ * literal.  Each backjump truncates the kept assumption prefix *kept_len.
+ * Returns 0 when only a root restart can place the clause. */
+static int place_under_trail(long *arena, long ref, long size,
+                             signed char *assigns, long *levels, long *reasons,
+                             long *trail, long *trail_lim, signed char *polarity,
+                             long *heap, long *pos, double *act, long *heap_size,
+                             long *trail_len, long *qhead, long *level_count,
+                             long *kept_len)
+{
+    long base = ref + HDR;
+    long floor = 0; /* cancel_until's search floor: unused outside a solve */
+    for (;;) {
+        long first = -1, second = -1, max_level = 0;
+        for (long k = 0; k < size; k++) {
+            long ilit = arena[base + k];
+            if (assigns[ilit >> 1] == (ilit & 1)) { /* false */
+                if (levels[ilit >> 1] > max_level)
+                    max_level = levels[ilit >> 1];
+            } else if (first < 0) {
+                first = k;
+            } else {
+                second = k;
+                break;
+            }
+        }
+        if (second >= 0) {
+            long swap = arena[base];
+            arena[base] = arena[base + first];
+            arena[base + first] = swap;
+            swap = arena[base + 1];
+            arena[base + 1] = arena[base + second];
+            arena[base + second] = swap;
+            return 1;
+        }
+        if (max_level == 0)
+            return 0;
+        long level = first >= 0 ? max_level : max_level - 1;
+        if (level < *kept_len)
+            *kept_len = level;
+        cancel_until(trail, trail_lim, assigns, polarity, reasons, heap, pos,
+                     act, heap_size, trail_len, qhead, level_count, &floor,
+                     level);
+        if (first < 0)
+            continue; /* conflicting: the deepest false literals are free now */
+        long unit = arena[base + first];
+        if (assigns[unit >> 1] < 0) {
+            enqueue(assigns, levels, reasons, trail, trail_len, *level_count,
+                    unit, ref);
+            if (*qhead > *trail_len - 1)
+                *qhead = *trail_len - 1;
+        }
+        arena[base + first] = arena[base];
+        arena[base] = unit;
+        for (long k = 1; k < size; k++) {
+            long ilit = arena[base + k];
+            if (assigns[ilit >> 1] == (ilit & 1) && levels[ilit >> 1] == max_level) {
+                arena[base + k] = arena[base + 1];
+                arena[base + 1] = ilit;
+                break;
+            }
+        }
+        return 1;
+    }
+}
+
+/* Bulk clause load: the mirror of Solver.add_clause applied to every clause
+ * of a batch in order.  Under an open layer the driver has already appended
+ * -selector to every clause, so a layered clause is loaded like any other;
+ * the driver registers the returned refs on the layer.
  *
  *   lits     the batch's DIMACS literals, clause after clause;
  *   ends     ends[i] is the offset one past clause i in lits;
@@ -748,7 +968,15 @@ out:
  *   state    [0] qhead, [1] trail length, [2] arena logical length (all
  *            in/out), [3] propagations (accumulated), [4] clause count
  *            (in), [5] refs written (out), [6] allocated variables (in) /
- *            highest variable of the batch (out, with ADD_GROW).
+ *            highest variable of the batch (out, with ADD_GROW), [7]
+ *            decision levels, [8] order-heap size and [9] kept assumption
+ *            count (all in/out).
+ *
+ * Literals false at the root are dropped and clauses true at the root
+ * skipped; under a kept assumption trail (state[7] > 0) a clause of two or
+ * more literals is placed by place_under_trail, which may backjump, while a
+ * unit or empty clause gives the trail up first (the backtrack to the root
+ * also empties the kept prefix), exactly as Solver.add_clause does.
  *
  * A batch naming a variable beyond state[6] returns ADD_GROW before
  * touching anything; the driver allocates the variables and calls again.
@@ -766,11 +994,20 @@ long repro_add_clauses(void *const *buf, const long *lits, const long *ends,
     long *levels = buf[B_LEVELS];
     long *reasons = buf[B_REASONS];
     long *trail = buf[B_TRAIL];
+    long *trail_lim = buf[B_TRAIL_LIM];
+    signed char *polarity = buf[B_POLARITY];
     signed char *seen = buf[B_SEEN];
+    double *activity = buf[B_ACTIVITY];
+    long *heap = buf[B_HEAP];
+    long *heap_pos = buf[B_HEAP_POS];
     long qhead = state[0];
     long trail_len = state[1];
     long arena_len = state[2];
     long count = state[4];
+    long level_count = state[7];
+    long heap_size = state[8];
+    long kept_len = state[9];
+    long floor = 0; /* cancel_until's search floor: unused outside a solve */
     long nrefs = 0;
     long status = ADD_OK;
     long start = 0;
@@ -808,7 +1045,7 @@ long repro_add_clauses(void *const *buf, const long *lits, const long *ends,
             if (seen[var] == mark)
                 continue; /* duplicate literal */
             signed char value = assigns[var];
-            if (value >= 0) {
+            if (value >= 0 && levels[var] == 0) {
                 if ((value ^ (ilit & 1)) == 1) {
                     skip = 1; /* already satisfied at the root */
                     break;
@@ -823,6 +1060,13 @@ long repro_add_clauses(void *const *buf, const long *lits, const long *ends,
         start = end;
         if (status != ADD_OK || skip)
             continue;
+        if (size < 2) {
+            /* Units are root facts: give the kept trail up. */
+            kept_len = 0;
+            cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                         heap, heap_pos, activity, &heap_size,
+                         &trail_len, &qhead, &level_count, &floor, 0);
+        }
         if (size == 0) {
             status = ADD_UNSAT;
         } else if (size == 1) {
@@ -832,16 +1076,32 @@ long repro_add_clauses(void *const *buf, const long *lits, const long *ends,
                           &qhead, &trail_len, 0, &state[3]))
                 status = ADD_UNSAT;
         } else {
-            arena[arena_len] = size << 2;
-            attach(arena, heads, arena_len);
-            refs[nrefs++] = arena_len;
+            long ref = arena_len;
+            arena[ref] = size << 2;
             arena_len = base + size;
+            if (level_count > 0 &&
+                !place_under_trail(arena, ref, size, assigns, levels, reasons,
+                                   trail, trail_lim, polarity, heap, heap_pos,
+                                   activity, &heap_size, &trail_len, &qhead,
+                                   &level_count, &kept_len)) {
+                /* No placement kept the trail: restart from the root, where
+                 * the clause attaches like any other. */
+                kept_len = 0;
+                cancel_until(trail, trail_lim, assigns, polarity, reasons,
+                             heap, heap_pos, activity, &heap_size,
+                             &trail_len, &qhead, &level_count, &floor, 0);
+            }
+            attach(arena, heads, ref);
+            refs[nrefs++] = ref;
         }
     }
     state[0] = qhead;
     state[1] = trail_len;
     state[2] = arena_len;
     state[5] = nrefs;
+    state[7] = level_count;
+    state[8] = heap_size;
+    state[9] = kept_len;
     return status;
 }
 

@@ -37,8 +37,8 @@ the reproduction:
   (and all their propagations) between solve calls and, on the next call,
   backtracks only to the first assumption that differs.  Clauses added
   between calls attach in place when they are neither unit nor conflicting
-  under the kept trail; otherwise the solver transparently falls back to
-  a full restart from level 0.
+  under the kept trail; otherwise the solver backjumps just far enough to
+  place them, and a unit clause gives the trail up for level 0.
 
 **Clause storage and the search kernel.**  Clauses live in one flat *arena*
 (a ``long`` array) rather than as per-clause Python objects: a clause is an
@@ -60,22 +60,27 @@ buffer's address, refreshed only when a buffer grows or is replaced; see
 
 * ``repro_propagate`` — the unit-propagation core, used for root-level
   propagation outside the search loop (:meth:`Solver.add_clause`);
-* ``repro_search`` — the full CDCL *search kernel*: propagation, first-UIP
-  conflict analysis with clause learning and local minimization,
-  backjumping, VSIDS bump/decay/rescale, the activity order heap, phase
-  saving, assumption decisions, Luby restarts and assumption-core
-  extraction all run inside C, returning to Python only for the rare
-  control events (SAT/UNSAT answers, an extracted assumption core,
-  learnt-database reduction, budget exhaustion, and buffer-capacity
-  growth; :attr:`Solver.kernel_exits` counts them by reason and
-  :attr:`Solver.kernel_seconds` sums the wall time spent inside);
-* ``repro_add_clauses`` — the root-level *bulk load*
-  (:meth:`Solver.add_clauses`): one call applies :meth:`Solver.add_clause`'s
-  simplification rules to a whole flattened batch, writes and attaches the
-  surviving clauses at the arena end, and enqueues and propagates units
-  (clauses added under an open layer arrive tagged with its selector);
-* ``repro_cancel`` — every backtrack outside the search loop
-  (:meth:`Solver._cancel_until`): unassigning the trail, saving phases and
+* ``repro_search`` — one whole solve: the assumption-trail keeping of
+  :meth:`Solver.solve` (shared-prefix compare, optimistic resume and its
+  re-derive, the backtracks before and after the search) and the full CDCL
+  *search kernel*: propagation, first-UIP conflict analysis with clause
+  learning and local minimization, backjumping, VSIDS bump/decay/rescale,
+  the activity order heap, phase saving, assumption decisions, Luby
+  restarts and assumption-core extraction all run inside C, returning to
+  Python only for the rare control events (SAT/UNSAT answers, an extracted
+  assumption core, learnt-database reduction, budget exhaustion, and
+  buffer-capacity growth; :attr:`Solver.kernel_exits` counts them by reason
+  and :attr:`Solver.kernel_seconds` sums the wall time spent inside);
+* ``repro_add_clauses`` — the *bulk load* (:meth:`Solver.add_clauses`): one
+  call applies :meth:`Solver.add_clause`'s simplification rules to a whole
+  flattened batch, writes and attaches the surviving clauses at the arena
+  end, and enqueues and propagates units at the root; under a kept
+  assumption trail it places each longer clause as
+  :meth:`Solver._place_under_trail` does (clauses added under an open
+  layer arrive tagged with its selector);
+* ``repro_cancel`` — the backtracks outside a solve and a clause load
+  (:meth:`Solver._cancel_until`, as in :meth:`Solver.push` and
+  :meth:`Solver.pop`): unassigning the trail, saving phases and
   reinserting variables into the order heap;
 * ``repro_sweep`` — retracting a batch of clauses in one pass
   (:meth:`Solver._sweep`): when :meth:`Solver.pop` retracts a layer it
@@ -86,7 +91,8 @@ buffer's address, refreshed only when a buffer grows or is replaced; see
 
 With the ``"python"`` backend the same state lives in plain lists and the
 pure-Python loops implement the identical algorithm (the per-clause
-:meth:`Solver.add_clause` loop mirrors the bulk load); they remain the
+:meth:`Solver.add_clause` loop mirrors the bulk load, and
+:meth:`Solver._solve_python` the trail keeping); they remain the
 always-tested fallback, and both backends produce bit-identical models,
 conflicts, cores, statistics and loaded solver state.
 
@@ -134,7 +140,8 @@ _B_ASSUMPTIONS = 12
 _B_SCRATCH = 13
 _B_BUMPLOG = 14
 _B_TMP = 15
-_B_SLOTS = 16
+_B_KEPT = 16
+_B_SLOTS = 17
 
 #: Exit reasons the C search kernel reports back through its state buffer.
 #: They mirror the control points where the pure-Python loop leaves its
@@ -193,10 +200,15 @@ _S_SCRATCH_CAP = 27
 _S_LOG_LEN = 28
 _S_LOG_CAP = 29
 _S_CORE_LEN = 30  # literals of the assumption core the kernel wrote to tmp
-_S_WORDS = 31
+_S_KEPT_LEN = 31  # kept assumption literals in the kept buffer
+_S_KEEP = 32  # assumption prefix shared with the previous solve
+_S_PHASE = 33  # the solve's phase; the driver starts it at _PHASE_START
+_S_ROOT_UNSAT = 34  # an optimistic search met a root conflict before its redo
+_S_MAX_LEARNTS_INIT = 35  # the learnt-database budget a search starts with
+_S_WORDS = 36
 
-#: What the per-solve counters ``_S_D_CONFLICTS.._S_D_BACKJUMPED`` start at.
-_ZERO_DELTAS = array("l", [0] * (_S_D_BACKJUMPED - _S_D_CONFLICTS + 1))
+#: ``_S_PHASE`` of a new solve: the kernel runs its trail-keeping prologue.
+_PHASE_START = 0
 
 
 @dataclass
@@ -340,6 +352,14 @@ class Solver:
         self._scratch_buf: Optional[array] = None
         self._bump_log: Optional[array] = None
         self._analyze_buf: Optional[array] = None
+        # (variables, assumptions) the search buffers were last sized for.
+        self._provisioned = (-1, -1)
+        # The kept assumption literals (see _kept_assumptions): on the C
+        # backend the first _kept_len internal literals of _kept_buf, which
+        # the kernel reads and rewrites; on the Python backend _kept.
+        self._kept_buf: Optional[array] = None
+        self._kept_len = 0
+        self._kept: list[int] = []
         self._arena_len = 1
         self._num_vars = 0
         self._clauses: list[int] = []
@@ -347,7 +367,9 @@ class Solver:
         self._activity_of: dict[int, float] = {}
         self._garbage = 0
         self._trail_len = 0
-        self._trail_lim: list[int] = []
+        # Trail bounds of the open decision levels: a list on the Python
+        # backend, an array('l') copied out of the kernel's on the C backend.
+        self._trail_lim: Sequence[int] = array("l") if self._use_c else []
         self._qhead = 0
         self._order = ActivityHeap(self._activity, flat=self._use_c)
         self._var_inc = 1.0
@@ -358,9 +380,6 @@ class Solver:
         self._model: Optional[list[int]] = None
         self._core: Optional[list[int]] = None
         self._layers: list[_Layer] = []
-        # External assumption literals whose decision levels (1..len) are
-        # still on the trail from the previous solve (trail keeping).
-        self._kept_assumptions: list[int] = []
         # Lowest decision level reached since the current solve started;
         # used to record which kept assumption decisions survived an
         # optimistic full-trail resume.
@@ -444,6 +463,9 @@ class Solver:
         Returns ``False`` when the clause makes the formula trivially
         unsatisfiable at the top level (and the solver becomes permanently
         unsatisfiable), ``True`` otherwise.
+
+        This per-clause loop is also the pure-Python mirror of the
+        ``repro_add_clauses`` kernel behind :meth:`add_clauses`.
         """
         if not self._ok:
             return False
@@ -498,7 +520,8 @@ class Solver:
         return True
 
     def _place_under_trail(self, ref: int) -> bool:
-        """Position a new clause's watches under a kept assumption trail.
+        """Position a new clause's watches under a kept assumption trail
+        (the pure-Python mirror of ``place_under_trail`` in ``search.c``).
 
         Backjumps just far enough that the clause is not conflicting: to
         attach it needs two non-false literals (then it is inert for now);
@@ -567,8 +590,10 @@ class Solver:
 
     def _cancel_keeping(self, level: int) -> None:
         """Backtrack to ``level``, truncating the kept assumption prefix."""
-        if level < len(self._kept_assumptions):
-            del self._kept_assumptions[level:]
+        if self._use_c:
+            self._kept_len = min(self._kept_len, level)
+        elif level < len(self._kept):
+            del self._kept[level:]
         self._cancel_until(level)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
@@ -579,7 +604,9 @@ class Solver:
         flattened once and handed to :meth:`add_flat`; with a layer open on
         the C backend each clause is flattened already tagged with the
         layer's ``-selector``, which is how the kernel receives layered
-        clauses.
+        clauses.  On the C backend the batch is one ``repro_add_clauses``
+        call also under a kept assumption trail, where the kernel places
+        each clause as :meth:`_place_under_trail` does.
         """
         batch = clauses if isinstance(clauses, list) else list(clauses)
         if not batch:
@@ -614,8 +641,8 @@ class Solver:
         """Add clauses given flat: clause ``i`` is ``flat[ends[i-1]:ends[i]]``.
 
         The flat form of :meth:`add_clauses`, with the same result.  On the
-        C backend, at the root with no layer open, one
-        ``repro_add_clauses`` call loads the whole batch.  Otherwise the
+        C backend, with no layer open, one ``repro_add_clauses`` call loads
+        the whole batch.  Otherwise the
         per-clause :meth:`add_clause` loop runs after allocating every
         variable the batch names; it is also the pure-Python mirror of the
         kernel.  ``flat`` and ``ends`` are int arrays; the end offsets are
@@ -639,8 +666,11 @@ class Solver:
         return ok
 
     def _kernel_ready(self) -> bool:
-        """Whether ``repro_add_clauses`` may load a batch right now."""
-        return self._use_c and self._ok and not self._trail_lim
+        """Whether ``repro_add_clauses`` may load a batch right now: on the C
+        backend while the formula is not known unsatisfiable.  A kept
+        assumption trail is no obstacle; the kernel places each clause under
+        it as :meth:`add_clause` does."""
+        return self._use_c and self._ok
 
     def _add_clauses_c(self, flat: array, ends: array) -> bool:
         """Load a flattened batch with one ``repro_add_clauses`` call.
@@ -648,6 +678,8 @@ class Solver:
         A batch naming unallocated variables costs a second call, after
         :meth:`ensure_vars` has grown every buffer.  The refs of the stored
         clauses join the clause list and, with a layer open, the layer.
+        Under a kept assumption trail the kernel may backjump: it reports
+        the decision levels, heap size and kept assumption count it left.
         """
         count = len(ends)
         arena = self._arena
@@ -655,12 +687,25 @@ class Solver:
         if len(arena) < needed:
             arena.frombytes(bytes((needed - len(arena)) * arena.itemsize))
         refs = array("l", bytes(count * arena.itemsize))
+        levels = len(self._trail_lim)
         state = array(
             "l",
-            [self._qhead, self._trail_len, self._arena_len, 0, count, 0, 0],
+            [
+                self._qhead,
+                self._trail_len,
+                self._arena_len,
+                0,
+                count,
+                0,
+                0,
+                levels,
+                0,
+                self._kept_len,
+            ],
         )
         while True:
             state[6] = self._num_vars
+            state[8] = self._order.size  # ensure_vars grows the heap
             self.kernel_calls += 1
             status = self._cadd(
                 self._buffers(),
@@ -676,6 +721,10 @@ class Solver:
         self._trail_len = state[1]
         self._arena_len = state[2]
         self.stats.propagations += state[3]
+        if state[7] < levels:  # the kernel backjumped
+            del self._trail_lim[state[7] :]
+        self._order.set_size(state[8])
+        self._kept_len = state[9]
         stored = refs[: state[5]]
         self._clauses.extend(stored)
         if self._layers:
@@ -694,6 +743,13 @@ class Solver:
         automatically (so layered clauses are enforced); they may therefore
         show up in :meth:`unsat_core`.
 
+        The assumption decision levels of the previous solve, and their
+        propagations, are kept on the trail, and the search resumes from
+        the longest prefix the two assumption lists share (see
+        :meth:`_solve_python`).  On the C backend that trail keeping runs
+        inside ``repro_search``, so a solve is one kernel call unless the
+        search leaves for a learnt-database reduction or more room.
+
         Returns ``True`` if satisfiable (a model is then available through
         :meth:`model_value` / :meth:`get_model`), ``False`` otherwise (an
         assumption core is then available through :meth:`unsat_core`).
@@ -702,7 +758,8 @@ class Solver:
         self._model = None
         self._core = None
         if not self._ok:
-            self._kept_assumptions = []
+            self._kept = []
+            self._kept_len = 0
             self._core = []
             return False
         if assumptions:
@@ -711,10 +768,21 @@ class Solver:
             self.ensure_vars(max(max(assumptions), -min(assumptions)))
         all_assumptions = [layer.selector for layer in self._layers]
         all_assumptions.extend(assumptions)
+        return self._search(all_assumptions)
+
+    def _search(self, assumptions: list[int]) -> bool:
+        """Answer one solve under the complete (DIMACS) assumption list."""
+        if self._use_c:
+            return self._search_c(assumptions)
+        return self._solve_python(assumptions)
+
+    def _solve_python(self, all_assumptions: list[int]) -> bool:
+        """Trail keeping around :meth:`_search_python` (the mirror of the
+        prologue and epilogue of ``repro_search``)."""
         # Trail keeping: reuse the decision levels of the longest assumption
         # prefix shared with the previous solve — their propagations (on
         # trace formulas, most of the circuit) are still on the trail.
-        kept = self._kept_assumptions
+        kept = self._kept
         keep = 0
         limit = min(len(kept), len(all_assumptions))
         while keep < limit and kept[keep] == all_assumptions[keep]:
@@ -738,7 +806,7 @@ class Solver:
                 if kept[index] != lit and assigns[abs(lit)] != (lit > 0):
                     optimistic = False
                     break
-        self._kept_assumptions = []
+        self._kept = []
         resumed_full = False
         if keep == limit and len(kept) == count == keep:
             pass  # identical assumptions: resume with the full trail
@@ -750,7 +818,7 @@ class Solver:
             2 * lit if lit > 0 else 1 - 2 * lit for lit in all_assumptions
         ]
         self._search_floor = self._decision_level()
-        result = self._search(internal_assumptions)
+        result = self._search_python(internal_assumptions)
         if resumed_full and (
             not result
             or any(
@@ -760,11 +828,13 @@ class Solver:
             # The optimistic answer may rest on stale decisions kept from
             # the previous assumption set (UNSAT case) or on a model that
             # silently dropped a changed assumption (SAT case): redo from
-            # the true shared prefix.
+            # the true shared prefix.  Only the redo's answer is reported.
             resumed_full = False
+            self._model = None
+            self._core = None
             self._cancel_until(keep)
             self._search_floor = self._decision_level()
-            result = self._search(internal_assumptions)
+            result = self._search_python(internal_assumptions)
         if result:
             level = self._decision_level()
         else:
@@ -777,10 +847,19 @@ class Solver:
             # actually on the trail, not the list we were asked for.
             floor = min(self._search_floor, count)
             on_trail = kept[:floor] + all_assumptions[floor:count]
-            self._kept_assumptions = on_trail[: min(level, count)]
+            self._kept = on_trail[: min(level, count)]
         else:
-            self._kept_assumptions = list(all_assumptions[: min(level, count)])
+            self._kept = list(all_assumptions[: min(level, count)])
         return result
+
+    @property
+    def _kept_assumptions(self) -> list[int]:
+        """The (DIMACS) assumption literals whose decision levels the trail
+        keeps from the previous solve, on either backend."""
+        if not self._use_c:
+            return list(self._kept)
+        kept = self._kept_buf[: self._kept_len] if self._kept_len else ()
+        return [ilit >> 1 if not ilit & 1 else -(ilit >> 1) for ilit in kept]
 
     def model_value(self, lit: int) -> Optional[bool]:
         """Value of a signed literal in the last model (None if unknown var)."""
@@ -948,19 +1027,24 @@ class Solver:
 
     def _cancel_to_root(self) -> None:
         """Backtrack to level 0, giving up any kept assumption trail."""
-        self._kept_assumptions = []
+        self._kept = []
+        self._kept_len = 0
         self._cancel_until(0)
 
-    def set_phases(self, phases) -> None:
+    def set_phases(self, lits: Iterable[int]) -> None:
         """Seed the saved phase of variables (warm start).
 
-        ``phases`` maps variable index to the Boolean the next decision on
-        that variable should try first.  Used to prime the search with the
-        concrete values of a known failing execution.
+        The next decision on the variable of each literal of ``lits`` tries
+        the literal's sign first; a later literal over the same variable
+        wins.  Used to prime the search with the concrete values of a known
+        failing execution.  Variables not allocated yet are ignored.
         """
-        for var, value in phases.items():
-            if 1 <= var <= self._num_vars:
-                self._polarity[var] = bool(value)
+        polarity = self._polarity
+        num_vars = self._num_vars
+        for lit in lits:
+            var = lit if lit > 0 else -lit
+            if var <= num_vars:
+                polarity[var] = lit > 0
 
     # ------------------------------------------------------------ internals
 
@@ -1251,6 +1335,11 @@ class Solver:
         assert lims == sorted(lims) and all(
             0 <= lim <= self._trail_len for lim in lims
         ), f"trail limits {lims} not monotone within the trail"
+        if self._use_c and lims:
+            # The kernel reads the open levels' bounds from its buffer.
+            assert list(self._lim_buf[: len(lims)]) == lims, (
+                "trail-limit buffer out of step with the trail limits"
+            )
         trail_vars: set[int] = set()
         level = 0
         for index in range(self._trail_len):
@@ -1656,11 +1745,6 @@ class Solver:
             index %= size
         return 1 << sequence
 
-    def _search(self, assumptions: list[int]) -> bool:
-        if self._use_c:
-            return self._search_c(assumptions)
-        return self._search_python(assumptions)
-
     def _search_python(self, assumptions: list[int]) -> bool:
         """The pure-Python search loop (mirror of ``repro_search``)."""
         restart_index = 0
@@ -1783,21 +1867,28 @@ class Solver:
 
         A buffer too small is replaced by one with half again the room, so
         a solver whose variable count creeps up does not reallocate on
-        every solve.
+        every solve.  The replacement starts with the old buffer's words:
+        the trail limits and the kept assumptions live on between calls.
         """
         buf = getattr(self, name)
         if buf is None or len(buf) < size:
-            buf = array("l", [0]) * max(size + (size >> 1), 16)
+            grown = array("l", [0]) * max(size + (size >> 1), 16)
+            if buf is not None:
+                grown[: len(buf)] = buf
+            buf = grown
             setattr(self, name, buf)
             self._btable[slot] = buf.buffer_info()[0]
         return buf
 
     def _search_c(self, assumptions: list[int]) -> bool:
-        """Drive the compiled search kernel (mirror of :meth:`_search_python`).
+        """Drive one solve through the compiled kernel (the mirror of
+        :meth:`_solve_python` around :meth:`_search_python`).
 
-        The kernel runs the entire inner CDCL loop — propagation, analysis,
-        learning, backjumping, VSIDS, restarts, decisions — over the shared
-        flat buffers and returns only for control events.  This driver
+        ``repro_search`` runs the whole solve — the trail keeping against
+        the kept assumptions, the inner CDCL loop (propagation, analysis,
+        learning, backjumping, VSIDS, restarts, decisions), the re-derive
+        of an optimistic answer, and the final backtrack — over the shared
+        flat buffers, and returns only for control events.  This driver
         provisions buffer capacity, marshals the search bookkeeping in and
         out through the state array, drains the refs of newly learnt
         clauses, and replays the clause-activity bump log (clause activities
@@ -1810,45 +1901,42 @@ class Solver:
         runs in Python, and it touches neither the trail nor the order heap
         nor the restart schedule, so those words are written once per solve
         and read back once, at the final exit; per call the driver writes
-        only the arena and learnt-database words.
+        only the arena and learnt-database words.  On the C backend the
+        first ``len(_trail_lim)`` words of the trail-limit buffer always
+        equal :attr:`_trail_lim` (every level is opened by the kernel, and
+        Python only ever truncates), so they are never copied in.
         """
         stats = self.stats
         num_vars = self._num_vars
         n_assumptions = len(assumptions)
-        max_learnts = max(len(self._clauses) // 3, 2000)
         state = self._sstate
         floats = self._sfloat
-        # A single conflict analysis may allocate one learnt clause of up to
-        # num_vars literals, log one bump per resolved clause plus the
-        # learnt ref and a decay sentinel, and push one scratch ref.  The
-        # kernel re-checks this margin before every analysis and exits with
-        # _EXIT_CAPACITY instead of overflowing.
-        scratch = self._ensure_buf("_scratch_buf", _B_SCRATCH, max(num_vars, 8192))
-        bump_log = self._ensure_buf(
-            "_bump_log", _B_BUMPLOG, max(2 * num_vars + 4096, 16384)
-        )
-        analyze_buf = self._ensure_buf("_analyze_buf", _B_TMP, 2 * num_vars + 4)
-        lim_buf = self._ensure_buf(
-            "_lim_buf", _B_TRAIL_LIM, num_vars + n_assumptions + 2
-        )
-        assump_buf = self._ensure_buf("_assump_buf", _B_ASSUMPTIONS, n_assumptions)
-        assump_buf[:n_assumptions] = array("l", assumptions)
-        levels = len(self._trail_lim)
-        lim_buf[:levels] = array("l", self._trail_lim)
+        if (num_vars, n_assumptions) != self._provisioned:
+            # A single conflict analysis may allocate one learnt clause of up
+            # to num_vars literals, log one bump per resolved clause plus the
+            # learnt ref and a decay sentinel, and push one scratch ref.  The
+            # kernel re-checks this margin before every analysis and exits
+            # with _EXIT_CAPACITY instead of overflowing.
+            self._ensure_buf("_scratch_buf", _B_SCRATCH, max(num_vars, 8192))
+            self._ensure_buf("_bump_log", _B_BUMPLOG, max(2 * num_vars + 4096, 16384))
+            self._ensure_buf("_analyze_buf", _B_TMP, 2 * num_vars + 4)
+            self._ensure_buf("_lim_buf", _B_TRAIL_LIM, num_vars + n_assumptions + 2)
+            self._ensure_buf("_kept_buf", _B_KEPT, n_assumptions)
+            self._ensure_buf("_assump_buf", _B_ASSUMPTIONS, n_assumptions)
+            self._provisioned = (num_vars, n_assumptions)
+        scratch = self._scratch_buf
+        bump_log = self._bump_log
+        self._assump_buf[:n_assumptions] = array("l", assumptions)
         state[_S_QHEAD] = self._qhead
         state[_S_TRAIL_LEN] = self._trail_len
-        state[_S_LEVELS] = levels
+        state[_S_LEVELS] = len(self._trail_lim)
         state[_S_HEAP_SIZE] = self._order.size
         state[_S_NUM_VARS] = num_vars
         state[_S_NUM_ASSUMPTIONS] = n_assumptions
-        state[_S_RESTART_INDEX] = 0
-        state[_S_CONFLICT_BUDGET] = 100 * self._luby(0)
-        state[_S_CONFLICTS_SINCE_RESTART] = 0
-        state[_S_TOTAL_CONFLICTS] = 0
         state[_S_MAX_CONFLICTS] = -1 if self.max_conflicts is None else self.max_conflicts
-        state[_S_SEARCH_FLOOR] = self._search_floor
-        state[_S_PROPAGATIONS] = 0
-        state[_S_D_CONFLICTS : _S_D_BACKJUMPED + 1] = _ZERO_DELTAS
+        state[_S_MAX_LEARNTS_INIT] = max(len(self._clauses) // 3, 2000)
+        state[_S_KEPT_LEN] = self._kept_len
+        state[_S_PHASE] = _PHASE_START
         state[_S_SCRATCH_CAP] = len(scratch)
         state[_S_LOG_CAP] = len(bump_log)
         floats[0] = self._var_inc
@@ -1865,7 +1953,6 @@ class Solver:
             state[_S_ARENA_LEN] = self._arena_len
             state[_S_ARENA_CAP] = len(arena)
             state[_S_LEARNT_COUNT] = len(self._learnts)
-            state[_S_MAX_LEARNTS] = max_learnts
             state[_S_SCRATCH_LEN] = 0
             state[_S_LOG_LEN] = 0
             table = self._buffers()
@@ -1886,7 +1973,7 @@ class Solver:
                 self.kernel_exits[_EXIT_NAMES[reason]] += 1
             if reason == _EXIT_REDUCE:
                 self._reduce_db()
-                max_learnts = int(max_learnts * 1.3)
+                state[_S_MAX_LEARNTS] = int(state[_S_MAX_LEARNTS] * 1.3)
             elif reason != _EXIT_CAPACITY:
                 break
             # _EXIT_REDUCE and _EXIT_CAPACITY re-enter: the next iteration
@@ -1896,9 +1983,9 @@ class Solver:
         # Marshal the kernel's bookkeeping back out.
         self._qhead = state[_S_QHEAD]
         self._trail_len = state[_S_TRAIL_LEN]
-        self._trail_lim = lim_buf[: state[_S_LEVELS]].tolist()
+        self._trail_lim = self._lim_buf[: state[_S_LEVELS]]
         self._order.set_size(state[_S_HEAP_SIZE])
-        self._search_floor = state[_S_SEARCH_FLOOR]
+        self._kept_len = state[_S_KEPT_LEN]
         self._var_inc = floats[0]
         stats.propagations += state[_S_PROPAGATIONS]
         stats.conflicts += state[_S_D_CONFLICTS]
@@ -1908,6 +1995,10 @@ class Solver:
         stats.analyses += state[_S_D_ANALYSES]
         stats.minimized_literals += state[_S_D_MINIMIZED]
         stats.backjumped_levels += state[_S_D_BACKJUMPED]
+        if state[_S_ROOT_UNSAT]:
+            # A root conflict ended the optimistic search before its redo.
+            self._ok = False
+            self._core = []
         if reason == _EXIT_SAT:
             self._model = self._assigns[:]
             return True
@@ -1920,12 +2011,13 @@ class Solver:
             # then the decisions it wrote to the analysis buffer, added
             # in _analyze_final's order.
             core = {state[_S_EXIT_PAYLOAD]}
-            core.update(analyze_buf[: state[_S_CORE_LEN]])
+            core.update(self._analyze_buf[: state[_S_CORE_LEN]])
             self._core = [self._to_external(lit) for lit in core]
             return False
         if reason == _EXIT_CONFLICT_BUDGET:
+            # The kernel has backtracked to the root and dropped the kept
+            # assumptions.
             self._core = []
-            self._cancel_until(0)
             raise ConflictBudgetExceeded(
                 f"exceeded conflict budget of {self.max_conflicts}"
             )

@@ -252,16 +252,23 @@ class WorkerPool:
                 with result_lock:
                     results.update(shard_results)
 
-        with ThreadPoolExecutor(
-            max_workers=max(1, len(assignments)),
-            thread_name_prefix="repro-serve-dispatch",
-        ) as dispatcher:
-            futures = [
-                dispatcher.submit(run_worker_queue, worker, queue)
-                for worker, queue in assignments.items()
-            ]
-            for future in futures:
-                future.result()
+        if len(assignments) == 1:
+            # One worker queue (every serve ``localize`` request with one
+            # shard): a dispatcher thread would only be started and joined
+            # around it, so the calling thread runs it.
+            ((worker, queue),) = assignments.items()
+            run_worker_queue(worker, queue)
+        else:
+            with ThreadPoolExecutor(
+                max_workers=len(assignments),
+                thread_name_prefix="repro-serve-dispatch",
+            ) as dispatcher:
+                futures = [
+                    dispatcher.submit(run_worker_queue, worker, queue)
+                    for worker, queue in assignments.items()
+                ]
+                for future in futures:
+                    future.result()
         if errors:
             raise errors[0]
         self.stats.localizations += len(results)

@@ -434,6 +434,52 @@ class TestSessionTracing:
             assert attrs["kernel_capacity_exits"] == 0
 
     @pytest.mark.parametrize("backend", ["default", "python"])
+    def test_solve_span_attributes(self, backend, monkeypatch):
+        """The solve span carries exactly these attributes.  On the C
+        backend the loop crosses into the kernel once per SAT call, once
+        per blocking clause and once per reduce or capacity re-entry."""
+        from repro.sat import _ccore
+        from repro.siemens import classify_tcas_tests, tcas_faulty_program
+
+        if backend == "python":
+            monkeypatch.setattr(_ccore, "backend", lambda: "python")
+        monkeypatch.setenv("REPRO_TRACE", "on")
+        failing, _ = classify_tcas_tests("v1", count=200)
+        vector, expected = failing[0]
+        with obs.trace("request") as handle:
+            with LocalizationSession(tcas_faulty_program("v1")) as session:
+                report = session.localize(
+                    vector.as_list(), Specification.return_value(expected)
+                )
+                solver = session._engine._solver
+        attrs = next(s for s in handle.spans() if s["name"] == "solve.comss")["attrs"]
+        assert set(attrs) == {
+            "sat_calls",
+            "propagations",
+            "conflicts",
+            "kernel_reduce_exits",
+            "kernel_capacity_exits",
+            "kernel_ms",
+            "glue_ms",
+            "kernel_calls",
+            "iterations",
+            "cores",
+        }
+        assert attrs["iterations"] == report.maxsat_calls > 0
+        # Every SAT call of the hitting-set engine either answers a
+        # solve_current call or yields one core.
+        assert attrs["cores"] == attrs["sat_calls"] - attrs["iterations"] > 0
+        if solver.backend == "c":
+            assert attrs["kernel_calls"] == (
+                attrs["sat_calls"]
+                + len(report.candidates)
+                + attrs["kernel_reduce_exits"]
+                + attrs["kernel_capacity_exits"]
+            )
+        else:
+            assert attrs["kernel_calls"] == 0
+
+    @pytest.mark.parametrize("backend", ["default", "python"])
     def test_kernel_ms_on_solve_span(self, backend, monkeypatch):
         """The solve span reports the layer's wall time inside the C search
         kernel: within the span's own duration, and zero on the Python

@@ -475,6 +475,67 @@ class TestWorkerWatchdog:
             pool.stop()
 
 
+class TestDispatch:
+    """A single worker queue runs on the calling thread; only a request
+    that fans out to several workers builds a dispatcher pool."""
+
+    @staticmethod
+    def _job(store, tests):
+        from repro.serve.workers import Job
+
+        key, compiled, _ = store.get_or_compile(CLASSIFY, {"name": "dispatch"})
+        blob = dumps_artifact(compiled)
+        return Job(
+            artifact_key=key,
+            artifact_bytes=lambda: blob,
+            session_options={"max_candidates": 3},
+            tests=[
+                (x, [x], Specification.return_value(0), ()) for x in tests
+            ],
+        )
+
+    def test_one_queue_builds_no_thread_pool(self, tmp_path, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.serve import workers
+        from repro.serve.workers import WorkerPool
+
+        built: list[int] = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "ThreadPoolExecutor", CountingExecutor)
+        store = ArtifactStore(root=tmp_path)
+        with WorkerPool(workers=2, max_tests_per_shard=8) as pool:
+            # One shard on one worker, as a serve ``localize`` request.
+            reports = pool.run_jobs([self._job(store, [8, 9])])
+            assert built == []
+            # Two shards spill onto both workers: a dispatcher pool runs them.
+            pool.max_tests_per_shard = 1
+            fanned = pool.run_jobs([self._job(store, [8, 9])])
+            assert built == [1]
+        assert sorted(reports) == sorted(fanned) == [8, 9]
+        for x in (8, 9):
+            assert reports[x].candidates
+            assert canonical_report_bytes(reports[x]) == canonical_report_bytes(
+                fanned[x]
+            )
+
+    def test_one_queue_error_still_raises(self, tmp_path, monkeypatch):
+        """A failing shard on the calling thread surfaces as before."""
+        from repro.serve.workers import ServeShardError, WorkerPool
+
+        store = ArtifactStore(root=tmp_path)
+        job = self._job(store, [8])
+        job.tests[0] = (8, [8, 8], Specification.return_value(0), ())  # arity
+        with WorkerPool(workers=1) as pool:
+            with pytest.raises(ServeShardError, match="failed localizing"):
+                pool.run_jobs([job])
+
+
 class TestScheduling:
     def test_shard_size_bound_is_honoured(self):
         from repro.serve.workers import Job, WorkerPool

@@ -397,3 +397,79 @@ class TestSessionOnTcas:
                 )
                 assert set(mine.lines) == set(theirs.lines)
         assert session.stats.encodings_built == 1
+
+
+def _reference_phase_hints(compiled, test_inputs) -> dict[int, bool]:
+    """The warm-start phases as a dict over the input and nondet bits: the
+    second walk over the bits that the session made before it read the
+    phases off the test's units."""
+    from repro.lang.semantics import to_unsigned
+
+    vectors = [
+        (bits, test_inputs[name])
+        for name, bits in compiled.input_bits.items()
+        if name in test_inputs
+    ]
+    for index, bits in enumerate(compiled.nondet_bits):
+        key = f"nondet#{index}"
+        if key in test_inputs:
+            vectors.append((bits, test_inputs[key]))
+    hints: dict[int, bool] = {}
+    true_lit = compiled.true_lit or 0
+    for bits, value in vectors:
+        pattern = to_unsigned(value, len(bits))
+        for lit in bits:
+            wanted = pattern & 1
+            pattern >>= 1
+            if lit == true_lit or lit == -true_lit:
+                continue
+            if lit > 0:
+                hints[lit] = wanted == 1
+            else:
+                hints[-lit] = wanted == 0
+    return hints
+
+
+def test_phases_from_units_match_the_phase_dict(monkeypatch):
+    """The saved phases a localization seeds from the input part of the
+    test's units are byte-identical to the ones the dict of input bits
+    gave, on every fourth TCAS version."""
+    from repro.maxsat.engine import MaxSatEngine
+    from repro.siemens import tcas_faulty_program
+    from repro.siemens.faults import TCAS_FAULTS
+    from repro.siemens.testgen import generate_tcas_tests
+
+    def polarity(solver) -> bytearray:
+        return bytearray(int(phase) for phase in solver._polarity)
+
+    seeded: list[tuple] = []
+    set_phases = MaxSatEngine.set_phases
+
+    def recording_set_phases(engine, lits):
+        before = polarity(engine._solver)
+        set_phases(engine, lits)
+        seeded.append((engine._solver, before, polarity(engine._solver)))
+
+    monkeypatch.setattr(MaxSatEngine, "set_phases", recording_set_phases)
+    vectors = generate_tcas_tests(40, seed=5)[-3:]
+    changed = 0
+    versions = TCAS_FAULTS[::4]
+    assert len(versions) >= 10
+    for fault in versions:
+        with LocalizationSession(
+            tcas_faulty_program(fault.name), max_candidates=1
+        ) as session:
+            for vector in vectors:
+                seeded.clear()
+                report = session.localize(
+                    vector.as_list(), Specification.return_value(0)
+                )
+                ((solver, before, after),) = seeded
+                expected = bytearray(before)
+                hints = _reference_phase_hints(session.compiled, report.test_inputs)
+                for var, value in hints.items():
+                    if 1 <= var <= solver.num_vars:
+                        expected[var] = int(bool(value))
+                assert bytes(after) == bytes(expected)
+                changed += after != before
+    assert changed
